@@ -8,7 +8,9 @@
 //               therefore match Figure 1 closely;
 //   * native  — wall-clock shares of this repository's real C++ codec on the
 //               same workload (an independent confirmation that the
-//               arithmetic decoder dominates a software implementation).
+//               arithmetic decoder dominates a software implementation),
+//               followed by the same times in absolute units: ns per image
+//               sample for each stage, and tier-1 ns per MQ decision.
 #include <decoder/decoder.hpp>
 
 #include <chrono>
@@ -36,12 +38,20 @@ shares model_shares(const decoder::workload& wl, bool lossy)
     return {a / tot, q / tot, w / tot, c / tot, d / tot};
 }
 
-shares native_shares(const decoder::workload& wl, bool lossy)
+/// Native stage times in absolute units.  ICT and DC shift are timed
+/// together (`ict_dc`).
+struct native_cost {
+    double arith_ns, iq_ns, idwt_ns, ict_dc_ns;  ///< per image sample
+    double arith_ns_per_decision;
+};
+
+shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
 {
     using clock = std::chrono::steady_clock;
     const auto& md = wl.mode(lossy);
     j2k::decoder dec{md.codestream};
     double a = 0, q = 0, w = 0, cd = 0;
+    j2k::tier1_stats t1_stats;
     const int reps = 3;
     for (int rep = 0; rep < reps; ++rep) {
         j2k::image out{dec.info().width, dec.info().height, dec.info().components,
@@ -49,7 +59,7 @@ shares native_shares(const decoder::workload& wl, bool lossy)
         const auto grid = dec.tiles();
         for (int t = 0; t < dec.tile_count(); ++t) {
             auto t0 = clock::now();
-            const auto tc = dec.entropy_decode(t);
+            const auto tc = dec.entropy_decode(t, &t1_stats);
             auto t1 = clock::now();
             const auto tw = dec.dequantize(tc);
             auto t2 = clock::now();
@@ -67,6 +77,10 @@ shares native_shares(const decoder::workload& wl, bool lossy)
         cd += std::chrono::duration<double>(clock::now() - t4).count();
     }
     const double tot = a + q + w + cd;
+    const double samples = static_cast<double>(reps) * dec.info().width *
+                           dec.info().height * dec.info().components;
+    cost = {1e9 * a / samples, 1e9 * q / samples, 1e9 * w / samples, 1e9 * cd / samples,
+            1e9 * a / static_cast<double>(t1_stats.mq_decisions)};
     // ICT and DC shift are measured together natively; split them with the
     // paper's internal ratio for display.
     const auto& p = lossy ? decoder::k_profile_lossy : decoder::k_profile_lossless;
@@ -76,7 +90,7 @@ shares native_shares(const decoder::workload& wl, bool lossy)
 }
 
 void print_mode(const char* name, const decoder::stage_profile& paper, const shares& mdl,
-                const shares& nat)
+                const shares& nat, const native_cost& cost)
 {
     std::printf("\n%s mode\n", name);
     std::printf("  %-18s %9s %9s %9s\n", "stage", "paper[%]", "model[%]", "native[%]");
@@ -88,6 +102,10 @@ void print_mode(const char* name, const decoder::stage_profile& paper, const sha
     row("IDWT", paper.idwt, mdl.idwt, nat.idwt);
     row("ICT", paper.ict, mdl.ict, nat.ict);
     row("DC shift", paper.dc, mdl.dc, nat.dc);
+    std::printf("  native ns/sample:  arith %.1f (%.2f ns per MQ decision), IQ %.1f, "
+                "IDWT %.1f, ICT+DC %.1f\n",
+                cost.arith_ns, cost.arith_ns_per_decision, cost.iq_ns, cost.idwt_ns,
+                cost.ict_dc_ns);
 }
 
 }  // namespace
@@ -96,10 +114,13 @@ int main()
 {
     std::printf("=== Figure 1 — JPEG 2000 SW decode profile (16 tiles, 3 components) ===\n");
     const auto wl = decoder::workload::standard();
-    print_mode("lossless", decoder::k_profile_lossless, model_shares(wl, false),
-               native_shares(wl, false));
-    print_mode("lossy", decoder::k_profile_lossy, model_shares(wl, true),
-               native_shares(wl, true));
+    for (const bool lossy : {false, true}) {
+        native_cost cost{};
+        const shares nat = native_shares(wl, lossy, cost);
+        print_mode(lossy ? "lossy" : "lossless",
+                   lossy ? decoder::k_profile_lossy : decoder::k_profile_lossless,
+                   model_shares(wl, lossy), nat, cost);
+    }
     std::printf("\nThe model column is back-annotated from the paper's profile "
                 "(as the paper itself\nback-annotates measured times); the native column "
                 "profiles this repo's own codec.\n");

@@ -1,5 +1,5 @@
 // bench_j2k_kernels — scalar vs vector A/B of every dispatched decode kernel
-// (5/3 lifting, 9/7 lifting, ICT/RCT, dequantisation, MQ renormalisation)
+// (5/3 lifting, 9/7 lifting, ICT/RCT, dequantisation)
 // plus an arena on/off steady-state decode loop with an interposed global
 // operator-new counter.
 //
@@ -11,7 +11,6 @@
 //     ("arena.steady_state_mallocs" must be exactly 0).
 //
 //   { "bench": "j2k_kernels", "avx2_supported": true, "isa": "avx2",
-//     "mq_fast": true,
 //     "kernels": [ {"kernel":"dwt53","scalar_ms":..,"vector_ms":..,
 //                   "speedup":..}, ... ],
 //     "best_speedup": ..., "best_kernel": "...",
@@ -199,31 +198,6 @@ kernel_ab bench_dequant(const j2k::kernel_table& a, const j2k::kernel_table& b)
     return {"dequant", run(a), run(b)};
 }
 
-kernel_ab bench_mq(bool can_fast)
-{
-    std::mt19937 rng{29};
-    std::bernoulli_distribution d{0.2};
-    j2k::mq_encoder enc;
-    j2k::mq_context cx;
-    constexpr int k_bits = 1 << 16;
-    for (int i = 0; i < k_bits; ++i) enc.encode(cx, d(rng) ? 1 : 0);
-    const auto bytes = enc.flush();
-    auto run = [&bytes](j2k::mq_mode mode) {
-        return time_ms([&bytes, mode] {
-            j2k::mq_decoder dec{bytes, mode};
-            j2k::mq_context dcx;
-            int sink = 0;
-            for (int i = 0; i < k_bits; ++i) sink ^= dec.decode(dcx);
-            if (sink == 42) std::abort();  // defeat dead-code elimination
-        });
-    };
-    const double ref = run(j2k::mq_mode::reference);
-    // The fast path is ISA-independent (plain integer LUT); bench it even on
-    // non-AVX2 hosts where auto-dispatch would leave it off.
-    const double fast = can_fast ? run(j2k::mq_mode::fast) : ref;
-    return {"mq", ref, fast};
-}
-
 /// Bit-exactness spot check alongside the timing: a forward transform made
 /// under scalar must invert identically under both tiers, and the elementwise
 /// kernels must agree value for value.
@@ -369,7 +343,6 @@ int main(int argc, char** argv)
     phase("ict", bench_ict(sc, vec));
     phase("rct", bench_rct(sc, vec));
     phase("dequant", bench_dequant(sc, vec));
-    phase("mq", bench_mq(true));
 
     double best = 0.0;
     const char* best_kernel = "";
@@ -385,10 +358,9 @@ int main(int argc, char** argv)
     std::string json = "{\"bench\":\"j2k_kernels\"";
     char buf[512];
     std::snprintf(buf, sizeof buf,
-                  ",\"avx2_supported\":%s,\"isa\":\"%s\",\"mq_fast\":%s",
+                  ",\"avx2_supported\":%s,\"isa\":\"%s\"",
                   avx2 ? "true" : "false",
-                  j2k::kernel_isa_name(j2k::active_kernel_isa()),
-                  j2k::kernels().mq_fast ? "true" : "false");
+                  j2k::kernel_isa_name(j2k::active_kernel_isa()));
     json += buf;
     json += ",\"kernels\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {

@@ -107,7 +107,6 @@ constexpr kernel_table k_scalar_table{
     s_ict_inverse,
     s_rct_inverse,
     s_dequant,
-    /*mq_fast=*/false,
 };
 
 /// Automatic pick: env override first, then the best table the CPU supports.

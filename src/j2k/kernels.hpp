@@ -61,10 +61,6 @@ struct kernel_table {
     // out[i] = q[i] == 0 ? 0 : sign(q[i]) * (|q[i]| + 0.5) * step.
     void (*dequant)(const std::int32_t* q, double* out, double step,
                     std::size_t n);
-
-    /// Whether the MQ decoder should take its batch-renormalisation fast path
-    /// by default (see mq_coder.hpp; overridable per decoder and globally).
-    bool mq_fast = false;
 };
 
 /// The active table.  Resolution order: an explicit force_kernel_isa() wins;

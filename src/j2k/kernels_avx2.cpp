@@ -223,7 +223,6 @@ constexpr kernel_table k_avx2_table{
     x_ict_inverse,
     x_rct_inverse,
     x_dequant,
-    /*mq_fast=*/true,
 };
 
 }  // namespace

@@ -1,69 +1,8 @@
 #include "mq_coder.hpp"
 
-#include "kernels.hpp"
-
-#include <algorithm>
-#include <array>
 #include <stdexcept>
 
 namespace j2k {
-
-namespace {
-
-// ISO/IEC 15444-1 Table C.2 — Qe values and probability estimation state
-// transitions.  {Qe, NMPS, NLPS, SWITCH}
-constexpr std::array<mq_state, 47> k_states{{
-    {0x5601, 1, 1, 1},   {0x3401, 2, 6, 0},   {0x1801, 3, 9, 0},
-    {0x0AC1, 4, 12, 0},  {0x0521, 5, 29, 0},  {0x0221, 38, 33, 0},
-    {0x5601, 7, 6, 1},   {0x5401, 8, 14, 0},  {0x4801, 9, 14, 0},
-    {0x3801, 10, 14, 0}, {0x3001, 11, 17, 0}, {0x2401, 12, 18, 0},
-    {0x1C01, 13, 20, 0}, {0x1601, 29, 21, 0}, {0x5601, 15, 14, 1},
-    {0x5401, 16, 14, 0}, {0x5101, 17, 15, 0}, {0x4801, 18, 16, 0},
-    {0x3801, 19, 17, 0}, {0x3401, 20, 18, 0}, {0x3001, 21, 19, 0},
-    {0x2801, 22, 19, 0}, {0x2401, 23, 20, 0}, {0x2201, 24, 21, 0},
-    {0x1C01, 25, 22, 0}, {0x1801, 26, 23, 0}, {0x1601, 27, 24, 0},
-    {0x1401, 28, 25, 0}, {0x1201, 29, 26, 0}, {0x1101, 30, 27, 0},
-    {0x0AC1, 31, 28, 0}, {0x09C1, 32, 29, 0}, {0x08A1, 33, 30, 0},
-    {0x0521, 34, 31, 0}, {0x0441, 35, 32, 0}, {0x02A1, 36, 33, 0},
-    {0x0221, 37, 34, 0}, {0x0141, 38, 35, 0}, {0x0111, 39, 36, 0},
-    {0x0085, 40, 37, 0}, {0x0049, 41, 38, 0}, {0x0025, 42, 39, 0},
-    {0x0015, 43, 40, 0}, {0x0009, 44, 41, 0}, {0x0005, 45, 42, 0},
-    {0x0001, 45, 43, 0}, {0x5601, 46, 46, 0},
-}};
-
-/// Leading zeros within 8 bits (8 for 0) — the two halves of a 16-bit
-/// leading-zero count without a hardware LZCNT dependency.
-constexpr std::array<std::uint8_t, 256> make_lz8()
-{
-    std::array<std::uint8_t, 256> t{};
-    t[0] = 8;
-    for (int i = 1; i < 256; ++i) {
-        int lz = 0;
-        for (int b = 7; b >= 0 && (i & (1 << b)) == 0; --b) ++lz;
-        t[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(lz);
-    }
-    return t;
-}
-
-constexpr auto k_lz8 = make_lz8();
-
-}  // namespace
-
-const mq_state& mq_table(std::uint8_t index) noexcept
-{
-    return k_states[index];
-}
-
-mq_mode default_mq_mode() noexcept
-{
-    return kernels().mq_fast ? mq_mode::fast : mq_mode::reference;
-}
-
-int mq_renorm_shift(std::uint32_t a) noexcept
-{
-    const std::uint32_t hi = (a >> 8) & 0xFF;
-    return hi ? k_lz8[hi] : 8 + k_lz8[a & 0xFF];
-}
 
 // ---------------------------------------------------------------------------
 // Encoder (ISO/IEC 15444-1 C.2).  C is a 28-bit register; the byte about to
@@ -91,7 +30,7 @@ void mq_encoder::encode(mq_context& cx, int d)
 
 void mq_encoder::code_mps(mq_context& cx)
 {
-    const mq_state& s = k_states[cx.index];
+    const mq_state& s = detail::k_mq_states[cx.index];
     a_ -= s.qe;
     if ((a_ & 0x8000) == 0) {
         if (a_ < s.qe)
@@ -107,7 +46,7 @@ void mq_encoder::code_mps(mq_context& cx)
 
 void mq_encoder::code_lps(mq_context& cx)
 {
-    const mq_state& s = k_states[cx.index];
+    const mq_state& s = detail::k_mq_states[cx.index];
     a_ -= s.qe;
     if (a_ < s.qe)
         c_ += s.qe;  // conditional exchange
@@ -193,129 +132,16 @@ std::vector<std::uint8_t> mq_encoder::flush()
 // segment feeds 1-bits, as the spec prescribes when a marker is found.
 // ---------------------------------------------------------------------------
 
-void mq_decoder::init(std::span<const std::uint8_t> data)
+void mq_decoder::init(std::span<const std::uint8_t> data) noexcept
 {
-    in_ = data;
-    bp_ = 0;
+    bp_ = data.data();
+    end_ = data.data() + data.size();
     decisions_ = 0;
-    const std::uint32_t b0 = bp_ < in_.size() ? in_[bp_] : 0xFF;
-    c_ = b0 << 16;
+    c_ = peek(0) << 16;
     byte_in();
     c_ <<= 7;
     ct_ -= 7;
     a_ = 0x8000;
-}
-
-void mq_decoder::byte_in()
-{
-    auto at = [this](std::size_t i) -> std::uint32_t {
-        return i < in_.size() ? in_[i] : 0xFF;
-    };
-    if (at(bp_) == 0xFF) {
-        if (at(bp_ + 1) > 0x8F) {
-            // Marker (or end of segment): feed 1-bits from now on.
-            c_ += 0xFF00;
-            ct_ = 8;
-        } else {
-            ++bp_;
-            c_ += at(bp_) << 9;
-            ct_ = 7;
-        }
-    } else {
-        ++bp_;
-        c_ += at(bp_) << 8;
-        ct_ = 8;
-    }
-}
-
-void mq_decoder::renorm()
-{
-    do {
-        if (ct_ == 0) byte_in();
-        a_ <<= 1;
-        c_ <<= 1;
-        --ct_;
-    } while ((a_ & 0x8000) == 0);
-}
-
-/// Batch renormalisation.  RENORMD shifts A and C left until bit 15 of A is
-/// set, calling BYTEIN whenever CT hits zero.  The total shift depends only
-/// on A at entry (a LUT lookup), and BYTEIN only adds bits *below* the
-/// positions already being shifted out, so performing the shifts in chunks of
-/// min(remaining, CT) visits exactly the same BYTEIN boundaries with exactly
-/// the same register contents as the one-bit-at-a-time reference loop.
-/// A is nonzero here: the LPS path sets a_ = qe >= 1, and on the MPS path
-/// a_ - qe >= 0x8000 - 0x5601 after the subtraction in decode().
-void mq_decoder::renorm_fast()
-{
-    int s = mq_renorm_shift(a_);
-    while (s > 0) {
-        if (ct_ == 0) byte_in();
-        const int k = std::min(s, ct_);
-        a_ <<= k;
-        c_ <<= k;
-        ct_ -= k;
-        s -= k;
-    }
-}
-
-int mq_decoder::mps_exchange(mq_context& cx)
-{
-    const mq_state& s = k_states[cx.index];
-    int d;
-    if (a_ < s.qe) {
-        d = 1 - cx.mps;
-        if (s.sw) cx.mps = static_cast<std::uint8_t>(1 - cx.mps);
-        cx.index = s.nlps;
-    } else {
-        d = cx.mps;
-        cx.index = s.nmps;
-    }
-    return d;
-}
-
-int mq_decoder::lps_exchange(mq_context& cx)
-{
-    const mq_state& s = k_states[cx.index];
-    int d;
-    if (a_ < s.qe) {
-        a_ = s.qe;
-        d = cx.mps;
-        cx.index = s.nmps;
-    } else {
-        a_ = s.qe;
-        d = 1 - cx.mps;
-        if (s.sw) cx.mps = static_cast<std::uint8_t>(1 - cx.mps);
-        cx.index = s.nlps;
-    }
-    return d;
-}
-
-int mq_decoder::decode(mq_context& cx)
-{
-    ++decisions_;
-    const mq_state& s = k_states[cx.index];
-    a_ -= s.qe;
-    int d;
-    if (((c_ >> 16) & 0xFFFF) < s.qe) {
-        d = lps_exchange(cx);
-        if (mode_ == mq_mode::fast)
-            renorm_fast();
-        else
-            renorm();
-    } else {
-        c_ -= static_cast<std::uint32_t>(s.qe) << 16;
-        if ((a_ & 0x8000) == 0) {
-            d = mps_exchange(cx);
-            if (mode_ == mq_mode::fast)
-                renorm_fast();
-            else
-                renorm();
-        } else {
-            d = cx.mps;
-        }
-    }
-    return d;
 }
 
 }  // namespace j2k

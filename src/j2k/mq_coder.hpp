@@ -5,10 +5,12 @@
 // a 47-entry probability state machine.  Contexts carry an (index, MPS) pair
 // and adapt independently.  The encoder/decoder pair implements the flow
 // charts of ISO/IEC 15444-1 Annex C (ENCODE / CODEMPS / CODELPS / BYTEOUT /
-// FLUSH and INITDEC / DECODE / MPS_EXCHANGE / LPS_EXCHANGE / BYTEIN) with
-// 0xFF byte-stuffing.
+// FLUSH and INITDEC / DECODE / MPS_EXCHANGE / LPS_EXCHANGE / RENORMD /
+// BYTEIN) with 0xFF byte-stuffing.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,24 +37,35 @@ struct mq_state {
     std::uint8_t sw;       ///< 1 ⇒ exchange MPS sense on LPS
 };
 
+namespace detail {
+/// ISO/IEC 15444-1 Table C.2 — Qe values and probability estimation state
+/// transitions, {Qe, NMPS, NLPS, SWITCH}.  In the header so that DECODE
+/// inlines into the tier-1 passes.
+inline constexpr std::array<mq_state, 47> k_mq_states{{
+    {0x5601, 1, 1, 1},   {0x3401, 2, 6, 0},   {0x1801, 3, 9, 0},
+    {0x0AC1, 4, 12, 0},  {0x0521, 5, 29, 0},  {0x0221, 38, 33, 0},
+    {0x5601, 7, 6, 1},   {0x5401, 8, 14, 0},  {0x4801, 9, 14, 0},
+    {0x3801, 10, 14, 0}, {0x3001, 11, 17, 0}, {0x2401, 12, 18, 0},
+    {0x1C01, 13, 20, 0}, {0x1601, 29, 21, 0}, {0x5601, 15, 14, 1},
+    {0x5401, 16, 14, 0}, {0x5101, 17, 15, 0}, {0x4801, 18, 16, 0},
+    {0x3801, 19, 17, 0}, {0x3401, 20, 18, 0}, {0x3001, 21, 19, 0},
+    {0x2801, 22, 19, 0}, {0x2401, 23, 20, 0}, {0x2201, 24, 21, 0},
+    {0x1C01, 25, 22, 0}, {0x1801, 26, 23, 0}, {0x1601, 27, 24, 0},
+    {0x1401, 28, 25, 0}, {0x1201, 29, 26, 0}, {0x1101, 30, 27, 0},
+    {0x0AC1, 31, 28, 0}, {0x09C1, 32, 29, 0}, {0x08A1, 33, 30, 0},
+    {0x0521, 34, 31, 0}, {0x0441, 35, 32, 0}, {0x02A1, 36, 33, 0},
+    {0x0221, 37, 34, 0}, {0x0141, 38, 35, 0}, {0x0111, 39, 36, 0},
+    {0x0085, 40, 37, 0}, {0x0049, 41, 38, 0}, {0x0025, 42, 39, 0},
+    {0x0015, 43, 40, 0}, {0x0009, 44, 41, 0}, {0x0005, 45, 42, 0},
+    {0x0001, 45, 43, 0}, {0x5601, 46, 46, 0},
+}};
+}  // namespace detail
+
 /// The 47-state table (shared by encoder and decoder).
-[[nodiscard]] const mq_state& mq_table(std::uint8_t index) noexcept;
-
-/// Decoder renormalisation strategy.
-enum class mq_mode : std::uint8_t {
-    reference,  ///< Annex C flow chart: one shift per loop iteration
-    fast,       ///< batch renormalisation: leading-zero LUT, chunked shifts
-};
-
-/// What a freshly constructed decoder uses: `fast` when the active kernel
-/// table opts in (see kernel_table::mq_fast), else `reference`.
-[[nodiscard]] mq_mode default_mq_mode() noexcept;
-
-/// Number of left shifts that bring bit 15 of the 16-bit interval register
-/// up, i.e. the total shift one RENORMD performs for this `a`.  LUT-based;
-/// requires 1 <= a <= 0x7FFF (always true at renorm entry).  Exposed so tests
-/// can sweep it exhaustively against the iterative definition.
-[[nodiscard]] int mq_renorm_shift(std::uint32_t a) noexcept;
+[[nodiscard]] inline const mq_state& mq_table(std::uint8_t index) noexcept
+{
+    return detail::k_mq_states[index];
+}
 
 /// MQ encoder producing a byte vector.
 class mq_encoder {
@@ -87,46 +100,108 @@ private:
 };
 
 /// MQ decoder reading from a byte span (not owned; must outlive the decoder).
+///
+/// A small value type: the registers (A, C, CT and the byte pointer) plus a
+/// decision count are its whole state, and DECODE, RENORMD and BYTEIN are
+/// inline.  The tier-1 passes copy the decoder into a local for the length
+/// of a pass and store it back afterwards, so the registers stay in machine
+/// registers across every decision of the pass.
 class mq_decoder {
 public:
-    explicit mq_decoder(std::span<const std::uint8_t> data,
-                        mq_mode mode = default_mq_mode())
-        : mode_{mode}
+    explicit mq_decoder(std::span<const std::uint8_t> data) noexcept { init(data); }
+
+    /// (Re)start decoding from `data` (INITDEC).
+    void init(std::span<const std::uint8_t> data) noexcept;
+
+    /// Decode one binary decision in context `cx` (DECODE).
+    [[nodiscard]] int decode(mq_context& cx) noexcept
     {
-        init(data);
+        ++decisions_;
+        const mq_state& s = detail::k_mq_states[cx.index];
+        const std::uint32_t qe = s.qe;
+        a_ -= qe;
+        int d;
+        if ((c_ >> 16) < qe) {
+            // LPS_EXCHANGE: the LPS sub-interval is decoded, unless it is
+            // the larger one (A < Qe), in which case the senses swap.
+            if (a_ < qe) {
+                d = cx.mps;
+                cx.index = s.nmps;
+            } else {
+                d = 1 - cx.mps;
+                cx.mps = static_cast<std::uint8_t>(cx.mps ^ s.sw);
+                cx.index = s.nlps;
+            }
+            a_ = qe;
+        } else {
+            c_ -= qe << 16;
+            if (a_ & 0x8000) return cx.mps;
+            // MPS_EXCHANGE
+            if (a_ < qe) {
+                d = 1 - cx.mps;
+                cx.mps = static_cast<std::uint8_t>(cx.mps ^ s.sw);
+                cx.index = s.nlps;
+            } else {
+                d = cx.mps;
+                cx.index = s.nmps;
+            }
+        }
+        renorm();
+        return d;
     }
-
-    /// (Re)start decoding from `data` (keeps the current mode).
-    void init(std::span<const std::uint8_t> data);
-
-    /// Decode one binary decision in context `cx`.
-    [[nodiscard]] int decode(mq_context& cx);
 
     /// Number of decisions decoded since init (profiling hook: the paper's
     /// execution-time model charges per-decision work to the arith stage).
     [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
 
-    /// Renormalisation strategy.  Both modes are bit-exact by construction
-    /// (the fast path performs the same shifts with the same BYTEIN
-    /// boundaries, just in chunks); the setter exists so tests and the fuzzer
-    /// can pin either side regardless of the kernel dispatch.
-    void set_mode(mq_mode m) noexcept { mode_ = m; }
-    [[nodiscard]] mq_mode mode() const noexcept { return mode_; }
-
 private:
-    void byte_in();
-    void renorm();
-    void renorm_fast();
-    [[nodiscard]] int mps_exchange(mq_context& cx);
-    [[nodiscard]] int lps_exchange(mq_context& cx);
+    /// RENORMD: one shift per iteration until A regains bit 15, with a
+    /// BYTEIN whenever CT runs out.
+    void renorm() noexcept
+    {
+        do {
+            if (ct_ == 0) byte_in();
+            a_ <<= 1;
+            c_ <<= 1;
+            --ct_;
+        } while ((a_ & 0x8000) == 0);
+    }
 
-    std::span<const std::uint8_t> in_{};
-    std::size_t bp_ = 0;
+    /// The byte `k` places past the pointer, or 0xFF beyond the segment:
+    /// reading past the codeword feeds 1-bits, as the spec prescribes when a
+    /// marker is found.
+    [[nodiscard]] std::uint32_t peek(std::ptrdiff_t k) const noexcept
+    {
+        return end_ - bp_ > k ? bp_[k] : 0xFFu;
+    }
+
+    /// BYTEIN, honouring the 0xFF stuffing of the encoder's BYTEOUT.
+    void byte_in() noexcept
+    {
+        if (peek(0) == 0xFF) {
+            const std::uint32_t next = peek(1);
+            if (next > 0x8F) {
+                // Marker (or end of segment): feed 1-bits from now on.
+                c_ += 0xFF00;
+                ct_ = 8;
+            } else {
+                ++bp_;
+                c_ += next << 9;
+                ct_ = 7;
+            }
+        } else {
+            ++bp_;
+            c_ += peek(0) << 8;
+            ct_ = 8;
+        }
+    }
+
+    const std::uint8_t* bp_ = nullptr;
+    const std::uint8_t* end_ = nullptr;
     std::uint32_t c_ = 0;
     std::uint32_t a_ = 0;
     int ct_ = 0;
     std::uint64_t decisions_ = 0;
-    mq_mode mode_ = mq_mode::reference;
 };
 
 }  // namespace j2k

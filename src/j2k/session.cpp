@@ -180,14 +180,11 @@ std::uint64_t decode_session::tier1_segment_bytes() const noexcept
 
 std::size_t decode_session::resident_bytes() const noexcept
 {
-    // Dominant terms of tier1_block_decoder's state: the per-sample arrays
-    // (u32 magnitude + five flag planes = 9 B/sample) plus a small per-block
-    // constant for MQ contexts and the pass table.
     std::size_t total = 0;
-    for (const auto& tb : impl_->slots)
-        for (const auto& s : tb)
-            total += static_cast<std::size_t>(s.w) * static_cast<std::size_t>(s.h) * 9 +
-                     160;
+    for (const auto& tb : impl_->slots) {
+        total += tb.capacity() * sizeof(impl::block_slot);
+        for (const auto& s : tb) total += s.t1.resident_bytes();
+    }
     return total;
 }
 

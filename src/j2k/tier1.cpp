@@ -2,10 +2,12 @@
 
 #include "codestream.hpp"
 
-#include <array>
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <bit>
+#include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace j2k {
 
@@ -13,16 +15,32 @@ namespace {
 
 // Context numbering (indices into the per-block context array).
 constexpr int k_ctx_zc_base = 0;   // 0..8  zero coding
-constexpr int k_ctx_sc_base = 9;   // 9..13 sign coding
 constexpr int k_ctx_mr_base = 14;  // 14..16 magnitude refinement
 constexpr int k_ctx_rl = 17;       // run-length
 constexpr int k_ctx_uni = 18;      // uniform
 constexpr int k_num_ctx = 19;
 
+// Flag word bits (layout in tier1.hpp).  The neighbour byte holds the four
+// direct neighbours in its low nibble; each direct neighbour's sign bit sits
+// exactly 8 bits above its significance bit.
+constexpr std::uint16_t f_n = 1u << 0;
+constexpr std::uint16_t f_w = 1u << 1;
+constexpr std::uint16_t f_e = 1u << 2;
+constexpr std::uint16_t f_s = 1u << 3;
+constexpr std::uint16_t f_nw = 1u << 4;
+constexpr std::uint16_t f_ne = 1u << 5;
+constexpr std::uint16_t f_sw = 1u << 6;
+constexpr std::uint16_t f_se = 1u << 7;
+constexpr std::uint16_t f_neighbours = 0xFF;
+constexpr std::uint16_t f_sig = 1u << 12;
+constexpr std::uint16_t f_visit = 1u << 13;
+constexpr std::uint16_t f_refined = 1u << 14;
+constexpr std::uint16_t f_neg = 1u << 15;
+
 /// Zero-coding context from neighbour significance counts, per Table D.1.
 /// h/v = number of significant horizontal/vertical neighbours (0..2),
 /// d = significant diagonals (0..4).
-int zc_context(int h, int v, int d, band orient) noexcept
+constexpr int zc_context(int h, int v, int d, band orient) noexcept
 {
     if (orient == band::hl) std::swap(h, v);  // HL: transpose the LL/LH table
     if (orient == band::hh) {
@@ -43,13 +61,39 @@ int zc_context(int h, int v, int d, band orient) noexcept
     return d >= 2 ? 2 : (d == 1 ? 1 : 0);
 }
 
+using zc_table = std::array<std::uint8_t, 256>;
+
+/// ZC context for every value of the neighbour byte.
+constexpr zc_table make_zc_table(band orient)
+{
+    zc_table t{};
+    for (unsigned nb = 0; nb < 256; ++nb) {
+        const int h = ((nb & f_w) ? 1 : 0) + ((nb & f_e) ? 1 : 0);
+        const int v = ((nb & f_n) ? 1 : 0) + ((nb & f_s) ? 1 : 0);
+        const int d = std::popcount(nb & 0xF0u);
+        t[nb] = static_cast<std::uint8_t>(k_ctx_zc_base + zc_context(h, v, d, orient));
+    }
+    return t;
+}
+
+constexpr zc_table k_zc_ll_lh = make_zc_table(band::ll);
+constexpr zc_table k_zc_hl = make_zc_table(band::hl);
+constexpr zc_table k_zc_hh = make_zc_table(band::hh);
+
+const zc_table& zc_table_for(band orient) noexcept
+{
+    if (orient == band::hl) return k_zc_hl;
+    if (orient == band::hh) return k_zc_hh;
+    return k_zc_ll_lh;
+}
+
 /// Sign-coding context + XOR bit, per Table D.3.  hc/vc ∈ {-1,0,1} are the
 /// clamped neighbour sign contributions.
-struct sc_info {
-    int ctx;
-    int xor_bit;
+struct sc_entry {
+    std::uint8_t ctx;
+    std::uint8_t xor_bit;
 };
-sc_info sc_context(int hc, int vc) noexcept
+constexpr sc_entry sc_context(int hc, int vc) noexcept
 {
     if (hc == 1) {
         if (vc == 1) return {13, 0};
@@ -66,43 +110,46 @@ sc_info sc_context(int hc, int vc) noexcept
     return {13, 1};
 }
 
+/// SC entry for every combination of the direct neighbours' significance
+/// nibble (N W E S, bits 0..3) and sign nibble (bits 4..7).
+constexpr std::array<sc_entry, 256> make_sc_table()
+{
+    std::array<sc_entry, 256> t{};
+    for (unsigned idx = 0; idx < 256; ++idx) {
+        const auto contrib = [idx](unsigned bit) {
+            if (!(idx & bit)) return 0;
+            return (idx & (bit << 4)) ? -1 : 1;
+        };
+        t[idx] = sc_context(std::clamp(contrib(f_w) + contrib(f_e), -1, 1),
+                            std::clamp(contrib(f_n) + contrib(f_s), -1, 1));
+    }
+    return t;
+}
+
+constexpr auto k_sc = make_sc_table();
+
 [[nodiscard]] std::pmr::memory_resource* mr_of(std::pmr::memory_resource* mr) noexcept
 {
     return mr ? mr : std::pmr::get_default_resource();
 }
 
-/// Per-sample coder state shared by encoder and decoder.  The vectors come
-/// from `mr` so a decode job can back them with its arena; defaulting to the
-/// heap keeps encoder paths and persistent session decoders unchanged.
+/// Coder state of one block shared by encoder and decoder: one flag word per
+/// sample on a grid padded by one sample on every side (so the neighbour
+/// updates of an edge sample need no bounds checks), plus the MQ contexts.
+/// Magnitudes live outside (the encoder's |coeff|, the decoder's
+/// accumulator), addressed unpadded.
 struct block_state {
     int w;
     int h;
-    band orient;
-    std::pmr::vector<std::uint32_t> mag;   // encoder: |coeff|; decoder: accumulated
-    std::pmr::vector<std::uint8_t> sign;   // 1 = negative
-    std::pmr::vector<std::uint8_t> sig;    // significant
-    std::pmr::vector<std::uint8_t> became; // became significant in current plane
-    std::pmr::vector<std::uint8_t> visited;// coded in SPP of current plane
-    std::pmr::vector<std::uint8_t> refined;// has had ≥1 refinement pass
+    int stride;  ///< w + 2
+    const zc_table* zc;
+    std::pmr::vector<std::uint16_t> flags;
     std::array<mq_context, k_num_ctx> cx{};
 
-    block_state(int width, int height, band o,
-                std::pmr::memory_resource* mr = nullptr)
-        : w{width}, h{height}, orient{o},
-          mag{mr_of(mr)}, sign{mr_of(mr)}, sig{mr_of(mr)}, became{mr_of(mr)},
-          visited{mr_of(mr)}, refined{mr_of(mr)}
-    {
-        const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-        mag.assign(n, 0);
-        sign.assign(n, 0);
-        sig.assign(n, 0);
-        became.assign(n, 0);
-        visited.assign(n, 0);
-        refined.assign(n, 0);
-        reset_contexts();
-    }
-
-    void reset_contexts()
+    block_state(int width, int height, band orient, std::pmr::memory_resource* mr = nullptr)
+        : w{width}, h{height}, stride{width + 2}, zc{&zc_table_for(orient)},
+          flags(static_cast<std::size_t>(width + 2) * static_cast<std::size_t>(height + 2),
+                std::uint16_t{0}, mr_of(mr))
     {
         for (auto& c : cx) c.reset();
         cx[k_ctx_zc_base + 0].reset(4, 0);  // ZC context 0 starts at state 4
@@ -110,176 +157,238 @@ struct block_state {
         cx[k_ctx_uni].reset(46, 0);         // uniform: non-adaptive state
     }
 
-    [[nodiscard]] std::size_t idx(int x, int y) const noexcept
+    [[nodiscard]] std::uint16_t& flag(int x, int y) noexcept
     {
-        return static_cast<std::size_t>(y) * static_cast<std::size_t>(w) + x;
-    }
-    [[nodiscard]] int sig_at(int x, int y) const noexcept
-    {
-        if (x < 0 || y < 0 || x >= w || y >= h) return 0;
-        return sig[idx(x, y)];
-    }
-    [[nodiscard]] int sign_contrib(int x, int y) const noexcept
-    {
-        if (!sig_at(x, y)) return 0;
-        return sign[idx(x, y)] ? -1 : 1;
+        return flags[static_cast<std::size_t>(y + 1) * static_cast<std::size_t>(stride) +
+                     static_cast<std::size_t>(x + 1)];
     }
 
-    [[nodiscard]] int zc_ctx(int x, int y) const noexcept
+    /// out[i] = ±mag[i], the sign from NEG.  `mag` may alias `out`.
+    void write_signed(const std::uint32_t* mag, std::int32_t* out) noexcept
     {
-        const int hn = sig_at(x - 1, y) + sig_at(x + 1, y);
-        const int vn = sig_at(x, y - 1) + sig_at(x, y + 1);
-        const int dn = sig_at(x - 1, y - 1) + sig_at(x + 1, y - 1) +
-                       sig_at(x - 1, y + 1) + sig_at(x + 1, y + 1);
-        return k_ctx_zc_base + zc_context(hn, vn, dn, orient);
-    }
-
-    [[nodiscard]] sc_info sc_ctx(int x, int y) const noexcept
-    {
-        const int hc = std::clamp(sign_contrib(x - 1, y) + sign_contrib(x + 1, y), -1, 1);
-        const int vc = std::clamp(sign_contrib(x, y - 1) + sign_contrib(x, y + 1), -1, 1);
-        return sc_context(hc, vc);
-    }
-
-    [[nodiscard]] int mr_ctx(int x, int y) const noexcept
-    {
-        if (refined[idx(x, y)]) return k_ctx_mr_base + 2;
-        const int any =
-            sig_at(x - 1, y) + sig_at(x + 1, y) + sig_at(x, y - 1) + sig_at(x, y + 1) +
-            sig_at(x - 1, y - 1) + sig_at(x + 1, y - 1) + sig_at(x - 1, y + 1) +
-            sig_at(x + 1, y + 1);
-        return k_ctx_mr_base + (any ? 1 : 0);
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x, ++mag, ++out) {
+                const auto m = static_cast<std::int32_t>(*mag);
+                *out = (flag(x, y) & f_neg) ? -m : m;
+            }
+        }
     }
 };
 
-/// Direction-independent pass logic.  `IO` supplies one primitive:
-/// `int bit(mq_context&, int actual)` — the encoder codes `actual` and echoes
-/// it; the decoder ignores `actual` and returns the decoded decision.  Both
-/// sides therefore execute identical control flow over identical state.
+enum class pass_kind { significance, refinement, cleanup };
+
+struct pass_ref {
+    int plane;
+    pass_kind kind;
+};
+
+/// Pass `i` of the canonical sequence for `num_planes` magnitude planes: the
+/// MSB plane gets only a cleanup pass, every other plane SPP, MRP, CUP.
+[[nodiscard]] constexpr pass_ref pass_at(int num_planes, int i) noexcept
+{
+    if (i == 0) return {num_planes - 1, pass_kind::cleanup};
+    return {num_planes - 2 - (i - 1) / 3, static_cast<pass_kind>((i - 1) % 3)};
+}
+
+[[nodiscard]] constexpr int pass_total(int num_planes) noexcept
+{
+    return num_planes == 0 ? 0 : 3 * num_planes - 2;
+}
+
+/// One coding pass over a block, direction-independent.  `IO` supplies one
+/// primitive: `int bit(mq_context&, int actual)` — the encoder codes `actual`
+/// and echoes it; the decoder ignores `actual` and returns the decoded
+/// decision.  Both sides therefore execute identical control flow over
+/// identical state.
+///
+/// A pass_coder lives in a local of engine::run for the length of one pass
+/// and holds by value everything the pass reads — geometry, table and array
+/// pointers, and the IO with the MQ registers — so the compiler keeps all of
+/// that in registers instead of reloading it after every context update.
+///
+/// VISIT is cleared lazily: the cleanup pass clears it on every sample it
+/// walks, so each plane's significance pass starts with VISIT clear and no
+/// plane-wide reset is needed.  Within a plane, SIG && VISIT marks a sample
+/// that became significant in this plane's significance pass — exactly the
+/// samples refinement must skip.
 template <typename IO>
-class engine {
-public:
-    engine(block_state& st, IO io) : s_{st}, io_{io} {}
+struct pass_coder {
+    int w;
+    int h;
+    int s;                  ///< flag-grid stride
+    std::uint16_t* flags;   ///< flag word of sample (0, 0)
+    const zc_table& zc;
+    mq_context* cx;
+    std::uint32_t* mag;
+    IO io;
+    int plane;
+    std::uint64_t visited = 0;
 
-    std::uint64_t samples_visited = 0;
-
-    void significance_pass(int plane)
+    void significance()
     {
-        for_each_stripe([&](int x, int y) {
-            const auto i = s_.idx(x, y);
-            if (s_.sig[i]) return;
-            const int ctx = s_.zc_ctx(x, y);
-            if (ctx == k_ctx_zc_base) return;  // no significant neighbours
-            ++samples_visited;
-            s_.visited[i] = 1;
-            const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-            if (io_.bit(s_.cx[ctx], actual)) code_becoming_significant(x, y, plane);
+        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
+            // No sample of the column has a significant neighbour.
+            if ((column_or(col, rows) & f_neighbours) == 0) return;
+            for (int dy = 0; dy < rows; ++dy) {
+                std::uint16_t* f = col + dy * s;
+                const std::uint16_t fv = *f;
+                if ((fv & f_sig) || !(fv & f_neighbours)) continue;
+                ++visited;
+                *f = static_cast<std::uint16_t>(fv | f_visit);
+                const std::size_t i = index(x, sy + dy);
+                if (io.bit(cx[zc[fv & f_neighbours]], actual_bit(i))) become_significant(f, i);
+            }
         });
     }
 
-    void refinement_pass(int plane)
+    void refinement()
     {
-        for_each_stripe([&](int x, int y) {
-            const auto i = s_.idx(x, y);
-            if (!s_.sig[i] || s_.became[i]) return;
-            ++samples_visited;
-            const int ctx = s_.mr_ctx(x, y);
-            const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-            const int bit = io_.bit(s_.cx[ctx], actual);
-            if constexpr (IO::is_decoder) {
-                s_.mag[i] |= static_cast<std::uint32_t>(bit) << plane;
+        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
+            if ((column_or(col, rows) & f_sig) == 0) return;
+            for (int dy = 0; dy < rows; ++dy) {
+                std::uint16_t* f = col + dy * s;
+                const std::uint16_t fv = *f;
+                // Significant before this plane (SIG without VISIT).
+                if ((fv & (f_sig | f_visit)) != f_sig) continue;
+                ++visited;
+                const int ctx = (fv & f_refined)      ? k_ctx_mr_base + 2
+                                : (fv & f_neighbours) ? k_ctx_mr_base + 1
+                                                      : k_ctx_mr_base;
+                const std::size_t i = index(x, sy + dy);
+                const int bit = io.bit(cx[ctx], actual_bit(i));
+                if constexpr (IO::is_decoder) mag[i] |= static_cast<std::uint32_t>(bit) << plane;
+                *f = static_cast<std::uint16_t>(fv | f_refined);
             }
-            s_.refined[i] = 1;
         });
     }
 
-    void cleanup_pass(int plane)
+    void cleanup()
     {
-        for (int sy = 0; sy < s_.h; sy += 4) {
-            const int rows = std::min(4, s_.h - sy);
-            for (int x = 0; x < s_.w; ++x) {
-                int start = 0;
-                if (rows == 4 && column_is_quiet(x, sy)) {
-                    // Run-length mode: one decision covers the whole column.
-                    ++samples_visited;
-                    const int any = column_any_bit(x, sy, plane);
-                    if (io_.bit(s_.cx[k_ctx_rl], any) == 0) continue;
-                    // Position of the first 1 bit: two uniform decisions.
-                    const int actual_pos = first_one_in_column(x, sy, plane);
-                    int pos = io_.bit(s_.cx[k_ctx_uni], (actual_pos >> 1) & 1) << 1;
-                    pos |= io_.bit(s_.cx[k_ctx_uni], actual_pos & 1);
-                    code_becoming_significant(x, sy + pos, plane);
-                    start = pos + 1;
-                }
-                for (int dy = start; dy < rows; ++dy) {
-                    const int y = sy + dy;
-                    const auto i = s_.idx(x, y);
-                    if (s_.sig[i] || s_.visited[i]) continue;
-                    ++samples_visited;
-                    const int ctx = s_.zc_ctx(x, y);
-                    const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-                    if (io_.bit(s_.cx[ctx], actual))
-                        code_becoming_significant(x, y, plane);
-                }
+        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
+            int start = 0;
+            if (rows == 4 && (column_or(col, 4) & (f_neighbours | f_sig | f_visit)) == 0) {
+                // Run-length mode: one decision covers the whole column.
+                ++visited;
+                const int actual_pos = first_one_in_column(x, sy);
+                if (io.bit(cx[k_ctx_rl], actual_pos < 4 ? 1 : 0) == 0) return;
+                // Position of the first 1 bit: two uniform decisions.
+                int pos = io.bit(cx[k_ctx_uni], (actual_pos >> 1) & 1) << 1;
+                pos |= io.bit(cx[k_ctx_uni], actual_pos & 1);
+                become_significant(col + pos * s, index(x, sy + pos));
+                start = pos + 1;
             }
-        }
-    }
-
-    void begin_plane()
-    {
-        std::fill(s_.became.begin(), s_.became.end(), std::uint8_t{0});
-        std::fill(s_.visited.begin(), s_.visited.end(), std::uint8_t{0});
+            for (int dy = start; dy < rows; ++dy) {
+                std::uint16_t* f = col + dy * s;
+                const std::uint16_t fv = *f;
+                if (fv & (f_sig | f_visit)) {
+                    *f = static_cast<std::uint16_t>(fv & ~f_visit);
+                    continue;
+                }
+                ++visited;
+                const std::size_t i = index(x, sy + dy);
+                if (io.bit(cx[zc[fv & f_neighbours]], actual_bit(i))) become_significant(f, i);
+            }
+        });
     }
 
 private:
-    void code_becoming_significant(int x, int y, int plane)
+    /// Calls fn(col, x, sy, rows) for every stripe column in coding order:
+    /// `col` is the flag word of its top sample, `rows` its height (4, less
+    /// in a block's last stripe).
+    template <typename Fn>
+    void for_each_column(Fn&& fn)
     {
-        const auto i = s_.idx(x, y);
-        const auto [ctx, xor_bit] = s_.sc_ctx(x, y);
-        const int actual_sign = s_.sign[i] ^ xor_bit;
-        const int coded = io_.bit(s_.cx[ctx], actual_sign);
+        for (int sy = 0; sy < h; sy += 4) {
+            const int rows = std::min(4, h - sy);
+            for (int x = 0; x < w; ++x) fn(flags + sy * s + x, x, sy, rows);
+        }
+    }
+
+    /// OR of the flag words of a stripe column's `rows` samples.
+    [[nodiscard]] std::uint32_t column_or(const std::uint16_t* col, int rows) const noexcept
+    {
+        if (rows == 4) return col[0] | col[s] | col[2 * s] | col[3 * s];
+        std::uint32_t v = col[0];
+        for (int dy = 1; dy < rows; ++dy) v |= col[dy * s];
+        return v;
+    }
+
+    [[nodiscard]] int actual_bit(std::size_t i) const noexcept
+    {
+        if constexpr (IO::is_decoder) return 0;
+        return static_cast<int>((mag[i] >> plane) & 1u);
+    }
+
+    /// Code the sign of the sample at `f` (magnitude index `i`), which has
+    /// just turned significant, and publish its significance and sign into
+    /// the flag words of its eight neighbours.
+    void become_significant(std::uint16_t* f, std::size_t i)
+    {
+        const std::uint16_t fv = *f;
+        const sc_entry sc = k_sc[(fv & 0x0Fu) | ((fv >> 4) & 0xF0u)];
+        unsigned neg;
         if constexpr (IO::is_decoder) {
-            s_.sign[i] = static_cast<std::uint8_t>(coded ^ xor_bit);
-            s_.mag[i] |= 1u << plane;
+            neg = static_cast<unsigned>(io.bit(cx[sc.ctx], 0) ^ sc.xor_bit);
+            mag[i] |= 1u << plane;
+        } else {
+            neg = (fv & f_neg) ? 1u : 0u;
+            (void)io.bit(cx[sc.ctx], static_cast<int>(neg ^ sc.xor_bit));
         }
-        s_.sig[i] = 1;
-        s_.became[i] = 1;
-    }
-
-    [[nodiscard]] bool column_is_quiet(int x, int sy) const
-    {
-        for (int dy = 0; dy < 4; ++dy) {
-            const int y = sy + dy;
-            if (s_.sig[s_.idx(x, y)] || s_.visited[s_.idx(x, y)]) return false;
-            if (s_.zc_ctx(x, y) != k_ctx_zc_base) return false;
-        }
-        return true;
-    }
-
-    [[nodiscard]] int column_any_bit(int x, int sy, int plane) const
-    {
-        return first_one_in_column(x, sy, plane) < 4 ? 1 : 0;
+        *f = static_cast<std::uint16_t>(fv | f_sig | (neg ? f_neg : 0));
+        // Direct neighbours learn significance and sign, diagonals only
+        // significance.
+        const auto direct = [neg](std::uint16_t bit) {
+            return static_cast<std::uint16_t>(bit | ((bit * neg) << 8));
+        };
+        f[-s] |= direct(f_s);
+        f[s] |= direct(f_n);
+        f[-1] |= direct(f_e);
+        f[1] |= direct(f_w);
+        f[-s - 1] |= f_se;
+        f[-s + 1] |= f_sw;
+        f[s - 1] |= f_ne;
+        f[s + 1] |= f_nw;
     }
 
     /// First row offset (0..3) whose bit at `plane` is 1, or 4 if none.
     /// Only meaningful on the encoder side; the decoder never consumes it.
-    [[nodiscard]] int first_one_in_column(int x, int sy, int plane) const
+    [[nodiscard]] int first_one_in_column(int x, int sy) const noexcept
     {
-        for (int dy = 0; dy < 4; ++dy)
-            if ((s_.mag[s_.idx(x, sy + dy)] >> plane) & 1u) return dy;
+        if constexpr (!IO::is_decoder) {
+            for (int dy = 0; dy < 4; ++dy)
+                if ((mag[index(x, sy + dy)] >> plane) & 1u) return dy;
+        }
         return 4;
     }
 
-    template <typename Fn>
-    void for_each_stripe(Fn&& fn)
+    [[nodiscard]] std::size_t index(int x, int y) const noexcept
     {
-        for (int sy = 0; sy < s_.h; sy += 4)
-            for (int x = 0; x < s_.w; ++x)
-                for (int dy = 0; dy < 4 && sy + dy < s_.h; ++dy) fn(x, sy + dy);
+        return static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+               static_cast<std::size_t>(x);
     }
+};
 
-    block_state& s_;
-    IO io_;
+/// Runs a block's passes in order, carrying the IO (and so the MQ coder's
+/// state) and the visited-sample count from one pass to the next.
+template <typename IO>
+struct engine {
+    block_state& st;
+    std::uint32_t* mag;
+    IO io;
+    std::uint64_t visited = 0;  ///< samples visited, for tier1_stats
+
+    void run(pass_ref pr)
+    {
+        pass_coder<IO> p{st.w,         st.h, st.stride, &st.flag(0, 0), *st.zc,
+                         st.cx.data(), mag,  io,        pr.plane};
+        switch (pr.kind) {
+            case pass_kind::significance: p.significance(); break;
+            case pass_kind::refinement: p.refinement(); break;
+            case pass_kind::cleanup: p.cleanup(); break;
+        }
+        io = p.io;
+        visited += p.visited;
+    }
 };
 
 struct encode_io {
@@ -294,9 +403,29 @@ struct encode_io {
 
 struct decode_io {
     static constexpr bool is_decoder = true;
-    mq_decoder* dec;
-    int bit(mq_context& cx, int /*actual*/) { return dec->decode(cx); }
+    mq_decoder dec;
+    int bit(mq_context& cx, int /*actual*/) noexcept { return dec.decode(cx); }
 };
+
+/// Encoder-side set-up shared by the plain and layered encoders: magnitudes,
+/// NEG preset from the coefficient signs, and the plane count (0 = empty).
+int load_coefficients(const std::int32_t* coeffs, block_state& st,
+                      std::vector<std::uint32_t>& mag)
+{
+    mag.resize(static_cast<std::size_t>(st.w) * static_cast<std::size_t>(st.h));
+    std::uint32_t maxmag = 0;
+    for (int y = 0; y < st.h; ++y) {
+        for (int x = 0; x < st.w; ++x) {
+            const std::size_t i = static_cast<std::size_t>(y) * static_cast<std::size_t>(st.w) +
+                                  static_cast<std::size_t>(x);
+            const std::int32_t v = coeffs[i];
+            mag[i] = static_cast<std::uint32_t>(std::abs(v));
+            if (v < 0) st.flag(x, y) = f_neg;
+            maxmag = std::max(maxmag, mag[i]);
+        }
+    }
+    return std::bit_width(maxmag);
+}
 
 }  // namespace
 
@@ -304,69 +433,19 @@ codeblock tier1_encode(const std::int32_t* coeffs, int w, int h, band orient)
 {
     if (w <= 0 || h <= 0) throw std::invalid_argument{"tier1_encode: empty block"};
     block_state st{w, h, orient};
-    std::uint32_t maxmag = 0;
-    for (int i = 0; i < w * h; ++i) {
-        const std::int32_t v = coeffs[i];
-        st.mag[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(std::abs(v));
-        st.sign[static_cast<std::size_t>(i)] = v < 0 ? 1 : 0;
-        maxmag = std::max(maxmag, st.mag[static_cast<std::size_t>(i)]);
-    }
+    std::vector<std::uint32_t> mag;
     codeblock cb;
     cb.width = w;
     cb.height = h;
-    if (maxmag == 0) return cb;  // nothing to code
-
-    int planes = 0;
-    while (maxmag >> planes) ++planes;
-    cb.num_planes = planes;
+    cb.num_planes = load_coefficients(coeffs, st, mag);
+    if (cb.num_planes == 0) return cb;  // nothing to code
 
     mq_encoder enc;
-    engine<encode_io> eng{st, encode_io{&enc}};
-    for (int p = planes - 1; p >= 0; --p) {
-        eng.begin_plane();
-        if (p != planes - 1) {
-            eng.significance_pass(p);
-            eng.refinement_pass(p);
-        }
-        eng.cleanup_pass(p);
-    }
+    engine<encode_io> eng{st, mag.data(), encode_io{&enc}};
+    for (int i = 0; i < pass_total(cb.num_planes); ++i) eng.run(pass_at(cb.num_planes, i));
     cb.data = enc.flush();
     return cb;
 }
-
-namespace {
-
-/// The canonical pass sequence for p magnitude planes: MSB plane gets only a
-/// cleanup pass; every other plane gets SPP, MRP, CUP.
-struct pass_ref {
-    int plane;
-    int kind;  // 0 = significance, 1 = refinement, 2 = cleanup
-};
-
-std::vector<pass_ref> pass_sequence(int num_planes)
-{
-    std::vector<pass_ref> seq;
-    for (int p = num_planes - 1; p >= 0; --p) {
-        if (p != num_planes - 1) {
-            seq.push_back({p, 0});
-            seq.push_back({p, 1});
-        }
-        seq.push_back({p, 2});
-    }
-    return seq;
-}
-
-template <typename IO>
-void run_pass(engine<IO>& eng, const pass_ref& pr)
-{
-    switch (pr.kind) {
-        case 0: eng.significance_pass(pr.plane); break;
-        case 1: eng.refinement_pass(pr.plane); break;
-        default: eng.cleanup_pass(pr.plane); break;
-    }
-}
-
-}  // namespace
 
 layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
                                        band orient,
@@ -377,47 +456,25 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
     if (passes_per_layer.empty())
         throw std::invalid_argument{"tier1_encode_layered: no layers"};
     block_state st{w, h, orient};
-    std::uint32_t maxmag = 0;
-    for (int i = 0; i < w * h; ++i) {
-        const std::int32_t v = coeffs[i];
-        st.mag[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(std::abs(v));
-        st.sign[static_cast<std::size_t>(i)] = v < 0 ? 1 : 0;
-        maxmag = std::max(maxmag, st.mag[static_cast<std::size_t>(i)]);
-    }
+    std::vector<std::uint32_t> mag;
     layered_codeblock out;
     out.width = w;
     out.height = h;
     out.segments.resize(passes_per_layer.size());
-    if (maxmag == 0) return out;
-    int planes = 0;
-    while (maxmag >> planes) ++planes;
-    out.num_planes = planes;
+    out.num_planes = load_coefficients(coeffs, st, mag);
+    if (out.num_planes == 0) return out;
 
-    const auto seq = pass_sequence(planes);
+    const int total = pass_total(out.num_planes);
     mq_encoder enc;
-    engine<encode_io> eng{st, encode_io{&enc}};
-    std::size_t pass_i = 0;
-    int last_plane = -1;
+    engine<encode_io> eng{st, mag.data(), encode_io{&enc}};
+    int pass_i = 0;
     for (std::size_t layer = 0; layer < passes_per_layer.size(); ++layer) {
         // The last layer absorbs all remaining passes.
-        const std::size_t want = layer + 1 == passes_per_layer.size()
-                                     ? seq.size() - pass_i
-                                     : static_cast<std::size_t>(
-                                           std::max(0, passes_per_layer[layer]));
-        std::size_t done = 0;
-        while (done < want && pass_i < seq.size()) {
-            const pass_ref& pr = seq[pass_i];
-            if (pr.plane != last_plane && (pr.kind == 0 || pr.kind == 2)) {
-                // Entering a new plane (SPP, or CUP on the MSB plane).
-                if (pr.kind == 2 && pr.plane == planes - 1) eng.begin_plane();
-                if (pr.kind == 0) eng.begin_plane();
-                last_plane = pr.plane;
-            }
-            run_pass(eng, pr);
-            ++pass_i;
-            ++done;
-        }
-        out.segments[layer].passes = static_cast<int>(done);
+        const int want = layer + 1 == passes_per_layer.size()
+                             ? total - pass_i
+                             : std::min(std::max(0, passes_per_layer[layer]), total - pass_i);
+        for (int k = 0; k < want; ++k) eng.run(pass_at(out.num_planes, pass_i++));
+        out.segments[layer].passes = want;
         // Terminate the codeword at the layer boundary; contexts persist.
         out.segments[layer].data = enc.flush();
         enc.init();
@@ -425,18 +482,19 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
     return out;
 }
 
-/// Persistent state of a resumable block decoder: the shared coder state plus
-/// the cursor into the canonical pass sequence.
+/// Persistent state of a resumable block decoder: the shared coder state,
+/// the magnitude accumulator and the cursor into the canonical pass sequence.
 struct tier1_block_decoder::state {
     block_state bs;
-    std::vector<pass_ref> seq;
-    std::size_t pass_i = 0;
-    int last_plane = -1;
-    int num_planes = 0;
+    std::pmr::vector<std::uint32_t> mag;
+    int num_planes;
+    int pass_i = 0;
     int segments = 0;
 
     state(int w, int h, int planes, band orient, std::pmr::memory_resource* mr)
-        : bs{w, h, orient, mr}, seq{pass_sequence(planes)}, num_planes{planes}
+        : bs{w, h, orient, mr},
+          mag(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0u, mr_of(mr)),
+          num_planes{planes}
     {
     }
 };
@@ -463,39 +521,32 @@ int tier1_block_decoder::width() const noexcept { return st_->bs.w; }
 int tier1_block_decoder::height() const noexcept { return st_->bs.h; }
 int tier1_block_decoder::segments_consumed() const noexcept { return st_->segments; }
 
+std::size_t tier1_block_decoder::resident_bytes() const noexcept
+{
+    return sizeof(state) + st_->bs.flags.capacity() * sizeof(std::uint16_t) +
+           st_->mag.capacity() * sizeof(std::uint32_t);
+}
+
 void tier1_block_decoder::advance(int passes, std::span<const std::uint8_t> data,
                                   tier1_stats* stats)
 {
-    ++st_->segments;
-    if (st_->num_planes == 0 || passes <= 0) return;
-    mq_decoder dec{data};
-    engine<decode_io> eng{st_->bs, decode_io{&dec}};
-    std::uint64_t executed = 0;
-    for (int k = 0; k < passes && st_->pass_i < st_->seq.size(); ++k, ++st_->pass_i) {
-        const pass_ref& pr = st_->seq[st_->pass_i];
-        if (pr.plane != st_->last_plane && (pr.kind == 0 || pr.kind == 2)) {
-            if (pr.kind == 2 && pr.plane == st_->num_planes - 1) eng.begin_plane();
-            if (pr.kind == 0) eng.begin_plane();
-            st_->last_plane = pr.plane;
-        }
-        run_pass(eng, pr);
-        ++executed;
-    }
+    state& st = *st_;
+    ++st.segments;
+    if (st.num_planes == 0 || passes <= 0) return;
+    engine<decode_io> eng{st.bs, st.mag.data(), decode_io{mq_decoder{data}}};
+    const int end = std::min(pass_total(st.num_planes), st.pass_i + passes);
+    const int first = st.pass_i;
+    for (; st.pass_i < end; ++st.pass_i) eng.run(pass_at(st.num_planes, st.pass_i));
     if (stats) {
-        stats->mq_decisions += dec.decisions();
-        stats->passes += executed;
-        stats->samples += eng.samples_visited;
+        stats->mq_decisions += eng.io.dec.decisions();
+        stats->passes += static_cast<std::uint64_t>(end - first);
+        stats->samples += eng.visited;
     }
 }
 
 void tier1_block_decoder::read(std::int32_t* out) const
 {
-    const block_state& bs = st_->bs;
-    const auto n = static_cast<std::size_t>(bs.w) * static_cast<std::size_t>(bs.h);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto m = static_cast<std::int32_t>(bs.mag[i]);
-        out[i] = bs.sign[i] ? -m : m;
-    }
+    st_->bs.write_signed(st_->mag.data(), out);
 }
 
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
@@ -534,38 +585,23 @@ void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
     if (cb.num_planes < 0 || cb.num_planes > 31)
         throw codestream_error{"tier1_decode: implausible bit-plane count"};
     const auto n = static_cast<std::size_t>(cb.width) * static_cast<std::size_t>(cb.height);
-    if (cb.num_planes == 0) {
-        std::fill(out, out + n, 0);
-        return;
-    }
+    std::fill(out, out + n, 0);
+    if (cb.num_planes == 0) return;
+
+    // `out` doubles as the magnitude accumulator (magnitudes stay below
+    // 2^31, and uint32_t may alias int32_t); signs are applied from the flag
+    // words at the end.
     block_state st{cb.width, cb.height, orient, mr};
-    mq_decoder dec{std::span<const std::uint8_t>{cb.data}};
-    engine<decode_io> eng{st, decode_io{&dec}};
-    std::uint64_t passes = 0;
-    const auto limit = [&] {
-        return max_passes > 0 && passes >= static_cast<std::uint64_t>(max_passes);
-    };
-    for (int p = cb.num_planes - 1; p >= 0 && !limit(); --p) {
-        eng.begin_plane();
-        if (p != cb.num_planes - 1) {
-            eng.significance_pass(p);
-            ++passes;
-            if (limit()) break;
-            eng.refinement_pass(p);
-            ++passes;
-            if (limit()) break;
-        }
-        eng.cleanup_pass(p);
-        ++passes;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto m = static_cast<std::int32_t>(st.mag[i]);
-        out[i] = st.sign[i] ? -m : m;
-    }
+    auto* mag = reinterpret_cast<std::uint32_t*>(out);
+    engine<decode_io> eng{st, mag, decode_io{mq_decoder{cb.data}}};
+    const int total = pass_total(cb.num_planes);
+    const int passes = max_passes > 0 ? std::min(max_passes, total) : total;
+    for (int i = 0; i < passes; ++i) eng.run(pass_at(cb.num_planes, i));
+    st.write_signed(mag, out);
     if (stats) {
-        stats->mq_decisions += dec.decisions();
-        stats->passes += passes;
-        stats->samples += eng.samples_visited;
+        stats->mq_decisions += eng.io.dec.decisions();
+        stats->passes += static_cast<std::uint64_t>(passes);
+        stats->samples += eng.visited;
     }
 }
 

@@ -15,11 +15,37 @@
 //
 // This stage is the "arithmetic decoder" of the paper's Figure 1 — the block
 // that consumes ~88.8% (lossless) / 78.6% (lossy) of software decode time.
+//
+// Coder state is one 16-bit flag word per sample, on a grid padded by one
+// sample on every side so edge samples need no bounds checks:
+//
+//   bits 0..3    significance of the direct neighbours N, W, E, S
+//   bits 4..7    significance of the diagonals NW, NE, SW, SE
+//   bits 8..11   sign (1 = negative) of the significant direct neighbours
+//                N, W, E, S — each 8 bits above its significance bit
+//   bit 12 SIG   the sample is significant
+//   bit 13 VISIT the sample was coded by this plane's significance pass
+//   bit 14 REFINED  the sample has had at least one refinement decision
+//   bit 15 NEG   the sample's own sign
+//
+// The low byte indexes a 256-entry zero-coding context table per
+// orientation; the significance and sign nibbles of the direct neighbours
+// index one 256-entry sign-coding table (context + XOR bit); the refinement
+// context is REFINED plus "low byte non-zero".  A sample turning significant
+// ORs its bits into its eight neighbours' words.
+//
+// VISIT is cleared lazily: the cleanup pass clears it on every sample it
+// walks, so each plane starts with VISIT clear without a plane-wide reset,
+// and SIG && VISIT is "became significant in this plane's significance
+// pass" — the samples its refinement pass skips.  The significance and
+// refinement passes skip a stripe column, and the cleanup pass takes its
+// run-length path, on one OR of the column's four words.
 #pragma once
 
 #include "dwt.hpp"
 #include "mq_coder.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -129,6 +155,11 @@ public:
     [[nodiscard]] int width() const noexcept;
     [[nodiscard]] int height() const noexcept;
     [[nodiscard]] int segments_consumed() const noexcept;
+
+    /// Bytes of coder state this decoder holds: its flag words, magnitude
+    /// accumulator, MQ contexts and cursor — about 6 B per sample plus the
+    /// padding ring and a fixed part.
+    [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
 private:
     struct state;

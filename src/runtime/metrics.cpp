@@ -189,7 +189,7 @@ std::string metrics_snapshot::dump() const
         "active_high_water=%llu\n"
         "cache: hits=%llu misses=%llu collapses=%llu evictions=%llu "
         "session_resumes=%llu bytes=%llu pinned=%llu entries=%llu sessions=%llu\n"
-        "kernels: isa=%s mq_fast=%d\n"
+        "kernels: isa=%s\n"
         "arena: capacity=%llu leases=%llu dry=%llu fallback_allocs=%llu "
         "high_water=%llu\n"
         "work: tiles_decoded=%llu tasks_stolen=%llu pool_submissions=%llu\n"
@@ -224,7 +224,7 @@ std::string metrics_snapshot::dump() const
         static_cast<unsigned long long>(cache_pinned_bytes),
         static_cast<unsigned long long>(cache_entries),
         static_cast<unsigned long long>(cache_session_entries), kernel_isa,
-        mq_fast ? 1 : 0, static_cast<unsigned long long>(arena_capacity_bytes),
+        static_cast<unsigned long long>(arena_capacity_bytes),
         static_cast<unsigned long long>(arena_leases),
         static_cast<unsigned long long>(arena_dry_acquires),
         static_cast<unsigned long long>(arena_fallback_allocs),
@@ -267,7 +267,7 @@ std::string metrics_snapshot::to_json() const
         "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"collapses\":%llu,"
         "\"evictions\":%llu,\"session_resumes\":%llu,\"bytes\":%llu,"
         "\"pinned_bytes\":%llu,\"entries\":%llu,\"session_entries\":%llu},"
-        "\"kernel_isa\":%s,\"mq_fast\":%s,"
+        "\"kernel_isa\":%s,"
         "\"arena\":{\"capacity_bytes\":%llu,\"leases\":%llu,\"dry_acquires\":%llu,"
         "\"fallback_allocs\":%llu,\"high_water_bytes\":%llu},"
         "\"tiles_decoded\":%llu,\"tasks_stolen\":%llu,\"pool_submissions\":%llu,"
@@ -303,7 +303,7 @@ std::string metrics_snapshot::to_json() const
         static_cast<unsigned long long>(cache_pinned_bytes),
         static_cast<unsigned long long>(cache_entries),
         static_cast<unsigned long long>(cache_session_entries),
-        obs::json_quote(kernel_isa).c_str(), mq_fast ? "true" : "false",
+        obs::json_quote(kernel_isa).c_str(),
         static_cast<unsigned long long>(arena_capacity_bytes),
         static_cast<unsigned long long>(arena_leases),
         static_cast<unsigned long long>(arena_dry_acquires),

@@ -46,7 +46,6 @@ struct metrics_snapshot {
     // Kernel dispatch + per-job arena pool (filled by decode_service::
     // metrics(); empty/zero in a bare service_metrics::snapshot()).
     const char* kernel_isa = "";     ///< resolved SIMD tier: "scalar" / "avx2"
-    bool mq_fast = false;            ///< MQ batch-renorm fast path engaged
     std::uint64_t arena_capacity_bytes = 0;  ///< per-arena size (0 = pooling off)
     std::uint64_t arena_leases = 0;          ///< jobs that requested an arena
     std::uint64_t arena_dry_acquires = 0;    ///< acquire() found the pool empty

@@ -544,8 +544,6 @@ struct ops_server::impl {
         // and the per-job arena pool.
         emitf("# TYPE %s_kernel_dispatch gauge\n%s_kernel_dispatch{isa=\"%s\"} 1\n",
               P, P, s.kernel_isa);
-        emitf("# TYPE %s_mq_fast_path gauge\n%s_mq_fast_path %d\n", P, P,
-              s.mq_fast ? 1 : 0);
         emitf("# TYPE %s_arena_leases_total counter\n%s_arena_leases_total %llu\n",
               P, P, u(s.arena_leases));
         emitf("%s_arena_dry_acquires_total %llu\n", P, u(s.arena_dry_acquires));

@@ -642,7 +642,6 @@ metrics_snapshot decode_service::metrics() const
     s.uptime_s = process_uptime_s();
     s.pool_threads = pool_->size();
     s.kernel_isa = j2k::kernel_isa_name(j2k::active_kernel_isa());
-    s.mq_fast = j2k::kernels().mq_fast;
     if (arenas_) {
         s.arena_capacity_bytes = arenas_->bytes_each();
         s.arena_leases = arenas_->leases();

@@ -4,9 +4,11 @@
 //
 //   ./corpus_gen <output-dir>
 //
-// The streams are produced from make_test_image (deterministic by seed), so
-// the corpus is fully reproducible from this source file alone.
-#include <j2k/j2k.hpp>
+// The streams are produced from make_test_image (deterministic by seed) per
+// the specs in corpus_specs.hpp, so the corpus is fully reproducible from
+// source alone.
+#include "corpus_specs.hpp"
+
 #include <runtime/hash.hpp>
 
 #include <cstdio>
@@ -14,61 +16,17 @@
 #include <string>
 #include <vector>
 
-namespace {
-
-using runtime::fnv1a_image;
-
-void emit(const std::string& dir, const char* name,
-          const std::vector<std::uint8_t>& cs)
-{
-    const std::string path = dir + "/" + name;
-    std::ofstream out{path, std::ios::binary};
-    out.write(reinterpret_cast<const char*>(cs.data()),
-              static_cast<std::streamsize>(cs.size()));
-    const j2k::image img = j2k::decode(cs);
-    std::printf("%-16s %6zu bytes  fnv1a=0x%016llXull\n", name, cs.size(),
-                static_cast<unsigned long long>(fnv1a_image(img)));
-}
-
-}  // namespace
-
 int main(int argc, char** argv)
 {
     const std::string dir = argc > 1 ? argv[1] : "tests/j2k/corpus";
-
-    {  // lossless 5/3, greyscale, 2×2 tile grid
-        j2k::codec_params p;
-        p.tile_width = p.tile_height = 32;
-        emit(dir, "gray_53.ojk",
-             j2k::encode(j2k::make_test_image(64, 64, 1, 8, 7), p));
-    }
-    {  // lossy 9/7, RGB, single tile
-        j2k::codec_params p;
-        p.tile_width = p.tile_height = 64;
-        p.mode = j2k::wavelet::w9_7;
-        emit(dir, "rgb_97.ojk",
-             j2k::encode(j2k::make_test_image(64, 64, 3, 8, 11), p));
-    }
-    {  // layered 5/3, RGB, 3 quality layers over 4 tiles
-        j2k::codec_params p;
-        p.tile_width = p.tile_height = 32;
-        p.quality_layers = 3;
-        emit(dir, "layered_53.ojk",
-             j2k::encode(j2k::make_test_image(64, 64, 3, 8, 13), p));
-    }
-    {  // odd geometry: prime-ish extents over 32-px tiles → a 3×2 grid whose
-       // right/bottom tiles are partial (33×32, 65×1-high edge cases inside)
-        j2k::codec_params p;
-        p.tile_width = p.tile_height = 32;
-        p.quality_layers = 3;
-        emit(dir, "odd_65x33.ojk",
-             j2k::encode(j2k::make_test_image(65, 33, 1, 8, 21), p));
-    }
-    {  // 16-bit depth: twice the bit planes through tier-1 and the DC shift
-        j2k::codec_params p;
-        p.tile_width = p.tile_height = 32;
-        emit(dir, "gray16_53.ojk",
-             j2k::encode(j2k::make_test_image(48, 48, 1, 16, 33), p));
+    for (const auto& s : j2k_corpus::k_specs) {
+        const std::vector<std::uint8_t> cs = j2k::encode(s.src.make(), s.params);
+        std::ofstream out{dir + "/" + s.file, std::ios::binary};
+        out.write(reinterpret_cast<const char*>(cs.data()),
+                  static_cast<std::streamsize>(cs.size()));
+        const j2k::image img = j2k::decode(cs);
+        std::printf("%-16s %6zu bytes  fnv1a=0x%016llXull\n", s.file, cs.size(),
+                    static_cast<unsigned long long>(runtime::fnv1a_image(img)));
     }
     return 0;
 }

@@ -130,20 +130,41 @@ void expect_clean_decode(const std::vector<std::uint8_t>& cs, std::uint64_t iter
     }
 }
 
-/// Interpret arbitrary bytes as a raw MQ codeword and decode a fixed number
-/// of decisions under both renormalisation modes: the streams of decisions
-/// must be identical bit for bit.  The MQ decoder tolerates any byte input
-/// (it pads past the end), so this is a pure differential with no error arm.
-void mq_mode_differential(const std::vector<std::uint8_t>& bytes, int iter)
+/// Interpret a random slice of `bytes` as one code block's MQ codeword, with
+/// random geometry, orientation and plane count, and decode it through both
+/// tier-1 entry points: the one-shot tier1_decode and the resumable block
+/// decoder (tier1_decode_layered over a single segment).  The MQ decoder
+/// accepts any bytes (it feeds 1-bits past the end), so this is a pure
+/// differential with no error arm; under ASan it also proves that neither
+/// path reads outside the segment or the block.
+void tier1_path_differential(const std::vector<std::uint8_t>& bytes, xorshift64& rng,
+                             int iter)
 {
-    j2k::mq_decoder ref{bytes, j2k::mq_mode::reference};
-    j2k::mq_decoder fast{bytes, j2k::mq_mode::fast};
-    j2k::mq_context rcx[4], fcx[4];
-    for (int i = 0; i < 2048; ++i) {
-        const std::size_t c = static_cast<std::size_t>(i) % 4;
-        ASSERT_EQ(ref.decode(rcx[c]), fast.decode(fcx[c]))
-            << "iter " << iter << " decision " << i;
-    }
+    j2k::codeblock cb;
+    cb.width = 1 + static_cast<int>(rng.below(32));
+    cb.height = 1 + static_cast<int>(rng.below(32));
+    cb.num_planes = 1 + static_cast<int>(rng.below(31));
+    const auto orient = static_cast<j2k::band>(rng.below(4));
+    const std::size_t len = rng.below(std::min<std::size_t>(bytes.size(), 256) + 1);
+    const std::size_t at = rng.below(bytes.size() - len + 1);
+    cb.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(at + len));
+
+    j2k::layered_codeblock lcb;
+    lcb.width = cb.width;
+    lcb.height = cb.height;
+    lcb.num_planes = cb.num_planes;
+    lcb.segments.push_back({cb.pass_count(), cb.data});
+
+    const auto n = static_cast<std::size_t>(cb.width) * static_cast<std::size_t>(cb.height);
+    std::vector<std::int32_t> one_shot(n), resumable(n);
+    j2k::tier1_stats a, b;
+    j2k::tier1_decode(cb, one_shot.data(), orient, &a);
+    j2k::tier1_decode_layered(lcb, resumable.data(), orient, 0, &b);
+    ASSERT_EQ(one_shot, resumable) << "iter " << iter;
+    ASSERT_EQ(a.mq_decisions, b.mq_decisions) << "iter " << iter;
+    ASSERT_EQ(a.passes, b.passes) << "iter " << iter;
+    ASSERT_EQ(a.samples, b.samples) << "iter " << iter;
 }
 
 class CodestreamFuzz : public ::testing::TestWithParam<int> {};
@@ -167,26 +188,19 @@ TEST(CodestreamFuzz, MutatedStreamsNeverEscapeTheErrorContract)
     }
 }
 
-TEST(CodestreamFuzz, ErrorContractHoldsWithTheMqFastPathForcedOn)
+TEST(CodestreamFuzz, MutatedSegmentsDecodeIdenticallyOnBothTier1Paths)
 {
-    // The batch-renorm fast path runs whatever the dispatch tier, so
-    // malformed segments (mid-codeword truncation, 0xFF-saturated garbage)
-    // must drive it through the same clean error contract as the reference
-    // loop.  Forcing scalar + flipping the decoder mode exercises the fast
-    // path even on hosts where auto-dispatch would already select it (and on
-    // hosts where it would not).
+    // Malformed segments (mid-codeword truncation, 0xFF-saturated garbage)
+    // must keep the clean error contract through the full decoder, and as
+    // raw code-block codewords must drive the one-shot and the resumable
+    // tier-1 decoders to the same coefficients and the same counters.
     const auto seed = make_stream(64, 64, 3, 32, j2k::wavelet::w5_3, 3);
     const int iters = std::max(fuzz_iters() / 3, 100);
     xorshift64 rng{0xFA57C0DEull};
     for (int i = 0; i < iters; ++i) {
         const auto cs = mutate(seed, rng);
-        // Property 1: clean error contract under the fast path (the ambient
-        // dispatch already enables it on AVX2 hosts; decode() picks it up via
-        // default_mq_mode()).
         expect_clean_decode(cs, static_cast<std::uint64_t>(i));
-        // Property 2: mode differential — when both modes decode raw MQ
-        // segments, they agree bit for bit even on corrupt input.
-        mq_mode_differential(cs, i);
+        if (!cs.empty()) tier1_path_differential(cs, rng, i);
     }
 }
 

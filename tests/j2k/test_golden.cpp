@@ -4,9 +4,15 @@
 // pins the *decoder output*, not just self-consistency — an encode/decode
 // round-trip test cannot see a bug that changes both sides symmetrically.
 //
+// The encoder is pinned too (re-encoding each source must give the committed
+// bytes back), and so is tier-1's work accounting: the decision/pass/sample
+// counters that drive decoder::sw_timing, and pass-truncated decodes, which
+// expose any coder state that leaks from one pass into the next.
+//
 // Regenerate corpus files and hashes with the `corpus_gen` tool when the
 // format changes intentionally (see corpus/README.md).
-#include <j2k/j2k.hpp>
+#include "corpus_specs.hpp"
+
 #include <runtime/hash.hpp>
 
 #include <gtest/gtest.h>
@@ -78,6 +84,67 @@ TEST(GoldenCorpus, LayeredStreamDegradesGracefullyByLayer)
     EXPECT_EQ(worst.height(), best.height());
     const j2k::image src = j2k::make_test_image(64, 64, 3, 8, 13);
     EXPECT_LE(j2k::psnr(src, worst), j2k::psnr(src, best));
+}
+
+TEST(GoldenCorpus, EncoderReproducesCommittedStreams)
+{
+    for (const auto& s : j2k_corpus::k_specs)
+        EXPECT_EQ(j2k::encode(s.src.make(), s.params), load(s.file)) << s.file;
+}
+
+struct t1_counters {
+    const char* file;
+    std::uint64_t mq_decisions, passes, samples;
+};
+
+// tier1_stats of a full decode of each corpus stream.
+constexpr t1_counters k_t1_counters[] = {
+    {"gray_53.ojk", 24278, 688, 19991},
+    {"rgb_97.ojk", 32064, 177, 26027},
+    {"layered_53.ojk", 74272, 2124, 61522},
+    {"odd_65x33.ojk", 12742, 546, 10517},
+    {"gray16_53.ojk", 30246, 1630, 27715},
+};
+
+TEST(GoldenCorpus, Tier1CountersMatchCommittedValues)
+{
+    for (const auto& g : k_t1_counters) {
+        j2k::decode_stats st;
+        (void)j2k::decode(load(g.file), &st);
+        EXPECT_EQ(st.t1.mq_decisions, g.mq_decisions) << g.file;
+        EXPECT_EQ(st.t1.passes, g.passes) << g.file;
+        EXPECT_EQ(st.t1.samples, g.samples) << g.file;
+    }
+}
+
+struct truncated {
+    const char* file;
+    int max_passes;
+    std::uint64_t hash;
+};
+
+// FNV-1a of decoder::set_max_passes(k) decodes.
+constexpr truncated k_truncated[] = {
+    {"gray_53.ojk", 1, 0x034244FEAA1DD4C7ull}, {"gray_53.ojk", 2, 0x71C71B6388CFF65Cull},
+    {"gray_53.ojk", 3, 0x6AC5FA8B2F1069D5ull}, {"gray_53.ojk", 5, 0xCB41733EB202EB4Dull},
+    {"gray_53.ojk", 8, 0xC053A7ED3C68A33Eull}, {"gray_53.ojk", 13, 0x4A8435074E0761DAull},
+    {"gray16_53.ojk", 1, 0x7562C2505955D5BFull}, {"gray16_53.ojk", 2, 0x60039420A0376ABEull},
+    {"gray16_53.ojk", 3, 0xBA6A960C99209E2Eull}, {"gray16_53.ojk", 5, 0x9114ACD667F5AC7Cull},
+    {"gray16_53.ojk", 8, 0xAB798D45EB7B53F8ull}, {"gray16_53.ojk", 13, 0xBE25ACD88A4C527Eull},
+    {"rgb_97.ojk", 1, 0xC2C8FEEDD7C9DB66ull}, {"rgb_97.ojk", 2, 0xC658630FFD4C93E7ull},
+    {"rgb_97.ojk", 3, 0xD0A8D424D64D5D6Full}, {"rgb_97.ojk", 5, 0x1E9A915C905C149Eull},
+    {"rgb_97.ojk", 8, 0x0921C69BA8E76B3Dull}, {"rgb_97.ojk", 13, 0x2ABEA0B3B87A8999ull},
+};
+
+TEST(GoldenCorpus, TruncatedDecodesMatchCommittedHashes)
+{
+    for (const auto& g : k_truncated) {
+        const auto cs = load(g.file);
+        j2k::decoder dec{cs};
+        dec.set_max_passes(g.max_passes);
+        EXPECT_EQ(fnv1a_image(dec.decode_all()), g.hash)
+            << g.file << " max_passes=" << g.max_passes;
+    }
 }
 
 }  // namespace

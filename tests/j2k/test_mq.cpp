@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <ios>
 #include <random>
 #include <vector>
 
@@ -164,99 +163,6 @@ TEST(MqCoder, EncoderReusableAfterFlushAndInit)
     mq_decoder dec{bytes};
     mq_context dcx;
     for (int i = 0; i < 64; ++i) ASSERT_EQ(dec.decode(dcx), i & 1);
-}
-
-// ---------------------------------------------------------------------------
-// Batch-renorm fast path (mq_mode::fast): the LUT shift count must equal the
-// per-bit reference loop's iteration count for every reachable interval
-// register value, and a fast decoder must emit the identical decision stream.
-
-TEST(MqFastPath, RenormShiftMatchesIterativeReferenceExhaustively)
-{
-    // Renormalisation runs while a_ < 0x8000; a_ is always nonzero on entry
-    // (the LPS branch sets a_ = qe >= 1, the MPS branch only renormalises
-    // when a_ >= qe_min).  Sweep every 16-bit value in [1, 0x7FFF].
-    for (std::uint32_t a = 1; a < 0x8000; ++a) {
-        int iterative = 0;
-        for (std::uint32_t x = a; x < 0x8000; x <<= 1) ++iterative;
-        ASSERT_EQ(j2k::mq_renorm_shift(a), iterative) << "a=0x" << std::hex << a;
-    }
-    // At and above 0x8000 no shift is pending.
-    EXPECT_EQ(j2k::mq_renorm_shift(0x8000), 0);
-    EXPECT_EQ(j2k::mq_renorm_shift(0xFFFF), 0);
-}
-
-TEST(MqFastPath, FastAndReferenceDecodersEmitIdenticalDecisions)
-{
-    std::mt19937 rng{0xFA57};
-    for (int trial = 0; trial < 24; ++trial) {
-        const int n = 1 + static_cast<int>(rng() % 8000);
-        const int n_ctx = 1 + static_cast<int>(rng() % 19);
-        std::bernoulli_distribution bit_dist{0.02 + 0.96 * (trial / 24.0)};
-        mq_encoder enc;
-        std::vector<mq_context> ecx(static_cast<std::size_t>(n_ctx));
-        std::vector<int> ctx_of(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            ctx_of[static_cast<std::size_t>(i)] = static_cast<int>(rng() % n_ctx);
-            enc.encode(ecx[static_cast<std::size_t>(ctx_of[static_cast<std::size_t>(i)])],
-                       bit_dist(rng) ? 1 : 0);
-        }
-        const auto bytes = enc.flush();
-
-        mq_decoder ref{bytes, j2k::mq_mode::reference};
-        mq_decoder fast{bytes, j2k::mq_mode::fast};
-        std::vector<mq_context> rcx(static_cast<std::size_t>(n_ctx));
-        std::vector<mq_context> fcx(static_cast<std::size_t>(n_ctx));
-        for (int i = 0; i < n; ++i) {
-            const auto c = static_cast<std::size_t>(ctx_of[static_cast<std::size_t>(i)]);
-            ASSERT_EQ(ref.decode(rcx[c]), fast.decode(fcx[c]))
-                << "trial " << trial << " bit " << i;
-        }
-        EXPECT_EQ(ref.decisions(), fast.decisions());
-    }
-}
-
-TEST(MqFastPath, ConformanceVectorsDecodeIdenticallyOnBothModes)
-{
-    // Stress the BYTEIN boundaries the chunked shift must respect: streams
-    // saturated with 0xFF stuffing (skewed all-MPS source compresses to long
-    // 0xFF runs) plus the adversarial marker-pressure stream.
-    for (double p : {0.0, 0.005, 0.5, 0.995, 1.0}) {
-        std::mt19937 rng{static_cast<std::uint32_t>(1000 * p) + 11};
-        std::bernoulli_distribution d{p};
-        mq_encoder enc;
-        mq_context cx;
-        std::vector<int> bits(30'000);
-        for (auto& b : bits) {
-            b = d(rng) ? 1 : 0;
-            enc.encode(cx, b);
-        }
-        const auto bytes = enc.flush();
-        mq_decoder ref{bytes, j2k::mq_mode::reference};
-        mq_decoder fast{bytes, j2k::mq_mode::fast};
-        mq_context rcx, fcx;
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            const int rb = ref.decode(rcx);
-            ASSERT_EQ(rb, fast.decode(fcx)) << "p=" << p << " bit " << i;
-            ASSERT_EQ(rb, bits[i]) << "p=" << p << " bit " << i;
-        }
-    }
-}
-
-TEST(MqFastPath, ModeIsSwitchablePerDecoder)
-{
-    mq_encoder enc;
-    mq_context cx;
-    for (int i = 0; i < 256; ++i) enc.encode(cx, (i * 7) % 3 == 0);
-    const auto bytes = enc.flush();
-
-    mq_decoder dec{bytes};
-    dec.set_mode(j2k::mq_mode::fast);
-    EXPECT_EQ(dec.mode(), j2k::mq_mode::fast);
-
-    mq_decoder ref{bytes, j2k::mq_mode::reference};
-    mq_context a, b;
-    for (int i = 0; i < 256; ++i) ASSERT_EQ(dec.decode(a), ref.decode(b));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory_resource>
 #include <random>
 #include <vector>
 
@@ -153,6 +154,51 @@ TEST(Tier1, NegativeAndPositiveSignsPreserved)
     std::vector<std::int32_t> v(8 * 8, 0);
     for (int i = 0; i < 64; ++i) v[static_cast<std::size_t>(i)] = (i % 2 ? -1 : 1) * (i + 1);
     expect_roundtrip(v, 8, 8, band::ll);
+}
+
+/// Passes allocations through to the heap and keeps count of the bytes live.
+class counting_resource : public std::pmr::memory_resource {
+public:
+    std::size_t live = 0;
+
+private:
+    void* do_allocate(std::size_t n, std::size_t align) override
+    {
+        live += n;
+        return std::pmr::new_delete_resource()->allocate(n, align);
+    }
+    void do_deallocate(void* p, std::size_t n, std::size_t align) override
+    {
+        live -= n;
+        std::pmr::new_delete_resource()->deallocate(p, n, align);
+    }
+    bool do_is_equal(const std::pmr::memory_resource& o) const noexcept override
+    {
+        return this == &o;
+    }
+};
+
+TEST(Tier1, BlockDecoderResidentBytesMatchItsAllocations)
+{
+    // decode_session::resident_bytes() (the cache's budget for resumable
+    // sessions) sums this estimate, so it must track the real layout: every
+    // per-sample byte the decoder allocates, plus a fixed part for the
+    // decoder object itself, which is not allocated from `mr`.
+    for (const auto& [w, h] : {std::pair{32, 32}, std::pair{1, 1}, std::pair{17, 5},
+                              std::pair{64, 64}}) {
+        counting_resource mr;
+        {
+            const j2k::tier1_block_decoder dec{w, h, 12, band::hh, &mr};
+            const std::size_t est = dec.resident_bytes();
+            EXPECT_GE(est, mr.live) << w << "x" << h;
+            EXPECT_LE(est - mr.live, 256u) << w << "x" << h;
+            // Flag words on the padded grid plus one magnitude per sample.
+            EXPECT_EQ(mr.live, static_cast<std::size_t>((w + 2) * (h + 2)) * 2 +
+                                   static_cast<std::size_t>(w * h) * 4)
+                << w << "x" << h;
+        }
+        EXPECT_EQ(mr.live, 0u);
+    }
 }
 
 }  // namespace

@@ -693,9 +693,10 @@ TEST(NetStreaming, MalformedCodestreamEndsStreamWithTypedError)
 
 TEST(NetStreaming, MidStreamDisconnectCancelsAndServerKeepsServing)
 {
-    // Enough layers that the client can vanish with refinements still queued.
+    // Enough layers, each costly enough, that the client can vanish with
+    // refinements still queued even on a fast, busy host.
     const int layers = 8;
-    const auto cs = make_stream(128, 128, 1, 64, j2k::wavelet::w5_3, layers);
+    const auto cs = make_stream(256, 256, 1, 64, j2k::wavelet::w5_3, layers);
     net::server srv{quiet_config()};
     srv.start();
     {
