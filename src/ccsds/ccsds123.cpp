@@ -512,7 +512,8 @@ public:
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
                                       const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr) const override
+                                      std::pmr::memory_resource* mr,
+                                      codec::stage_profile*) const override
     {
         if (req.discard_levels != 0 || req.max_quality_layers != 0 ||
             req.max_passes != 0)

@@ -6,13 +6,6 @@
 
 namespace codec {
 
-std::unique_ptr<progressive_session> backend::open_session(
-    std::span<const std::uint8_t>) const
-{
-    throw std::logic_error{std::string{name()} +
-                           ": codec does not support progressive sessions"};
-}
-
 namespace {
 
 struct registry_state {

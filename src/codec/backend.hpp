@@ -7,7 +7,7 @@
 // them into a codec::image, cache the result, and frame it onto a socket.
 // This interface is that boundary made explicit:
 //
-//     wire codec byte ──► registry ──► backend ──► decode()/open_session()
+//     wire codec byte ──► registry ──► backend ──► decode()
 //                                        │
 //                                        └─ capabilities: what request knobs
 //                                           (reduction, layers, pass caps,
@@ -49,8 +49,7 @@ struct capabilities {
     bool resolution_reduction = false;  ///< honours decode_request::discard_levels
     bool quality_layers = false;        ///< honours max_quality_layers
     bool pass_cap = false;              ///< honours max_passes (SNR scalability)
-    bool progressive = false;           ///< open_session() yields a real session
-    bool roi = false;                   ///< reserved (ROADMAP item 3)
+    bool progressive = false;           ///< layer-by-layer refinement (j2k sessions)
     int max_components = 1;             ///< band limit this codec can emit
 };
 
@@ -62,16 +61,16 @@ struct decode_request {
     int max_passes = 0;          ///< SNR: cap entropy passes (0 = all)
 };
 
-/// A resumable progressive-decode session: one reconstruction per quality
-/// layer, entropy state persisting across refinements.  Only codecs with
-/// capabilities::progressive return one.
-class progressive_session {
-public:
-    virtual ~progressive_session() = default;
-    [[nodiscard]] virtual int total_layers() const = 0;
-    /// Reconstruction after `layer` quality layers (1-based, non-decreasing
-    /// across calls).  Throws codestream_error on malformed input.
-    [[nodiscard]] virtual image advance_to(int layer) = 0;
+/// Where one decode spent its time: wall time per pipeline stage, summed over
+/// tiles (parallel tiles add up to more than the elapsed time), and the tiles
+/// decoded.  Codecs with a staged pipeline (j2k) add into it; the serving
+/// layer turns it into its stage and tile counters.
+struct stage_profile {
+    std::uint64_t entropy_ns = 0;  ///< entropy (tier-1) decoding
+    std::uint64_t iq_ns = 0;       ///< inverse quantisation
+    std::uint64_t idwt_ns = 0;     ///< inverse wavelet transform
+    std::uint64_t finish_ns = 0;   ///< inverse colour transform + DC shift
+    std::uint64_t tiles = 0;
 };
 
 class backend {
@@ -86,16 +85,12 @@ public:
 
     /// Decode a whole codestream.  `mr`, when non-null, backs decode-transient
     /// scratch (per-job arenas); the returned image always owns heap storage.
+    /// `profile`, when non-null, accumulates where the decode spent its time.
     /// Throws codec::codestream_error on malformed input — nothing else.
     [[nodiscard]] virtual image decode(std::span<const std::uint8_t> bytes,
                                        const decode_request& req,
-                                       std::pmr::memory_resource* mr = nullptr) const = 0;
-
-    /// Open a progressive session over `bytes` (which must outlive it).
-    /// Default: throws std::logic_error — only capabilities::progressive
-    /// codecs override.
-    [[nodiscard]] virtual std::unique_ptr<progressive_session> open_session(
-        std::span<const std::uint8_t> bytes) const;
+                                       std::pmr::memory_resource* mr = nullptr,
+                                       stage_profile* profile = nullptr) const = 0;
 };
 
 // ---- process-wide registry -------------------------------------------------

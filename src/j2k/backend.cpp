@@ -3,34 +3,13 @@
 #include "codec.hpp"
 #include "session.hpp"
 
+#include <runtime/thread_pool.hpp>
+
 #include <memory>
-#include <mutex>
 
 namespace j2k {
 
 namespace {
-
-/// codec::progressive_session over a resumable j2k::decode_session.  Owns a
-/// copy of the codestream bytes: the session references them, and the generic
-/// interface makes no lifetime promise beyond "bytes outlive the object".
-class j2k_session final : public codec::progressive_session {
-public:
-    explicit j2k_session(std::span<const std::uint8_t> cs)
-        : bytes_(cs.begin(), cs.end()), session_{bytes_}
-    {
-    }
-
-    [[nodiscard]] int total_layers() const override { return session_.total_layers(); }
-
-    [[nodiscard]] codec::image advance_to(int layer) override
-    {
-        return session_.advance_to(layer);
-    }
-
-private:
-    std::vector<std::uint8_t> bytes_;
-    decode_session session_;
-};
 
 class j2k_backend final : public codec::backend {
 public:
@@ -53,30 +32,21 @@ public:
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
                                       const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr) const override
+                                      std::pmr::memory_resource* mr,
+                                      codec::stage_profile* profile) const override
     {
         decoder dec{bytes};
         dec.set_max_passes(req.max_passes);
         dec.set_max_quality_layers(req.max_quality_layers);
-        if (req.discard_levels > 0) return dec.decode_reduced(req.discard_levels, nullptr, mr);
-        decode_stats stats;
-        const auto grid = dec.tiles();
-        const auto& info = dec.info();
-        image img{info.width, info.height, info.components, info.bit_depth};
-        for (const tile_rect& r : grid) {
-            const tile_coeffs tc = dec.entropy_decode(r.index, &stats.t1, mr);
-            const tile_pixels tp = dec.idwt(dec.dequantize(tc), mr);
-            for (int c = 0; c < info.components; ++c)
-                insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)], r);
-        }
-        dec.finish(img);
-        return img;
-    }
-
-    [[nodiscard]] std::unique_ptr<codec::progressive_session> open_session(
-        std::span<const std::uint8_t> bytes) const override
-    {
-        return std::make_unique<j2k_session>(bytes);
+        if (req.discard_levels > 0)
+            return dec.decode_reduced(req.discard_levels, nullptr, mr, profile);
+        // One full-depth advance of a fresh session is the one-shot decode.
+        // On a pool worker the tiles fan out over that worker's own pool.
+        decode_session s{dec};
+        s.set_scratch_arena(mr);
+        if (const runtime::thread_pool* pool = runtime::thread_pool::current())
+            s.set_threads(pool->size());
+        return s.advance_to(req.max_quality_layers, nullptr, profile);
     }
 };
 

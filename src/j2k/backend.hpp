@@ -2,11 +2,10 @@
 //
 // The adapter over codec.hpp/session.hpp that plugs the paper's decoder into
 // the codec registry: wire id 0, the founding codec of the J2NE protocol.
-// The runtime service keeps its specialised j2k fast paths (per-tile pool
-// fan-out, resumable session cache) — this backend is the generic face the
-// registry, capability checks, and codec-agnostic callers see, and its
-// decode() is bit-identical to those paths by construction (both run the
-// same staged pipeline).
+// Its decode() is the j2k one-shot pipeline every caller shares — a
+// full-depth decode_session (tiles fanned out over the calling worker's
+// pool), or decoder::decode_reduced for reduced-resolution requests.
+// Layer-by-layer streaming stays on j2k::decode_session itself.
 #pragma once
 
 #include <codec/backend.hpp>

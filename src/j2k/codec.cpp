@@ -379,11 +379,17 @@ image decoder::decode_all_parallel(int threads) const
 }
 
 image decoder::decode_reduced(int discard, decode_stats* stats,
-                              std::pmr::memory_resource* mr) const
+                              std::pmr::memory_resource* mr,
+                              codec::stage_profile* profile) const
 {
+    using codec::stage_profile;
     if (discard < 0 || discard > info_.levels)
         throw std::invalid_argument{"decode_reduced: discard out of range"};
-    if (discard == 0) return decode_all(stats);
+    if (discard == 0) {
+        decode_session s{*this};
+        s.set_scratch_arena(mr);
+        return s.advance_to(max_layers_, stats, profile);
+    }
 
     const int rw = reduced_extent(info_.width, discard);
     const int rh = reduced_extent(info_.height, discard);
@@ -391,8 +397,11 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
     const auto grid = tiles();
     for (int t = 0; t < static_cast<int>(grid.size()); ++t) {
         const tile_rect& tr = grid[static_cast<std::size_t>(t)];
+        detail::stage_laps lap{profile};
         const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr, mr);
+        lap.add(&stage_profile::entropy_ns);
         const tile_wavelet tw = dequantize(tc);
+        lap.add(&stage_profile::iq_ns);
         // Partial synthesis, then crop the reduced-resolution LL region.
         const int tw_r = reduced_extent(tr.width, discard);
         const int th_r = reduced_extent(tr.height, discard);
@@ -414,6 +423,7 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
             const tile_rect crop{0, 0, 0, tw_r, th_r};
             insert_tile(img.comp(comp), extract_tile(full, crop), rr);
         }
+        lap.add(&stage_profile::idwt_ns);
         if (stats) {
             const auto n = static_cast<std::uint64_t>(tw_r) * th_r *
                            static_cast<std::uint64_t>(info_.components);
@@ -422,7 +432,10 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
             stats->idwt_samples += n;
         }
     }
+    detail::stage_laps lap{profile};
     finish(img);
+    lap.add(&stage_profile::finish_ns);
+    if (profile) profile->tiles += grid.size();
     return img;
 }
 

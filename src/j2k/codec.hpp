@@ -15,7 +15,10 @@
 #include "color.hpp"
 #include "tier1.hpp"
 
+#include <codec/backend.hpp>
+
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 namespace j2k {
@@ -124,8 +127,10 @@ public:
     /// Resolution scalability: decode at 1/2^discard of the full resolution
     /// by synthesising `discard` fewer wavelet levels.  Tier-1 work is
     /// unchanged but the IDWT and downstream stages shrink by ~4^discard.
+    /// `profile`, when non-null, accumulates the per-stage wall time.
     [[nodiscard]] image decode_reduced(int discard, decode_stats* stats = nullptr,
-                                       std::pmr::memory_resource* mr = nullptr) const;
+                                       std::pmr::memory_resource* mr = nullptr,
+                                       codec::stage_profile* profile = nullptr) const;
 
 private:
     [[nodiscard]] tile_coeffs entropy_decode_layered(
@@ -142,6 +147,29 @@ private:
                            decode_stats* stats = nullptr);
 
 namespace detail {
+
+/// Splits wall time over the stages of a profile: each add() charges the
+/// time since construction or the previous add() to one stage.  A no-op when
+/// the profile is null.
+class stage_laps {
+public:
+    explicit stage_laps(codec::stage_profile* p) noexcept
+        : p_{p}, t_{std::chrono::steady_clock::now()}
+    {
+    }
+    void add(std::uint64_t codec::stage_profile::*stage) noexcept
+    {
+        if (p_ == nullptr) return;
+        const auto now = std::chrono::steady_clock::now();
+        p_->*stage += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - t_).count());
+        t_ = now;
+    }
+
+private:
+    codec::stage_profile* p_;
+    std::chrono::steady_clock::time_point t_;
+};
 
 /// Iterate the code blocks of a subband rectangle in raster order — the
 /// canonical block order every codestream reader/writer must agree on

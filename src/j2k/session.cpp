@@ -28,6 +28,15 @@ void add_stats(decode_stats& into, const decode_stats& s)
     into.dc_samples += s.dc_samples;
 }
 
+void add_profile(codec::stage_profile& into, const codec::stage_profile& p)
+{
+    into.entropy_ns += p.entropy_ns;
+    into.iq_ns += p.iq_ns;
+    into.idwt_ns += p.idwt_ns;
+    into.finish_ns += p.finish_ns;
+    into.tiles += p.tiles;
+}
+
 }  // namespace
 
 struct decode_session::impl {
@@ -97,8 +106,10 @@ struct decode_session::impl {
 
     /// Downstream stages for one tile: materialise coefficients (from the
     /// persistent slots, or transiently via entropy_decode for plain
-    /// streams), then IQ → IDWT → place into the shared image.
-    void synth_tile(int t, image& img, decode_stats* stats)
+    /// streams), then IQ → IDWT → place into the shared image.  `lap`
+    /// charges everything since it last ran (a feed_tile included) to
+    /// entropy decoding.
+    void synth_tile(int t, image& img, decode_stats* stats, detail::stage_laps& lap)
     {
         const stream_info& info = dec.info();
         const tile_rect tr = grid[static_cast<std::size_t>(t)];
@@ -118,8 +129,11 @@ struct decode_session::impl {
         } else {
             tc = dec.entropy_decode(t, stats ? &stats->t1 : nullptr, scratch);
         }
+        lap.add(&codec::stage_profile::entropy_ns);
         const tile_wavelet tw = dec.dequantize(tc);
+        lap.add(&codec::stage_profile::iq_ns);
         const tile_pixels tp = dec.idwt(tw, scratch);
+        lap.add(&codec::stage_profile::idwt_ns);
         for (int c = 0; c < info.components; ++c)
             insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)], tr);
         if (stats) {
@@ -188,7 +202,8 @@ std::size_t decode_session::resident_bytes() const noexcept
     return total;
 }
 
-image decode_session::advance_to(int layers, decode_stats* stats)
+image decode_session::advance_to(int layers, decode_stats* stats,
+                                 codec::stage_profile* profile)
 {
     impl& im = *impl_;
     if (im.poisoned)
@@ -204,35 +219,33 @@ image decode_session::advance_to(int layers, decode_stats* stats)
     const int ntiles = static_cast<int>(im.grid.size());
     const int workers = std::min(im.threads, ntiles);
 
-    auto do_tile = [&](int t, decode_stats* st, std::uint64_t* bytes) {
-        if (feed) im.feed_tile(t, im.current, target, st ? &st->t1 : nullptr, bytes);
-        im.synth_tile(t, img, st);
+    // Per-tile accumulators, merged once the loop has quiesced: tiles may run
+    // in parallel, and each writes only its own slot (and its own region of
+    // `img`), so the loop shares no mutable state.
+    struct tile_work {
+        decode_stats stats;
+        codec::stage_profile profile;
+        std::uint64_t seg_bytes = 0;
+    };
+    std::vector<tile_work> work(static_cast<std::size_t>(ntiles));
+    auto do_tile = [&](int t) {
+        OBS_TRACE_SCOPE("j2k", "tile");
+        tile_work& w = work[static_cast<std::size_t>(t)];
+        decode_stats* st = stats ? &w.stats : nullptr;
+        detail::stage_laps lap{profile ? &w.profile : nullptr};
+        if (feed) im.feed_tile(t, im.current, target, st ? &st->t1 : nullptr, &w.seg_bytes);
+        im.synth_tile(t, img, st, lap);
     };
 
     try {
         if (workers > 1) {
-            // Tiles are independent; per-tile stats/byte accumulators avoid
-            // any shared mutable state inside the loop (tiles write disjoint
-            // regions of `img`).  The first tile's exception is rethrown here
-            // by parallel_for once the loop has quiesced.
-            std::vector<decode_stats> per(static_cast<std::size_t>(ntiles));
-            std::vector<std::uint64_t> bytes(static_cast<std::size_t>(ntiles), 0);
-            runtime::thread_pool::shared().parallel_for(
-                ntiles,
-                [&](int t) {
-                    OBS_TRACE_SCOPE("j2k", "tile");
-                    do_tile(t, stats ? &per[static_cast<std::size_t>(t)] : nullptr,
-                            &bytes[static_cast<std::size_t>(t)]);
-                },
-                workers);
-            for (int t = 0; t < ntiles; ++t) {
-                if (stats) add_stats(*stats, per[static_cast<std::size_t>(t)]);
-                im.seg_bytes += bytes[static_cast<std::size_t>(t)];
-            }
+            // The first tile's exception is rethrown here by parallel_for
+            // once the loop has quiesced.
+            runtime::thread_pool* pool = runtime::thread_pool::current();
+            (pool ? *pool : runtime::thread_pool::shared())
+                .parallel_for(ntiles, do_tile, workers);
         } else {
-            std::uint64_t bytes = 0;
-            for (int t = 0; t < ntiles; ++t) do_tile(t, stats, &bytes);
-            im.seg_bytes += bytes;
+            for (int t = 0; t < ntiles; ++t) do_tile(t);
         }
     } catch (...) {
         // Partially-fed block state is unrecoverable; refuse further use
@@ -240,9 +253,17 @@ image decode_session::advance_to(int layers, decode_stats* stats)
         im.poisoned = true;
         throw;
     }
+    for (const tile_work& w : work) {
+        if (stats) add_stats(*stats, w.stats);
+        if (profile) add_profile(*profile, w.profile);
+        im.seg_bytes += w.seg_bytes;
+    }
 
     im.current = im.layered() ? std::max(im.current, target) : 1;
+    detail::stage_laps lap{profile};
     im.dec.finish(img);
+    lap.add(&codec::stage_profile::finish_ns);
+    if (profile) profile->tiles += static_cast<std::uint64_t>(ntiles);
     if (stats) {
         const auto n = static_cast<std::uint64_t>(info.width) *
                        static_cast<std::uint64_t>(info.height) *

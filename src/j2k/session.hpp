@@ -53,7 +53,8 @@ public:
     [[nodiscard]] bool complete() const noexcept;
 
     /// Tile fan-out for tier-1 + synthesis: <= 1 decodes inline, > 1 runs
-    /// tiles on the shared thread pool (results are identical — tiles are
+    /// tiles on the calling worker's thread pool, or on the shared pool when
+    /// called from outside any (results are identical — tiles are
     /// independent).
     void set_threads(int threads) noexcept;
 
@@ -70,9 +71,11 @@ public:
     /// to full depth) and return the reconstruction at that depth.  Only the
     /// segments of layers not yet consumed are tier-1 decoded; calling with
     /// `layers` at or below layers_decoded() re-runs synthesis only.
-    /// `stats`, when non-null, accumulates the work of *this call* — the
-    /// incremental cost, not the cumulative session cost.
-    [[nodiscard]] image advance_to(int layers, decode_stats* stats = nullptr);
+    /// `stats` and `profile`, when non-null, accumulate the work and the
+    /// per-stage wall time of *this call* — the incremental cost, not the
+    /// cumulative session cost.
+    [[nodiscard]] image advance_to(int layers, decode_stats* stats = nullptr,
+                                   codec::stage_profile* profile = nullptr);
 
     /// advance_to(layers_decoded() + 1): the next refinement.
     [[nodiscard]] image advance(decode_stats* stats = nullptr);

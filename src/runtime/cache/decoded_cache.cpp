@@ -18,10 +18,6 @@ std::size_t cache_key_hash::operator()(const cache_key& k) const noexcept
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.discard_levels))
            << 32));
     h.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.max_passes)));
-    h.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.roi_x)) |
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.roi_y)) << 32));
-    h.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.roi_w)) |
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.roi_h)) << 32));
     return static_cast<std::size_t>(h.value());
 }
 

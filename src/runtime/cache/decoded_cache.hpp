@@ -8,9 +8,9 @@
 // behind a clean transaction interface, not state smeared through the codec)
 // and holds two value kinds:
 //
-//   1. fully decoded images, keyed by (codestream FNV-1a hash, quality
-//      layers, discard levels, max passes[, ROI window — reserved]) — a hit
-//      answers a decode_all-shaped request with zero tier-1 work;
+//   1. fully decoded images, keyed by (codestream FNV-1a hash, codec, quality
+//      layers, discard levels, max passes) — a hit answers a
+//      decode_all-shaped request with zero tier-1 work;
 //   2. resumable decode_session prefixes, keyed by content hash alone — a
 //      cached layer-k prefix serves a layer-(k+n) request at O(new layers)
 //      tier-1 cost, and an equal-depth prefix at synthesis-only cost.  A
@@ -61,9 +61,7 @@
 
 namespace runtime {
 
-/// Cache key of one fully decoded image.  Extensible by design: the ROI
-/// window fields are reserved for region-of-interest serving (all-zero =
-/// full frame) so ROADMAP item 3 widens the key without a format break.
+/// Cache key of one fully decoded image.
 ///
 /// Keys are namespaced by codec wire id: two codecs handed byte-identical
 /// input produce different decoded results, so the codec id participates in
@@ -75,7 +73,6 @@ struct cache_key {
     std::int32_t layers = 0;         ///< normalised quality-layer depth (>= 1)
     std::int32_t discard_levels = 0;
     std::int32_t max_passes = 0;
-    std::int32_t roi_x = 0, roi_y = 0, roi_w = 0, roi_h = 0;  ///< reserved
 
     [[nodiscard]] bool operator==(const cache_key&) const = default;
 };

@@ -11,6 +11,7 @@
 
 #include "queue.hpp"
 
+#include <codec/backend.hpp>
 #include <obs/obs.hpp>
 
 #include <cstdint>
@@ -172,7 +173,15 @@ public:
     void on_progressive_cancelled() noexcept { progressive_cancelled_.add(); }
     void add_t1_segment_bytes(std::uint64_t n) noexcept { t1_bytes_.add(n); }
     void on_pool_submission() noexcept { pool_submissions_.add(); }
-    void on_tile_decoded() noexcept { tiles_.add(); }
+    /// One decode's stage wall times and tile count (see codec::stage_profile).
+    void add_stages(const codec::stage_profile& p) noexcept
+    {
+        tiles_.add(p.tiles);
+        entropy_ns_.add(p.entropy_ns);
+        iq_ns_.add(p.iq_ns);
+        idwt_ns_.add(p.idwt_ns);
+        finish_ns_.add(p.finish_ns);
+    }
 
     // Per-codec outcome counters, keyed by codec wire id and resolved to the
     // registry name once at first sight (see metrics.cpp).  Registered lazily
@@ -194,13 +203,6 @@ public:
         latency_.observe(us);
         prio_latency_[static_cast<std::size_t>(p)]->observe(us);
     }
-
-    // Per-stage wall-time accumulators; pair with obs::stage_timer on the
-    // decode path (replaces the old add_stage_ns plumbing).
-    [[nodiscard]] obs::counter& stage_entropy_ns() noexcept { return entropy_ns_; }
-    [[nodiscard]] obs::counter& stage_iq_ns() noexcept { return iq_ns_; }
-    [[nodiscard]] obs::counter& stage_idwt_ns() noexcept { return idwt_ns_; }
-    [[nodiscard]] obs::counter& stage_finish_ns() noexcept { return finish_ns_; }
 
     [[nodiscard]] metrics_snapshot snapshot() const;
 

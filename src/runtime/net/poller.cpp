@@ -1,11 +1,16 @@
 #include "poller.hpp"
 
+#include <obs/trace.hpp>
+
 #include <cerrno>
+#include <chrono>
 #include <system_error>
+#include <thread>
 #include <unordered_map>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #if defined(__linux__)
@@ -27,6 +32,33 @@ void set_nonblocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
         throw_errno("fcntl(O_NONBLOCK)");
+}
+
+int accept_or_shed(int listen_fd, int& reserve_fd, std::atomic<std::uint64_t>& failed)
+{
+    for (;;) {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd >= 0) return fd;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
+        if (errno == EINTR) continue;
+        failed.fetch_add(1, std::memory_order_relaxed);
+        // ECONNABORTED and friends: that one connection is gone but the
+        // listener is healthy — keep draining the queue.
+        if (errno != EMFILE && errno != ENFILE) continue;
+        OBS_TRACE_INSTANT("net", "accept_fd_exhausted");
+        if (reserve_fd >= 0) {
+            ::close(reserve_fd);
+            reserve_fd = -1;
+        }
+        const int shed = ::accept(listen_fd, nullptr, nullptr);
+        if (shed >= 0) ::close(shed);
+        reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (shed < 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            return -1;
+        }
+        // Reserve re-armed; drain any more queued connections.
+    }
 }
 
 namespace {

@@ -8,6 +8,7 @@
 // it instead of the fd, which sidesteps fd-recycling races on close paths.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,6 +20,17 @@ namespace runtime::net {
 
 /// O_NONBLOCK on an open fd; throws std::system_error on failure.
 void set_nonblocking(int fd);
+
+/// The next connection from a non-blocking listener, or -1 once the backlog
+/// is drained; every failed accept() counts into `failed`.  At fd exhaustion
+/// (EMFILE/ENFILE) a queued connection would leave a level-triggered poller
+/// re-firing in a hot loop, so the listener's emergency `reserve_fd` (an idle
+/// fd opened up front) is released, the connection accepted and closed at
+/// once — the client sees a clean close instead of hanging in the backlog —
+/// and the reserve re-armed.  When not even that accept succeeds
+/// (system-wide exhaustion, reserve already gone), a bounded backoff beats a
+/// hot spin and -1 is returned.
+int accept_or_shed(int listen_fd, int& reserve_fd, std::atomic<std::uint64_t>& failed);
 
 /// One readiness event delivered by a poller.
 struct ready_event {

@@ -219,8 +219,8 @@ struct server::impl {
 
             // Emergency reserve: one fd kept idle so that, at EMFILE, the
             // queued connection can still be accepted and shed (see
-            // accept_ready).  Best-effort — a failed open just means the shed
-            // path degrades to backoff.
+            // accept_or_shed).  Best-effort — a failed open just means the
+            // shed path degrades to backoff.
             reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 
             poller_ = make_poller(cfg().use_poll);
@@ -323,32 +323,8 @@ struct server::impl {
         void accept_ready()
         {
             if (listen_fd_ < 0) return;  // raced with drain
-            for (;;) {
-                const int fd = ::accept(listen_fd_, nullptr, nullptr);
-                if (fd < 0) {
-                    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-                    if (errno == EINTR) continue;
-                    accepts_failed_.fetch_add(1, std::memory_order_relaxed);
-                    if (errno == EMFILE || errno == ENFILE) {
-                        // Out of fds with a connection still queued: a silent
-                        // return would leave the level-triggered poller
-                        // re-firing in a hot loop.  Shed the connection
-                        // through the emergency reserve instead.
-                        OBS_TRACE_INSTANT("net", "accept_fd_exhausted");
-                        if (!shed_pending_connection()) {
-                            // Could not even shed (system-wide exhaustion,
-                            // reserve already gone): bounded backoff beats a
-                            // hot spin.
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(5));
-                            return;
-                        }
-                        continue;  // reserve re-armed; drain any more queued
-                    }
-                    // ECONNABORTED and friends: that one connection is gone
-                    // but the listener is healthy — keep draining the queue.
-                    continue;
-                }
+            int fd = -1;
+            while ((fd = accept_or_shed(listen_fd_, reserve_fd_, accepts_failed_)) >= 0) {
                 set_nonblocking(fd);
                 const int one = 1;
                 if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0)
@@ -368,22 +344,6 @@ struct server::impl {
                 connections_open_.fetch_add(1, std::memory_order_relaxed);
                 OBS_TRACE_COUNTER("net", track_connections_, conns_.size());
             }
-        }
-
-        /// Free the emergency reserve fd so one accept() can succeed, take
-        /// the queued connection, close it immediately (the client sees a
-        /// clean close instead of hanging in the backlog), and re-arm the
-        /// reserve.  Returns false when not even that accept succeeded.
-        bool shed_pending_connection()
-        {
-            if (reserve_fd_ >= 0) {
-                ::close(reserve_fd_);
-                reserve_fd_ = -1;
-            }
-            const int fd = ::accept(listen_fd_, nullptr, nullptr);
-            if (fd >= 0) ::close(fd);
-            reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-            return fd >= 0;
         }
 
         void on_readable(connection& c, std::vector<small_job>& batch)

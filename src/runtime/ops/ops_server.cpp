@@ -177,7 +177,7 @@ struct ops_server::impl {
         port_ = ntohs(addr.sin_port);
 
         // Emergency reserve fd, released to shed a pending connection when
-        // accept() hits EMFILE/ENFILE (see accept_ready).
+        // accept() hits EMFILE/ENFILE (see net::accept_or_shed).
         reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 
         poller_ = net::make_poller(cfg_.use_poll);
@@ -264,36 +264,8 @@ struct ops_server::impl {
 
     void accept_ready()
     {
-        for (;;) {
-            const int fd = ::accept(listen_fd_, nullptr, nullptr);
-            if (fd < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-                if (errno == EINTR) continue;
-                accepts_failed_.fetch_add(1, std::memory_order_relaxed);
-                if (errno == EMFILE || errno == ENFILE) {
-                    // Out of fds with a connection still queued: returning
-                    // would leave the level-triggered poller re-firing in a
-                    // hot loop.  Release the reserve fd, accept + close the
-                    // pending connection, re-arm.
-                    if (reserve_fd_ >= 0) {
-                        ::close(reserve_fd_);
-                        reserve_fd_ = -1;
-                    }
-                    const int shed = ::accept(listen_fd_, nullptr, nullptr);
-                    if (shed >= 0) ::close(shed);
-                    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-                    if (shed < 0) {
-                        // Could not even shed (system-wide exhaustion):
-                        // bounded backoff beats a hot spin.
-                        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                        return;
-                    }
-                    continue;
-                }
-                // ECONNABORTED and friends: that one connection is gone but
-                // the listener is healthy — keep draining the queue.
-                continue;
-            }
+        int fd = -1;
+        while ((fd = net::accept_or_shed(listen_fd_, reserve_fd_, accepts_failed_)) >= 0) {
             net::set_nonblocking(fd);
             const int one = 1;
             if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0)

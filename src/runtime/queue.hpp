@@ -1,4 +1,5 @@
-// runtime/queue.hpp — bounded MPMC admission queue with backpressure.
+// runtime/queue.hpp — bounded MPMC two-level admission queue with
+// backpressure.
 //
 // The host-side analogue of the explicit queued communication the OSSS models
 // use between concurrent units: producers (request handlers) and consumers
@@ -40,125 +41,6 @@ enum class push_result {
     closed,   ///< queue closed; item not enqueued
 };
 
-/// Fixed-capacity multi-producer / multi-consumer FIFO.
-template <typename T>
-class bounded_queue {
-public:
-    explicit bounded_queue(std::size_t capacity, backpressure policy = backpressure::block)
-        : cap_{capacity == 0 ? 1 : capacity}, policy_{policy}
-    {
-    }
-
-    bounded_queue(const bounded_queue&) = delete;
-    bounded_queue& operator=(const bounded_queue&) = delete;
-
-    /// Enqueue `v` according to the backpressure policy.  `v` is consumed
-    /// only when the item is actually enqueued (`ok`/`dropped`): on
-    /// `rejected`/`closed` the caller keeps it — important when the item
-    /// carries a promise that must be failed.  On `dropped`, the evicted item
-    /// is moved into `*evicted` when non-null (so the caller can fail it) and
-    /// destroyed otherwise.
-    push_result push(T&& v, T* evicted = nullptr)
-    {
-        std::unique_lock lk{m_};
-        if (closed_) return push_result::closed;
-        if (q_.size() >= cap_) {
-            switch (policy_) {
-            case backpressure::reject:
-                return push_result::rejected;
-            case backpressure::drop_oldest: {
-                if (evicted) *evicted = std::move(q_.front());
-                q_.pop_front();
-                q_.push_back(std::move(v));
-                high_water_ = std::max(high_water_, q_.size());
-                lk.unlock();
-                not_empty_.notify_one();
-                return push_result::dropped;
-            }
-            case backpressure::block:
-                not_full_.wait(lk, [&] { return closed_ || q_.size() < cap_; });
-                if (closed_) return push_result::closed;
-                break;
-            }
-        }
-        q_.push_back(std::move(v));
-        high_water_ = std::max(high_water_, q_.size());
-        lk.unlock();
-        not_empty_.notify_one();
-        return push_result::ok;
-    }
-
-    /// Dequeue, blocking until an item arrives or the queue is closed *and*
-    /// drained.  Returns nullopt only on closed-and-empty.
-    std::optional<T> pop()
-    {
-        std::unique_lock lk{m_};
-        not_empty_.wait(lk, [&] { return closed_ || !q_.empty(); });
-        if (q_.empty()) return std::nullopt;
-        T v = std::move(q_.front());
-        q_.pop_front();
-        lk.unlock();
-        not_full_.notify_one();
-        return v;
-    }
-
-    /// Non-blocking dequeue.
-    std::optional<T> try_pop()
-    {
-        std::unique_lock lk{m_};
-        if (q_.empty()) return std::nullopt;
-        T v = std::move(q_.front());
-        q_.pop_front();
-        lk.unlock();
-        not_full_.notify_one();
-        return v;
-    }
-
-    /// Stop accepting pushes and wake every waiter.  Items already queued
-    /// remain poppable (drain semantics).
-    void close()
-    {
-        {
-            std::lock_guard lk{m_};
-            closed_ = true;
-        }
-        not_empty_.notify_all();
-        not_full_.notify_all();
-    }
-
-    [[nodiscard]] bool closed() const
-    {
-        std::lock_guard lk{m_};
-        return closed_;
-    }
-
-    [[nodiscard]] std::size_t size() const
-    {
-        std::lock_guard lk{m_};
-        return q_.size();
-    }
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
-    [[nodiscard]] backpressure policy() const noexcept { return policy_; }
-
-    /// Highest occupancy ever observed (for sizing the capacity).
-    [[nodiscard]] std::size_t high_water() const
-    {
-        std::lock_guard lk{m_};
-        return high_water_;
-    }
-
-private:
-    const std::size_t cap_;
-    const backpressure policy_;
-    mutable std::mutex m_;
-    std::condition_variable not_empty_;
-    std::condition_variable not_full_;
-    std::deque<T> q_;
-    std::size_t high_water_ = 0;
-    bool closed_ = false;
-};
-
 /// Admission class of a request.  `interactive` jumps ahead of `batch` at the
 /// queue (strict priority with a starvation escape valve); within a class the
 /// order stays FIFO.
@@ -190,9 +72,8 @@ struct level_capacities {
 
 /// Two-level strict-priority bounded MPMC queue.
 ///
-/// Same backpressure contract as `bounded_queue` (one shared capacity across
-/// both levels, plus optional independent per-level bounds), and an admission
-/// class per item:
+/// One shared capacity across both levels, plus optional independent
+/// per-level bounds, and an admission class per item:
 ///
 ///   pop      — interactive first; after `promote_after` *consecutive*
 ///              interactive pops with batch work waiting, one batch item is
@@ -231,9 +112,12 @@ public:
     two_level_queue(const two_level_queue&) = delete;
     two_level_queue& operator=(const two_level_queue&) = delete;
 
-    /// Enqueue `v` at level `p`; same consumption contract as
-    /// `bounded_queue::push` (the caller keeps `v` on `rejected`/`closed`).
-    /// On `dropped` the victim's class is written to `*evicted_prio`.
+    /// Enqueue `v` at level `p` according to the backpressure policy.  `v` is
+    /// consumed only when the item is actually enqueued (`ok`/`dropped`): on
+    /// `rejected`/`closed` the caller keeps it — important when the item
+    /// carries a promise that must be failed.  On `dropped`, the evicted item
+    /// is moved into `*evicted` when non-null (so the caller can fail it) and
+    /// destroyed otherwise, and its class is written to `*evicted_prio`.
     push_result push(T&& v, priority p, T* evicted = nullptr,
                      priority* evicted_prio = nullptr)
     {

@@ -258,121 +258,18 @@ void decode_service::finish_one()
 
 void decode_service::run_job(job& j)
 {
-    // Non-j2k codecs take the generic backend path (progressive included:
-    // the backend either opens a session or the request fails typed).  j2k
-    // stays on its specialised fast paths, bit-identical to before the codec
-    // registry existed.
-    if (j.opt.codec != j2k::k_codec_wire_id) {
-        const codec::backend* be = codec::find_backend(j.opt.codec);
-        if (be == nullptr) {
-            metrics_.on_failed();
-            metrics_.on_codec_unsupported(j.opt.codec);
-            OBS_TRACE_INSTANT("runtime", "job_unsupported_codec");
-            settle(j, std::make_exception_ptr(unsupported_codec{j.opt.codec}));
-            OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-            return;
-        }
-        run_backend_job(j, *be);
-        return;
-    }
-    if (j.on_layer) {
-        run_progressive_job(j);
-        return;
-    }
-    if (cache_ && j.opt.cache != cache_policy::bypass) {
-        run_cached_job(j);
-        return;
-    }
-    OBS_TRACE_SCOPE("runtime", "decode_job");
-    j2k::image img;
-    try {
-        const arena_pool::lease scratch = acquire_arena();
-        j2k::decoder dec{j.bytes};
-        dec.set_max_passes(j.opt.max_passes);
-        dec.set_max_quality_layers(j.opt.max_quality_layers);
-        img = j.opt.discard_levels > 0
-                  ? dec.decode_reduced(j.opt.discard_levels, nullptr,
-                                       scratch.resource())
-                  : decode_tiled(dec, scratch.resource());
-    } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
-        OBS_TRACE_INSTANT("runtime", "job_failed");
-        settle(j, std::current_exception());
-        OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-        return;
-    }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
-    settle(j, std::move(img));
-    OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-}
-
-void decode_service::run_cached_job(job& j)
-{
-    OBS_TRACE_SCOPE("runtime", "decode_job");
-    decoded_cache::image_ptr shared;
-    try {
-        const arena_pool::lease scratch = acquire_arena();
-        j2k::decoder dec{j.bytes};
-        dec.set_max_passes(j.opt.max_passes);
-        dec.set_max_quality_layers(j.opt.max_quality_layers);
-
-        // Normalised key: "all layers" requests (0 or >= stream depth) share
-        // one entry with explicit full-depth requests.
-        cache_key key;
-        key.content_hash = fnv1a_bytes(j.bytes);
-        key.codec = j2k::k_codec_wire_id;
-        const int total = dec.info().quality_layers;
-        const int cap = j.opt.max_quality_layers;
-        key.layers = (cap <= 0 || cap >= total) ? total : cap;
-        key.discard_levels = j.opt.discard_levels;
-        key.max_passes = j.opt.max_passes;
-
-        if (auto r = cache_->begin_flight(key)) {
-            if (r->error) std::rethrow_exception(r->error);
-            shared = std::move(r->image);
-        } else {
-            // This worker leads the flight: decode inline (never waiting on
-            // another job, so a leader always makes progress) and publish.
-            try {
-                auto img = std::make_shared<const j2k::image>(
-                    decode_leader(j, dec, key, scratch.resource()));
-                cache_->complete_flight(key, img, j.opt.cache == cache_policy::pin);
-                shared = std::move(img);
-            } catch (...) {
-                cache_->abort_flight(key, std::current_exception());
-                throw;
-            }
-        }
-    } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
-        OBS_TRACE_INSTANT("runtime", "job_failed");
-        settle(j, std::current_exception());
-        OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-        return;
-    }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
-    settle(j, j2k::image{*shared});  // each caller gets its own copy
-    OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-}
-
-void decode_service::run_backend_job(job& j, const codec::backend& be)
-{
-    OBS_TRACE_SCOPE("runtime", "decode_job");
+    OBS_TRACE_SCOPE("runtime", j.on_layer ? "progressive_job" : "decode_job");
     const std::uint8_t id = j.opt.codec;
-    const codec::capabilities caps = be.caps();
-    decoded_cache::image_ptr shared;
+    j2k::image img;
+    std::exception_ptr err;
+    bool unsupported = false;
     try {
+        const codec::backend* be = codec::find_backend(id);
+        if (be == nullptr) throw unsupported_codec{id};
         // Capability gate: flags the codec cannot honour are a typed
         // rejection (same status as an unknown id on the wire), not a
         // silently ignored knob and not a generic decode failure.
+        const codec::capabilities caps = be->caps();
         if (j.on_layer && !caps.progressive)
             throw unsupported_codec{id, "does not support progressive refinement"};
         if (j.opt.discard_levels > 0 && !caps.resolution_reduction)
@@ -383,116 +280,102 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
             throw unsupported_codec{id, "does not support pass caps"};
 
         const arena_pool::lease scratch = acquire_arena();
-
-        if (j.on_layer) {
-            // Generic progressive: the backend's session, no prefix cache
-            // (resumable-prefix caching is a j2k specialisation for now).
-            metrics_.on_progressive_started();
-            auto finished = [&] { metrics_.on_progressive_finished(); };
-            try {
-                auto sess = be.open_session(j.bytes);
-                const int stream_layers = sess->total_layers();
-                const int cap = j.opt.max_quality_layers;
-                const int total =
-                    cap > 0 && cap < stream_layers ? cap : stream_layers;
-                for (int l = 1; l <= total; ++l) {
-                    codec::image img = sess->advance_to(l);
-                    metrics_.on_layer_emitted();
-                    const bool more = j.on_layer(
-                        layer_event{l, total, l == total, std::move(img)}, nullptr);
-                    if (!more && l < total) {
-                        metrics_.on_progressive_cancelled();
-                        break;
-                    }
-                }
-            } catch (...) {
-                finished();
-                throw;
-            }
-            finished();
-            metrics_.record_latency_us(
-                j.opt.prio,
-                ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-            metrics_.on_completed();
-            metrics_.on_codec_completed(id);
-            j.settled.store(true, std::memory_order_release);
-            OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-            return;
-        }
-
-        const codec::decode_request req{j.opt.discard_levels,
-                                        j.opt.max_quality_layers, j.opt.max_passes};
-        if (cache_ && j.opt.cache != cache_policy::bypass) {
-            cache_key key;
-            key.content_hash = fnv1a_bytes(j.bytes);
-            key.codec = id;  // namespaced: byte-identical input under another
-                             // codec id is a different key
-            key.layers = j.opt.max_quality_layers;
-            key.discard_levels = j.opt.discard_levels;
-            key.max_passes = j.opt.max_passes;
-            if (auto r = cache_->begin_flight(key)) {
-                if (r->error) std::rethrow_exception(r->error);
-                shared = std::move(r->image);
-            } else {
-                try {
-                    auto img = std::make_shared<const codec::image>(
-                        be.decode(j.bytes, req, scratch.resource()));
-                    cache_->complete_flight(key, img,
-                                            j.opt.cache == cache_policy::pin);
-                    shared = std::move(img);
-                } catch (...) {
-                    cache_->abort_flight(key, std::current_exception());
-                    throw;
-                }
-            }
-        } else {
-            shared = std::make_shared<const codec::image>(
-                be.decode(j.bytes, req, scratch.resource()));
-        }
+        if (j.on_layer)
+            stream_layers(j, scratch.resource());
+        else if (cache_ && j.opt.cache != cache_policy::bypass)
+            img = decode_cached(j, *be, scratch.resource());
+        else
+            img = decode_one(j, *be, scratch.resource());
     } catch (const unsupported_codec&) {
-        metrics_.on_failed();
-        metrics_.on_codec_unsupported(id);
-        OBS_TRACE_INSTANT("runtime", "job_unsupported_codec");
-        settle(j, std::current_exception());
-        OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-        return;
+        err = std::current_exception();
+        unsupported = true;
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(id);
-        OBS_TRACE_INSTANT("runtime", "job_failed");
-        settle(j, std::current_exception());
-        OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-        return;
+        err = std::current_exception();
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(id);
-    settle(j, codec::image{*shared});
+
+    if (err) {
+        metrics_.on_failed();
+        if (unsupported) {
+            metrics_.on_codec_unsupported(id);
+            OBS_TRACE_INSTANT("runtime", "job_unsupported_codec");
+        } else {
+            metrics_.on_codec_failed(id);
+            OBS_TRACE_INSTANT("runtime", "job_failed");
+        }
+        settle(j, std::move(err));  // progressive jobs: routed through on_layer
+    } else {
+        metrics_.record_latency_us(
+            j.opt.prio,
+            ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
+        metrics_.on_completed();
+        metrics_.on_codec_completed(id);
+        if (j.on_layer)
+            j.settled.store(true, std::memory_order_release);  // all layers delivered
+        else
+            settle(j, std::move(img));
+    }
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
 
-j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_key& key,
+j2k::image decode_service::decode_one(const job& j, const codec::backend& be,
+                                      std::pmr::memory_resource* mr)
+{
+    const codec::decode_request req{j.opt.discard_levels, j.opt.max_quality_layers,
+                                    j.opt.max_passes};
+    codec::stage_profile prof;
+    j2k::image img = be.decode(j.bytes, req, mr, &prof);
+    metrics_.add_stages(prof);
+    return img;
+}
+
+j2k::image decode_service::decode_cached(job& j, const codec::backend& be,
                                          std::pmr::memory_resource* mr)
 {
-    // Layered full-quality requests go through a resumable session so the
-    // tier-1 prefix can be cached and extended; everything else (plain
-    // streams, reduced resolution, SNR-capped) uses the classic paths.
-    if (j.opt.discard_levels > 0)
-        return dec.decode_reduced(j.opt.discard_levels, nullptr, mr);
-    const bool layered = dec.info().quality_layers > 1;
-    if (!layered || j.opt.max_passes != 0) return decode_tiled(dec, mr);
+    cache_key key;
+    key.content_hash = fnv1a_bytes(j.bytes);
+    key.codec = j.opt.codec;  // namespaced: byte-identical input under another
+                              // codec id is a different key
+    key.layers = j.opt.max_quality_layers;
+    key.discard_levels = j.opt.discard_levels;
+    key.max_passes = j.opt.max_passes;
+    // j2k, the one progressive codec, keys layered streams by normalised
+    // depth: "all layers" requests (0 or >= stream depth) share one entry
+    // with explicit full-depth requests.
+    int stream_layers = 0;
+    if (be.caps().progressive) {
+        stream_layers = j2k::read_header(j.bytes).quality_layers;
+        if (key.layers <= 0 || key.layers >= stream_layers) key.layers = stream_layers;
+    }
 
+    decoded_cache::image_ptr shared;
+    if (auto r = cache_->begin_flight(key)) {
+        if (r->error) std::rethrow_exception(r->error);
+        shared = std::move(r->image);
+    } else {
+        // This worker leads the flight: decode inline (never waiting on
+        // another job, so a leader always makes progress) and publish.
+        // Layered full-quality requests go through a resumable session so
+        // the tier-1 prefix can be cached and extended.
+        try {
+            const bool resumable =
+                stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
+            shared = std::make_shared<const j2k::image>(
+                resumable ? decode_prefix(j, key, mr) : decode_one(j, be, mr));
+            cache_->complete_flight(key, shared, j.opt.cache == cache_policy::pin);
+        } catch (...) {
+            cache_->abort_flight(key, std::current_exception());
+            throw;
+        }
+    }
+    return j2k::image{*shared};  // each caller gets its own copy
+}
+
+j2k::image decode_service::decode_prefix(job& j, const cache_key& key,
+                                         std::pmr::memory_resource* mr)
+{
     if (auto lease = cache_->checkout_session(key.content_hash, j.bytes, key.layers)) {
         try {
-            const std::uint64_t before = lease->session.tier1_segment_bytes();
-            lease->session.set_threads(pool_->size());
-            lease->session.set_scratch_arena(mr);
-            j2k::image img = lease->session.advance_to(key.layers);
-            metrics_.add_t1_segment_bytes(lease->session.tier1_segment_bytes() - before);
-            // The session outlives this job in the cache; it must not keep a
-            // pointer to the job-scoped arena (reset at lease return).
-            lease->session.set_scratch_arena(nullptr);
+            j2k::image img = advance(lease->session, key.layers, pool_->size(), mr);
             cache_->deposit_session(key.content_hash, std::move(lease->bytes),
                                     std::move(lease->session));
             return img;
@@ -501,49 +384,55 @@ j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_
             throw;
         }
     }
-
     j2k::decode_session s{j.bytes};
-    s.set_threads(pool_->size());
-    s.set_scratch_arena(mr);
-    j2k::image img = s.advance_to(key.layers);
-    metrics_.add_t1_segment_bytes(s.tier1_segment_bytes());
-    // Deposit the cold prefix only when the job owns its bytes: the session
-    // references the codestream storage, and a borrowed span (copy_input =
-    // false) would leave it pointing into caller memory.  The vector move
-    // keeps the heap buffer — and the session's references into it — stable.
-    // Detach the scratch arena first: the cached session outlives this job's
-    // lease.
-    if (!j.owned.empty() && j.owned.data() == j.bytes.data()) {
-        s.set_scratch_arena(nullptr);
-        std::vector<std::uint8_t> bytes = std::move(j.owned);
-        j.bytes = {};
-        cache_->deposit_session(key.content_hash, std::move(bytes), std::move(s));
-    }
+    j2k::image img = advance(s, key.layers, pool_->size(), mr);
+    deposit_prefix(j, key.content_hash, std::move(s));
     return img;
 }
 
-void decode_service::run_progressive_job(job& j)
+void decode_service::deposit_prefix(job& j, std::uint64_t content_hash,
+                                    j2k::decode_session&& s)
 {
-    OBS_TRACE_SCOPE("runtime", "progressive_job");
+    // Only a job that owns its bytes may deposit: the session references the
+    // codestream storage, and a borrowed span (copy_input = false) would
+    // leave it pointing into caller memory.  The vector move keeps the heap
+    // buffer — and the session's references into it — stable.
+    if (j.owned.empty() || j.owned.data() != j.bytes.data()) return;
+    std::vector<std::uint8_t> bytes = std::move(j.owned);
+    j.bytes = {};
+    cache_->deposit_session(content_hash, std::move(bytes), std::move(s));
+}
+
+j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threads,
+                                   std::pmr::memory_resource* mr)
+{
+    codec::stage_profile prof;
+    const std::uint64_t before = s.tier1_segment_bytes();
+    s.set_threads(threads);
+    s.set_scratch_arena(mr);
+    j2k::image img = s.advance_to(layers, nullptr, &prof);
+    s.set_scratch_arena(nullptr);  // a cached session outlives the job's lease
+    metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - before);
+    metrics_.add_stages(prof);
+    return img;
+}
+
+void decode_service::stream_layers(job& j, std::pmr::memory_resource* mr)
+{
     metrics_.on_progressive_started();
     OBS_TRACE_COUNTER("runtime", "progressive_active",
                       metrics_.instruments().get_gauge("progressive_active").value());
     try {
-        const arena_pool::lease scratch = acquire_arena();
         j2k::decode_session s{j.bytes};
-        s.set_scratch_arena(scratch.resource());
         const int stream_layers = s.total_layers();
         const int cap = j.opt.max_quality_layers;
         const int total = cap > 0 && cap < stream_layers ? cap : stream_layers;
-        std::uint64_t prev_bytes = s.tier1_segment_bytes();
         for (int l = 1; l <= total; ++l) {
             // Per-refinement async span under the job's span tree; the j2k
             // stage spans (tier-1 / IQ / IDWT) nest inside it.
             OBS_TRACE_ASYNC_BEGIN("job", "layer", j.trace_id);
-            j2k::image img = s.advance_to(l);
+            j2k::image img = advance(s, l, 1, mr);  // on this worker alone
             OBS_TRACE_ASYNC_END("job", "layer", j.trace_id);
-            metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - prev_bytes);
-            prev_bytes = s.tier1_segment_bytes();
             metrics_.on_layer_emitted();
             const bool more =
                 j.on_layer(layer_event{l, total, l == total, std::move(img)}, nullptr);
@@ -554,75 +443,14 @@ void decode_service::run_progressive_job(job& j)
             }
         }
         // Even a cancelled stream leaves a valid layer-l prefix; deposit it so
-        // later full-quality submits resume instead of decoding cold.  Same
-        // ownership gate as the leader path: the session references the
-        // codestream storage, so only owned bytes may move into the cache.
-        if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1 &&
-            !j.owned.empty() && j.owned.data() == j.bytes.data()) {
-            s.set_scratch_arena(nullptr);  // cached session outlives the lease
-            const std::uint64_t chash = fnv1a_bytes(j.bytes);
-            std::vector<std::uint8_t> bytes = std::move(j.owned);
-            j.bytes = {};
-            cache_->deposit_session(chash, std::move(bytes), std::move(s));
-        }
+        // later full-quality submits resume instead of decoding cold.
+        if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1)
+            deposit_prefix(j, fnv1a_bytes(j.bytes), std::move(s));
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
         metrics_.on_progressive_finished();
-        OBS_TRACE_INSTANT("runtime", "job_failed");
-        settle(j, std::current_exception());  // routed through on_layer
-        OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-        return;
+        throw;
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
     metrics_.on_progressive_finished();
-    j.settled.store(true, std::memory_order_release);  // all layers delivered
-    OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
-}
-
-j2k::image decode_service::decode_tiled(const j2k::decoder& dec,
-                                        std::pmr::memory_resource* mr)
-{
-    const auto& info = dec.info();
-    const auto grid = dec.tiles();
-    j2k::image img{info.width, info.height, info.components, info.bit_depth};
-    // Per-tile fan-out: subtasks land on the submitting worker's deque and
-    // are stolen by idle workers, so a single big job still uses the whole
-    // pool.  Tiles are disjoint, so insert_tile writes never overlap.
-    //
-    // Stage wall time flows into the metrics through obs::stage_timer; the
-    // spans for the individual stages (tier-1 / IQ / IDWT) are emitted one
-    // layer down, inside the j2k decoder itself, and nest under "tile".
-    pool_->parallel_for(static_cast<int>(grid.size()), [&](int t) {
-        OBS_TRACE_SCOPE("runtime", "tile");
-        j2k::tile_coeffs tc;
-        {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_entropy_ns()};
-            tc = dec.entropy_decode(t, nullptr, mr);
-        }
-        j2k::tile_wavelet tw;
-        {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_iq_ns()};
-            tw = dec.dequantize(tc);
-        }
-        j2k::tile_pixels tp;
-        {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_idwt_ns()};
-            tp = dec.idwt(tw, mr);
-        }
-        for (int c = 0; c < info.components; ++c)
-            j2k::insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)],
-                             grid[static_cast<std::size_t>(t)]);
-        metrics_.on_tile_decoded();
-    });
-    {
-        obs::stage_timer st{nullptr, nullptr, metrics_.stage_finish_ns()};
-        dec.finish(img);
-    }
-    return img;
 }
 
 void decode_service::shutdown()

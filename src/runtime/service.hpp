@@ -11,12 +11,15 @@
 //
 // Admission is a two-level strict-priority queue: `interactive` jobs jump the
 // `batch` backlog, with a starvation escape valve that promotes a batch job
-// after `promote_after` consecutive bypassing interactive pops.  Each job
-// fans out per tile on the pool (tiles are independent, so the result is
-// byte-identical to a serial decode); idle workers steal tile subtasks from
-// busy ones via lock-free Chase–Lev deques, so one large image parallelises
-// even when it is the only job in flight.  `shutdown()` drains: queued and
-// running jobs complete, new submissions fail fast.
+// after `promote_after` consecutive bypassing interactive pops.  Every job,
+// whatever its codec, takes one path (run_job): codec::backend lookup and
+// capability gate, then a layer stream or a backend decode through the cache.
+// A j2k decode fans out per tile on this service's pool (tiles are
+// independent, so the result is byte-identical to a serial decode); idle
+// workers steal tile subtasks from busy ones via lock-free Chase–Lev deques,
+// so one large image parallelises even when it is the only job in flight.
+// `shutdown()` drains: queued and running jobs complete, new submissions fail
+// fast.
 #pragma once
 
 #include "arena.hpp"
@@ -39,6 +42,10 @@
 
 namespace codec {
 class backend;  // codec/backend.hpp
+}
+
+namespace j2k {
+class decode_session;  // j2k/session.hpp
 }
 
 namespace runtime {
@@ -272,22 +279,29 @@ private:
     bool admit(job_ptr j);
     /// Hand the pool one pump able to pop-and-run up to `n` queued jobs.
     void pump(std::size_t n);
+    /// The one job path: backend lookup, capability gate, decode or layer
+    /// stream, and a single success or failure settle.
     void run_job(job& j);
-    void run_cached_job(job& j);
-    void run_progressive_job(job& j);
-    /// Generic codec path: every non-j2k codec decodes through its registered
-    /// backend — same pool, same cache (keys namespaced by codec id, same
-    /// single-flight collapsing), same metrics.  j2k keeps its specialised
-    /// fast paths above (per-tile fan-out, resumable session cache).
-    void run_backend_job(job& j, const codec::backend& be);
-    /// The single-flight leader's decode: through a resumable session for
-    /// layered streams (depositing the prefix for later requests), through
-    /// the classic tiled path otherwise.
-    j2k::image decode_leader(job& j, j2k::decoder& dec, const cache_key& key,
+    /// One-shot decode through the codec's backend, fed to the stage counters.
+    j2k::image decode_one(const job& j, const codec::backend& be,
+                          std::pmr::memory_resource* mr);
+    /// Through the cache: hits and collapsed waits copy the shared image; a
+    /// miss leads the single flight and publishes its decode.
+    j2k::image decode_cached(job& j, const codec::backend& be,
                              std::pmr::memory_resource* mr);
+    /// Layered j2k flight leader: resume the cached session prefix when one
+    /// fits, else decode cold; the advanced prefix goes back to the cache.
+    j2k::image decode_prefix(job& j, const cache_key& key, std::pmr::memory_resource* mr);
+    /// Hand the job's session to the cache (only when the job owns its bytes).
+    void deposit_prefix(job& j, std::uint64_t content_hash, j2k::decode_session&& s);
+    /// Advance a session over `threads` tiles at a time on `mr` scratch,
+    /// feeding the tier-1 byte, stage and tile counters.
+    j2k::image advance(j2k::decode_session& s, int layers, int threads,
+                       std::pmr::memory_resource* mr);
+    /// Progressive job: one session on this worker, one on_layer per layer.
+    void stream_layers(job& j, std::pmr::memory_resource* mr);
     void finish_one();
     void record_priority_depths();
-    j2k::image decode_tiled(const j2k::decoder& dec, std::pmr::memory_resource* mr);
     /// One lease per job; empty (→ heap scratch) when pooling is disabled or
     /// the pool is momentarily dry.
     [[nodiscard]] arena_pool::lease acquire_arena() noexcept

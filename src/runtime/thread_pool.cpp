@@ -233,4 +233,9 @@ thread_pool& thread_pool::shared()
     return pool;
 }
 
+thread_pool* thread_pool::current() noexcept
+{
+    return tl_pool;
+}
+
 }  // namespace runtime

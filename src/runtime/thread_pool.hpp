@@ -98,8 +98,13 @@ public:
 
     /// Process-wide pool sized to the hardware concurrency, created on first
     /// use and alive for the rest of the process.  `j2k::decoder::
-    /// decode_all_parallel` runs on this instead of spawning threads per call.
+    /// decode_all_parallel` runs on this when called from outside any pool.
     [[nodiscard]] static thread_pool& shared();
+
+    /// The pool whose worker is the calling thread, or null off-pool.  Lets a
+    /// decode fan out over the pool that runs it (a service's own workers)
+    /// instead of a second, unbounded one.
+    [[nodiscard]] static thread_pool* current() noexcept;
 
 private:
     void worker_loop(int index);

@@ -256,9 +256,6 @@ TEST(CcsdsBackend, DecodesThroughTheRegistryAndRejectsReductionKnobs)
     codec::decode_request r3;
     r3.max_passes = 1;
     EXPECT_THROW((void)be.decode(cs, r3), codestream_error);
-
-    // No progressive sessions either.
-    EXPECT_THROW((void)be.open_session(cs), std::logic_error);
 }
 
 // ---- encoder input validation ----------------------------------------------

@@ -13,6 +13,7 @@
 // format changes intentionally (see corpus/README.md).
 #include "corpus_specs.hpp"
 
+#include <j2k/backend.hpp>
 #include <runtime/hash.hpp>
 
 #include <gtest/gtest.h>
@@ -50,10 +51,12 @@ constexpr golden k_golden[] = {
 
 TEST(GoldenCorpus, DecodedPixelsMatchCommittedHashes)
 {
+    // The one-shot decoder and the registered backend (the service's path).
+    const codec::backend& be = j2k::ensure_backend_registered();
     for (const auto& g : k_golden) {
         const auto cs = load(g.file);
-        const j2k::image img = j2k::decode(cs);
-        EXPECT_EQ(fnv1a_image(img), g.hash) << g.file;
+        EXPECT_EQ(fnv1a_image(j2k::decode(cs)), g.hash) << g.file;
+        EXPECT_EQ(fnv1a_image(be.decode(cs, {})), g.hash) << g.file << " (backend)";
     }
 }
 

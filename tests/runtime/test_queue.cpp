@@ -1,5 +1,5 @@
-// bounded_queue / two_level_queue — backpressure policies, close/drain
-// semantics, strict-priority pop with promotion, MPMC safety.
+// two_level_queue — backpressure policies, close/drain semantics,
+// strict-priority pop with promotion, MPMC safety.
 #include <runtime/queue.hpp>
 
 #include <gtest/gtest.h>
@@ -12,109 +12,9 @@
 namespace {
 
 using runtime::backpressure;
-using runtime::bounded_queue;
 using runtime::priority;
 using runtime::push_result;
 using runtime::two_level_queue;
-
-TEST(BoundedQueue, FifoOrderAndSize)
-{
-    bounded_queue<int> q{8};
-    EXPECT_EQ(q.capacity(), 8u);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(q.push(int{i}), push_result::ok);
-    EXPECT_EQ(q.size(), 5u);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop(), i);
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, ZeroCapacityIsClampedToOne)
-{
-    bounded_queue<int> q{0, backpressure::reject};
-    EXPECT_EQ(q.capacity(), 1u);
-    EXPECT_EQ(q.push(1), push_result::ok);
-    EXPECT_EQ(q.push(2), push_result::rejected);
-}
-
-TEST(BoundedQueue, RejectPolicyFailsWhenFullAndKeepsItem)
-{
-    bounded_queue<std::unique_ptr<int>> q{2, backpressure::reject};
-    EXPECT_EQ(q.push(std::make_unique<int>(1)), push_result::ok);
-    EXPECT_EQ(q.push(std::make_unique<int>(2)), push_result::ok);
-    auto keep = std::make_unique<int>(3);
-    EXPECT_EQ(q.push(std::move(keep)), push_result::rejected);
-    // The rejected item was not consumed — the caller can still fail it.
-    ASSERT_NE(keep, nullptr);
-    EXPECT_EQ(*keep, 3);
-}
-
-TEST(BoundedQueue, DropOldestEvictsFrontAndReturnsIt)
-{
-    bounded_queue<int> q{2, backpressure::drop_oldest};
-    EXPECT_EQ(q.push(10), push_result::ok);
-    EXPECT_EQ(q.push(11), push_result::ok);
-    int victim = -1;
-    EXPECT_EQ(q.push(12, &victim), push_result::dropped);
-    EXPECT_EQ(victim, 10);
-    EXPECT_EQ(q.pop(), 11);
-    EXPECT_EQ(q.pop(), 12);
-}
-
-TEST(BoundedQueue, BlockPolicyWaitsForSpace)
-{
-    bounded_queue<int> q{1, backpressure::block};
-    EXPECT_EQ(q.push(1), push_result::ok);
-    std::atomic<bool> pushed{false};
-    std::thread producer{[&] {
-        EXPECT_EQ(q.push(2), push_result::ok);  // blocks until the pop below
-        pushed.store(true);
-    }};
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(pushed.load());
-    EXPECT_EQ(q.pop(), 1);
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, CloseDrainsRemainingItemsThenSignalsEmpty)
-{
-    bounded_queue<int> q{4};
-    (void)q.push(1);
-    (void)q.push(2);
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_EQ(q.push(3), push_result::closed);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), std::nullopt);  // closed + empty, no blocking
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducerAndConsumer)
-{
-    bounded_queue<int> full{1, backpressure::block};
-    (void)full.push(1);
-    bounded_queue<int> empty{1};
-    std::thread producer{[&] { EXPECT_EQ(full.push(2), push_result::closed); }};
-    std::thread consumer{[&] { EXPECT_EQ(empty.pop(), std::nullopt); }};
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    full.close();
-    empty.close();
-    producer.join();
-    consumer.join();
-}
-
-TEST(BoundedQueue, HighWaterTracksPeakOccupancy)
-{
-    bounded_queue<int> q{8};
-    (void)q.push(1);
-    (void)q.push(2);
-    (void)q.push(3);
-    (void)q.pop();
-    (void)q.pop();
-    (void)q.push(4);
-    EXPECT_EQ(q.high_water(), 3u);
-}
 
 TEST(TwoLevelQueue, InteractiveJumpsTheBatchBacklog)
 {
@@ -311,22 +211,25 @@ TEST(TwoLevelQueue, CloseDrainsBothLevelsThenSignalsEmpty)
     EXPECT_EQ(q.pop(), std::nullopt);  // closed + empty, no blocking
 }
 
-TEST(BoundedQueue, MpmcStressConservesAllItems)
+TEST(TwoLevelQueue, MpmcStressConservesAllItems)
 {
-    // 4 producers × 500 items through a capacity-8 queue into 4 consumers:
-    // every item must come out exactly once.  (Also the TSan workout.)
+    // 4 producers × 500 items, alternating levels, through a capacity-8 queue
+    // into 4 consumers: every item must come out exactly once.  (Also the
+    // TSan workout.)
     constexpr int producers = 4, consumers = 4, per_producer = 500;
-    bounded_queue<int> q{8, backpressure::block};
+    two_level_queue<int> q{8, backpressure::block};
     std::vector<std::atomic<int>> seen(producers * per_producer);
     std::vector<std::thread> threads;
     for (int p = 0; p < producers; ++p)
         threads.emplace_back([&, p] {
             for (int i = 0; i < per_producer; ++i)
-                ASSERT_EQ(q.push(p * per_producer + i), push_result::ok);
+                ASSERT_EQ(q.push(p * per_producer + i,
+                                 i % 2 ? priority::batch : priority::interactive),
+                          push_result::ok);
         });
     for (int c = 0; c < consumers; ++c)
         threads.emplace_back([&] {
-            while (auto v = q.pop()) seen[static_cast<std::size_t>(*v)].fetch_add(1);
+            while (auto v = q.pop()) seen[static_cast<std::size_t>(v->item)].fetch_add(1);
         });
     for (int p = 0; p < producers; ++p) threads[static_cast<std::size_t>(p)].join();
     q.close();

@@ -1,6 +1,7 @@
 // decode_service — determinism vs the serial decoder, decode options,
 // priority admission, backpressure accounting, shutdown drain, metrics.
 #include <runtime/service.hpp>
+#include <runtime/thread_pool.hpp>
 
 #include <j2k/j2k.hpp>
 
@@ -350,6 +351,56 @@ TEST(DecodeService, MetricsReportStealsForMultiTileJobs)
     const auto m = svc.metrics();
     EXPECT_EQ(m.tiles_decoded, 64u);
     if (std::thread::hardware_concurrency() > 1) EXPECT_GT(m.tasks_stolen, 0u);
+}
+
+TEST(DecodeService, LayeredCacheMissFansOutOnTheServicePoolNotTheSharedOne)
+{
+    // A layered miss decodes through a resumable session; its tile fan-out
+    // must run on the service's own workers (bounded by `workers`, counted in
+    // tasks_stolen), never on the process-wide pool.
+    const auto cs = make_stream(128, 128, 3, 32, j2k::wavelet::w5_3, 3);  // 16 tiles
+    const std::uint64_t before = runtime::thread_pool::shared().tasks_executed();
+    decode_service svc{{.workers = 4, .cache_bytes = 16u << 20}};
+    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(svc.metrics().cache_misses, 1u);
+    EXPECT_EQ(runtime::thread_pool::shared().tasks_executed(), before);
+}
+
+TEST(DecodeService, StageAndTileCountersSeeEveryJ2kPath)
+{
+    // 4-tile, 3-layer stream through the three paths that bypass the plain
+    // one-shot decode: a layered cache miss (resumable session), a reduced-
+    // resolution decode, and a progressive job (tiles counted per layer).
+    const auto cs = make_stream(64, 64, 3, 32, j2k::wavelet::w5_3, 3);
+    auto expect_counted = [](const runtime::metrics_snapshot& m, std::uint64_t tiles,
+                             const char* path) {
+        EXPECT_EQ(m.tiles_decoded, tiles) << path;
+        EXPECT_GT(m.entropy_ms, 0.0) << path;
+        EXPECT_GT(m.iq_ms, 0.0) << path;
+        EXPECT_GT(m.idwt_ms, 0.0) << path;
+        EXPECT_GT(m.finish_ms, 0.0) << path;
+    };
+    {
+        decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
+        (void)svc.submit(cs).get();
+        expect_counted(svc.metrics(), 4, "layered cache miss");
+    }
+    {
+        decode_service svc{{.workers = 2}};
+        (void)svc.submit(cs, decode_options{.discard_levels = 1}).get();
+        expect_counted(svc.metrics(), 4, "discard_levels = 1");
+    }
+    {
+        decode_service svc{{.workers = 2}};
+        std::promise<void> done;
+        svc.submit_progressive(std::vector<std::uint8_t>{cs}, {},
+                               [&](decode_service::layer_event&& ev, std::exception_ptr) {
+                                   if (ev.last) done.set_value();
+                                   return true;
+                               });
+        done.get_future().wait();  // counters are fed before each layer's callback
+        expect_counted(svc.metrics(), 3 * 4, "progressive");
+    }
 }
 
 TEST(DecodeService, MetricsDumpAndJsonContainCounters)
