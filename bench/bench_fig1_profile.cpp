@@ -11,10 +11,20 @@
 //               arithmetic decoder dominates a software implementation),
 //               followed by the same times in absolute units: ns per image
 //               sample for each stage, and tier-1 ns per MQ decision.
+//
+// The native cost of the second codec follows: ccsds::decode ns per sample on
+// a 128x128x16-band 12-bit cube (the ccsds_zipf serving workload's geometry),
+// with P=3 full local sums and with P=15 narrow ones.  Every native ns/sample
+// figure is also written as one JSON object to BENCH_decode_stages.json (or
+// argv[1]).  Absolute ns depend on the host; compare runs on one machine.
+#include <ccsds/ccsds123.hpp>
 #include <decoder/decoder.hpp>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -89,6 +99,28 @@ shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
     return {a / tot, q / tot, w / tot, ict, dc};
 }
 
+/// ccsds::decode ns per sample: median of 7 timed decodes after one warm-up.
+/// Returns a negative value if any decode differs from the source cube.
+double ccsds_ns_per_sample(int pred_bands, ccsds::neighbor_mode mode)
+{
+    using clock = std::chrono::steady_clock;
+    const codec::image src = codec::make_test_image(128, 128, 16, 12, 1);
+    ccsds::params p;
+    p.pred_bands = pred_bands;
+    p.mode = mode;
+    const auto cs = ccsds::encode(src, p);
+    if (ccsds::decode(cs) != src) return -1;
+    std::vector<double> ns;
+    for (int rep = 0; rep < 7; ++rep) {
+        const auto t0 = clock::now();
+        const codec::image out = ccsds::decode(cs);
+        ns.push_back(std::chrono::duration<double, std::nano>(clock::now() - t0).count());
+        if (out != src) return -1;
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2] / (128.0 * 128.0 * 16.0);
+}
+
 void print_mode(const char* name, const decoder::stage_profile& paper, const shares& mdl,
                 const shares& nat, const native_cost& cost)
 {
@@ -110,19 +142,46 @@ void print_mode(const char* name, const decoder::stage_profile& paper, const sha
 
 }  // namespace
 
-int main()
+int main(int argc, char** argv)
 {
     std::printf("=== Figure 1 — JPEG 2000 SW decode profile (16 tiles, 3 components) ===\n");
     const auto wl = decoder::workload::standard();
+    std::string json = "{\"bench\":\"decode_stages\",\"unit\":\"ns_per_sample\",\"j2k\":{";
+    char buf[256];
     for (const bool lossy : {false, true}) {
         native_cost cost{};
         const shares nat = native_shares(wl, lossy, cost);
         print_mode(lossy ? "lossy" : "lossless",
                    lossy ? decoder::k_profile_lossy : decoder::k_profile_lossless,
                    model_shares(wl, lossy), nat, cost);
+        std::snprintf(buf, sizeof buf,
+                      "%s\"%s\":{\"tier1\":%.2f,\"iq\":%.2f,\"idwt\":%.2f,"
+                      "\"ict_dc\":%.2f,\"tier1_ns_per_mq_decision\":%.2f}",
+                      lossy ? "," : "", lossy ? "lossy" : "lossless", cost.arith_ns,
+                      cost.iq_ns, cost.idwt_ns, cost.ict_dc_ns, cost.arith_ns_per_decision);
+        json += buf;
     }
     std::printf("\nThe model column is back-annotated from the paper's profile "
                 "(as the paper itself\nback-annotates measured times); the native column "
                 "profiles this repo's own codec.\n");
-    return 0;
+
+    std::printf("\n=== CCSDS-123 native decode (128x128x16 bands, 12-bit) ===\n");
+    const double full_p3 = ccsds_ns_per_sample(3, ccsds::neighbor_mode::full);
+    const double narrow_p15 = ccsds_ns_per_sample(15, ccsds::neighbor_mode::narrow);
+    std::printf("  P=3 full (ccsds_zipf)  %.1f ns/sample\n", full_p3);
+    std::printf("  P=15 narrow            %.1f ns/sample\n", narrow_p15);
+    std::snprintf(buf, sizeof buf,
+                  "},\"ccsds\":{\"geometry\":\"128x128x16 12-bit\","
+                  "\"p3_full\":%.2f,\"p15_narrow\":%.2f}}",
+                  full_p3, narrow_p15);
+    json += buf;
+
+    std::printf("\n%s\n", json.c_str());
+    const char* out = argc > 1 ? argv[1] : "BENCH_decode_stages.json";
+    if (std::FILE* f = std::fopen(out, "w")) {
+        std::fprintf(f, "%s\n", json.c_str());
+        std::fclose(f);
+    }
+    // A ccsds decode that differs from its source cube fails the binary.
+    return full_p3 < 0 || narrow_p15 < 0 ? 1 : 0;
 }

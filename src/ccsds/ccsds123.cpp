@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -17,12 +18,17 @@ namespace {
 
 // Predictor constants.  Ω is the weight resolution (weights are fixed-point
 // with Ω fractional bits); the update step is a sign-LMS ±1 per sample with
-// weights clamped to ±2^(Ω+2) so the high-resolution sum stays well inside
-// int64.  Γ renormalises at 64 samples, the classic Rice-coder half-life.
+// weights clamped to ±2^(Ω+2).  Γ renormalises at 64 samples, the classic
+// Rice-coder half-life.
 constexpr int k_omega = 6;
-constexpr std::int64_t k_weight_clamp = std::int64_t{1} << (k_omega + 2);
+constexpr std::int32_t k_weight_clamp = std::int32_t{1} << (k_omega + 2);
 constexpr std::uint32_t k_gamma_limit = 64;
 constexpr int k_unary_limit = 16;  ///< GPO2 escape threshold (zeros before raw)
+
+// Local sums and central local differences lie in ±4·(2^16 − 1), so the
+// weighted sum of up to 15 of them fits int32 exactly.
+static_assert(std::int64_t{k_max_pred_bands} * k_weight_clamp * 4 * 65535 <=
+              std::numeric_limits<std::int32_t>::max());
 
 [[noreturn]] void bad_stream(const char* what)
 {
@@ -68,33 +74,53 @@ private:
     int nbits_ = 0;
 };
 
-class bit_reader {
+/// Decode side: a 64-bit MSB-first window over the payload.  refill() tops
+/// it up to at least 56 bits — one big-endian 8-byte load while 8 bytes
+/// remain, then byte by byte with zero padding past the end — so a whole
+/// GPO2 code (at most 32 bits) can be read from peek() and consumed at once.
+/// `left_` counts the real bits not yet consumed: consuming past the end
+/// throws, at the same code a bit-serial reader would.
+class bit_window {
 public:
-    explicit bit_reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-    std::uint32_t get()
+    explicit bit_window(std::span<const std::uint8_t> bytes)
+        : p_(bytes.data()), end_(bytes.data() + bytes.size()), left_(bytes.size() * 8)
     {
-        if (nbits_ == 0) {
-            if (pos_ >= bytes_.size()) bad_stream("truncated codestream");
-            acc_ = bytes_[pos_++];
-            nbits_ = 8;
-        }
-        --nbits_;
-        return (acc_ >> nbits_) & 1u;
     }
 
-    std::uint32_t get_bits(int n)
+    void refill()
     {
-        std::uint32_t v = 0;
-        for (int i = 0; i < n; ++i) v = (v << 1) | get();
-        return v;
+        if (end_ - p_ >= 8) {
+            // Bits past avail_ may already hold the following bytes, at these
+            // same positions, so or-ing them in again is harmless.
+            std::uint64_t v = 0;
+            std::memcpy(&v, p_, sizeof v);
+            if constexpr (std::endian::native == std::endian::little)
+                v = __builtin_bswap64(v);
+            win_ |= v >> avail_;
+            p_ += (63 - avail_) >> 3;
+            avail_ |= 56;
+        } else {
+            for (; avail_ <= 56; avail_ += 8)
+                if (p_ < end_) win_ |= std::uint64_t{*p_++} << (56 - avail_);
+        }
+    }
+
+    [[nodiscard]] std::uint64_t peek() const noexcept { return win_; }
+
+    void consume(int n)
+    {
+        if (static_cast<std::size_t>(n) > left_) bad_stream("truncated codestream");
+        win_ <<= n;
+        avail_ -= n;
+        left_ -= static_cast<std::size_t>(n);
     }
 
 private:
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-    std::uint32_t acc_ = 0;
-    int nbits_ = 0;
+    const std::uint8_t* p_;
+    const std::uint8_t* end_;
+    std::size_t left_;
+    std::uint64_t win_ = 0;
+    int avail_ = 0;  ///< bits of win_ already loaded (real or padding)
 };
 
 // ---------------------------------------------------------------------------
@@ -104,48 +130,32 @@ private:
 
 /// Local sum σ(z,y,x) over already-coded neighbours of the current band,
 /// scaled by 4 (range [0, 4*maxval]).  The first sample of a band has no
-/// causal neighbour; it is seeded with the band midpoint.
-std::int64_t local_sum(const std::int32_t* s, int w, int x, int y,
+/// causal neighbour; it is seeded with the band midpoint.  run_prediction
+/// reads interior samples (y > 0, 0 < x < w-1) straight from its row
+/// pointers; this handles the edges.
+std::int32_t local_sum(const std::int32_t* s, int w, int x, int y,
                        neighbor_mode mode, std::int32_t mid)
 {
     if (y == 0) {
-        if (x == 0) return std::int64_t{4} * mid;
-        return std::int64_t{4} * s[x - 1];  // 4*W
+        if (x == 0) return 4 * mid;
+        return 4 * s[x - 1];  // 4*W
     }
     const std::int32_t n = s[(y - 1) * w + x];
-    if (mode == neighbor_mode::narrow) return std::int64_t{4} * n;
+    if (mode == neighbor_mode::narrow) return 4 * n;
     const std::int32_t wv = x > 0 ? s[y * w + x - 1] : n;
     const std::int32_t nw = x > 0 ? s[(y - 1) * w + x - 1] : n;
     const std::int32_t ne = x < w - 1 ? s[(y - 1) * w + x + 1] : n;
-    return std::int64_t{wv} + nw + n + ne;
+    return wv + nw + n + ne;
 }
 
-/// Per-band adaptive state: prediction weights plus the Rice-coder counters.
-struct band_state {
-    std::vector<std::int64_t> weights;  ///< fixed-point, Ω fractional bits
-    std::uint32_t gamma = 1;            ///< sample counter
-    std::uint64_t accum = 4;            ///< residual magnitude accumulator
+/// Per-band Rice-coder counters.
+struct rice_counters {
+    std::uint32_t gamma = 1;  ///< sample counter
+    std::uint64_t accum = 4;  ///< residual magnitude accumulator
 
-    explicit band_state(int pred_bands)
-    {
-        weights.resize(static_cast<std::size_t>(pred_bands));
-        // 0.875, then geometrically decaying — the CCSDS-123 default init.
-        std::int64_t w = 7ll << (k_omega - 3);
-        for (auto& wi : weights) {
-            wi = w;
-            w >>= 3;
-        }
-    }
+    [[nodiscard]] int k() const { return detail::golomb_k(gamma, accum); }
 
-    /// Golomb parameter: largest k with Γ·2^(k+1) ≤ A, i.e. k ≈ log2(mean m).
-    [[nodiscard]] int k_for() const
-    {
-        int k = 0;
-        while (k < 16 && (std::uint64_t{gamma} << (k + 1)) <= accum) ++k;
-        return k;
-    }
-
-    void update_coder(std::uint32_t mapped)
+    void update(std::uint32_t mapped)
     {
         accum += mapped;
         if (++gamma == k_gamma_limit) {
@@ -153,38 +163,52 @@ struct band_state {
             accum = (accum + 1) >> 1;
         }
     }
-
-    /// Sign-LMS step: nudge each weight by ±1 toward reducing the error,
-    /// directionally scaled by the sign of that band's local difference.
-    void update_weights(std::int64_t err,
-                        const std::int32_t* const* cd_planes, int pb,
-                        std::size_t idx)
-    {
-        if (err == 0) return;
-        const std::int64_t step = err > 0 ? 1 : -1;
-        for (int i = 0; i < pb; ++i) {
-            const std::int64_t d = cd_planes[i][idx];
-            std::int64_t wi = weights[static_cast<std::size_t>(i)] +
-                              (d >= 0 ? step : -step);
-            wi = std::clamp(wi, -k_weight_clamp, k_weight_clamp);
-            weights[static_cast<std::size_t>(i)] = wi;
-        }
-    }
 };
+
+/// Per-band prediction weights, fixed-point with Ω fractional bits; band z
+/// uses the first min(P, z) of them.
+using weights = std::array<std::int32_t, k_max_pred_bands>;
+
+/// 0.875, then geometrically decaying — the CCSDS-123 default init.
+weights initial_weights()
+{
+    weights wt{};
+    std::int32_t w = 7 << (k_omega - 3);
+    for (auto& wi : wt) {
+        wi = w;
+        w >>= 3;
+    }
+    return wt;
+}
+
+/// Sign-LMS step: nudge each weight by ±1 toward reducing the error,
+/// directionally scaled by the sign of that band's local difference.
+/// Branch-free: sign(err) is 0 when err == 0, so the weights stay put, and a
+/// negative difference flips it through its sign mask.
+void update_weights(weights& wt, std::int32_t err,
+                    const std::int32_t* const* cd_planes, int pb, std::size_t idx)
+{
+    const std::int32_t step = (err > 0) - (err < 0);
+    for (int i = 0; i < pb; ++i) {
+        const std::int32_t neg = cd_planes[i][idx] >> 31;  // -1 if d < 0
+        auto& wi = wt[static_cast<std::size_t>(i)];
+        wi = std::min(std::max(wi + ((step ^ neg) - neg), -k_weight_clamp), k_weight_clamp);
+    }
+}
 
 /// Predicted sample value from the local sum and the weighted previous-band
 /// central local differences.  Pure integer, clamped to the sample range.
-std::int32_t predict(std::int64_t sigma, const band_state& st,
+std::int32_t predict(std::int32_t sigma, const weights& wt,
                      const std::int32_t* const* cd_planes, int pb,
                      std::size_t idx, std::int32_t maxval)
 {
-    std::int64_t acc = 0;
+    std::int32_t acc = 0;
     for (int i = 0; i < pb; ++i)
-        acc += st.weights[static_cast<std::size_t>(i)] * cd_planes[i][idx];
-    // acc has Ω fractional bits; >> on a negative int64 is arithmetic
+        acc += wt[static_cast<std::size_t>(i)] * cd_planes[i][idx];
+    // acc has Ω fractional bits; >> on a negative value is arithmetic
     // (floor), which both sides compute identically.
-    const std::int64_t t = (acc >> k_omega) + sigma;
-    return static_cast<std::int32_t>(std::clamp<std::int64_t>(t >> 2, 0, maxval));
+    const std::int32_t t = (acc >> k_omega) + sigma;
+    return std::clamp(t >> 2, 0, maxval);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,14 +232,15 @@ std::int32_t unmap_residual(std::uint32_t m, std::int32_t shat, std::int32_t max
 {
     const std::int32_t theta = std::min(shat, maxval - shat);
     const auto mi = static_cast<std::int32_t>(m);
-    std::int32_t e;
-    if (mi <= 2 * theta) {
-        e = (mi % 2 == 0) ? mi / 2 : -(mi + 1) / 2;
-    } else {
-        const std::int32_t mag = mi - theta;
-        e = shat <= maxval - shat ? mag : -mag;
-    }
-    return shat + e;
+    // Two-sided zone: even m → m/2, odd m → -(m+1)/2; the parity mask
+    // negates through (x ^ mask) - mask.
+    const std::int32_t odd = -(mi & 1);
+    const std::int32_t inner = (((mi + 1) >> 1) ^ odd) - odd;
+    // Beyond it the sign points away from the nearer range end.
+    const std::int32_t down = -static_cast<std::int32_t>(shat > maxval - shat);
+    const std::int32_t outer = ((mi - theta) ^ down) - down;
+    const std::int32_t two_sided = -static_cast<std::int32_t>(mi <= 2 * theta);
+    return shat + ((inner & two_sided) | (outer & ~two_sided));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,14 +259,20 @@ void gpo2_encode(bit_writer& bw, std::uint32_t m, int k, int depth)
     }
 }
 
-std::uint32_t gpo2_decode(bit_reader& br, int k, int depth)
+std::uint32_t gpo2_decode(bit_window& br, int k, int depth)
 {
-    int q = 0;
-    while (q < k_unary_limit && br.get() == 0) ++q;
-    if (q == k_unary_limit) return br.get_bits(depth);
-    std::uint32_t m = static_cast<std::uint32_t>(q) << k;
-    if (k > 0) m |= br.get_bits(k);
-    return m;
+    br.refill();
+    const std::uint64_t win = br.peek();
+    // Unary prefix: leading zeros, capped at the escape length.
+    const int q = std::countl_zero(win | (std::uint64_t{1} << (63 - k_unary_limit)));
+    if (q == k_unary_limit) {
+        br.consume(k_unary_limit + depth);
+        return static_cast<std::uint32_t>((win << k_unary_limit) >> (64 - depth));
+    }
+    br.consume(q + 1 + k);
+    // The stop bit and the k remainder bits below it: 2^k + remainder.
+    const auto tail = static_cast<std::uint32_t>((win << q) >> (63 - k));
+    return (static_cast<std::uint32_t>(q) << k) + tail - (1u << k);
 }
 
 // ---------------------------------------------------------------------------
@@ -313,10 +344,18 @@ struct geometry {
     neighbor_mode mode;
 };
 
+/// One coded sample: its value and its mapped residual.
+struct coded {
+    std::int32_t sample;
+    std::uint32_t mapped;
+};
+
 /// Core codec loop, shared verbatim between encode and decode: one template
-/// over the per-sample action so the prediction recurrence cannot diverge
-/// between the two sides.  `sample_op(shat, k, st) -> s` must return the
-/// (original == reconstructed) sample and advance the entropy state.
+/// over the per-sample entropy step so the prediction recurrence cannot
+/// diverge between the two sides.  `sample_op(shat, k, cur) -> coded` codes
+/// one sample with Golomb parameter k and returns the (original ==
+/// reconstructed) sample and its mapped residual; `cur` is the sample's value
+/// in `img` before it is coded (the source sample when encoding).
 template <typename SampleOp>
 void run_prediction(const geometry& g, codec::image& img, cd_window& cdw,
                     SampleOp&& sample_op)
@@ -327,29 +366,32 @@ void run_prediction(const geometry& g, codec::image& img, cd_window& cdw,
         static_cast<std::int32_t>((std::uint32_t{1} << g.depth) - 1);
     const std::int32_t mid = (maxval + 1) / 2;
     const int window = std::min(g.pred_bands, g.bands - 1);
+    const bool narrow = g.mode == neighbor_mode::narrow;
 
     for (int z = 0; z < g.bands; ++z) {
-        band_state st{g.pred_bands};
+        weights wt = initial_weights();
+        rice_counters rc;
         const int pb = std::min({g.pred_bands, z, window});
         std::int32_t* s = img.comp(z).samples().data();
         std::int32_t* cd_cur = cdw.current();
         const std::int32_t* const* prev = cdw.order.data();
         for (int y = 0; y < h; ++y) {
+            const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+            const std::int32_t* cur = s + row;
+            const std::int32_t* up = y > 0 ? cur - w : cur;
             for (int x = 0; x < w; ++x) {
-                const std::size_t idx = static_cast<std::size_t>(y) *
-                                            static_cast<std::size_t>(w) +
-                                        static_cast<std::size_t>(x);
-                const std::int64_t sigma = local_sum(s, w, x, y, g.mode, mid);
-                const std::int32_t shat =
-                    pb > 0 ? predict(sigma, st, prev, pb, idx, maxval)
-                           : static_cast<std::int32_t>(std::clamp<std::int64_t>(
-                                 sigma >> 2, 0, maxval));
-                const int k = st.k_for();
-                const std::int32_t sv = sample_op(shat, k, st, maxval);
-                s[idx] = sv;
-                if (cd_cur != nullptr)
-                    cd_cur[idx] = static_cast<std::int32_t>(4 * std::int64_t{sv} - sigma);
-                if (pb > 0) st.update_weights(sv - shat, prev, pb, idx);
+                const std::size_t idx = row + static_cast<std::size_t>(x);
+                const std::int32_t sigma =
+                    y == 0 || x == 0 || x == w - 1
+                        ? local_sum(s, w, x, y, g.mode, mid)
+                    : narrow ? 4 * up[x]
+                             : cur[x - 1] + up[x - 1] + up[x] + up[x + 1];
+                const std::int32_t shat = predict(sigma, wt, prev, pb, idx, maxval);
+                const coded c = sample_op(shat, rc.k(), s[idx]);
+                rc.update(c.mapped);
+                s[idx] = c.sample;
+                if (cd_cur != nullptr) cd_cur[idx] = 4 * c.sample - sigma;
+                update_weights(wt, c.sample - shat, prev, pb, idx);
             }
         }
         cdw.rotate();
@@ -444,22 +486,11 @@ std::vector<std::uint8_t> encode(const codec::image& img, const params& p)
     // run_prediction writes samples back into the image it is handed; feed it
     // the clamped copy and have the op return the true (clamped) sample after
     // emitting its mapped residual.
-    int z = 0, done_in_band = 0;
-    const int per_band = g.width * g.height;
-    run_prediction(g, work, cdw,
-                   [&](std::int32_t shat, int k, band_state& st,
-                       std::int32_t /*maxval*/) -> std::int32_t {
-                       const std::int32_t sv =
-                           work.comp(z).samples()[static_cast<std::size_t>(done_in_band)];
-                       const std::uint32_t m = map_residual(sv, shat, maxval);
-                       gpo2_encode(bw, m, k, g.depth);
-                       st.update_coder(m);
-                       if (++done_in_band == per_band) {
-                           done_in_band = 0;
-                           ++z;
-                       }
-                       return sv;
-                   });
+    run_prediction(g, work, cdw, [&](std::int32_t shat, int k, std::int32_t sv) {
+        const std::uint32_t m = map_residual(sv, shat, maxval);
+        gpo2_encode(bw, m, k, g.depth);
+        return coded{sv, m};
+    });
     bw.flush();
     return out;
 }
@@ -470,23 +501,22 @@ codec::image decode(std::span<const std::uint8_t> cs, std::pmr::memory_resource*
     const geometry g{si.width, si.height, si.bands, si.bit_depth,
                      si.pred_bands, si.mode};
 
+    const auto maxval =
+        static_cast<std::int32_t>((std::uint32_t{1} << g.depth) - 1);
     codec::image img{g.width, g.height, g.bands, g.depth};
-    bit_reader br{cs.subspan(k_header_size)};
+    bit_window br{cs.subspan(k_header_size)};
     cd_window cdw{mr};
     const int window = std::min(g.pred_bands, g.bands - 1);
     if (window > 0)
         cdw.init(window + 1, static_cast<std::size_t>(g.width) *
                                  static_cast<std::size_t>(g.height));
 
-    run_prediction(g, img, cdw,
-                   [&](std::int32_t shat, int k, band_state& st,
-                       std::int32_t maxval) -> std::int32_t {
-                       const std::uint32_t m = gpo2_decode(br, k, g.depth);
-                       if (m > static_cast<std::uint32_t>(maxval))
-                           bad_stream("mapped residual exceeds sample range");
-                       st.update_coder(m);
-                       return unmap_residual(m, shat, maxval);
-                   });
+    run_prediction(g, img, cdw, [&](std::int32_t shat, int k, std::int32_t /*cur*/) {
+        const std::uint32_t m = gpo2_decode(br, k, g.depth);
+        if (m > static_cast<std::uint32_t>(maxval))
+            bad_stream("mapped residual exceeds sample range");
+        return coded{unmap_residual(m, shat, maxval), m};
+    });
     return img;
 }
 

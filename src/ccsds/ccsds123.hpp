@@ -33,12 +33,21 @@
 // Decode-side hardening contract (same as j2k): any malformed, truncated, or
 // resource-bomb stream throws codec::codestream_error before hostile sizes
 // reach an allocator; success is bit-exact or the throw — never a crash.
+//
+// Decoder structure: encoder and decoder share one prediction recurrence and
+// differ only in the per-sample entropy step.  The decoder reads a 64-bit
+// MSB-first bit window (one big-endian 8-byte load per refill), takes each
+// Golomb code's unary prefix with one count-leading-zeros and its remainder
+// with one shift, derives the Golomb parameter in closed form
+// (detail::golomb_k), and unmaps residuals and updates weights branch-free.
 #pragma once
 
 #include <codec/backend.hpp>
 #include <codec/error.hpp>
 #include <codec/image.hpp>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory_resource>
 #include <span>
@@ -100,5 +109,22 @@ struct stream_info {
 /// Register the CCSDS-123 backend (wire id 1) with the codec registry.
 /// Idempotent and thread-safe.
 const codec::backend& ensure_backend_registered();
+
+namespace detail {
+
+/// Golomb-power-of-2 parameter from the Rice-coder counters Γ (`gamma`,
+/// ≥ 1) and A (`accum`): the largest k ≤ 16 with Γ·2^k ≤ A, or 0 when
+/// A < 2Γ — so k ≈ log2 of the mean mapped residual A/Γ.  Closed form: for
+/// d = bit_width(A) − bit_width(Γ), Γ·2^d has A's bit width, so k is d, or
+/// d − 1 when Γ·2^d > A.
+[[nodiscard]] constexpr int golomb_k(std::uint32_t gamma, std::uint64_t accum) noexcept
+{
+    const int d = std::max(0, static_cast<int>(std::bit_width(accum)) -
+                                  static_cast<int>(std::bit_width(gamma)));
+    const int k = d - ((std::uint64_t{gamma} << d) > accum ? 1 : 0);
+    return std::clamp(k, 0, 16);
+}
+
+}  // namespace detail
 
 }  // namespace ccsds

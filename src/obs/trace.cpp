@@ -51,8 +51,10 @@ thread_local const char* tl_pending_name = nullptr;
 
 tracer& tracer::instance()
 {
-    static tracer t;
-    return t;
+    // Never destroyed: pool workers that outlive static destruction (the
+    // shared thread pool's) may still name their thread or emit at exit.
+    static tracer* const t = new tracer;
+    return *t;
 }
 
 tracer::tracer()

@@ -1,5 +1,6 @@
 #include "protocol.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace runtime::net {
@@ -115,29 +116,28 @@ std::optional<layer_header> decode_layer_header(std::span<const std::uint8_t> in
 
 std::vector<std::uint8_t> encode_image_raw(const j2k::image& img)
 {
-    const int maxv = (1 << img.bit_depth()) - 1;
+    const std::int32_t maxv = (1 << img.bit_depth()) - 1;
     const bool wide = img.bit_depth() > 8;
     const std::size_t samples = static_cast<std::size_t>(img.width()) * img.height() *
                                 img.components();
-    std::vector<std::uint8_t> out;
-    out.reserve(12 + samples * (wide ? 2 : 1));
-    out.resize(12);
+    std::vector<std::uint8_t> out(12 + samples * (wide ? 2 : 1));
     put_u32(out.data(), static_cast<std::uint32_t>(img.width()));
     put_u32(out.data() + 4, static_cast<std::uint32_t>(img.height()));
     out[8] = static_cast<std::uint8_t>(img.components());
     out[9] = static_cast<std::uint8_t>(img.bit_depth());
-    out[10] = 0;
-    out[11] = 0;
+    // Planes are row-major and contiguous: one clamp-and-store pass each.
+    std::uint8_t* p = out.data() + 12;
     for (int c = 0; c < img.components(); ++c) {
-        const j2k::plane& pl = img.comp(c);
-        for (int y = 0; y < pl.height(); ++y) {
-            const std::int32_t* row = pl.row(y);
-            for (int x = 0; x < pl.width(); ++x) {
-                int v = row[x];
-                v = v < 0 ? 0 : (v > maxv ? maxv : v);
-                if (wide) out.push_back(static_cast<std::uint8_t>(v >> 8));
-                out.push_back(static_cast<std::uint8_t>(v & 0xFF));
+        const std::vector<std::int32_t>& src = img.comp(c).samples();
+        if (wide) {
+            for (const std::int32_t v : src) {
+                const std::int32_t u = std::clamp(v, 0, maxv);
+                p[0] = static_cast<std::uint8_t>(u >> 8);
+                p[1] = static_cast<std::uint8_t>(u);
+                p += 2;
             }
+        } else {
+            for (const std::int32_t v : src) *p++ = static_cast<std::uint8_t>(std::clamp(v, 0, maxv));
         }
     }
     return out;

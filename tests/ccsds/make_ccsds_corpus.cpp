@@ -4,10 +4,10 @@
 //
 //   ./ccsds_corpus_gen <output-dir>
 //
-// The cubes come from make_test_image (deterministic by seed), so the corpus
-// is fully reproducible from this source file alone.
-#include <ccsds/ccsds123.hpp>
-#include <codec/image.hpp>
+// The cubes come from make_test_image (deterministic by seed) per the specs
+// in corpus_specs.hpp, so the corpus is fully reproducible from source alone.
+#include "corpus_specs.hpp"
+
 #include <runtime/hash.hpp>
 
 #include <cstdio>
@@ -15,48 +15,17 @@
 #include <string>
 #include <vector>
 
-namespace {
-
-using runtime::fnv1a_image;
-
-void emit(const std::string& dir, const char* name,
-          const std::vector<std::uint8_t>& cs)
-{
-    const std::string path = dir + "/" + name;
-    std::ofstream out{path, std::ios::binary};
-    out.write(reinterpret_cast<const char*>(cs.data()),
-              static_cast<std::streamsize>(cs.size()));
-    const codec::image img = ccsds::decode(cs);
-    std::printf("%-24s %6zu bytes  fnv1a=0x%016llXull\n", name, cs.size(),
-                static_cast<unsigned long long>(fnv1a_image(img)));
-}
-
-}  // namespace
-
 int main(int argc, char** argv)
 {
     const std::string dir = argc > 1 ? argv[1] : "tests/ccsds/corpus";
-
-    {  // the README quickstart cube: 8 bands, 16-bit, default predictor
-        emit(dir, "cube_8b16_full.c123",
-             ccsds::encode(codec::make_test_image(64, 48, 8, 16, 42)));
-    }
-    {  // narrow local sums, deep predictor order
-        ccsds::params p;
-        p.pred_bands = 15;
-        p.mode = ccsds::neighbor_mode::narrow;
-        emit(dir, "cube_17b12_narrow_p15.c123",
-             ccsds::encode(codec::make_test_image(40, 40, 17, 12, 7), p));
-    }
-    {  // single band: purely spatial prediction
-        ccsds::params p;
-        p.pred_bands = 0;
-        emit(dir, "mono_16_p0.c123",
-             ccsds::encode(codec::make_test_image(96, 64, 1, 16, 13), p));
-    }
-    {  // odd geometry, shallow depth
-        emit(dir, "odd_5b2_33x17.c123",
-             ccsds::encode(codec::make_test_image(33, 17, 5, 2, 21)));
+    for (const auto& s : ccsds_corpus::k_specs) {
+        const std::vector<std::uint8_t> cs = ccsds::encode(s.src.make(), s.params);
+        std::ofstream out{dir + "/" + s.file, std::ios::binary};
+        out.write(reinterpret_cast<const char*>(cs.data()),
+                  static_cast<std::streamsize>(cs.size()));
+        const codec::image img = ccsds::decode(cs);
+        std::printf("%-28s %6zu bytes  fnv1a=0x%016llXull\n", s.file, cs.size(),
+                    static_cast<unsigned long long>(runtime::fnv1a_image(img)));
     }
     return 0;
 }

@@ -179,19 +179,61 @@ TEST(CcsdsRoundTrip, CallerMemoryResourceBacksScratchWithoutChangingPixels)
     EXPECT_EQ(ccsds::decode(cs, &arena), src);
 }
 
+// ---- Golomb parameter -----------------------------------------------------
+
+TEST(CcsdsGolombK, ClosedFormMatchesTheSearchLoop)
+{
+    // The rule as a search: the largest k <= 16 with gamma * 2^k <= accum,
+    // or 0 when accum < 2 * gamma.
+    const auto search = [](std::uint32_t gamma, std::uint64_t accum) {
+        int k = 0;
+        while (k < 16 && (std::uint64_t{gamma} << (k + 1)) <= accum) ++k;
+        return k;
+    };
+    for (std::uint32_t gamma = 1; gamma <= 63; ++gamma) {
+        std::vector<std::uint64_t> accums;
+        // Either side of every power-of-two boundary, where k steps.
+        for (int j = 0; j <= 22; ++j) {
+            const std::uint64_t edge = std::uint64_t{gamma} << j;
+            accums.insert(accums.end(), {edge - 1, edge, edge + 1});
+        }
+        for (std::uint64_t a = 0; a < 4096; ++a) accums.push_back(a);
+        for (const std::uint64_t a : accums) {
+            ASSERT_EQ(ccsds::detail::golomb_k(gamma, a), search(gamma, a))
+                << "gamma " << gamma << ", accum " << a;
+        }
+    }
+    static_assert(ccsds::detail::golomb_k(1, 4) == 2);
+    static_assert(ccsds::detail::golomb_k(3, 5) == 0);
+    static_assert(ccsds::detail::golomb_k(1, std::uint64_t{1} << 40) == 16);
+}
+
 // ---- hostile payloads ------------------------------------------------------
 
 TEST(CcsdsHostile, EveryTruncationPointIsATypedRejection)
 {
-    const image src = codec::make_test_image(23, 11, 4, 12, 5);
-    const auto cs = ccsds::encode(src);
     // The encoder never emits a wholly-padding trailing byte, so every strict
     // prefix is missing residual bits and must throw — never crash, never
-    // return a short image.
-    for (std::size_t cut = 0; cut < cs.size(); ++cut) {
-        const std::span<const std::uint8_t> prefix{cs.data(), cut};
-        EXPECT_THROW((void)ccsds::decode(prefix), codestream_error)
-            << "cut " << cut;
+    // return a short image.  Every complete code before the cut decodes as in
+    // the full stream, so past the header the first code that crosses the
+    // cut must fail, and with the truncation error, not a range complaint.
+    // 16-bit cubes open each band with escape codes, 4-bit ones are all
+    // short Rice codes.
+    for (const image& src : {codec::make_test_image(23, 11, 4, 12, 5),
+                             codec::make_test_image(9, 5, 3, 16, 17),
+                             codec::make_test_image(9, 5, 3, 4, 17)}) {
+        const auto cs = ccsds::encode(src);
+        for (std::size_t cut = 0; cut < cs.size(); ++cut) {
+            try {
+                (void)ccsds::decode(std::span<const std::uint8_t>{cs.data(), cut});
+                ADD_FAILURE() << "cut " << cut << " decoded";
+            } catch (const codestream_error& e) {
+                if (cut >= ccsds::k_header_size) {
+                    EXPECT_NE(std::strstr(e.what(), "truncated codestream"), nullptr)
+                        << "cut " << cut << ": " << e.what();
+                }
+            }
+        }
     }
 }
 

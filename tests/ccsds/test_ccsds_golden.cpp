@@ -2,12 +2,14 @@
 // must hash to known values.  This pins the *decoder output*, not just
 // self-consistency — an encode/decode round-trip test cannot see a bug that
 // changes both sides symmetrically (the predictor recurrence is shared code,
-// so that failure mode is exactly the one to guard).
+// so that failure mode is exactly the one to guard).  The encoder is pinned
+// too: re-encoding each source must give the committed bytes back, so the
+// stream format itself cannot drift while the decoded cubes stay the same.
 //
 // Regenerate corpus files and hashes with the `ccsds_corpus_gen` tool when
 // the stream format changes intentionally (see corpus/README.md).
-#include <ccsds/ccsds123.hpp>
-#include <codec/image.hpp>
+#include "corpus_specs.hpp"
+
 #include <runtime/hash.hpp>
 
 #include <gtest/gtest.h>
@@ -55,14 +57,14 @@ TEST(CcsdsGolden, EveryStreamAlsoMatchesItsSourceCubeExactly)
 {
     // The codec is lossless: beyond the hash, each decode must equal the
     // generator's source cube sample for sample.
-    EXPECT_EQ(ccsds::decode(load("cube_8b16_full.c123")),
-              codec::make_test_image(64, 48, 8, 16, 42));
-    EXPECT_EQ(ccsds::decode(load("cube_17b12_narrow_p15.c123")),
-              codec::make_test_image(40, 40, 17, 12, 7));
-    EXPECT_EQ(ccsds::decode(load("mono_16_p0.c123")),
-              codec::make_test_image(96, 64, 1, 16, 13));
-    EXPECT_EQ(ccsds::decode(load("odd_5b2_33x17.c123")),
-              codec::make_test_image(33, 17, 5, 2, 21));
+    for (const auto& s : ccsds_corpus::k_specs)
+        EXPECT_EQ(ccsds::decode(load(s.file)), s.src.make()) << s.file;
+}
+
+TEST(CcsdsGolden, EncoderReproducesCommittedStreams)
+{
+    for (const auto& s : ccsds_corpus::k_specs)
+        EXPECT_EQ(ccsds::encode(s.src.make(), s.params), load(s.file)) << s.file;
 }
 
 }  // namespace

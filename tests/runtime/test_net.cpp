@@ -220,6 +220,54 @@ TEST(NetProtocol, RawImagePayloadCarriesMultispectralCubes)
     }
 }
 
+TEST(NetProtocol, RawImagePayloadBytesArePinned)
+{
+    // Exact bytes, not a round trip: the serving benchmark derives its
+    // expected payloads from encode_image_raw itself, so a wrong byte here
+    // would be invisible everywhere else.
+    const auto fill = [](codec::image& img, std::vector<std::vector<std::int32_t>> v) {
+        for (int c = 0; c < img.components(); ++c)
+            img.comp(c).samples() = std::move(v[static_cast<std::size_t>(c)]);
+    };
+
+    // 8-bit, 3 components, 3x2: one byte per sample, planar, row-major,
+    // negatives clamped to 0 and values above maxv to 255.
+    codec::image narrow{3, 2, 3, 8};
+    fill(narrow, {{0, 255, -5, 300, 17, 128}, {1, 2, 3, 4, 5, 6}, {-1, 256, 127, 0, 200, 9}});
+    const std::vector<std::uint8_t> want8 = {
+        0, 0, 0, 3, 0, 0, 0, 2, 3, 8, 0, 0,         // w, h, components, depth, pad
+        0x00, 0xFF, 0x00, 0xFF, 0x11, 0x80,         // component 0
+        0x01, 0x02, 0x03, 0x04, 0x05, 0x06,         // component 1
+        0x00, 0xFF, 0x7F, 0x00, 0xC8, 0x09,         // component 2
+    };
+    EXPECT_EQ(net::encode_image_raw(narrow), want8);
+
+    // 12-bit: two bytes per sample, big-endian, clamped to [0, 4095].
+    codec::image deep{2, 1, 3, 12};
+    fill(deep, {{0x0ABC, 5000}, {-1, 1}, {4095, 0x0100}});
+    const std::vector<std::uint8_t> want12 = {
+        0, 0, 0, 2, 0, 0, 0, 1, 3, 12, 0, 0,
+        0x0A, 0xBC, 0x0F, 0xFF,
+        0x00, 0x00, 0x00, 0x01,
+        0x0F, 0xFF, 0x01, 0x00,
+    };
+    EXPECT_EQ(net::encode_image_raw(deep), want12);
+
+    // 16-bit: the full range, clamped to [0, 65535]; 9-bit is already wide.
+    codec::image full{1, 1, 3, 16};
+    fill(full, {{70000}, {0xBEEF}, {-70000}});
+    const std::vector<std::uint8_t> want16 = {
+        0, 0, 0, 1, 0, 0, 0, 1, 3, 16, 0, 0, 0xFF, 0xFF, 0xBE, 0xEF, 0x00, 0x00,
+    };
+    EXPECT_EQ(net::encode_image_raw(full), want16);
+    codec::image nine{2, 1, 1, 9};
+    fill(nine, {{511, 512}});
+    const std::vector<std::uint8_t> want9 = {
+        0, 0, 0, 2, 0, 0, 0, 1, 1, 9, 0, 0, 0x01, 0xFF, 0x01, 0xFF,
+    };
+    EXPECT_EQ(net::encode_image_raw(nine), want9);
+}
+
 // ---- loopback end-to-end ---------------------------------------------------
 
 TEST(NetServer, LoopbackDecodeRoundTripRawAndPnm)
