@@ -85,10 +85,11 @@ int run_serve(std::uint16_t port, std::size_t cache_bytes, int ops_port,
         ocfg.port = static_cast<std::uint16_t>(ops_port);
         ops = std::make_unique<runtime::ops::ops_server>(srv.service(), ocfg);
         ops->set_extra_counters([&srv] {
+            using sample = runtime::ops::ops_server::extra_sample;
             const auto st = srv.stats();
-            std::vector<std::pair<std::string, std::uint64_t>> out{
+            std::vector<sample> out{
                 {"net_connections_accepted_total", st.connections_accepted},
-                {"net_connections_open", st.connections_open},
+                {"net_connections_open", st.connections_open, obs::metric_type::gauge},
                 {"net_accepts_failed_total", st.accepts_failed},
                 {"net_frames_in_total", st.frames_in},
                 {"net_responses_out_total", st.responses_out},
@@ -108,19 +109,19 @@ int run_serve(std::uint16_t port, std::size_t cache_bytes, int ops_port,
             if (srv.shards() > 1) {
                 for (std::size_t i = 0; i < srv.shards(); ++i) {
                     const auto ss = srv.stats(i);
-                    const std::string lbl =
-                        "{shard=\"" + std::to_string(i) + "\"}";
-                    out.emplace_back("net_connections_accepted_total" + lbl,
-                                     ss.connections_accepted);
-                    out.emplace_back("net_frames_in_total" + lbl, ss.frames_in);
-                    out.emplace_back("net_responses_out_total" + lbl,
-                                     ss.responses_out);
-                    out.emplace_back("net_bytes_in_total" + lbl, ss.bytes_in);
-                    out.emplace_back("net_bytes_out_total" + lbl, ss.bytes_out);
-                    out.emplace_back("net_accepts_failed_total" + lbl,
-                                     ss.accepts_failed);
-                    out.emplace_back("net_slow_reader_closed_total" + lbl,
-                                     ss.slow_reader_closed);
+                    const auto shard = [i](std::string family, std::uint64_t v) {
+                        return sample{std::move(family), v, obs::metric_type::counter,
+                                      {{"shard", std::to_string(i)}}};
+                    };
+                    out.push_back(shard("net_connections_accepted_total",
+                                        ss.connections_accepted));
+                    out.push_back(shard("net_frames_in_total", ss.frames_in));
+                    out.push_back(shard("net_responses_out_total", ss.responses_out));
+                    out.push_back(shard("net_bytes_in_total", ss.bytes_in));
+                    out.push_back(shard("net_bytes_out_total", ss.bytes_out));
+                    out.push_back(shard("net_accepts_failed_total", ss.accepts_failed));
+                    out.push_back(
+                        shard("net_slow_reader_closed_total", ss.slow_reader_closed));
                 }
             }
             return out;

@@ -10,6 +10,9 @@ Checks, line by line:
     the legal escapes (``\\\\``, ``\\"``, ``\\n``)
   * sample values parse as floats (including +Inf/-Inf/NaN)
   * ``# TYPE``/``# HELP`` lines, when present, are well-formed
+  * a family has at most one ``# TYPE`` line, and it comes before the
+    family's first sample (a summary's or histogram's ``_sum``/``_count``/
+    ``_bucket`` samples belong to it)
   * no raw control characters anywhere
 
 Any ``required_family`` arguments must appear as a sample's metric name
@@ -50,6 +53,7 @@ def check(text):
     """Return (families_seen, errors)."""
     errors = []
     families = set()
+    typed = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -67,6 +71,18 @@ def check(text):
                     not in ("counter", "gauge", "histogram", "summary", "untyped")
                 ):
                     errors.append(f"line {lineno}: unknown TYPE {parts[3:]!r}")
+                elif parts[1] == "TYPE":
+                    fam = parts[2]
+                    if fam in typed:
+                        errors.append(f"line {lineno}: second # TYPE line for {fam}")
+                    typed.add(fam)
+                    names = {fam}
+                    if parts[3] in ("summary", "histogram"):
+                        names |= {fam + s for s in ("_sum", "_count", "_bucket")}
+                    if names & families:
+                        errors.append(
+                            f"line {lineno}: # TYPE line for {fam} after its first sample"
+                        )
             continue  # other comments are free-form
         m = SAMPLE.match(line)
         if not m:

@@ -1,6 +1,8 @@
 #include "metrics.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 
 namespace obs {
@@ -55,6 +57,31 @@ void fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept
     }
 }
 
+/// Prometheus label-value escaping: backslash, quote, newline.
+void append_label_value(std::string& out, std::string_view v)
+{
+    for (const char c : v) {
+        if (c == '\\' || c == '"') {
+            out += '\\';
+            out += c;
+        } else if (c == '\n') {
+            out += "\\n";
+        } else {
+            out += c;
+        }
+    }
+}
+
+/// snprintf onto `out`; the buffer holds any double printed with "%.*f" at
+/// the handful of decimals the sinks use.
+template <typename... A>
+void appendf(std::string& out, const char* fmt, A... a)
+{
+    char buf[512];
+    const int n = std::snprintf(buf, sizeof buf, fmt, a...);
+    if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
+}
+
 }  // namespace
 
 void log2_histogram::observe(std::uint64_t v) noexcept
@@ -104,111 +131,173 @@ double log2_histogram::data::quantile(double q) const noexcept
     return static_cast<double>(max);
 }
 
-counter& registry::get_counter(const std::string& name)
+std::string prometheus_labels(std::span<const metric_label> labels)
 {
-    std::lock_guard lk{m_};
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<counter>();
-    return *slot;
-}
-
-gauge& registry::get_gauge(const std::string& name)
-{
-    std::lock_guard lk{m_};
-    auto& slot = gauges_[name];
-    if (!slot) slot = std::make_unique<gauge>();
-    return *slot;
-}
-
-log2_histogram& registry::get_histogram(const std::string& name)
-{
-    std::lock_guard lk{m_};
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<log2_histogram>();
-    return *slot;
-}
-
-std::string registry::expose_text() const
-{
-    std::lock_guard lk{m_};
     std::string out;
-    char buf[256];
-    for (const auto& [name, c] : counters_) {
-        std::snprintf(buf, sizeof buf, "%s %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(c->value()));
-        out += buf;
+    for (const metric_label& l : labels) {
+        out += out.empty() ? '{' : ',';
+        // Label names share the metric-name alphabet minus ':'.
+        std::string key = prometheus_name(l.key);
+        std::replace(key.begin(), key.end(), ':', '_');
+        out += key;
+        out += "=\"";
+        append_label_value(out, l.value);
+        out += '"';
     }
-    for (const auto& [name, g] : gauges_) {
-        std::snprintf(buf, sizeof buf, "%s %lld\n%s_max %lld\n", name.c_str(),
-                      static_cast<long long>(g->value()), name.c_str(),
-                      static_cast<long long>(g->max()));
-        out += buf;
+    if (!out.empty()) out += '}';
+    return out;
+}
+
+metric_value metric_value::real(double x, int decimals) noexcept
+{
+    metric_value v;
+    v.kind_ = kind::real;
+    v.x_ = x;
+    v.decimals_ = decimals;
+    return v;
+}
+
+metric_value metric_value::flag(bool on) noexcept
+{
+    metric_value v;
+    v.kind_ = kind::flag;
+    v.n_ = on ? 1 : 0;
+    return v;
+}
+
+metric_value metric_value::text(std::string_view s) noexcept
+{
+    metric_value v;
+    v.kind_ = kind::text;
+    v.s_ = s;
+    return v;
+}
+
+void metric_value::append_json(std::string& out) const
+{
+    switch (kind_) {
+    case kind::count:
+        appendf(out, "%llu", static_cast<unsigned long long>(n_));
+        break;
+    case kind::real:
+        appendf(out, "%.*f", decimals_, x_);
+        break;
+    case kind::flag:
+        out += n_ ? "true" : "false";
+        break;
+    case kind::text:
+        out += json_quote(s_);
+        break;
     }
-    for (const auto& [name, h] : histograms_) {
-        const auto d = h->snapshot();
-        std::snprintf(buf, sizeof buf,
-                      "%s_count %llu\n%s_mean %.1f\n%s_p50 %.1f\n%s_p95 %.1f\n"
-                      "%s_p99 %.1f\n%s_max %llu\n",
-                      name.c_str(), static_cast<unsigned long long>(d.count),
-                      name.c_str(), d.mean(), name.c_str(), d.quantile(0.50),
-                      name.c_str(), d.quantile(0.95), name.c_str(), d.quantile(0.99),
-                      name.c_str(), static_cast<unsigned long long>(d.max));
-        out += buf;
+}
+
+void metric_value::append_prometheus(std::string& out, int shift) const
+{
+    if (kind_ == kind::flag) {
+        out += n_ ? '1' : '0';
+    } else if (kind_ == kind::real) {
+        appendf(out, "%.*f", std::max(decimals_ - shift, 0), x_ * std::pow(10.0, shift));
+    } else {
+        append_json(out);
+    }
+}
+
+prometheus_text::prometheus_text(std::string_view prefix)
+    : prefix_{prometheus_name(prefix) + '_'}
+{
+}
+
+void prometheus_text::add(const metric& m, const metric_value& v)
+{
+    if (m.family.empty() || v.is_text()) return;
+    const std::string name = prefix_ + prometheus_name(m.family);
+    auto f = std::find_if(families_.begin(), families_.end(),
+                          [&](const family& x) { return x.name == name; });
+    if (f == families_.end()) f = families_.insert(families_.end(), {name, m.type, {}});
+    f->samples += name;
+    f->samples += m.suffix;
+    f->samples += prometheus_labels(m.labels);
+    f->samples += ' ';
+    v.append_prometheus(f->samples, m.prom_shift);
+    f->samples += '\n';
+}
+
+std::string prometheus_text::str() const
+{
+    static constexpr const char* k_type[] = {"counter", "gauge", "summary"};
+    std::string out;
+    for (const family& f : families_) {
+        out += "# TYPE ";
+        out += f.name;
+        out += ' ';
+        out += k_type[static_cast<int>(f.type)];
+        out += '\n';
+        out += f.samples;
     }
     return out;
 }
 
-std::string registry::expose_json() const
+void json_text::open_slot(std::string_view key)
 {
-    // Names are free-form user input to the registry; they cross the JSON
-    // boundary exactly here, so this is where they get escaped (a name with
-    // a quote or control character must not break the document).
-    std::lock_guard lk{m_};
-    std::string out = "{\"counters\":{";
-    char buf[192];
-    bool first = true;
-    for (const auto& [name, c] : counters_) {
-        if (!first) out += ',';
-        out += json_quote(name);
-        std::snprintf(buf, sizeof buf, ":%llu",
-                      static_cast<unsigned long long>(c->value()));
-        out += buf;
-        first = false;
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, g] : gauges_) {
-        if (!first) out += ',';
-        out += json_quote(name);
-        std::snprintf(buf, sizeof buf, ":{\"value\":%lld,\"max\":%lld}",
-                      static_cast<long long>(g->value()),
-                      static_cast<long long>(g->max()));
-        out += buf;
-        first = false;
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, h] : histograms_) {
-        const auto d = h->snapshot();
-        if (!first) out += ',';
-        out += json_quote(name);
-        std::snprintf(buf, sizeof buf,
-                      ":{\"count\":%llu,\"mean\":%.1f,\"p50\":%.1f,"
-                      "\"p95\":%.1f,\"p99\":%.1f,\"max\":%llu}",
-                      static_cast<unsigned long long>(d.count), d.mean(),
-                      d.quantile(0.50), d.quantile(0.95), d.quantile(0.99),
-                      static_cast<unsigned long long>(d.max));
-        out += buf;
-        first = false;
-    }
-    out += "}}";
-    return out;
+    if (!first_) out_ += ',';
+    first_ = false;
+    out_ += json_quote(key);
+    out_ += ':';
 }
 
-registry& registry::global()
+void json_text::begin(std::string_view group)
 {
-    static registry r;
-    return r;
+    open_slot(group);
+    out_ += '{';
+    first_ = true;
+}
+
+void json_text::end()
+{
+    out_ += '}';
+    first_ = false;
+}
+
+void json_text::add(const metric& m, const metric_value& v)
+{
+    if (m.key.empty()) return;
+    open_slot(m.key);
+    v.append_json(out_);
+}
+
+void dump_text::break_line()
+{
+    if (mid_line_) out_ += '\n';
+    mid_line_ = false;
+}
+
+void dump_text::begin(std::string_view group)
+{
+    break_line();
+    path_.emplace_back(group);
+}
+
+void dump_text::end()
+{
+    break_line();
+    path_.pop_back();
+}
+
+void dump_text::add(const metric& m, const metric_value& v)
+{
+    if (m.key.empty()) return;
+    if (mid_line_) {
+        out_ += ' ';
+    } else {
+        for (const std::string& g : path_) {
+            out_ += g;
+            out_ += &g == &path_.back() ? ": " : ".";
+        }
+        mid_line_ = true;
+    }
+    out_ += m.key;
+    out_ += '=';
+    v.append_json(out_);
 }
 
 }  // namespace obs

@@ -2,21 +2,12 @@
 
 #include <codec/backend.hpp>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 namespace runtime {
 
 namespace {
-
-/// Exposition name for a codec wire id: the registry name when the id is
-/// registered, the decimal id otherwise (unsupported-codec traffic has no
-/// backend to ask).
-std::string codec_metric_name(std::uint8_t id)
-{
-    if (const codec::backend* b = codec::find_backend(id)) return std::string{b->name()};
-    return std::to_string(static_cast<int>(id));
-}
 
 // Captured at static initialisation — close enough to process start for an
 // uptime metric, and free of any clock syscall on the read path's hot side.
@@ -24,6 +15,12 @@ const std::chrono::steady_clock::time_point g_process_start =
     std::chrono::steady_clock::now();
 
 }  // namespace
+
+std::string codec_metric_name(std::uint8_t id)
+{
+    if (const codec::backend* b = codec::find_backend(id)) return std::string{b->name()};
+    return std::to_string(static_cast<int>(id));
+}
 
 double process_uptime_s() noexcept
 {
@@ -52,96 +49,27 @@ const char* compiler_version() noexcept
 #endif
 }
 
-service_metrics::service_metrics()
-    : submitted_{reg_.get_counter("jobs_submitted")},
-      completed_{reg_.get_counter("jobs_completed")},
-      failed_{reg_.get_counter("jobs_failed")},
-      rejected_{reg_.get_counter("jobs_rejected")},
-      dropped_{reg_.get_counter("jobs_dropped")},
-      promoted_{reg_.get_counter("jobs_promoted")},
-      batched_{reg_.get_counter("jobs_batched")},
-      progressive_{reg_.get_counter("jobs_progressive")},
-      layers_{reg_.get_counter("layers_emitted")},
-      progressive_cancelled_{reg_.get_counter("progressive_cancelled")},
-      t1_bytes_{reg_.get_counter("t1_segment_bytes")},
-      progressive_active_{reg_.get_gauge("progressive_active")},
-      pool_submissions_{reg_.get_counter("pool_submissions")},
-      tiles_{reg_.get_counter("tiles_decoded")},
-      entropy_ns_{reg_.get_counter("stage_entropy_ns")},
-      iq_ns_{reg_.get_counter("stage_iq_ns")},
-      idwt_ns_{reg_.get_counter("stage_idwt_ns")},
-      finish_ns_{reg_.get_counter("stage_finish_ns")},
-      queue_depth_{reg_.get_gauge("queue_depth")},
-      latency_{reg_.get_histogram("latency_us")}
-{
-    for (std::size_t p = 0; p < priority_count; ++p) {
-        const auto* name = priority_name(static_cast<priority>(p));
-        prio_depth_[p] = &reg_.get_gauge(std::string{"queue_depth_"} + name);
-        prio_latency_[p] = &reg_.get_histogram(std::string{"latency_"} + name + "_us");
-        prio_rejected_[p] = &reg_.get_counter(std::string{"jobs_rejected_"} + name);
-        prio_dropped_[p] = &reg_.get_counter(std::string{"jobs_dropped_"} + name);
-    }
-}
-
-service_metrics::codec_counters& service_metrics::codec_slot(std::uint8_t codec) noexcept
-{
-    // Caller holds codec_m_.  Counters register against reg_ with a
-    // Prometheus label block in the name, which the generic expositions pass
-    // through verbatim (see ops_server's extra-counter handling).
-    const std::string name = codec_metric_name(codec);
-    auto it = codec_.find(name);
-    if (it == codec_.end()) {
-        codec_counters c;
-        c.completed = &reg_.get_counter("codec_jobs_completed{codec=\"" + name + "\"}");
-        c.failed = &reg_.get_counter("codec_jobs_failed{codec=\"" + name + "\"}");
-        c.unsupported =
-            &reg_.get_counter("codec_jobs_unsupported{codec=\"" + name + "\"}");
-        it = codec_.emplace(name, c).first;
-    }
-    return it->second;
-}
-
-void service_metrics::on_codec_completed(std::uint8_t codec) noexcept
-{
-    std::lock_guard lk{codec_m_};
-    codec_slot(codec).completed->add();
-}
-
-void service_metrics::on_codec_failed(std::uint8_t codec) noexcept
-{
-    std::lock_guard lk{codec_m_};
-    codec_slot(codec).failed->add();
-}
-
-void service_metrics::on_codec_unsupported(std::uint8_t codec) noexcept
-{
-    std::lock_guard lk{codec_m_};
-    codec_slot(codec).unsupported->add();
-}
-
 metrics_snapshot service_metrics::snapshot() const
 {
     metrics_snapshot s;
-    {
-        std::lock_guard lk{codec_m_};
-        s.by_codec.reserve(codec_.size());
-        for (const auto& [name, c] : codec_) {
-            metrics_snapshot::codec_entry e;
-            e.name = name;
-            e.completed = c.completed->value();
-            e.failed = c.failed->value();
-            e.unsupported = c.unsupported->value();
-            s.by_codec.push_back(std::move(e));
-        }
+    for (std::size_t id = 0; id < codec_.size(); ++id) {
+        const codec_counters& c = codec_[id];
+        metrics_snapshot::codec_entry e;
+        e.completed = c.completed.value();
+        e.failed = c.failed.value();
+        e.unsupported = c.unsupported.value();
+        if (e.completed + e.failed + e.unsupported == 0) continue;
+        e.name = codec_metric_name(static_cast<std::uint8_t>(id));
+        s.by_codec.push_back(std::move(e));
     }
+    std::sort(s.by_codec.begin(), s.by_codec.end(),
+              [](const auto& a, const auto& b) { return a.name < b.name; });
     s.jobs_submitted = submitted_.value();
     s.jobs_completed = completed_.value();
     s.jobs_failed = failed_.value();
     s.jobs_rejected = rejected_.value();
     s.jobs_dropped = dropped_.value();
-    s.jobs_promoted = promoted_.value();
     s.jobs_batched = batched_.value();
-    s.queue_depth_high_water = static_cast<std::uint64_t>(queue_depth_.max());
     s.jobs_progressive = progressive_.value();
     s.layers_emitted = layers_.value();
     s.progressive_cancelled = progressive_cancelled_.value();
@@ -150,8 +78,8 @@ metrics_snapshot service_metrics::snapshot() const
     s.tiles_decoded = tiles_.value();
     s.pool_submissions = pool_submissions_.value();
     for (std::size_t p = 0; p < priority_count; ++p) {
-        s.shed_by_priority[p].rejected = prio_rejected_[p]->value();
-        s.shed_by_priority[p].dropped = prio_dropped_[p]->value();
+        s.shed_by_priority[p].rejected = prio_rejected_[p].value();
+        s.shed_by_priority[p].dropped = prio_dropped_[p].value();
     }
     s.entropy_ms = static_cast<double>(entropy_ns_.value()) / 1e6;
     s.iq_ms = static_cast<double>(iq_ns_.value()) / 1e6;
@@ -165,7 +93,7 @@ metrics_snapshot service_metrics::snapshot() const
     s.latency_p95_us = lat.quantile(0.95);
     s.latency_p99_us = lat.quantile(0.99);
     for (std::size_t p = 0; p < priority_count; ++p) {
-        const auto pl = prio_latency_[p]->snapshot();
+        const auto pl = prio_latency_[p].snapshot();
         s.latency_by_priority[p].count = pl.count;
         s.latency_by_priority[p].p50_us = pl.quantile(0.50);
         s.latency_by_priority[p].p99_us = pl.quantile(0.99);
@@ -173,173 +101,164 @@ metrics_snapshot service_metrics::snapshot() const
     return s;
 }
 
+void metrics_snapshot::for_each(obs::metric_sink& out) const
+{
+    using enum obs::metric_type;
+    using obs::metric_value;
+    const auto real = [](double x, int digits) { return metric_value::real(x, digits); };
+
+    out.begin("process");
+    out.add_gauge("uptime_seconds", "uptime_s", real(uptime_s, 3));
+    out.add_gauge("pool_threads", "pool_threads", std::uint64_t(pool_threads));
+    out.add_gauge("tracing_armed", "tracing_armed", metric_value::flag(tracing_armed));
+    out.add({.key = "build_type"}, metric_value::text(build));
+    out.add({.key = "compiler"}, metric_value::text(compiler));
+    const obs::metric_label build_labels[] = {{"type", build}, {"compiler", compiler}};
+    out.add({.family = "build_info", .type = gauge, .labels = build_labels}, 1);
+    out.end();
+
+    out.add_counter("jobs_submitted_total", "jobs_submitted", jobs_submitted);
+    out.add_counter("jobs_completed_total", "jobs_completed", jobs_completed);
+    out.add_counter("jobs_failed_total", "jobs_failed", jobs_failed);
+    out.add_counter("jobs_rejected_total", "jobs_rejected", jobs_rejected);
+    out.add_counter("jobs_dropped_total", "jobs_dropped", jobs_dropped);
+    out.add_counter("jobs_promoted_total", "jobs_promoted", jobs_promoted);
+    out.add_counter("jobs_batched_total", "jobs_batched", jobs_batched);
+    for (std::size_t p = 0; p < priority_count; ++p) {
+        const char* pn = priority_name(static_cast<priority>(p));
+        const obs::metric_label rejected[] = {{"priority", pn}, {"kind", "rejected"}};
+        const obs::metric_label dropped[] = {{"priority", pn}, {"kind", "dropped"}};
+        out.begin(std::string{"shed_"} + pn);
+        out.add({.family = "jobs_shed_total", .labels = rejected, .key = "rejected"},
+                shed_by_priority[p].rejected);
+        out.add({.family = "jobs_shed_total", .labels = dropped, .key = "dropped"},
+                shed_by_priority[p].dropped);
+        out.end();
+    }
+    out.add_gauge("queue_depth_high_water", "queue_depth_high_water",
+                  queue_depth_high_water);
+
+    out.add_counter("jobs_progressive_total", "jobs_progressive", jobs_progressive);
+    out.add_counter("layers_emitted_total", "layers_emitted", layers_emitted);
+    out.add_counter("progressive_cancelled_total", "progressive_cancelled",
+                    progressive_cancelled);
+    out.add_counter("t1_segment_bytes_total", "t1_segment_bytes", t1_segment_bytes);
+    out.add_gauge("progressive_active_high_water", "progressive_active_high_water",
+                  progressive_active_high_water);
+
+    out.begin("cache");
+    out.add_counter("cache_hits_total", "hits", cache_hits);
+    out.add_counter("cache_misses_total", "misses", cache_misses);
+    out.add_counter("cache_collapses_total", "collapses", cache_collapses);
+    out.add_counter("cache_evictions_total", "evictions", cache_evictions);
+    out.add_counter("cache_session_resumes_total", "session_resumes",
+                    cache_session_resumes);
+    out.add_gauge("cache_bytes", "bytes", cache_bytes);
+    out.add_gauge("cache_pinned_bytes", "pinned_bytes", cache_pinned_bytes);
+    out.add_gauge("cache_entries", "entries", cache_entries);
+    out.add_gauge("cache_session_entries", "session_entries", cache_session_entries);
+    out.end();
+
+    out.add({.key = "kernel_isa"}, metric_value::text(kernel_isa));
+    const obs::metric_label isa[] = {{"isa", kernel_isa}};
+    out.add({.family = "kernel_dispatch", .type = gauge, .labels = isa}, 1);
+    out.begin("arena");
+    out.add_gauge("arena_capacity_bytes", "capacity_bytes", arena_capacity_bytes);
+    out.add_counter("arena_leases_total", "leases", arena_leases);
+    out.add_counter("arena_dry_acquires_total", "dry_acquires", arena_dry_acquires);
+    out.add_counter("arena_fallback_allocs_total", "fallback_allocs",
+                    arena_fallback_allocs);
+    out.add_gauge("arena_high_water_bytes", "high_water_bytes", arena_high_water_bytes);
+    out.end();
+
+    out.add_counter("tiles_decoded_total", "tiles_decoded", tiles_decoded);
+    out.add_counter("tasks_stolen_total", "tasks_stolen", tasks_stolen);
+    out.add_counter("pool_submissions_total", "pool_submissions", pool_submissions);
+    const struct {
+        const char* stage;
+        const char* key;
+        double ms;
+    } stages[] = {{"entropy", "entropy_ms", entropy_ms},
+                  {"iq", "iq_ms", iq_ms},
+                  {"idwt", "idwt_ms", idwt_ms},
+                  {"finish", "finish_ms", finish_ms}};
+    for (const auto& st : stages) {
+        const obs::metric_label stage[] = {{"stage", st.stage}};
+        out.add({.family = "stage_wall_seconds_total", .labels = stage, .key = st.key,
+                 .prom_shift = -3},
+                real(st.ms, 3));
+    }
+
+    const obs::metric_label q50[] = {{"quantile", "0.5"}};
+    const obs::metric_label q95[] = {{"quantile", "0.95"}};
+    const obs::metric_label q99[] = {{"quantile", "0.99"}};
+    out.add({.family = "latency_us", .type = summary, .suffix = "_count",
+             .key = "latency_count"},
+            latency_count);
+    out.add({.key = "latency_mean_us"}, real(latency_mean_us, 1));
+    out.add({.family = "latency_us", .type = summary, .labels = q50,
+             .key = "latency_p50_us"},
+            real(latency_p50_us, 1));
+    out.add({.family = "latency_us", .type = summary, .labels = q95,
+             .key = "latency_p95_us"},
+            real(latency_p95_us, 1));
+    out.add({.family = "latency_us", .type = summary, .labels = q99,
+             .key = "latency_p99_us"},
+            real(latency_p99_us, 1));
+    out.add({.family = "latency_us", .type = summary, .suffix = "_sum"},
+            real(latency_mean_us * static_cast<double>(latency_count), 1));
+    out.add_gauge("latency_us_max", "latency_max_us", latency_max_us);
+    for (std::size_t p = 0; p < priority_count; ++p) {
+        const char* pn = priority_name(static_cast<priority>(p));
+        const obs::metric_label at[] = {{"priority", pn}};
+        const obs::metric_label p50[] = {{"priority", pn}, {"quantile", "0.5"}};
+        const obs::metric_label p99[] = {{"priority", pn}, {"quantile", "0.99"}};
+        const priority_latency& l = latency_by_priority[p];
+        out.begin(std::string{"latency_"} + pn);
+        out.add({.family = "priority_latency_us", .type = summary, .labels = at,
+                 .suffix = "_count", .key = "count"},
+                l.count);
+        out.add({.family = "priority_latency_us", .type = summary, .labels = p50,
+                 .key = "p50_us"},
+                real(l.p50_us, 1));
+        out.add({.family = "priority_latency_us", .type = summary, .labels = p99,
+                 .key = "p99_us"},
+                real(l.p99_us, 1));
+        out.end();
+    }
+
+    // Per-codec split, labelled by backend name; the cache hit/miss split
+    // rides along so a dashboard can tell a cold codec from an unused one.
+    out.begin("by_codec");
+    for (const codec_entry& c : by_codec) {
+        const obs::metric_label codec[] = {{"codec", c.name}};
+        const auto add = [&](std::string_view family, std::string_view key,
+                             std::uint64_t v) {
+            out.add({.family = family, .labels = codec, .key = key}, v);
+        };
+        out.begin(c.name);
+        add("codec_jobs_completed_total", "completed", c.completed);
+        add("codec_jobs_failed_total", "failed", c.failed);
+        add("codec_jobs_unsupported_total", "unsupported", c.unsupported);
+        add("codec_cache_hits_total", "cache_hits", c.cache_hits);
+        add("codec_cache_misses_total", "cache_misses", c.cache_misses);
+        out.end();
+    }
+    out.end();
+}
+
 std::string metrics_snapshot::dump() const
 {
-    char buf[4096];
-    std::snprintf(
-        buf, sizeof buf,
-        "process: uptime=%.1fs pool_threads=%d tracing_armed=%d build=%s "
-        "compiler=\"%s\"\n"
-        "jobs: submitted=%llu completed=%llu failed=%llu rejected=%llu dropped=%llu "
-        "promoted=%llu batched=%llu\n"
-        "shed by priority: interactive rejected=%llu dropped=%llu | "
-        "batch rejected=%llu dropped=%llu\n"
-        "queue: high_water=%llu\n"
-        "progressive: jobs=%llu layers=%llu cancelled=%llu t1_bytes=%llu "
-        "active_high_water=%llu\n"
-        "cache: hits=%llu misses=%llu collapses=%llu evictions=%llu "
-        "session_resumes=%llu bytes=%llu pinned=%llu entries=%llu sessions=%llu\n"
-        "kernels: isa=%s\n"
-        "arena: capacity=%llu leases=%llu dry=%llu fallback_allocs=%llu "
-        "high_water=%llu\n"
-        "work: tiles_decoded=%llu tasks_stolen=%llu pool_submissions=%llu\n"
-        "stage wall time [ms]: entropy=%.2f iq=%.2f idwt=%.2f finish=%.2f\n"
-        "latency [us]: n=%llu mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%llu\n"
-        "latency interactive [us]: n=%llu p50=%.0f p99=%.0f\n"
-        "latency batch [us]: n=%llu p50=%.0f p99=%.0f\n",
-        uptime_s, pool_threads, tracing_armed ? 1 : 0, build, compiler,
-        static_cast<unsigned long long>(jobs_submitted),
-        static_cast<unsigned long long>(jobs_completed),
-        static_cast<unsigned long long>(jobs_failed),
-        static_cast<unsigned long long>(jobs_rejected),
-        static_cast<unsigned long long>(jobs_dropped),
-        static_cast<unsigned long long>(jobs_promoted),
-        static_cast<unsigned long long>(jobs_batched),
-        static_cast<unsigned long long>(shed_by_priority[0].rejected),
-        static_cast<unsigned long long>(shed_by_priority[0].dropped),
-        static_cast<unsigned long long>(shed_by_priority[1].rejected),
-        static_cast<unsigned long long>(shed_by_priority[1].dropped),
-        static_cast<unsigned long long>(queue_depth_high_water),
-        static_cast<unsigned long long>(jobs_progressive),
-        static_cast<unsigned long long>(layers_emitted),
-        static_cast<unsigned long long>(progressive_cancelled),
-        static_cast<unsigned long long>(t1_segment_bytes),
-        static_cast<unsigned long long>(progressive_active_high_water),
-        static_cast<unsigned long long>(cache_hits),
-        static_cast<unsigned long long>(cache_misses),
-        static_cast<unsigned long long>(cache_collapses),
-        static_cast<unsigned long long>(cache_evictions),
-        static_cast<unsigned long long>(cache_session_resumes),
-        static_cast<unsigned long long>(cache_bytes),
-        static_cast<unsigned long long>(cache_pinned_bytes),
-        static_cast<unsigned long long>(cache_entries),
-        static_cast<unsigned long long>(cache_session_entries), kernel_isa,
-        static_cast<unsigned long long>(arena_capacity_bytes),
-        static_cast<unsigned long long>(arena_leases),
-        static_cast<unsigned long long>(arena_dry_acquires),
-        static_cast<unsigned long long>(arena_fallback_allocs),
-        static_cast<unsigned long long>(arena_high_water_bytes),
-        static_cast<unsigned long long>(tiles_decoded),
-        static_cast<unsigned long long>(tasks_stolen),
-        static_cast<unsigned long long>(pool_submissions), entropy_ms, iq_ms, idwt_ms,
-        finish_ms, static_cast<unsigned long long>(latency_count), latency_mean_us,
-        latency_p50_us, latency_p95_us, latency_p99_us,
-        static_cast<unsigned long long>(latency_max_us),
-        static_cast<unsigned long long>(latency_by_priority[0].count),
-        latency_by_priority[0].p50_us, latency_by_priority[0].p99_us,
-        static_cast<unsigned long long>(latency_by_priority[1].count),
-        latency_by_priority[1].p50_us, latency_by_priority[1].p99_us);
-    return buf;
+    obs::dump_text out;
+    for_each(out);
+    return out.str();
 }
 
 std::string metrics_snapshot::to_json() const
 {
-    // Build/compiler strings come from macros and can in principle hold any
-    // characters, so they go through the shared JSON escaper.
-    char proc[512];
-    std::snprintf(proc, sizeof proc,
-                  "{\"process\":{\"uptime_s\":%.3f,\"pool_threads\":%d,"
-                  "\"tracing_armed\":%s,\"build_type\":%s,\"compiler\":%s},",
-                  uptime_s, pool_threads, tracing_armed ? "true" : "false",
-                  obs::json_quote(build).c_str(), obs::json_quote(compiler).c_str());
-    char buf[4096];
-    std::snprintf(
-        buf, sizeof buf,
-        "\"jobs_submitted\":%llu,\"jobs_completed\":%llu,\"jobs_failed\":%llu,"
-        "\"jobs_rejected\":%llu,\"jobs_dropped\":%llu,\"jobs_promoted\":%llu,"
-        "\"jobs_batched\":%llu,"
-        "\"shed_interactive\":{\"rejected\":%llu,\"dropped\":%llu},"
-        "\"shed_batch\":{\"rejected\":%llu,\"dropped\":%llu},"
-        "\"queue_depth_high_water\":%llu,"
-        "\"jobs_progressive\":%llu,\"layers_emitted\":%llu,"
-        "\"progressive_cancelled\":%llu,\"t1_segment_bytes\":%llu,"
-        "\"progressive_active_high_water\":%llu,"
-        "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"collapses\":%llu,"
-        "\"evictions\":%llu,\"session_resumes\":%llu,\"bytes\":%llu,"
-        "\"pinned_bytes\":%llu,\"entries\":%llu,\"session_entries\":%llu},"
-        "\"kernel_isa\":%s,"
-        "\"arena\":{\"capacity_bytes\":%llu,\"leases\":%llu,\"dry_acquires\":%llu,"
-        "\"fallback_allocs\":%llu,\"high_water_bytes\":%llu},"
-        "\"tiles_decoded\":%llu,\"tasks_stolen\":%llu,\"pool_submissions\":%llu,"
-        "\"entropy_ms\":%.3f,\"iq_ms\":%.3f,\"idwt_ms\":%.3f,"
-        "\"finish_ms\":%.3f,\"latency_count\":%llu,\"latency_mean_us\":%.1f,"
-        "\"latency_p50_us\":%.1f,\"latency_p95_us\":%.1f,\"latency_p99_us\":%.1f,"
-        "\"latency_max_us\":%llu,"
-        "\"latency_interactive\":{\"count\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f},"
-        "\"latency_batch\":{\"count\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f}",
-        static_cast<unsigned long long>(jobs_submitted),
-        static_cast<unsigned long long>(jobs_completed),
-        static_cast<unsigned long long>(jobs_failed),
-        static_cast<unsigned long long>(jobs_rejected),
-        static_cast<unsigned long long>(jobs_dropped),
-        static_cast<unsigned long long>(jobs_promoted),
-        static_cast<unsigned long long>(jobs_batched),
-        static_cast<unsigned long long>(shed_by_priority[0].rejected),
-        static_cast<unsigned long long>(shed_by_priority[0].dropped),
-        static_cast<unsigned long long>(shed_by_priority[1].rejected),
-        static_cast<unsigned long long>(shed_by_priority[1].dropped),
-        static_cast<unsigned long long>(queue_depth_high_water),
-        static_cast<unsigned long long>(jobs_progressive),
-        static_cast<unsigned long long>(layers_emitted),
-        static_cast<unsigned long long>(progressive_cancelled),
-        static_cast<unsigned long long>(t1_segment_bytes),
-        static_cast<unsigned long long>(progressive_active_high_water),
-        static_cast<unsigned long long>(cache_hits),
-        static_cast<unsigned long long>(cache_misses),
-        static_cast<unsigned long long>(cache_collapses),
-        static_cast<unsigned long long>(cache_evictions),
-        static_cast<unsigned long long>(cache_session_resumes),
-        static_cast<unsigned long long>(cache_bytes),
-        static_cast<unsigned long long>(cache_pinned_bytes),
-        static_cast<unsigned long long>(cache_entries),
-        static_cast<unsigned long long>(cache_session_entries),
-        obs::json_quote(kernel_isa).c_str(),
-        static_cast<unsigned long long>(arena_capacity_bytes),
-        static_cast<unsigned long long>(arena_leases),
-        static_cast<unsigned long long>(arena_dry_acquires),
-        static_cast<unsigned long long>(arena_fallback_allocs),
-        static_cast<unsigned long long>(arena_high_water_bytes),
-        static_cast<unsigned long long>(tiles_decoded),
-        static_cast<unsigned long long>(tasks_stolen),
-        static_cast<unsigned long long>(pool_submissions), entropy_ms, iq_ms, idwt_ms,
-        finish_ms, static_cast<unsigned long long>(latency_count), latency_mean_us,
-        latency_p50_us, latency_p95_us, latency_p99_us,
-        static_cast<unsigned long long>(latency_max_us),
-        static_cast<unsigned long long>(latency_by_priority[0].count),
-        latency_by_priority[0].p50_us, latency_by_priority[0].p99_us,
-        static_cast<unsigned long long>(latency_by_priority[1].count),
-        latency_by_priority[1].p50_us, latency_by_priority[1].p99_us);
-
-    std::string codecs = ",\"by_codec\":{";
-    bool first = true;
-    for (const auto& c : by_codec) {
-        if (!first) codecs += ',';
-        first = false;
-        char cb[256];
-        std::snprintf(cb, sizeof cb,
-                      "%s:{\"completed\":%llu,\"failed\":%llu,"
-                      "\"unsupported\":%llu,\"cache_hits\":%llu,"
-                      "\"cache_misses\":%llu}",
-                      obs::json_quote(c.name).c_str(),
-                      static_cast<unsigned long long>(c.completed),
-                      static_cast<unsigned long long>(c.failed),
-                      static_cast<unsigned long long>(c.unsupported),
-                      static_cast<unsigned long long>(c.cache_hits),
-                      static_cast<unsigned long long>(c.cache_misses));
-        codecs += cb;
-    }
-    codecs += "}}";
-    return std::string{proc} + buf + codecs;
+    obs::json_text out;
+    for_each(out);
+    return out.str();
 }
 
 }  // namespace runtime

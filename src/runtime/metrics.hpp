@@ -1,12 +1,11 @@
-// runtime/metrics.hpp — decode-service metrics, as a thin client of the
-// generic obs:: layer (see src/obs/metrics.hpp and docs/OBSERVABILITY.md).
+// runtime/metrics.hpp — decode-service metrics (see docs/OBSERVABILITY.md).
 //
-// Each decode_service owns one obs::registry; the named instruments below are
-// references bound once at construction, so the hot path is exactly what it
-// was when these were hand-rolled atomics: a handful of relaxed RMWs.
-// `snapshot()` keeps the historical flat struct (and its dump()/to_json())
-// for benches and dashboards; `instruments()` exposes the registry itself for
-// generic text/JSON exposition.
+// service_metrics holds the live obs:: counters, gauges and histograms as
+// plain members, so the hot path is a handful of relaxed RMWs.  Its snapshot,
+// metrics_snapshot, is the one typed record every surface reads, and
+// metrics_snapshot::for_each is the one place that names each metric: the
+// Prometheus families, the JSON keys and the dump lines are all rendered
+// from it.
 #pragma once
 
 #include "queue.hpp"
@@ -14,20 +13,20 @@
 #include <codec/backend.hpp>
 #include <obs/obs.hpp>
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace runtime {
 
-/// Log2-bucketed histogram (promoted to obs::; alias kept for existing users).
-using latency_histogram = obs::log2_histogram;
-
 /// Seconds since the process (strictly: this translation unit's static
 /// initialisation) started — the uptime every exposition surface reports.
 [[nodiscard]] double process_uptime_s() noexcept;
+
+/// Exposition name for a codec wire id: the registered backend's name, the
+/// decimal id otherwise (unsupported-codec traffic has no backend to ask).
+[[nodiscard]] std::string codec_metric_name(std::uint8_t id);
 
 /// Compile-time build description ("RelWithDebInfo" etc.; "unknown" when the
 /// build system did not say) and the compiler version string.
@@ -59,8 +58,9 @@ struct metrics_snapshot {
     std::uint64_t jobs_failed = 0;    ///< decode threw (malformed stream, ...)
     std::uint64_t jobs_rejected = 0;  ///< refused at admission (reject policy)
     std::uint64_t jobs_dropped = 0;   ///< evicted while queued (drop_oldest)
-    std::uint64_t jobs_promoted = 0;  ///< batch jobs popped past waiting interactive
     std::uint64_t jobs_batched = 0;   ///< jobs admitted through submit_batch
+    // Kept by the queue under its lock (filled by decode_service::metrics()).
+    std::uint64_t jobs_promoted = 0;  ///< batch jobs popped past waiting interactive
     std::uint64_t queue_depth_high_water = 0;
 
     /// Shed accounting split by admission class (indexed by runtime::priority).
@@ -137,31 +137,33 @@ struct metrics_snapshot {
     };
     std::vector<codec_entry> by_codec;
 
-    /// Multi-line human-readable dump.
+    /// Feeds every metric to `out`, each with its Prometheus family, labels
+    /// and type and its JSON group and key — the only place they are named.
+    void for_each(obs::metric_sink& out) const;
+
+    /// Multi-line human-readable dump (one line per JSON group).
     [[nodiscard]] std::string dump() const;
     /// Single JSON object (stable keys, machine-readable).
     [[nodiscard]] std::string to_json() const;
 };
 
-/// Live metric registers, shared by every worker of one decode_service.
+/// Live metric registers, shared by every worker of one decode_service.  The
+/// queue's high-water mark and promotion count live in the queue itself.
 class service_metrics {
 public:
-    service_metrics();
-
     void on_submitted() noexcept { submitted_.add(); }
     void on_completed() noexcept { completed_.add(); }
     void on_failed() noexcept { failed_.add(); }
     void on_rejected(priority p) noexcept
     {
         rejected_.add();
-        prio_rejected_[static_cast<std::size_t>(p)]->add();
+        prio_rejected_[static_cast<std::size_t>(p)].add();
     }
     void on_dropped(priority p) noexcept
     {
         dropped_.add();
-        prio_dropped_[static_cast<std::size_t>(p)]->add();
+        prio_dropped_[static_cast<std::size_t>(p)].add();
     }
-    void on_promoted() noexcept { promoted_.add(); }
     void on_batched() noexcept { batched_.add(); }
     void on_progressive_started() noexcept
     {
@@ -169,6 +171,10 @@ public:
         progressive_active_.add(1);
     }
     void on_progressive_finished() noexcept { progressive_active_.add(-1); }
+    [[nodiscard]] std::int64_t progressive_active() const noexcept
+    {
+        return progressive_active_.value();
+    }
     void on_layer_emitted() noexcept { layers_.add(); }
     void on_progressive_cancelled() noexcept { progressive_cancelled_.add(); }
     void add_t1_segment_bytes(std::uint64_t n) noexcept { t1_bytes_.add(n); }
@@ -183,71 +189,49 @@ public:
         finish_ns_.add(p.finish_ns);
     }
 
-    // Per-codec outcome counters, keyed by codec wire id and resolved to the
-    // registry name once at first sight (see metrics.cpp).  Registered lazily
-    // so only codecs that actually see traffic appear in expositions.
-    void on_codec_completed(std::uint8_t codec) noexcept;
-    void on_codec_failed(std::uint8_t codec) noexcept;
-    void on_codec_unsupported(std::uint8_t codec) noexcept;
+    // Per-codec outcome counters, indexed by codec wire id; only ids that
+    // have seen traffic appear in a snapshot.
+    void on_codec_completed(std::uint8_t id) noexcept { codec_[id].completed.add(); }
+    void on_codec_failed(std::uint8_t id) noexcept { codec_[id].failed.add(); }
+    void on_codec_unsupported(std::uint8_t id) noexcept { codec_[id].unsupported.add(); }
 
-    void record_queue_depth(std::size_t depth) noexcept
-    {
-        queue_depth_.set(static_cast<std::int64_t>(depth));
-    }
-    void record_queue_depth(priority p, std::size_t depth) noexcept
-    {
-        prio_depth_[static_cast<std::size_t>(p)]->set(static_cast<std::int64_t>(depth));
-    }
     void record_latency_us(priority p, std::uint64_t us) noexcept
     {
         latency_.observe(us);
-        prio_latency_[static_cast<std::size_t>(p)]->observe(us);
+        prio_latency_[static_cast<std::size_t>(p)].observe(us);
     }
 
     [[nodiscard]] metrics_snapshot snapshot() const;
 
-    /// The underlying registry (generic exposition, tests).
-    [[nodiscard]] obs::registry& instruments() noexcept { return reg_; }
-    [[nodiscard]] const obs::registry& instruments() const noexcept { return reg_; }
-
 private:
-    obs::registry reg_;
-    obs::counter& submitted_;
-    obs::counter& completed_;
-    obs::counter& failed_;
-    obs::counter& rejected_;
-    obs::counter& dropped_;
-    obs::counter& promoted_;
-    obs::counter& batched_;
-    obs::counter& progressive_;
-    obs::counter& layers_;
-    obs::counter& progressive_cancelled_;
-    obs::counter& t1_bytes_;
-    obs::gauge& progressive_active_;
-    obs::counter& pool_submissions_;
-    obs::counter& tiles_;
-    obs::counter& entropy_ns_;
-    obs::counter& iq_ns_;
-    obs::counter& idwt_ns_;
-    obs::counter& finish_ns_;
-    obs::gauge& queue_depth_;
-    obs::gauge* prio_depth_[priority_count];
-    obs::counter* prio_rejected_[priority_count];
-    obs::counter* prio_dropped_[priority_count];
-    obs::log2_histogram& latency_;
-    obs::log2_histogram* prio_latency_[priority_count];
+    obs::counter submitted_;
+    obs::counter completed_;
+    obs::counter failed_;
+    obs::counter rejected_;
+    obs::counter dropped_;
+    obs::counter batched_;
+    obs::counter progressive_;
+    obs::counter layers_;
+    obs::counter progressive_cancelled_;
+    obs::counter t1_bytes_;
+    obs::gauge progressive_active_;
+    obs::counter pool_submissions_;
+    obs::counter tiles_;
+    obs::counter entropy_ns_;
+    obs::counter iq_ns_;
+    obs::counter idwt_ns_;
+    obs::counter finish_ns_;
+    std::array<obs::counter, priority_count> prio_rejected_;
+    std::array<obs::counter, priority_count> prio_dropped_;
+    obs::log2_histogram latency_;
+    std::array<obs::log2_histogram, priority_count> prio_latency_;
 
-    /// Lazily-bound per-codec counters (completed / failed / unsupported),
-    /// keyed by the codec's exposition name.  The mutex guards map shape
-    /// only; the counters themselves are the usual relaxed atomics.
     struct codec_counters {
-        obs::counter* completed = nullptr;
-        obs::counter* failed = nullptr;
-        obs::counter* unsupported = nullptr;
+        obs::counter completed;
+        obs::counter failed;
+        obs::counter unsupported;
     };
-    codec_counters& codec_slot(std::uint8_t codec) noexcept;
-    mutable std::mutex codec_m_;
-    std::map<std::string, codec_counters> codec_;
+    std::array<codec_counters, 256> codec_;
 };
 
 }  // namespace runtime

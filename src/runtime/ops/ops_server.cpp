@@ -4,7 +4,6 @@
 #include "http.hpp"
 
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -32,63 +31,10 @@ constexpr std::uint64_t k_first_conn_id = 1;
 /// Trailing windows every rolling-stage family is exposed over.
 constexpr int k_windows_s[] = {1, 10, 60};
 
-/// Prometheus label-value escaping: backslash, quote, newline.
-std::string label_escape(std::string_view v)
-{
-    std::string out;
-    out.reserve(v.size());
-    for (const char c : v) {
-        if (c == '\\' || c == '"') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 void log_sockopt_failure(const char* what)
 {
     std::fprintf(stderr, "runtime::ops: setsockopt(%s) failed: %s\n", what,
                  std::strerror(errno));
-}
-
-/// True when `s` is a well-formed Prometheus label block — `{key="value",...}`
-/// with keys matching [a-zA-Z_][a-zA-Z0-9_]* and values free of raw '"', '\'
-/// and newlines.  Extras carrying one (e.g. `net_frames_in_total{shard="0"}`)
-/// pass it through to exposition verbatim; anything else falls back to
-/// whole-name sanitisation.
-bool valid_label_block(std::string_view s)
-{
-    if (s.size() < 2 || s.front() != '{' || s.back() != '}') return false;
-    std::size_t i = 1;
-    const std::size_t end = s.size() - 1;
-    while (i < end) {
-        const std::size_t key_start = i;
-        if (!(std::isalpha(static_cast<unsigned char>(s[i])) || s[i] == '_'))
-            return false;
-        while (i < end &&
-               (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_'))
-            ++i;
-        if (i == key_start || i >= end || s[i] != '=') return false;
-        if (++i >= end || s[i] != '"') return false;
-        ++i;
-        while (i < end && s[i] != '"') {
-            if (s[i] == '\\' || s[i] == '\n') return false;
-            ++i;
-        }
-        if (i >= end) return false;  // unterminated value
-        ++i;                         // past closing quote
-        if (i < end) {
-            if (s[i] != ',') return false;
-            ++i;
-            if (i == end) return false;  // trailing comma
-        }
-    }
-    return s.size() > 2;  // reject the empty block
 }
 
 bool parse_u64(std::string_view s, std::uint64_t& out)
@@ -131,9 +77,7 @@ constexpr const char k_index_html[] =
 
 struct ops_server::impl {
     impl(decode_service& svc, ops_config cfg)
-        : cfg_{std::move(cfg)},
-          svc_{svc},
-          prefix_{obs::prometheus_name(cfg_.metric_prefix)}
+        : cfg_{std::move(cfg)}, svc_{svc}
     {
     }
 
@@ -425,280 +369,126 @@ struct ops_server::impl {
         }
     }
 
-    std::string render_prometheus()
+    /// Every metric the ops plane exposes: the service's, the rolling stage
+    /// windows, span and tracer totals, the extras and its own counters.
+    void for_each(obs::metric_sink& out)
     {
+        using enum obs::metric_type;
+        const auto real = [](double x, int d) { return obs::metric_value::real(x, d); };
         drain_spans();
-        const metrics_snapshot s = svc_.metrics();
-        std::string out;
-        out.reserve(8192);
-        char b[512];
-        const char* P = prefix_.c_str();
-        auto emitf = [&](const char* fmt, auto... a) {
-            std::snprintf(b, sizeof b, fmt, a...);
-            out += b;
-        };
-        auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
-
-        // Process metadata.
-        emitf("# TYPE %s_build_info gauge\n"
-              "%s_build_info{type=\"%s\",compiler=\"%s\"} 1\n",
-              P, P, label_escape(s.build).c_str(), label_escape(s.compiler).c_str());
-        emitf("%s_uptime_seconds %.3f\n", P, s.uptime_s);
-        emitf("%s_pool_threads %d\n", P, s.pool_threads);
-        emitf("%s_tracing_armed %d\n", P, s.tracing_armed ? 1 : 0);
-
-        // Admission counters.
-        emitf("# TYPE %s_jobs_submitted_total counter\n%s_jobs_submitted_total %llu\n",
-              P, P, u(s.jobs_submitted));
-        emitf("%s_jobs_completed_total %llu\n", P, u(s.jobs_completed));
-        emitf("%s_jobs_failed_total %llu\n", P, u(s.jobs_failed));
-        emitf("%s_jobs_rejected_total %llu\n", P, u(s.jobs_rejected));
-        emitf("%s_jobs_dropped_total %llu\n", P, u(s.jobs_dropped));
-        emitf("%s_jobs_promoted_total %llu\n", P, u(s.jobs_promoted));
-        emitf("%s_jobs_batched_total %llu\n", P, u(s.jobs_batched));
-        for (std::size_t p = 0; p < priority_count; ++p) {
-            const char* pn = priority_name(static_cast<priority>(p));
-            emitf("%s_jobs_shed_total{priority=\"%s\",kind=\"rejected\"} %llu\n", P,
-                  pn, u(s.shed_by_priority[p].rejected));
-            emitf("%s_jobs_shed_total{priority=\"%s\",kind=\"dropped\"} %llu\n", P,
-                  pn, u(s.shed_by_priority[p].dropped));
-        }
-        emitf("%s_queue_depth_high_water %llu\n", P, u(s.queue_depth_high_water));
-
-        // Progressive streaming.
-        emitf("%s_jobs_progressive_total %llu\n", P, u(s.jobs_progressive));
-        emitf("%s_layers_emitted_total %llu\n", P, u(s.layers_emitted));
-        emitf("%s_progressive_cancelled_total %llu\n", P, u(s.progressive_cancelled));
-        emitf("%s_t1_segment_bytes_total %llu\n", P, u(s.t1_segment_bytes));
-        emitf("%s_progressive_active_high_water %llu\n", P,
-              u(s.progressive_active_high_water));
-
-        // Decoded-result cache.
-        emitf("# TYPE %s_cache_hits_total counter\n%s_cache_hits_total %llu\n", P, P,
-              u(s.cache_hits));
-        emitf("%s_cache_misses_total %llu\n", P, u(s.cache_misses));
-        emitf("%s_cache_collapses_total %llu\n", P, u(s.cache_collapses));
-        emitf("%s_cache_evictions_total %llu\n", P, u(s.cache_evictions));
-        emitf("%s_cache_session_resumes_total %llu\n", P, u(s.cache_session_resumes));
-        emitf("# TYPE %s_cache_bytes gauge\n%s_cache_bytes %llu\n", P, P,
-              u(s.cache_bytes));
-        emitf("%s_cache_pinned_bytes %llu\n", P, u(s.cache_pinned_bytes));
-        emitf("%s_cache_entries %llu\n", P, u(s.cache_entries));
-        emitf("%s_cache_session_entries %llu\n", P, u(s.cache_session_entries));
-
-        // Per-codec split, labelled by registered backend name.  The cache
-        // hit/miss breakdown rides along so a dashboard can tell a cold codec
-        // from an unused one.
-        if (!s.by_codec.empty()) {
-            emitf("# TYPE %s_codec_jobs_completed_total counter\n", P);
-            for (const auto& c : s.by_codec)
-                emitf("%s_codec_jobs_completed_total{codec=\"%s\"} %llu\n", P,
-                      label_escape(c.name).c_str(), u(c.completed));
-            emitf("# TYPE %s_codec_jobs_failed_total counter\n", P);
-            for (const auto& c : s.by_codec)
-                emitf("%s_codec_jobs_failed_total{codec=\"%s\"} %llu\n", P,
-                      label_escape(c.name).c_str(), u(c.failed));
-            emitf("# TYPE %s_codec_jobs_unsupported_total counter\n", P);
-            for (const auto& c : s.by_codec)
-                emitf("%s_codec_jobs_unsupported_total{codec=\"%s\"} %llu\n", P,
-                      label_escape(c.name).c_str(), u(c.unsupported));
-            emitf("# TYPE %s_codec_cache_hits_total counter\n", P);
-            for (const auto& c : s.by_codec)
-                emitf("%s_codec_cache_hits_total{codec=\"%s\"} %llu\n", P,
-                      label_escape(c.name).c_str(), u(c.cache_hits));
-            emitf("# TYPE %s_codec_cache_misses_total counter\n", P);
-            for (const auto& c : s.by_codec)
-                emitf("%s_codec_cache_misses_total{codec=\"%s\"} %llu\n", P,
-                      label_escape(c.name).c_str(), u(c.cache_misses));
-        }
-
-        // Kernel dispatch (an info-style gauge: the selected ISA as a label)
-        // and the per-job arena pool.
-        emitf("# TYPE %s_kernel_dispatch gauge\n%s_kernel_dispatch{isa=\"%s\"} 1\n",
-              P, P, s.kernel_isa);
-        emitf("# TYPE %s_arena_leases_total counter\n%s_arena_leases_total %llu\n",
-              P, P, u(s.arena_leases));
-        emitf("%s_arena_dry_acquires_total %llu\n", P, u(s.arena_dry_acquires));
-        emitf("%s_arena_fallback_allocs_total %llu\n", P, u(s.arena_fallback_allocs));
-        emitf("# TYPE %s_arena_capacity_bytes gauge\n%s_arena_capacity_bytes %llu\n",
-              P, P, u(s.arena_capacity_bytes));
-        emitf("%s_arena_high_water_bytes %llu\n", P, u(s.arena_high_water_bytes));
-
-        // Work + cumulative stage wall time.
-        emitf("%s_tiles_decoded_total %llu\n", P, u(s.tiles_decoded));
-        emitf("%s_tasks_stolen_total %llu\n", P, u(s.tasks_stolen));
-        emitf("%s_pool_submissions_total %llu\n", P, u(s.pool_submissions));
-        emitf("# TYPE %s_stage_wall_seconds_total counter\n", P);
-        emitf("%s_stage_wall_seconds_total{stage=\"entropy\"} %.6f\n", P,
-              s.entropy_ms / 1e3);
-        emitf("%s_stage_wall_seconds_total{stage=\"iq\"} %.6f\n", P, s.iq_ms / 1e3);
-        emitf("%s_stage_wall_seconds_total{stage=\"idwt\"} %.6f\n", P, s.idwt_ms / 1e3);
-        emitf("%s_stage_wall_seconds_total{stage=\"finish\"} %.6f\n", P,
-              s.finish_ms / 1e3);
-
-        // End-to-end latency, summary-style.
-        emitf("# TYPE %s_latency_us summary\n", P);
-        emitf("%s_latency_us{quantile=\"0.5\"} %.1f\n", P, s.latency_p50_us);
-        emitf("%s_latency_us{quantile=\"0.95\"} %.1f\n", P, s.latency_p95_us);
-        emitf("%s_latency_us{quantile=\"0.99\"} %.1f\n", P, s.latency_p99_us);
-        emitf("%s_latency_us_sum %.1f\n", P,
-              s.latency_mean_us * static_cast<double>(s.latency_count));
-        emitf("%s_latency_us_count %llu\n", P, u(s.latency_count));
-        emitf("%s_latency_us_max %llu\n", P, u(s.latency_max_us));
-        for (std::size_t p = 0; p < priority_count; ++p) {
-            const char* pn = priority_name(static_cast<priority>(p));
-            emitf("%s_priority_latency_us{priority=\"%s\",quantile=\"0.5\"} %.1f\n",
-                  P, pn, s.latency_by_priority[p].p50_us);
-            emitf("%s_priority_latency_us{priority=\"%s\",quantile=\"0.99\"} %.1f\n",
-                  P, pn, s.latency_by_priority[p].p99_us);
-            emitf("%s_priority_latency_us_count{priority=\"%s\"} %llu\n", P, pn,
-                  u(s.latency_by_priority[p].count));
-        }
+        out.begin("service");
+        svc_.metrics().for_each(out);
+        out.end();
 
         // Rolling per-stage windows (live p50/p99 from drained spans).
         const std::uint64_t now = obs::tracer::instance().now_ns();
-        emitf("# TYPE %s_stage_latency_ns gauge\n", P);
+        out.begin("stages");
         for (const std::string& st : rolling_.stages()) {
-            const std::string esc = label_escape(st);
+            out.begin(st);
             for (const int w : k_windows_s) {
                 const auto ws = rolling_.window(st, w, now);
-                emitf("%s_stage_latency_ns{stage=\"%s\",window=\"%ds\","
-                      "quantile=\"0.5\"} %.0f\n",
-                      P, esc.c_str(), w, ws.p50_ns);
-                emitf("%s_stage_latency_ns{stage=\"%s\",window=\"%ds\","
-                      "quantile=\"0.99\"} %.0f\n",
-                      P, esc.c_str(), w, ws.p99_ns);
-                emitf("%s_stage_rate_per_second{stage=\"%s\",window=\"%ds\"} %.3f\n",
-                      P, esc.c_str(), w, ws.rate_per_s);
-                emitf("%s_stage_window_count{stage=\"%s\",window=\"%ds\"} %llu\n", P,
-                      esc.c_str(), w, u(ws.count));
+                const std::string win = std::to_string(w) + "s";
+                const obs::metric_label at[] = {{"stage", st}, {"window", win}};
+                const obs::metric_label p50[] = {
+                    {"stage", st}, {"window", win}, {"quantile", "0.5"}};
+                const obs::metric_label p99[] = {
+                    {"stage", st}, {"window", win}, {"quantile", "0.99"}};
+                out.begin(win);
+                out.add({.family = "stage_window_count", .type = gauge, .labels = at,
+                         .key = "count"},
+                        ws.count);
+                out.add({.family = "stage_rate_per_second", .type = gauge, .labels = at,
+                         .key = "rate_per_s"},
+                        real(ws.rate_per_s, 3));
+                out.add({.key = "mean_ns"}, real(ws.mean_ns, 0));
+                out.add({.family = "stage_latency_ns", .type = gauge, .labels = p50,
+                         .key = "p50_ns"},
+                        real(ws.p50_ns, 0));
+                out.add({.family = "stage_latency_ns", .type = gauge, .labels = p99,
+                         .key = "p99_ns"},
+                        real(ws.p99_ns, 0));
+                out.add({.key = "max_ns"}, ws.max_ns);
+                out.end();
             }
+            out.end();
         }
+        out.end();
+
         const auto rt = rolling_.get_totals();
-        emitf("%s_spans_recorded_total %llu\n", P, u(rt.spans));
-        emitf("%s_spans_unmatched_ends_total %llu\n", P, u(rt.unmatched_ends));
-        emitf("%s_spans_open %llu\n", P, u(rt.open_spans));
+        out.begin("spans");
+        out.add_counter("spans_recorded_total", "recorded", rt.spans);
+        out.add_counter("spans_unmatched_ends_total", "unmatched_ends",
+                        rt.unmatched_ends);
+        out.add_counter("spans_dropped_stages_total", "dropped_stages",
+                        rt.dropped_stages);
+        out.add_gauge("spans_open", "open", rt.open_spans);
+        const stats_snapshot st = stats();
+        out.add_counter("ops_spans_consumed_total", "consumed_events", st.spans_consumed);
+        out.end();
 
-        // Tracer health.
         const auto ts = obs::tracer::instance().get_stats();
-        emitf("%s_trace_threads %llu\n", P, u(ts.threads));
-        emitf("%s_trace_events_pushed_total %llu\n", P, u(ts.pushed));
-        emitf("%s_trace_events_overwritten_total %llu\n", P, u(ts.overwritten));
+        out.begin("tracer");
+        out.add_gauge("trace_threads", "threads", ts.threads);
+        out.add_counter("trace_events_pushed_total", "pushed", ts.pushed);
+        out.add_counter("trace_events_overwritten_total", "overwritten", ts.overwritten);
+        out.end();
 
-        // Front-end extras (names sanitised here, at the exposition boundary).
-        // A name may carry a label block — `family{shard="0"}` — in which case
-        // the family is sanitised as a metric name and a well-formed block
-        // passes through verbatim; malformed blocks degrade to whole-name
-        // sanitisation rather than emitting broken exposition.
+        out.begin("extra");
         if (extra_) {
-            for (const auto& [name, v] : extra_()) {
-                const std::size_t brace = name.find('{');
-                if (brace != std::string::npos &&
-                    valid_label_block(std::string_view{name}.substr(brace))) {
-                    emitf("%s_%s%s %llu\n", P,
-                          obs::prometheus_name(name.substr(0, brace)).c_str(),
-                          name.substr(brace).c_str(), u(v));
-                } else {
-                    emitf("%s_%s %llu\n", P, obs::prometheus_name(name).c_str(),
-                          u(v));
-                }
+            for (const extra_sample& e : extra_()) {
+                std::vector<obs::metric_label> labels;
+                for (const auto& [k, v] : e.labels) labels.push_back({k, v});
+                const std::string key = e.family + obs::prometheus_labels(labels);
+                out.add({.family = e.family, .type = e.type, .labels = labels,
+                         .key = key},
+                        e.value);
             }
         }
+        out.end();
 
-        // Ops plane self-observation.
-        emitf("%s_ops_requests_total %llu\n", P,
-              u(requests_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_accepts_failed_total %llu\n", P,
-              u(accepts_failed_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_bad_requests_total %llu\n", P,
-              u(bad_requests_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_not_found_total %llu\n", P,
-              u(not_found_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_scrapes_total %llu\n", P,
-              u(scrapes_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_trace_requests_total %llu\n", P,
-              u(trace_requests_.load(std::memory_order_relaxed)));
-        emitf("%s_ops_spans_consumed_total %llu\n", P,
-              u(spans_consumed_.load(std::memory_order_relaxed)));
-        return out;
+        out.begin("ops");
+        out.add_counter("ops_requests_total", "requests", st.requests);
+        out.add_counter("ops_accepts_failed_total", "accepts_failed", st.accepts_failed);
+        out.add_counter("ops_bad_requests_total", "bad_requests", st.bad_requests);
+        out.add_counter("ops_not_found_total", "not_found", st.not_found);
+        out.add_counter("ops_scrapes_total", "scrapes", st.scrapes);
+        out.add_counter("ops_trace_requests_total", "trace_requests", st.trace_requests);
+        out.end();
+    }
+
+    stats_snapshot stats() const noexcept
+    {
+        stats_snapshot s;
+        s.requests = requests_.load(std::memory_order_relaxed);
+        s.accepts_failed = accepts_failed_.load(std::memory_order_relaxed);
+        s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
+        s.not_found = not_found_.load(std::memory_order_relaxed);
+        s.scrapes = scrapes_.load(std::memory_order_relaxed);
+        s.trace_requests = trace_requests_.load(std::memory_order_relaxed);
+        s.spans_consumed = spans_consumed_.load(std::memory_order_relaxed);
+        return s;
+    }
+
+    std::string render_prometheus()
+    {
+        obs::prometheus_text out{cfg_.metric_prefix};
+        for_each(out);
+        return out.str();
     }
 
     std::string render_json()
     {
-        drain_spans();
-        std::string out;
-        out.reserve(4096);
-        char b[512];
-        auto emitf = [&](const char* fmt, auto... a) {
-            std::snprintf(b, sizeof b, fmt, a...);
-            out += b;
-        };
-        out += "{\"service\":";
-        out += svc_.metrics().to_json();
-        out += ",\"stages\":{";
-        const std::uint64_t now = obs::tracer::instance().now_ns();
-        bool first_stage = true;
-        for (const std::string& st : rolling_.stages()) {
-            if (!first_stage) out += ',';
-            first_stage = false;
-            out += obs::json_quote(st);
-            out += ":{";
-            bool first_w = true;
-            for (const int w : k_windows_s) {
-                const auto ws = rolling_.window(st, w, now);
-                if (!first_w) out += ',';
-                first_w = false;
-                emitf("\"%ds\":{\"count\":%llu,\"rate_per_s\":%.3f,\"mean_ns\":%.0f,"
-                      "\"p50_ns\":%.0f,\"p99_ns\":%.0f,\"max_ns\":%llu}",
-                      w, static_cast<unsigned long long>(ws.count), ws.rate_per_s,
-                      ws.mean_ns, ws.p50_ns, ws.p99_ns,
-                      static_cast<unsigned long long>(ws.max_ns));
-            }
-            out += '}';
-        }
-        const auto rt = rolling_.get_totals();
-        const auto ts = obs::tracer::instance().get_stats();
-        emitf("},\"spans\":{\"recorded\":%llu,\"unmatched_ends\":%llu,"
-              "\"dropped_stages\":%llu,\"open\":%llu,\"consumed_events\":%llu}",
-              static_cast<unsigned long long>(rt.spans),
-              static_cast<unsigned long long>(rt.unmatched_ends),
-              static_cast<unsigned long long>(rt.dropped_stages),
-              static_cast<unsigned long long>(rt.open_spans),
-              static_cast<unsigned long long>(
-                  spans_consumed_.load(std::memory_order_relaxed)));
-        emitf(",\"tracer\":{\"threads\":%llu,\"pushed\":%llu,\"overwritten\":%llu}",
-              static_cast<unsigned long long>(ts.threads),
-              static_cast<unsigned long long>(ts.pushed),
-              static_cast<unsigned long long>(ts.overwritten));
-        out += ",\"extra\":{";
-        if (extra_) {
-            bool first = true;
-            for (const auto& [name, v] : extra_()) {
-                if (!first) out += ',';
-                first = false;
-                out += obs::json_quote(name);
-                emitf(":%llu", static_cast<unsigned long long>(v));
-            }
-        }
-        emitf("},\"ops\":{\"requests\":%llu,\"bad_requests\":%llu,"
-              "\"not_found\":%llu,\"scrapes\":%llu,\"trace_requests\":%llu}}",
-              static_cast<unsigned long long>(requests_.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  bad_requests_.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(not_found_.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(scrapes_.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  trace_requests_.load(std::memory_order_relaxed)));
-        return out;
+        obs::json_text out;
+        for_each(out);
+        return out.str();
     }
 
     // ---- state -----------------------------------------------------------
 
     ops_config cfg_;
     decode_service& svc_;
-    const std::string prefix_;
     ready_probe ready_;
-    counter_fn extra_;
+    extras_fn extra_;
 
     obs::rolling_stats rolling_;
     std::mutex drain_m_;
@@ -734,7 +524,7 @@ ops_server::~ops_server() = default;  // impl dtor stops the loop
 
 void ops_server::set_ready_probe(ready_probe p) { impl_->ready_ = std::move(p); }
 
-void ops_server::set_extra_counters(counter_fn f) { impl_->extra_ = std::move(f); }
+void ops_server::set_extra_counters(extras_fn f) { impl_->extra_ = std::move(f); }
 
 void ops_server::start() { impl_->start(); }
 
@@ -748,17 +538,6 @@ std::string ops_server::metrics_text() { return impl_->render_prometheus(); }
 
 std::string ops_server::metrics_json() { return impl_->render_json(); }
 
-ops_server::stats_snapshot ops_server::stats() const noexcept
-{
-    stats_snapshot s;
-    s.requests = impl_->requests_.load(std::memory_order_relaxed);
-    s.accepts_failed = impl_->accepts_failed_.load(std::memory_order_relaxed);
-    s.bad_requests = impl_->bad_requests_.load(std::memory_order_relaxed);
-    s.not_found = impl_->not_found_.load(std::memory_order_relaxed);
-    s.scrapes = impl_->scrapes_.load(std::memory_order_relaxed);
-    s.trace_requests = impl_->trace_requests_.load(std::memory_order_relaxed);
-    s.spans_consumed = impl_->spans_consumed_.load(std::memory_order_relaxed);
-    return s;
-}
+ops_server::stats_snapshot ops_server::stats() const noexcept { return impl_->stats(); }
 
 }  // namespace runtime::ops

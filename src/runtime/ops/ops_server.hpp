@@ -51,13 +51,18 @@ class ops_server {
 public:
     /// Readiness probe for /readyz; defaults to "service is not draining".
     using ready_probe = std::function<bool()>;
-    /// Extra (name, value) counters merged into /metrics — the process wires
-    /// front-end stats (e.g. net::server::stats()) in through this without
-    /// the ops plane depending on the front-end type.  A name may carry a
-    /// Prometheus label block (`net_frames_in_total{shard="0"}`): the family
-    /// is sanitised and a well-formed block is exposed verbatim.
-    using counter_fn =
-        std::function<std::vector<std::pair<std::string, std::uint64_t>>()>;
+    /// One sample merged into /metrics and the JSON document's "extra" object
+    /// — how the process wires front-end stats (e.g. net::server::stats()) in
+    /// without the ops plane depending on the front-end type.  The family and
+    /// label keys are sanitised for Prometheus; the JSON key is the family as
+    /// given plus the rendered label block (`net_frames_in_total{shard="0"}`).
+    struct extra_sample {
+        std::string family;
+        std::uint64_t value = 0;
+        obs::metric_type type = obs::metric_type::counter;
+        std::vector<std::pair<std::string, std::string>> labels = {};
+    };
+    using extras_fn = std::function<std::vector<extra_sample>()>;
 
     explicit ops_server(decode_service& svc, ops_config cfg = {});
     ~ops_server();  ///< implies stop()
@@ -67,7 +72,7 @@ public:
 
     /// Both setters must run before start().
     void set_ready_probe(ready_probe p);
-    void set_extra_counters(counter_fn f);
+    void set_extra_counters(extras_fn f);
 
     void start();
     void stop();

@@ -76,12 +76,9 @@ void decode_service::settle(job& j, std::exception_ptr err)
 
 void decode_service::record_priority_depths()
 {
-    const std::size_t di = queue_.size(priority::interactive);
-    const std::size_t db = queue_.size(priority::batch);
-    metrics_.record_queue_depth(priority::interactive, di);
-    metrics_.record_queue_depth(priority::batch, db);
-    OBS_TRACE_COUNTER("runtime", "queue_depth_interactive", di);
-    OBS_TRACE_COUNTER("runtime", "queue_depth_batch", db);
+    OBS_TRACE_COUNTER("runtime", "queue_depth_interactive",
+                      queue_.size(priority::interactive));
+    OBS_TRACE_COUNTER("runtime", "queue_depth_batch", queue_.size(priority::batch));
 }
 
 std::future<j2k::image> decode_service::submit(std::span<const std::uint8_t> cs,
@@ -182,7 +179,6 @@ bool decode_service::admit(job_ptr j)
     job_ptr evicted;
     priority evicted_prio = opt.prio;
     const push_result r = queue_.push(std::move(j), opt.prio, &evicted, &evicted_prio);
-    metrics_.record_queue_depth(queue_.size());
     OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
     record_priority_depths();
     switch (r) {
@@ -234,10 +230,7 @@ void decode_service::pump(std::size_t n)
             auto popped = queue_.try_pop();
             if (!popped) break;
             job_ptr& p = popped->item;
-            if (popped->promoted) {
-                metrics_.on_promoted();
-                OBS_TRACE_INSTANT("runtime", "job_promoted");
-            }
+            if (popped->promoted) OBS_TRACE_INSTANT("runtime", "job_promoted");
             OBS_TRACE_ASYNC_END("job", "queue_wait", p->trace_id);
             OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
             record_priority_depths();
@@ -420,8 +413,7 @@ j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threa
 void decode_service::stream_layers(job& j, std::pmr::memory_resource* mr)
 {
     metrics_.on_progressive_started();
-    OBS_TRACE_COUNTER("runtime", "progressive_active",
-                      metrics_.instruments().get_gauge("progressive_active").value());
+    OBS_TRACE_COUNTER("runtime", "progressive_active", metrics_.progressive_active());
     try {
         j2k::decode_session s{j.bytes};
         const int stream_layers = s.total_layers();
@@ -480,9 +472,8 @@ metrics_snapshot decode_service::metrics() const
     s.tracing_armed = obs::tracing_enabled();
     s.build = build_type();
     s.compiler = compiler_version();
-    s.queue_depth_high_water =
-        std::max<std::uint64_t>(s.queue_depth_high_water, queue_.high_water());
-    s.jobs_promoted = std::max(s.jobs_promoted, queue_.promoted());
+    s.queue_depth_high_water = queue_.high_water();
+    s.jobs_promoted = queue_.promoted();
     s.tasks_stolen = pool_->tasks_stolen();
     if (cache_) {
         const cache_stats cs = cache_->stats();
@@ -498,9 +489,7 @@ metrics_snapshot decode_service::metrics() const
         // Merge the cache's per-codec split into the job split, resolving
         // wire ids to the same exposition names service_metrics uses.
         for (const auto& bc : cs.by_codec) {
-            const codec::backend* be = codec::find_backend(bc.codec);
-            const std::string name =
-                be ? std::string{be->name()} : std::to_string(int{bc.codec});
+            const std::string name = codec_metric_name(bc.codec);
             auto it = std::find_if(s.by_codec.begin(), s.by_codec.end(),
                                    [&](const auto& e) { return e.name == name; });
             if (it == s.by_codec.end()) {

@@ -1,6 +1,7 @@
-// obs metrics: counters, gauges, the registry, and the log2 histogram —
-// including the quantile edge cases (empty, q=0/1, single sample, in-bucket
-// interpolation) that the service latency percentiles depend on.
+// obs metrics: counters, gauges, the metric sinks (Prometheus text, JSON,
+// dump), and the log2 histogram — including the quantile edge cases (empty,
+// q=0/1, single sample, in-bucket interpolation) that the service latency
+// percentiles depend on.
 #include <obs/metrics.hpp>
 
 #include <gtest/gtest.h>
@@ -35,45 +36,92 @@ TEST(Gauge, TracksValueAndHighWater)
     EXPECT_EQ(g.max(), 12);
 }
 
-TEST(Registry, HandsOutStableReferences)
+// ---------------------------------------------------------------------------
+// Metric sinks: one enumeration rendered three ways.
+
+/// A small enumeration: a group, a labelled family split across the group
+/// boundary, a summary with a suffix, JSON-only and Prometheus-only values.
+void enumerate(obs::metric_sink& out)
 {
-    obs::registry r;
-    obs::counter& a = r.get_counter("jobs");
-    obs::counter& b = r.get_counter("jobs");
-    EXPECT_EQ(&a, &b);
-    a.add(7);
-    EXPECT_EQ(r.get_counter("jobs").value(), 7u);
-    EXPECT_NE(&r.get_counter("jobs"), &r.get_counter("tiles"));
+    using enum obs::metric_type;
+    const obs::metric_label a[] = {{"shard", "a"}};
+    const obs::metric_label b[] = {{"shard", "b"}};
+    out.add({.family = "frames_total", .labels = a, .key = "frames_a"}, 3);
+    out.begin("cache");
+    out.add({.family = "cache_bytes", .type = gauge, .key = "bytes"}, 9);
+    out.add({.family = "frames_total", .labels = b, .key = "frames_b"}, 4);
+    out.add({.key = "isa"}, obs::metric_value::text("avx2"));
+    out.end();
+    out.begin("empty");
+    out.end();
+    out.add({.family = "lat_us", .type = summary, .suffix = "_count", .key = "n"}, 2);
+    out.add({.family = "lat_us", .type = summary, .suffix = "_sum"},
+            obs::metric_value::real(12.5, 1));
+    out.add({.family = "wall_seconds_total", .key = "wall_ms", .prom_shift = -3},
+            obs::metric_value::real(1.25, 2));
+    out.add_gauge("armed", "armed", obs::metric_value::flag(true));
 }
 
-TEST(Registry, TextExposition)
+TEST(MetricSink, PrometheusGroupsEachFamilyUnderOneTypeLine)
 {
-    obs::registry r;
-    r.get_counter("requests").add(3);
-    r.get_gauge("depth").set(9);
-    r.get_histogram("lat").observe(100);
-    const std::string text = r.expose_text();
-    EXPECT_NE(text.find("requests 3\n"), std::string::npos);
-    EXPECT_NE(text.find("depth 9\n"), std::string::npos);
-    EXPECT_NE(text.find("depth_max 9\n"), std::string::npos);
-    EXPECT_NE(text.find("lat_count 1\n"), std::string::npos);
-    EXPECT_NE(text.find("lat_max 100\n"), std::string::npos);
+    obs::prometheus_text p{"j2k"};
+    enumerate(p);
+    EXPECT_EQ(p.str(),
+              "# TYPE j2k_frames_total counter\n"
+              "j2k_frames_total{shard=\"a\"} 3\n"
+              "j2k_frames_total{shard=\"b\"} 4\n"
+              "# TYPE j2k_cache_bytes gauge\n"
+              "j2k_cache_bytes 9\n"
+              "# TYPE j2k_lat_us summary\n"
+              "j2k_lat_us_count 2\n"
+              "j2k_lat_us_sum 12.5\n"
+              "# TYPE j2k_wall_seconds_total counter\n"
+              "j2k_wall_seconds_total 0.00125\n"
+              "# TYPE j2k_armed gauge\n"
+              "j2k_armed 1\n");
 }
 
-TEST(Registry, JsonExposition)
+TEST(MetricSink, JsonNestsGroupsAndKeepsEmptyOnes)
 {
-    obs::registry r;
-    r.get_counter("requests").add(3);
-    r.get_gauge("depth").set(9);
-    r.get_histogram("lat").observe(100);
-    const std::string json = r.expose_json();
-    EXPECT_NE(json.find("\"requests\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"depth\":{\"value\":9,\"max\":9}"), std::string::npos);
-    EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+    obs::json_text j;
+    enumerate(j);
+    EXPECT_EQ(j.str(),
+              "{\"frames_a\":3,\"cache\":{\"bytes\":9,\"frames_b\":4,\"isa\":\"avx2\"},"
+              "\"empty\":{},\"n\":2,\"wall_ms\":1.25,\"armed\":true}");
+}
+
+TEST(MetricSink, DumpPutsEachGroupOnItsOwnLine)
+{
+    obs::dump_text d;
+    enumerate(d);
+    EXPECT_EQ(d.str(),
+              "frames_a=3\n"
+              "cache: bytes=9 frames_b=4 isa=\"avx2\"\n"
+              "n=2 wall_ms=1.25 armed=true\n");
+}
+
+TEST(MetricSink, HostileNamesAndLabelsCannotBreakEitherFormat)
+{
+    const obs::metric_label l[] = {{"bad key!", "quo\"te\\back\nline"}};
+    const auto feed = [&](obs::metric_sink& out) {
+        out.begin("grp\"x");
+        out.add({.family = "weird name!", .labels = l, .key = "quote\"inject\":9999,\"x"},
+                1);
+        out.end();
+    };
+    obs::prometheus_text p{"j2k"};
+    feed(p);
+    EXPECT_EQ(p.str(),
+              "# TYPE j2k_weird_name_ counter\n"
+              "j2k_weird_name_{bad_key_=\"quo\\\"te\\\\back\\nline\"} 1\n");
+    obs::json_text j;
+    feed(j);
+    // The quote is escaped, so the injected ":9999" stays inside the key.
+    EXPECT_EQ(j.str(), "{\"grp\\\"x\":{\"quote\\\"inject\\\":9999,\\\"x\":1}}");
 }
 
 // ---------------------------------------------------------------------------
-// Name hygiene at the exposition boundary (registry names are free-form).
+// Name hygiene at the exposition boundary (metric names are free-form).
 
 TEST(NameHygiene, PrometheusNameSanitisesOnce)
 {
@@ -94,22 +142,6 @@ TEST(NameHygiene, JsonQuoteEscapesHostileStrings)
     EXPECT_EQ(obs::json_quote("with \"quotes\""), "\"with \\\"quotes\\\"\"");
     EXPECT_EQ(obs::json_quote("back\\slash"), "\"back\\\\slash\"");
     EXPECT_EQ(obs::json_quote(std::string_view{"tab\tnl\n", 7}), "\"tab\\u0009nl\\u000a\"");
-}
-
-TEST(NameHygiene, HostileRegistryNamesCannotBreakJsonExposition)
-{
-    obs::registry r;
-    r.get_counter("ok_name").add(1);
-    r.get_counter("quote\"inject\":9999,\"x").add(2);
-    r.get_gauge("line\nbreak").set(3);
-    r.get_histogram("back\\slash").observe(4);
-    const std::string json = r.expose_json();
-    // The quote is escaped, so the injected ":9999" stays inside the string.
-    EXPECT_NE(json.find("quote\\\"inject\\\":9999,\\\"x"), std::string::npos);
-    EXPECT_NE(json.find("line\\u000abreak"), std::string::npos);
-    EXPECT_NE(json.find("back\\\\slash"), std::string::npos);
-    // No raw control characters survive into the document.
-    for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
 }
 
 TEST(Histogram, EmptyQuantileIsZero)

@@ -517,7 +517,8 @@ TEST(DecodeService, PerPriorityCapacitiesShedIndependentlyAndAreAccounted)
     EXPECT_EQ(m.shed_by_priority[0].rejected, 0u);
     EXPECT_EQ(m.jobs_rejected, static_cast<std::uint64_t>(rejected));
     EXPECT_NE(m.to_json().find("\"shed_batch\""), std::string::npos);
-    EXPECT_NE(m.dump().find("shed by priority"), std::string::npos);
+    EXPECT_NE(m.dump().find("shed_batch: rejected=" + std::to_string(rejected)),
+              std::string::npos);
 }
 
 }  // namespace
