@@ -4,7 +4,8 @@
 // Emits one JSON object:
 //   { "bench": "net_roundtrip",
 //     "roundtrip": [ {"payload":"small","bytes":...,"p50_us":...,"p99_us":...,
-//                     "mean_us":...}, {"payload":"16-tile", ...} ],
+//                     "mean_us":...}, {"payload":"16-tile", ...},
+//                    {"payload":"ccsds-miss", ...}, {"payload":"ccsds-hit", ...} ],
 //     "pipelined": {"requests":N,"seconds":...,"requests_per_sec":...},
 //     "batching": {"jobs":N,"pool_submissions":...,"saved":...,
 //                  "batches":...,"batched_jobs":...},
@@ -21,9 +22,16 @@
 //
 // Round-trip phase: serial request→response pairs (client blocks on each),
 // measuring the full path — framing, event loop, queue, decode, response
-// serialisation, loopback both ways.  Pipelined phase: all requests written
-// in one burst, responses collected as they complete; the batching object
-// shows pool submissions < jobs, the admission coalescing the burst enables.
+// serialisation, loopback both ways.  The two ccsds rows run the
+// `ccsds_zipf` shape (128×128×16 cubes at 12 bits) against a server with the
+// serving benchmark's deployment (2 workers, 64 MiB cache): `ccsds-miss`
+// sends `iters` distinct cubes once each, so every request leads its own
+// cache flight (hash, decode, insert, 512 KiB response); `ccsds-hit` sends
+// the last of them, the most recently used entry, `iters` times (lookup,
+// shared image, response).  Every ccsds response is checked byte for byte
+// against the source cube.  Pipelined phase: all requests written in one
+// burst, responses collected as they complete; the batching object shows
+// pool submissions < jobs, the admission coalescing the burst enables.
 //
 // Progressive phase: one streamed request against an L-layer codestream.
 // `t1_incremental_bytes[l]` is what the resumable session entropy-decoded for
@@ -45,6 +53,7 @@
 #include <runtime/net/client.hpp>
 #include <runtime/net/server.hpp>
 
+#include <ccsds/ccsds123.hpp>
 #include <j2k/j2k.hpp>
 
 #include <algorithm>
@@ -100,6 +109,56 @@ percentiles bench_roundtrip(net::client& cli, const std::vector<std::uint8_t>& c
         us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
     }
     return summarize(us);
+}
+
+struct ccsds_rows {
+    std::size_t bytes = 0;  ///< mean codestream size
+    percentiles miss, hit;
+};
+
+/// The ccsds-miss and ccsds-hit rows (see the header comment).
+ccsds_rows bench_ccsds(int iters, bool* all_ok)
+{
+    std::vector<std::vector<std::uint8_t>> cubes;
+    std::vector<std::vector<std::uint8_t>> expect;
+    ccsds_rows rows;
+    for (int i = 0; i < iters; ++i) {
+        const codec::image src =
+            codec::make_test_image(128, 128, 16, 12, static_cast<std::uint32_t>(i + 1));
+        cubes.push_back(ccsds::encode(src));
+        expect.push_back(net::encode_image_raw(src));
+        rows.bytes += cubes.back().size() / static_cast<std::size_t>(iters);
+    }
+
+    net::server_config cfg;
+    cfg.service.workers = 2;
+    cfg.service.queue_capacity = 256;
+    cfg.service.cache_bytes = 64u << 20;
+    net::server srv{cfg};
+    srv.start();
+    net::client cli{"127.0.0.1", srv.port()};
+    const auto time = [&](std::size_t cube, int id) {
+        const auto t0 = clk::now();
+        const auto r = cli.decode({.codestream = cubes[cube],
+                                   .request_id = static_cast<std::uint32_t>(id),
+                                   .codec = ccsds::k_codec_wire_id});
+        const auto t1 = clk::now();
+        if (!r.ok() || r.payload != expect[cube]) *all_ok = false;
+        return std::chrono::duration<double, std::micro>(t1 - t0).count();
+    };
+    std::vector<double> miss, hit;
+    for (int i = 0; i < iters; ++i) miss.push_back(time(static_cast<std::size_t>(i), i));
+    // The newest cube: still resident however many older ones were evicted.
+    const auto last = static_cast<std::size_t>(iters - 1);
+    for (int i = 0; i < iters; ++i) hit.push_back(time(last, iters + i));
+    const auto m = srv.service().metrics();
+    if (m.cache_misses != static_cast<std::uint64_t>(iters) ||
+        m.cache_hits != static_cast<std::uint64_t>(iters))
+        *all_ok = false;  // every row request took the path its name says
+    srv.stop();
+    rows.miss = summarize(miss);
+    rows.hit = summarize(hit);
+    return rows;
 }
 
 struct shard_rate {
@@ -195,6 +254,12 @@ int main(int argc, char** argv)
         std::printf(",{\"payload\":\"16-tile\",\"bytes\":%zu,\"p50_us\":%.1f,"
                     "\"p99_us\":%.1f,\"mean_us\":%.1f}",
                     tiled.size(), pt.p50, pt.p99, pt.mean);
+        const ccsds_rows cr = bench_ccsds(iters, &ok);
+        for (const auto& [name, p] : {std::pair{"ccsds-miss", cr.miss},
+                                      std::pair{"ccsds-hit", cr.hit}})
+            std::printf(",{\"payload\":\"%s\",\"bytes\":%zu,\"p50_us\":%.1f,"
+                        "\"p99_us\":%.1f,\"mean_us\":%.1f}",
+                        name, cr.bytes, p.p50, p.p99, p.mean);
     }
     std::printf("]");
 

@@ -56,8 +56,11 @@ class arena final : public std::pmr::memory_resource {
 public:
     static constexpr std::byte k_poison{0xA5};
 
+    /// The block is left uninitialised, so its pages are committed as the
+    /// bump cursor first reaches them, not at construction: an idle worker's
+    /// arena costs address space, not memory.
     explicit arena(std::size_t capacity)
-        : block_{capacity ? std::make_unique<std::byte[]>(capacity) : nullptr},
+        : block_{capacity ? std::make_unique_for_overwrite<std::byte[]>(capacity) : nullptr},
           cap_{capacity}
     {
     }

@@ -11,14 +11,13 @@ namespace runtime {
 
 std::size_t cache_key_hash::operator()(const cache_key& k) const noexcept
 {
-    fnv1a h;
-    h.u64(k.content_hash);
-    h.u64(k.codec);
-    h.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.layers)) |
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.discard_levels))
-           << 32));
-    h.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.max_passes)));
-    return static_cast<std::size_t>(h.value());
+    const auto u = [](std::int32_t v) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
+    };
+    const std::uint64_t words[3] = {k.content_hash, k.codec | (u(k.layers) << 32),
+                                    u(k.discard_levels) | (u(k.max_passes) << 32)};
+    return static_cast<std::size_t>(
+        seeded_hash({reinterpret_cast<const std::uint8_t*>(words), sizeof words}));
 }
 
 std::size_t image_bytes(const j2k::image& img) noexcept
@@ -27,10 +26,25 @@ std::size_t image_bytes(const j2k::image& img) noexcept
            static_cast<std::size_t>(img.components()) * sizeof(std::int32_t);
 }
 
-/// One resident decoded image.
+namespace {
+
+std::span<const std::uint8_t> view(const decoded_cache::input_ptr& in) noexcept
+{
+    return in ? std::span<const std::uint8_t>{*in} : std::span<const std::uint8_t>{};
+}
+
+std::size_t capacity(const decoded_cache::input_ptr& in) noexcept
+{
+    return in ? in->capacity() : 0;
+}
+
+}  // namespace
+
+/// One resident decoded image and the bytes it was decoded from.
 struct decoded_cache::image_entry {
     image_ptr img;
-    std::size_t bytes = 0;
+    input_ptr input;
+    std::size_t bytes = 0;  ///< charged: sample storage + input capacity
     bool pinned = false;
     lru_list::iterator lru_it;  ///< position in lru_ (pinned entries included,
                                 ///< skipped at eviction time)
@@ -38,7 +52,7 @@ struct decoded_cache::image_entry {
 
 /// One resident resumable prefix.  `session` is empty while checked out.
 struct decoded_cache::session_entry {
-    std::vector<std::uint8_t> bytes;
+    input_ptr bytes;
     std::optional<j2k::decode_session> session;
     std::size_t resident = 0;  ///< accounted bytes (codestream + decoder state)
     bool leased = false;
@@ -48,6 +62,12 @@ struct decoded_cache::session_entry {
 /// on the flight's own cv (not the cache mutex) so a long decode never holds
 /// the cache lock.
 struct decoded_cache::flight {
+    explicit flight(std::span<const std::uint8_t> in) : input{in} {}
+
+    /// The leader's bytes.  Joiners compare against them under the cache
+    /// mutex while the flight is registered, i.e. before the leader's
+    /// complete_flight or abort_flight, so they are still alive.
+    std::span<const std::uint8_t> input;
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
@@ -102,38 +122,79 @@ void decoded_cache::evict_to_budget_locked()
     }
 }
 
+decoded_cache::flight_result decoded_cache::mismatch_locked()
+{
+    ++mismatches_;
+    OBS_TRACE_INSTANT("cache", "mismatch");
+    return flight_result{nullptr, nullptr, false, true};
+}
+
+void decoded_cache::insert_locked(const cache_key& k, image_ptr img, input_ptr input,
+                                  bool pin)
+{
+    if (!img || images_.count(k)) return;
+    const std::size_t sz = image_bytes(*img) + capacity(input);
+    // Refuse the pin (not the entry) once pinned bytes alone would blow the
+    // budget: a pin-flood degrades to an ordinary full cache instead of
+    // unbounded growth.
+    const bool pinned = pin && pinned_bytes_ + sz <= budget_;
+    lru_.push_front(k);
+    images_.emplace(k, image_entry{std::move(img), std::move(input), sz, pinned, lru_.begin()});
+    account_insert_locked(sz, pinned);
+    ++inserts_;
+    evict_to_budget_locked();
+    OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
+}
+
+decoded_cache::flight_result decoded_cache::hit_or_mismatch(
+    const cache_key& k, image_ptr img, const input_ptr& stored,
+    std::span<const std::uint8_t> input)
+{
+    // `stored` keeps the buffer alive even if the entry is evicted meanwhile,
+    // so the compare (a whole input on a hit) runs without the mutex.
+    const bool same = std::ranges::equal(view(stored), input);
+    std::lock_guard lk{m_};
+    if (!same) return mismatch_locked();
+    if (auto it = images_.find(k); it != images_.end() && it->second.img == img)
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    ++hits_;
+    ++by_codec_[k.codec].hits;
+    OBS_TRACE_INSTANT("cache", "hit");
+    return flight_result{std::move(img), nullptr, false};
+}
+
 std::optional<decoded_cache::flight_result> decoded_cache::begin_flight(
-    const cache_key& k)
+    const cache_key& k, std::span<const std::uint8_t> input)
 {
     std::shared_ptr<flight> f;
+    image_ptr img;
+    input_ptr stored;
     {
         std::lock_guard lk{m_};
-        auto it = images_.find(k);
-        if (it != images_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-            ++hits_;
-            ++by_codec_[k.codec].hits;
-            OBS_TRACE_INSTANT("cache", "hit");
-            return flight_result{it->second.img, nullptr, false};
-        }
-        auto fit = flights_.find(k);
-        if (fit == flights_.end()) {
+        if (auto it = images_.find(k); it != images_.end()) {
+            img = it->second.img;
+            stored = it->second.input;
+        } else if (auto fit = flights_.find(k); fit == flights_.end()) {
             ++misses_;
             ++by_codec_[k.codec].misses;
             OBS_TRACE_INSTANT("cache", "miss");
-            flights_.emplace(k, std::make_shared<flight>());
+            flights_.emplace(k, std::make_shared<flight>(input));
             return std::nullopt;  // caller leads
+        } else {
+            if (!std::ranges::equal(fit->second->input, input)) return mismatch_locked();
+            ++collapses_;
+            OBS_TRACE_INSTANT("cache", "collapse");
+            f = fit->second;
         }
-        ++collapses_;
-        OBS_TRACE_INSTANT("cache", "collapse");
-        f = fit->second;
     }
+    if (img) return hit_or_mismatch(k, std::move(img), stored, input);
     std::unique_lock fl{f->m};
     f->cv.wait(fl, [&] { return f->done; });
     return flight_result{f->img, f->err, true};
 }
 
-void decoded_cache::complete_flight(const cache_key& k, image_ptr img, bool pin)
+void decoded_cache::complete_flight(const cache_key& k, image_ptr img, input_ptr input,
+                                    bool pin)
 {
     std::shared_ptr<flight> f;
     {
@@ -143,19 +204,7 @@ void decoded_cache::complete_flight(const cache_key& k, image_ptr img, bool pin)
             f = std::move(fit->second);
             flights_.erase(fit);
         }
-        if (img && !images_.count(k)) {
-            const std::size_t sz = image_bytes(*img);
-            // Refuse the pin (not the entry) once pinned bytes alone would
-            // blow the budget: a pin-flood degrades to an ordinary full
-            // cache instead of unbounded growth.
-            const bool pinned = pin && pinned_bytes_ + sz <= budget_;
-            lru_.push_front(k);
-            images_.emplace(k, image_entry{img, sz, pinned, lru_.begin()});
-            account_insert_locked(sz, pinned);
-            ++inserts_;
-            evict_to_budget_locked();
-            OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
-        }
+        insert_locked(k, img, std::move(input), pin);
     }
     if (f) {
         std::lock_guard fl{f->m};
@@ -181,30 +230,25 @@ void decoded_cache::abort_flight(const cache_key& k, std::exception_ptr err) noe
     f->cv.notify_all();
 }
 
-decoded_cache::image_ptr decoded_cache::peek(const cache_key& k)
+decoded_cache::image_ptr decoded_cache::peek(const cache_key& k,
+                                             std::span<const std::uint8_t> input)
 {
-    std::lock_guard lk{m_};
-    auto it = images_.find(k);
-    if (it == images_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    ++hits_;
-    ++by_codec_[k.codec].hits;
-    return it->second.img;
+    image_ptr img;
+    input_ptr stored;
+    {
+        std::lock_guard lk{m_};
+        auto it = images_.find(k);
+        if (it == images_.end()) return nullptr;
+        img = it->second.img;
+        stored = it->second.input;
+    }
+    return hit_or_mismatch(k, std::move(img), stored, input).image;
 }
 
-void decoded_cache::insert(const cache_key& k, image_ptr img, bool pin)
+void decoded_cache::insert(const cache_key& k, image_ptr img, input_ptr input, bool pin)
 {
-    if (!img) return;
     std::lock_guard lk{m_};
-    if (images_.count(k)) return;
-    const std::size_t sz = image_bytes(*img);
-    const bool pinned = pin && pinned_bytes_ + sz <= budget_;
-    lru_.push_front(k);
-    images_.emplace(k, image_entry{std::move(img), sz, pinned, lru_.begin()});
-    account_insert_locked(sz, pinned);
-    ++inserts_;
-    evict_to_budget_locked();
-    OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
+    insert_locked(k, std::move(img), std::move(input), pin);
 }
 
 bool decoded_cache::set_pinned(const cache_key& k, bool pinned)
@@ -230,24 +274,21 @@ std::optional<decoded_cache::session_lease> decoded_cache::checkout_session(
     session_entry& e = it->second;
     if (e.session->layers_decoded() > max_layers)
         return std::nullopt;  // deeper than the request: not bit-exact to resume
-    if (e.bytes.size() != expect.size() ||
-        !std::equal(e.bytes.begin(), e.bytes.end(), expect.begin()))
-        return std::nullopt;  // 64-bit collision or stale entry: never resume
+    if (!std::ranges::equal(view(e.bytes), expect))
+        return std::nullopt;  // hash collision or stale entry: never resume
     e.leased = true;
     ++session_resumes_;
     OBS_TRACE_INSTANT("cache", "session_resume");
-    // The vector move keeps the heap buffer (and the session's references
-    // into it) stable; the entry keeps its byte accounting until return.
+    // The entry keeps its byte accounting until return.
     session_lease lease{std::move(e.bytes), std::move(*e.session)};
     e.session.reset();
     return lease;
 }
 
-void decoded_cache::deposit_session(std::uint64_t content_hash,
-                                    std::vector<std::uint8_t> bytes,
+void decoded_cache::deposit_session(std::uint64_t content_hash, input_ptr bytes,
                                     j2k::decode_session session)
 {
-    const std::size_t resident = bytes.size() + session.resident_bytes();
+    const std::size_t resident = capacity(bytes) + session.resident_bytes();
     std::lock_guard lk{m_};
     ++session_deposits_;
     auto it = sessions_.find(content_hash);
@@ -299,6 +340,7 @@ cache_stats decoded_cache::stats() const
     s.hits = hits_;
     s.misses = misses_;
     s.collapses = collapses_;
+    s.mismatches = mismatches_;
     s.inserts = inserts_;
     s.evictions = evictions_;
     s.session_resumes = session_resumes_;

@@ -8,9 +8,10 @@
 // behind a clean transaction interface, not state smeared through the codec)
 // and holds two value kinds:
 //
-//   1. fully decoded images, keyed by (codestream FNV-1a hash, codec, quality
-//      layers, discard levels, max passes) — a hit answers a
-//      decode_all-shaped request with zero tier-1 work;
+//   1. fully decoded images, keyed by (codestream hash, codec, quality
+//      layers, discard levels, max passes) and stored with the input bytes
+//      they were decoded from — a hit answers a decode_all-shaped request
+//      with zero tier-1 work and hands out the shared image, not a copy;
 //   2. resumable decode_session prefixes, keyed by content hash alone — a
 //      cached layer-k prefix serves a layer-(k+n) request at O(new layers)
 //      tier-1 cost, and an equal-depth prefix at synthesis-only cost.  A
@@ -25,22 +26,37 @@
 // can only queue behind a leader that is actively decoding, which is strictly
 // cheaper than the N redundant decodes they replace.
 //
-//   begin_flight(k) ──hit──────────────► shared image        (fast path)
-//        │ miss, flight open ──block──► leader's outcome     (collapsed)
-//        │ miss, no flight ───────────► nullopt: caller is leader, must
-//        ▼                               complete_flight / abort_flight
-//   [decode] ── complete_flight(k,img) ► waiters wake, entry inserted (LRU)
+//   begin_flight(k, in) ──hit, same bytes──► shared image       (fast path)
+//        │ flight open, same bytes ──block──► leader's outcome  (collapsed)
+//        │ key taken, other bytes ─────────► mismatch: decode uncached
+//        │ miss, no flight ────────────────► nullopt: caller is leader, must
+//        ▼                                    complete_flight / abort_flight
+//   [decode] ── complete_flight(k, img, in) ► waiters wake, entry inserted
 //
-// Eviction is LRU over a byte budget.  Entries pinned by policy
+// Eviction is LRU over a byte budget; an image entry is charged its samples
+// plus its stored input.  Input buffers are shared, not copied: a layered
+// j2k leader's image entry and the session prefix it deposits hold one
+// buffer, and each is charged for it, so the budget can overstate what is
+// resident but never understate it.  Entries pinned by policy
 // (cache_policy::pin, the J2NE pin flag) and session entries currently
-// checked out are never evicted; pinned bytes still count against the budget
-// so a pin-flood degrades to "cache full", not OOM.
+// checked out are never evicted; pinned bytes still count against the
+// budget so a pin-flood degrades to "cache full", not OOM.
 //
-// Collision trust model: the content address is 64-bit FNV-1a of the whole
-// codestream.  Image hits trust the hash (~2^-64 accidental collision);
-// session checkouts additionally compare the stored bytes against the
-// request's before resuming, because resuming a wrong-content session would
-// silently produce plausible-looking garbage.
+// Trust model: the hash picks a bucket, the bytes decide.  `content_hash` is
+// runtime::seeded_hash of the codestream (8 bytes per step, seeded per
+// process), and nothing is served on its say-so: a hit, a request joining an
+// in-flight decode, and a session checkout each compare the request's bytes
+// with the stored (or in-flight leader's) bytes first.  Equal keys over
+// different bytes are a *mismatch* — counted, answered with no image and no
+// flight, so the caller decodes on its own and leaves the cache as it was.
+// One client's input can therefore never be answered with an image decoded
+// from another's, however the hash collides.  A hit compares after the cache
+// mutex is released (it holds the entry's buffer by reference count, so an
+// eviction meanwhile cannot free it), so lookups never queue behind a
+// whole-input memcmp.  A join compares under the mutex, because the leader's
+// bytes are only known alive while its flight is registered, and a session
+// checkout does too: each holds the mutex for one memcmp of the request, but
+// only while a leader decodes or on a layered j2k miss.
 #pragma once
 
 #include <j2k/image.hpp>
@@ -68,7 +84,7 @@ namespace runtime {
 /// both equality and the hash — a j2k entry can never serve a ccsds123
 /// request (or vice versa) no matter what the content hash says.
 struct cache_key {
-    std::uint64_t content_hash = 0;  ///< FNV-1a of the codestream bytes
+    std::uint64_t content_hash = 0;  ///< bucket hash of the codestream bytes
     std::uint8_t codec = 0;          ///< codec wire id (0 = j2k)
     std::int32_t layers = 0;         ///< normalised quality-layer depth (>= 1)
     std::int32_t discard_levels = 0;
@@ -84,13 +100,14 @@ struct cache_key_hash {
 /// Point-in-time cache counters (all monotonic except the byte/entry gauges).
 struct cache_stats {
     std::uint64_t hits = 0;       ///< served from a completed entry
-    std::uint64_t misses = 0;     ///< flights led (== decodes actually run)
+    std::uint64_t misses = 0;     ///< flights led (== decodes run for the cache)
     std::uint64_t collapses = 0;  ///< requests that waited on a leader instead
+    std::uint64_t mismatches = 0; ///< key matched, input bytes did not (uncached)
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
     std::uint64_t session_resumes = 0;   ///< prefix checkouts that saved tier-1 work
     std::uint64_t session_deposits = 0;
-    std::uint64_t bytes = 0;          ///< resident payload bytes (images + sessions)
+    std::uint64_t bytes = 0;          ///< charged bytes (images + inputs + sessions)
     std::uint64_t pinned_bytes = 0;   ///< subset of `bytes` exempt from eviction
     std::uint64_t entries = 0;        ///< image entries resident
     std::uint64_t session_entries = 0;
@@ -108,9 +125,14 @@ struct cache_stats {
 class decoded_cache {
 public:
     using image_ptr = std::shared_ptr<const j2k::image>;
+    /// The input bytes an entry was decoded from.  Shared, so an image entry
+    /// and a session prefix over one codestream keep a single buffer.
+    using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-    /// `byte_budget` bounds resident payload bytes (images by exact sample
-    /// storage, sessions by decode_session::resident_bytes()).  A single
+    /// `byte_budget` bounds resident bytes (images by exact sample storage
+    /// plus their input's capacity, sessions by codestream plus
+    /// decode_session::resident_bytes(); a shared input is charged to each
+    /// entry holding it).  A single
     /// entry larger than the whole budget is still admitted and evicted the
     /// moment anything else arrives — refusing it would make the hottest
     /// large image permanently uncacheable.
@@ -124,33 +146,44 @@ public:
 
     /// Outcome of begin_flight when the caller is *not* the leader.
     struct flight_result {
-        image_ptr image;            ///< non-null unless the leader failed
+        image_ptr image;            ///< null when the leader failed or on a mismatch
         std::exception_ptr error;   ///< the leader's exception, when it failed
         bool collapsed = false;     ///< true: waited behind an in-flight leader
+        bool mismatch = false;      ///< key taken by other bytes: decode uncached
     };
 
-    /// The single-flight entry point.  Returns a value when the request is
-    /// served from the cache (hit) or by an in-flight leader (collapsed wait,
-    /// possibly with the leader's error); returns nullopt when the caller has
-    /// become the leader and MUST follow up with exactly one complete_flight
-    /// or abort_flight for this key.
-    [[nodiscard]] std::optional<flight_result> begin_flight(const cache_key& k);
+    /// The single-flight entry point for a request whose codestream is
+    /// `input`.  Returns a value when the request is served from the cache
+    /// (hit), by an in-flight leader (collapsed wait, possibly with the
+    /// leader's error), or not at all (mismatch: the resident entry or the
+    /// flight holds other bytes under this key).  Returns nullopt when the
+    /// caller has become the leader and MUST follow up with exactly one
+    /// complete_flight or abort_flight for this key; `input` must stay valid
+    /// until then, because requests that join the flight compare against it.
+    [[nodiscard]] std::optional<flight_result> begin_flight(
+        const cache_key& k, std::span<const std::uint8_t> input = {});
 
-    /// Leader success: publish to every waiter and insert the entry (subject
-    /// to the byte budget; `pin` exempts it from eviction).
-    void complete_flight(const cache_key& k, image_ptr img, bool pin = false);
+    /// Leader success: publish to every waiter and insert the entry with its
+    /// `input` — the bytes begin_flight saw — subject to the byte budget;
+    /// `pin` exempts it from eviction.
+    void complete_flight(const cache_key& k, image_ptr img, input_ptr input = nullptr,
+                         bool pin = false);
 
     /// Leader failure: every waiter receives `err`; nothing is cached, so the
     /// next request for the key retries the decode.
     void abort_flight(const cache_key& k, std::exception_ptr err) noexcept;
 
     /// Plain lookup without flight membership (stats endpoints, tests).
-    /// Touches LRU recency and counts a hit; returns null on miss (which is
-    /// NOT counted — only flights count misses, keeping `misses` == decodes).
-    [[nodiscard]] image_ptr peek(const cache_key& k);
+    /// Touches LRU recency and counts a hit; returns null on a mismatch
+    /// (counted) or a miss (NOT counted — only flights count misses, keeping
+    /// `misses` == flights led).
+    [[nodiscard]] image_ptr peek(const cache_key& k,
+                                 std::span<const std::uint8_t> input = {});
 
-    /// Insert without a flight (warm-up paths, tests).
-    void insert(const cache_key& k, image_ptr img, bool pin = false);
+    /// Insert without a flight (warm-up paths, tests).  A resident entry
+    /// under `k` is kept, whatever its bytes.
+    void insert(const cache_key& k, image_ptr img, input_ptr input = nullptr,
+                bool pin = false);
 
     /// Flip an entry's pin.  Returns false when the key is not resident.
     bool set_pinned(const cache_key& k, bool pinned);
@@ -162,7 +195,7 @@ public:
     /// entry stays resident (and unevictable) but cannot be leased again —
     /// a concurrent request for the same content decodes cold instead.
     struct session_lease {
-        std::vector<std::uint8_t> bytes;  ///< stable storage `session` points into
+        input_ptr bytes;  ///< the storage `session` points into
         j2k::decode_session session;
     };
 
@@ -177,8 +210,8 @@ public:
 
     /// Deposit (or return) a session prefix.  Keeps the deeper of the
     /// deposited and any resident prefix for the hash.  The session must
-    /// reference `bytes`'s heap storage (vector moves keep it stable).
-    void deposit_session(std::uint64_t content_hash, std::vector<std::uint8_t> bytes,
+    /// reference the storage of `bytes` (non-null).
+    void deposit_session(std::uint64_t content_hash, input_ptr bytes,
                          j2k::decode_session session);
 
     /// Drop a leased prefix without returning it — the lease holder's
@@ -202,6 +235,15 @@ private:
     /// Session prefixes are evicted only after every unpinned image is gone:
     /// a prefix regenerates O(L) tier-1 work, an image only O(synthesis).
     void evict_to_budget_locked();
+    /// Insert a leader's or warm-up image unless `k` is already resident.
+    void insert_locked(const cache_key& k, image_ptr img, input_ptr input, bool pin);
+    /// Serve a resident entry's `img` if its `stored` bytes equal `input`:
+    /// compares without the mutex, then counts a hit or a mismatch under it.
+    flight_result hit_or_mismatch(const cache_key& k, image_ptr img,
+                                  const input_ptr& stored,
+                                  std::span<const std::uint8_t> input);
+    /// Count a mismatch and build its flight_result.
+    flight_result mismatch_locked();
     void account_insert_locked(std::size_t bytes, bool pinned);
     void account_erase_locked(std::size_t bytes, bool pinned);
 
@@ -218,6 +260,7 @@ private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t collapses_ = 0;
+    std::uint64_t mismatches_ = 0;
     std::uint64_t inserts_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t session_resumes_ = 0;

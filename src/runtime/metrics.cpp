@@ -150,6 +150,7 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add_counter("cache_hits_total", "hits", cache_hits);
     out.add_counter("cache_misses_total", "misses", cache_misses);
     out.add_counter("cache_collapses_total", "collapses", cache_collapses);
+    out.add_counter("cache_mismatches_total", "mismatches", cache_mismatches);
     out.add_counter("cache_evictions_total", "evictions", cache_evictions);
     out.add_counter("cache_session_resumes_total", "session_resumes",
                     cache_session_resumes);

@@ -85,8 +85,11 @@ struct metrics_snapshot {
     // live counters are owned by the cache itself and merged at snapshot
     // time by decode_service::metrics()).
     std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;     ///< flights led == decodes actually run
+    std::uint64_t cache_misses = 0;     ///< flights led == decodes run for the cache
     std::uint64_t cache_collapses = 0;  ///< requests folded into a leader's flight
+    /// Requests whose key matched a resident entry or an in-flight decode
+    /// but whose bytes did not; each was decoded uncached.
+    std::uint64_t cache_mismatches = 0;
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_session_resumes = 0;
     std::uint64_t cache_bytes = 0;

@@ -114,17 +114,25 @@ std::optional<layer_header> decode_layer_header(std::span<const std::uint8_t> in
     return h;
 }
 
-std::vector<std::uint8_t> encode_image_raw(const j2k::image& img)
+std::size_t raw_image_size(const j2k::image& img) noexcept
 {
-    const std::int32_t maxv = (1 << img.bit_depth()) - 1;
-    const bool wide = img.bit_depth() > 8;
     const std::size_t samples = static_cast<std::size_t>(img.width()) * img.height() *
                                 img.components();
-    std::vector<std::uint8_t> out(12 + samples * (wide ? 2 : 1));
+    return 12 + samples * (img.bit_depth() > 8 ? 2 : 1);
+}
+
+void encode_image_raw_into(const j2k::image& img, std::span<std::uint8_t> out)
+{
+    if (out.size() != raw_image_size(img))
+        throw std::invalid_argument{"raw image: output buffer size mismatch"};
+    const std::int32_t maxv = (1 << img.bit_depth()) - 1;
+    const bool wide = img.bit_depth() > 8;
     put_u32(out.data(), static_cast<std::uint32_t>(img.width()));
     put_u32(out.data() + 4, static_cast<std::uint32_t>(img.height()));
     out[8] = static_cast<std::uint8_t>(img.components());
     out[9] = static_cast<std::uint8_t>(img.bit_depth());
+    out[10] = 0;
+    out[11] = 0;
     // Planes are row-major and contiguous: one clamp-and-store pass each.
     std::uint8_t* p = out.data() + 12;
     for (int c = 0; c < img.components(); ++c) {
@@ -140,6 +148,12 @@ std::vector<std::uint8_t> encode_image_raw(const j2k::image& img)
             for (const std::int32_t v : src) *p++ = static_cast<std::uint8_t>(std::clamp(v, 0, maxv));
         }
     }
+}
+
+std::vector<std::uint8_t> encode_image_raw(const j2k::image& img)
+{
+    std::vector<std::uint8_t> out(raw_image_size(img));
+    encode_image_raw_into(img, out);
     return out;
 }
 

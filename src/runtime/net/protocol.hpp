@@ -176,7 +176,17 @@ void encode_layer_header(const layer_header& h, std::uint8_t out[k_layer_header_
 [[nodiscard]] std::optional<layer_header> decode_layer_header(
     std::span<const std::uint8_t> in);
 
-/// Encode a decoded image as the `raw` result payload.
+/// Size of `img`'s `raw` result payload: 12 header bytes plus one byte per
+/// sample (two above 8 bits).
+[[nodiscard]] std::size_t raw_image_size(const j2k::image& img) noexcept;
+
+/// Encode `img` as the `raw` result payload into `out`, which must hold
+/// exactly raw_image_size(img) bytes (std::invalid_argument otherwise) — the
+/// server writes each response straight into its outbound frame this way,
+/// once.
+void encode_image_raw_into(const j2k::image& img, std::span<std::uint8_t> out);
+
+/// Encode a decoded image as the `raw` result payload, into a new buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_image_raw(const j2k::image& img);
 
 /// Parse a `raw` result payload (client side).  Throws std::runtime_error on

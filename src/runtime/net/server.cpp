@@ -161,9 +161,10 @@ struct server::impl {
             std::uint8_t hdr_buf[k_header_size] = {};
             std::size_t hdr_filled = 0;
             request_header hdr;
-            /// Arena buffer: recv() lands payload bytes directly here, and the
-            /// whole vector moves into the decode job on dispatch — the socket
-            /// path adds no intermediate copy.
+            /// recv() lands payload bytes directly here, and the whole vector
+            /// moves into the decode job on dispatch (and on into the cache
+            /// entry) — the socket path adds no intermediate copy.  It grows
+            /// as bytes arrive (grow_payload), never on the header's word.
             std::vector<std::uint8_t> payload;
             std::size_t payload_filled = 0;
             // Outbound frames (fully framed responses), possibly partially sent.
@@ -374,21 +375,34 @@ struct server::impl {
                         continue;
                     }
                     c.state = connection::reading::payload;
-                    c.payload.resize(hdr->payload_len);
                     c.payload_filled = 0;
                 } else {
+                    if (c.payload_filled == c.payload.size()) grow_payload(c);
                     const ssize_t n =
                         ::recv(c.fd, c.payload.data() + c.payload_filled,
                                c.payload.size() - c.payload_filled, 0);
                     if (!advance(c, n)) return;
                     c.payload_filled += static_cast<std::size_t>(n);
-                    if (c.payload_filled < c.payload.size()) continue;
+                    if (c.payload_filled < c.hdr.payload_len) continue;
                     c.state = connection::reading::header;
                     dispatch_frame(c, std::move(c.payload), batch);
                     c.payload = {};
                     c.payload_filled = 0;
                 }
             }
+        }
+
+        /// Make room for more payload: double the buffer, from a 64 KiB first
+        /// chunk, capped at the declared length.  A header alone commits one
+        /// chunk however much it declares, and the finished buffer's
+        /// capacity is exactly payload_len — the bytes a cache entry keeps.
+        static void grow_payload(connection& c)
+        {
+            constexpr std::size_t k_first_chunk = 64u << 10;
+            const std::size_t want = std::min<std::size_t>(
+                c.hdr.payload_len, std::max(k_first_chunk, 2 * c.payload.size()));
+            c.payload.reserve(want);  // exact: resize alone may over-allocate
+            c.payload.resize(want);
         }
 
         /// Common recv() outcome handling; returns false when reading must stop
@@ -480,41 +494,60 @@ struct server::impl {
                                                    std::uint64_t trace_id)
         {
             return [this, conn_id, request_id, codec, fmt,
-                    trace_id](j2k::image&& img, std::exception_ptr err) {
+                    trace_id](std::shared_ptr<const j2k::image> img,
+                              std::exception_ptr err) {
                 response_header rh;
                 rh.request_id = request_id;
                 rh.codec = codec;
-                std::vector<std::uint8_t> body;
-                if (!err) {
-                    rh.st = status::ok;
-                    try {
-                        body = fmt == result_format::raw ? encode_image_raw(img)
-                                                         : j2k::pnm_bytes(img);
-                    } catch (const std::exception& e) {
-                        rh.st = status::internal_error;
-                        body.assign(e.what(), e.what() + std::strlen(e.what()));
-                    }
-                } else {
-                    rh.st = map_error(std::move(err), body);
-                }
-                enqueue_frame(conn_id, rh, body, trace_id, true);
+                std::vector<std::uint8_t> frame(k_header_size);
+                rh.st = err ? map_error(std::move(err), frame)
+                            : append_image(frame, *img, fmt, status::ok);
+                enqueue_frame(conn_id, rh, std::move(frame), trace_id, true);
             };
         }
 
+        static void append_text(std::vector<std::uint8_t>& frame, const char* text)
+        {
+            frame.insert(frame.end(), text, text + std::strlen(text));
+        }
+
+        /// Encode `img` onto the end of `frame` and answer `ok`: raw samples
+        /// are written in place, once; PNM goes through j2k::pnm_bytes.  On
+        /// failure the frame is cut back to its header room plus the
+        /// diagnostic, and the answer is internal_error.
+        static status append_image(std::vector<std::uint8_t>& frame, const j2k::image& img,
+                                   result_format fmt, status ok)
+        {
+            try {
+                if (fmt == result_format::raw) {
+                    const std::size_t at = frame.size();
+                    frame.resize(at + raw_image_size(img));
+                    encode_image_raw_into(img, std::span{frame}.subspan(at));
+                } else {
+                    const std::vector<std::uint8_t> pnm = j2k::pnm_bytes(img);
+                    frame.insert(frame.end(), pnm.begin(), pnm.end());
+                }
+                return ok;
+            } catch (const std::exception& e) {
+                frame.resize(k_header_size);
+                append_text(frame, e.what());
+                return status::internal_error;
+            }
+        }
+
         /// Map a decode/admission exception onto a response status (diagnostic
-        /// text, when any, lands in `body`).
-        static status map_error(std::exception_ptr err,
-                                std::vector<std::uint8_t>& body)
+        /// text, when any, is appended to `frame`).
+        static status map_error(std::exception_ptr err, std::vector<std::uint8_t>& frame)
         {
             try {
                 std::rethrow_exception(std::move(err));
             } catch (const codec::codestream_error& e) {
                 // One catch covers every codec: j2k::codestream_error is an
                 // alias of the codec-neutral base.
-                body.assign(e.what(), e.what() + std::strlen(e.what()));
+                append_text(frame, e.what());
                 return status::malformed_codestream;
             } catch (const unsupported_codec& e) {
-                body.assign(e.what(), e.what() + std::strlen(e.what()));
+                append_text(frame, e.what());
                 return status::unsupported_codec;
             } catch (const admission_rejected&) {
                 return status::shed;
@@ -523,20 +556,20 @@ struct server::impl {
             } catch (const service_stopped&) {
                 return status::stopped;
             } catch (const std::exception& e) {
-                body.assign(e.what(), e.what() + std::strlen(e.what()));
+                append_text(frame, e.what());
                 return status::internal_error;
             }
         }
 
-        /// Frame a response and hand it to the shard's loop (worker side).
+        /// Stamp the header onto a response frame (payload already in place
+        /// after k_header_size bytes) and hand it to the shard's loop
+        /// (worker side).
         void enqueue_frame(std::uint64_t conn_id, response_header rh,
-                           const std::vector<std::uint8_t>& body,
-                           std::uint64_t trace_id, bool end_span)
+                           std::vector<std::uint8_t>&& frame, std::uint64_t trace_id,
+                           bool end_span)
         {
-            rh.payload_len = static_cast<std::uint32_t>(body.size());
-            std::vector<std::uint8_t> frame(k_header_size + body.size());
+            rh.payload_len = static_cast<std::uint32_t>(frame.size() - k_header_size);
             encode_response_header(rh, frame.data());
-            std::copy(body.begin(), body.end(), frame.begin() + k_header_size);
             {
                 std::lock_guard lk{completions_m_};
                 completions_.push_back({conn_id, std::move(frame), trace_id, end_span});
@@ -565,33 +598,21 @@ struct server::impl {
                 response_header rh;
                 rh.request_id = request_id;
                 rh.codec = codec;
-                std::vector<std::uint8_t> body;
-                bool last = true;
+                std::vector<std::uint8_t> frame(k_header_size);
                 if (!err) {
-                    rh.st = status::streaming;
-                    last = ev.last;
-                    body.resize(k_layer_header_size);
+                    frame.resize(k_header_size + k_layer_header_size);
                     encode_layer_header({static_cast<std::uint8_t>(ev.layer),
                                          static_cast<std::uint8_t>(ev.total),
                                          static_cast<std::uint8_t>(ev.last ? 1 : 0)},
-                                        body.data());
-                    try {
-                        const std::vector<std::uint8_t> px =
-                            fmt == result_format::raw ? encode_image_raw(ev.img)
-                                                      : j2k::pnm_bytes(ev.img);
-                        body.insert(body.end(), px.begin(), px.end());
-                    } catch (const std::exception& e) {
-                        rh.st = status::internal_error;
-                        body.assign(e.what(), e.what() + std::strlen(e.what()));
-                        last = true;
-                    }
+                                        frame.data() + k_header_size);
+                    rh.st = append_image(frame, ev.img, fmt, status::streaming);
                 } else {
-                    rh.st = map_error(std::move(err), body);
+                    rh.st = map_error(std::move(err), frame);
                 }
-                if (rh.st == status::streaming)
-                    layer_frames_out_.fetch_add(1, std::memory_order_relaxed);
-                enqueue_frame(conn_id, rh, body, trace_id, last);
-                return rh.st == status::streaming;
+                const bool streaming = rh.st == status::streaming;
+                if (streaming) layer_frames_out_.fetch_add(1, std::memory_order_relaxed);
+                enqueue_frame(conn_id, rh, std::move(frame), trace_id, !streaming || ev.last);
+                return streaming;
             };
         }
 

@@ -18,10 +18,11 @@
 //      └── framed response ◄── owning shard's queue + wake ◄─┘
 //
 // The data path is zero intermediate copy: payload bytes are recv()'d
-// directly into the arena buffer that becomes the job's owned storage
-// (`decode_service::submit_async` moves it, no memcpy), and result
-// serialisation happens on the pool worker that decoded the job, off the
-// loop.
+// directly into the buffer that becomes the job's owned storage
+// (`decode_service::submit_async` moves it, no memcpy; the buffer grows as
+// bytes arrive, not on the header's word), and the pool worker that decoded
+// the job encodes the shared result once, straight into the outbound frame,
+// off the loop.
 //
 // Small-job batching: requests whose payload is below
 // `small_job_threshold` are coalesced per poll iteration *per shard* and

@@ -58,9 +58,18 @@ void decode_service::settle(job& j, j2k::image&& img)
 {
     if (j.settled.exchange(true, std::memory_order_acq_rel)) return;
     if (j.done)
-        j.done(std::move(img), nullptr);
+        j.done(std::make_shared<const j2k::image>(std::move(img)), nullptr);
     else
         j.promise.set_value(std::move(img));
+}
+
+void decode_service::settle(job& j, std::shared_ptr<const j2k::image> img)
+{
+    if (j.settled.exchange(true, std::memory_order_acq_rel)) return;
+    if (j.done)
+        j.done(std::move(img), nullptr);
+    else
+        j.promise.set_value(j2k::image{*img});  // a future owns its image
 }
 
 void decode_service::settle(job& j, std::exception_ptr err)
@@ -69,7 +78,7 @@ void decode_service::settle(job& j, std::exception_ptr err)
     if (j.on_layer)
         j.on_layer(layer_event{}, std::move(err));
     else if (j.done)
-        j.done(j2k::image{}, std::move(err));
+        j.done(nullptr, std::move(err));
     else
         j.promise.set_exception(std::move(err));
 }
@@ -254,6 +263,7 @@ void decode_service::run_job(job& j)
     OBS_TRACE_SCOPE("runtime", j.on_layer ? "progressive_job" : "decode_job");
     const std::uint8_t id = j.opt.codec;
     j2k::image img;
+    std::shared_ptr<const j2k::image> shared;
     std::exception_ptr err;
     bool unsupported = false;
     try {
@@ -273,12 +283,14 @@ void decode_service::run_job(job& j)
             throw unsupported_codec{id, "does not support pass caps"};
 
         const arena_pool::lease scratch = acquire_arena();
-        if (j.on_layer)
+        if (j.on_layer) {
             stream_layers(j, scratch.resource());
-        else if (cache_ && j.opt.cache != cache_policy::bypass)
-            img = decode_cached(j, *be, scratch.resource());
-        else
-            img = decode_one(j, *be, scratch.resource());
+        } else {
+            if (cache_ && j.opt.cache != cache_policy::bypass)
+                shared = decode_cached(j, *be, scratch.resource());
+            // Bypass, or bytes that mismatch the resident key: uncached.
+            if (!shared) img = decode_one(j, *be, scratch.resource());
+        }
     } catch (const unsupported_codec&) {
         err = std::current_exception();
         unsupported = true;
@@ -304,6 +316,8 @@ void decode_service::run_job(job& j)
         metrics_.on_codec_completed(id);
         if (j.on_layer)
             j.settled.store(true, std::memory_order_release);  // all layers delivered
+        else if (shared)
+            settle(j, std::move(shared));
         else
             settle(j, std::move(img));
     }
@@ -321,11 +335,11 @@ j2k::image decode_service::decode_one(const job& j, const codec::backend& be,
     return img;
 }
 
-j2k::image decode_service::decode_cached(job& j, const codec::backend& be,
-                                         std::pmr::memory_resource* mr)
+std::shared_ptr<const j2k::image> decode_service::decode_cached(
+    job& j, const codec::backend& be, std::pmr::memory_resource* mr)
 {
     cache_key key;
-    key.content_hash = fnv1a_bytes(j.bytes);
+    key.content_hash = seeded_hash(j.bytes);
     key.codec = j.opt.codec;  // namespaced: byte-identical input under another
                               // codec id is a different key
     key.layers = j.opt.max_quality_layers;
@@ -340,33 +354,44 @@ j2k::image decode_service::decode_cached(job& j, const codec::backend& be,
         if (key.layers <= 0 || key.layers >= stream_layers) key.layers = stream_layers;
     }
 
-    decoded_cache::image_ptr shared;
-    if (auto r = cache_->begin_flight(key)) {
+    if (auto r = cache_->begin_flight(key, j.bytes)) {
         if (r->error) std::rethrow_exception(r->error);
-        shared = std::move(r->image);
-    } else {
-        // This worker leads the flight: decode inline (never waiting on
-        // another job, so a leader always makes progress) and publish.
-        // Layered full-quality requests go through a resumable session so
-        // the tier-1 prefix can be cached and extended.
-        try {
-            const bool resumable =
-                stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
-            shared = std::make_shared<const j2k::image>(
-                resumable ? decode_prefix(j, key, mr) : decode_one(j, be, mr));
-            cache_->complete_flight(key, shared, j.opt.cache == cache_policy::pin);
-        } catch (...) {
-            cache_->abort_flight(key, std::current_exception());
-            throw;
-        }
+        return std::move(r->image);  // null on a mismatch
     }
-    return j2k::image{*shared};  // each caller gets its own copy
+    // This worker leads the flight: decode inline (never waiting on another
+    // job, so a leader always makes progress) and publish.  Layered
+    // full-quality requests go through a resumable session so the tier-1
+    // prefix can be cached and extended.  The entry keeps the job's bytes;
+    // `input` holds them from here on, at the address `j.bytes` and the
+    // flight's joiners read.
+    const input_ptr input = share_bytes(j);
+    try {
+        const bool resumable =
+            stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
+        auto shared = std::make_shared<const j2k::image>(
+            resumable ? decode_prefix(key, input, mr) : decode_one(j, be, mr));
+        cache_->complete_flight(key, shared, input, j.opt.cache == cache_policy::pin);
+        j.bytes = {};
+        return shared;
+    } catch (...) {
+        cache_->abort_flight(key, std::current_exception());
+        j.bytes = {};
+        throw;
+    }
 }
 
-j2k::image decode_service::decode_prefix(job& j, const cache_key& key,
+decode_service::input_ptr decode_service::share_bytes(job& j)
+{
+    using buffer = const std::vector<std::uint8_t>;
+    if (j.owns_bytes()) return std::make_shared<buffer>(std::move(j.owned));
+    return std::make_shared<buffer>(j.bytes.begin(), j.bytes.end());
+}
+
+j2k::image decode_service::decode_prefix(const cache_key& key,
+                                         const input_ptr& input,
                                          std::pmr::memory_resource* mr)
 {
-    if (auto lease = cache_->checkout_session(key.content_hash, j.bytes, key.layers)) {
+    if (auto lease = cache_->checkout_session(key.content_hash, *input, key.layers)) {
         try {
             j2k::image img = advance(lease->session, key.layers, pool_->size(), mr);
             cache_->deposit_session(key.content_hash, std::move(lease->bytes),
@@ -377,23 +402,11 @@ j2k::image decode_service::decode_prefix(job& j, const cache_key& key,
             throw;
         }
     }
-    j2k::decode_session s{j.bytes};
+    // The prefix and the image entry keep one buffer between them.
+    j2k::decode_session s{*input};
     j2k::image img = advance(s, key.layers, pool_->size(), mr);
-    deposit_prefix(j, key.content_hash, std::move(s));
+    cache_->deposit_session(key.content_hash, input, std::move(s));
     return img;
-}
-
-void decode_service::deposit_prefix(job& j, std::uint64_t content_hash,
-                                    j2k::decode_session&& s)
-{
-    // Only a job that owns its bytes may deposit: the session references the
-    // codestream storage, and a borrowed span (copy_input = false) would
-    // leave it pointing into caller memory.  The vector move keeps the heap
-    // buffer — and the session's references into it — stable.
-    if (j.owned.empty() || j.owned.data() != j.bytes.data()) return;
-    std::vector<std::uint8_t> bytes = std::move(j.owned);
-    j.bytes = {};
-    cache_->deposit_session(content_hash, std::move(bytes), std::move(s));
 }
 
 j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threads,
@@ -435,9 +448,16 @@ void decode_service::stream_layers(job& j, std::pmr::memory_resource* mr)
             }
         }
         // Even a cancelled stream leaves a valid layer-l prefix; deposit it so
-        // later full-quality submits resume instead of decoding cold.
-        if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1)
-            deposit_prefix(j, fnv1a_bytes(j.bytes), std::move(s));
+        // later full-quality submits resume instead of decoding cold.  Only
+        // a job that owns its bytes may: the session references them, and
+        // share_bytes keeps that storage where it is, where a borrowed span
+        // (copy_input = false) would be copied away from under it.
+        if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1 &&
+            j.owns_bytes()) {
+            const std::uint64_t hash = seeded_hash(j.bytes);
+            cache_->deposit_session(hash, share_bytes(j), std::move(s));
+            j.bytes = {};
+        }
     } catch (...) {
         metrics_.on_progressive_finished();
         throw;
@@ -480,6 +500,7 @@ metrics_snapshot decode_service::metrics() const
         s.cache_hits = cs.hits;
         s.cache_misses = cs.misses;
         s.cache_collapses = cs.collapses;
+        s.cache_mismatches = cs.mismatches;
         s.cache_evictions = cs.evictions;
         s.cache_session_resumes = cs.session_resumes;
         s.cache_bytes = cs.bytes;

@@ -8,6 +8,7 @@
 //   submit(bytes[, priority]) ─► [two_level_queue, backpressure] ─► thread_pool
 //        │                                                             │
 //        └── std::future<j2k::image> ◄── promise fulfilled ◄───────────┘
+//   submit_async(bytes, opt, done) ─► ... ─► done(shared image, err)
 //
 // Admission is a two-level strict-priority queue: `interactive` jobs jump the
 // `batch` backlog, with a starvation escape valve that promotes a batch job
@@ -18,6 +19,9 @@
 // independent, so the result is byte-identical to a serial decode); idle
 // workers steal tile subtasks from busy ones via lock-free Chase–Lev deques,
 // so one large image parallelises even when it is the only job in flight.
+// Results travel by reference where they can: a completion callback receives
+// a std::shared_ptr<const image> — for a cache hit or a flight leader, the
+// very object the cache holds — while a future receives an image of its own.
 // `shutdown()` drains: queued and running jobs complete, new submissions fail
 // fast.
 #pragma once
@@ -178,10 +182,14 @@ public:
                                    const decode_options& opt = {});
 
     /// Completion callback for the future-less submission paths.  Exactly one
-    /// of the two arguments is meaningful: `err` is null on success.  Runs on
-    /// a pool worker (or inline on the submitting thread for admission
-    /// failures) — it must not block on the service.
-    using completion = std::function<void(j2k::image&&, std::exception_ptr err)>;
+    /// of the two arguments is meaningful: `err` is null on success, `img`
+    /// null on failure.  The image is shared, never copied: a cache hit (and
+    /// the flight leader) hands over the object the cache keeps, so it must
+    /// not be modified.  Uncached results are moved into it.  Runs on a pool
+    /// worker (or inline on the submitting thread for admission failures) —
+    /// it must not block on the service.
+    using completion =
+        std::function<void(std::shared_ptr<const j2k::image> img, std::exception_ptr err)>;
 
     /// Future-less submit for async front-ends: the outcome (including typed
     /// admission failures) is delivered through `done` instead of a future.
@@ -264,13 +272,23 @@ private:
         std::atomic<bool> settled{false};
         std::vector<std::uint8_t> owned;      ///< storage when copy_input
         std::span<const std::uint8_t> bytes;  ///< what the decoder reads
+        /// True while `bytes` views `owned` (not a caller's borrowed span),
+        /// so the buffer may be moved on to the cache.
+        [[nodiscard]] bool owns_bytes() const noexcept
+        {
+            return !owned.empty() && owned.data() == bytes.data();
+        }
         decode_options opt;
         std::chrono::steady_clock::time_point submitted_at;
         std::uint64_t trace_id = 0;  ///< correlates the async job span tree
     };
     using job_ptr = std::unique_ptr<job>;
 
+    /// Success with an image of the job's own: moved to either receiver.
     static void settle(job& j, j2k::image&& img);
+    /// Success with a shared (cached) image: a completion gets the pointer, a
+    /// future a copy.
+    static void settle(job& j, std::shared_ptr<const j2k::image> img);
     static void settle(job& j, std::exception_ptr err);
     job_ptr make_job(std::vector<std::uint8_t>&& bytes, const decode_options& opt);
     /// Admission core shared by every submit flavour: queue push, eviction /
@@ -285,15 +303,23 @@ private:
     /// One-shot decode through the codec's backend, fed to the stage counters.
     j2k::image decode_one(const job& j, const codec::backend& be,
                           std::pmr::memory_resource* mr);
-    /// Through the cache: hits and collapsed waits copy the shared image; a
-    /// miss leads the single flight and publishes its decode.
-    j2k::image decode_cached(job& j, const codec::backend& be,
+    /// Through the cache: hits and collapsed waits share the resident image;
+    /// a miss leads the single flight, publishes its decode and hands the
+    /// job's bytes to the entry.  Null when the key is taken by other bytes —
+    /// the caller then decodes uncached.
+    std::shared_ptr<const j2k::image> decode_cached(job& j, const codec::backend& be,
+                                                    std::pmr::memory_resource* mr);
+    /// Input bytes as the cache keeps them (decoded_cache::input_ptr).
+    using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
+    /// The job's bytes as a buffer the cache can keep: an owned vector is
+    /// moved, so its storage (which `j.bytes` views) stays where it is; a
+    /// borrowed span is copied.
+    static input_ptr share_bytes(job& j);
+    /// Layered j2k flight leader over `input`: resume the cached session
+    /// prefix when one fits, else decode cold; the advanced prefix goes back
+    /// to the cache.
+    j2k::image decode_prefix(const cache_key& key, const input_ptr& input,
                              std::pmr::memory_resource* mr);
-    /// Layered j2k flight leader: resume the cached session prefix when one
-    /// fits, else decode cold; the advanced prefix goes back to the cache.
-    j2k::image decode_prefix(job& j, const cache_key& key, std::pmr::memory_resource* mr);
-    /// Hand the job's session to the cache (only when the job owns its bytes).
-    void deposit_prefix(job& j, std::uint64_t content_hash, j2k::decode_session&& s);
     /// Advance a session over `threads` tiles at a time on `mr` scratch,
     /// feeding the tier-1 byte, stage and tile counters.
     j2k::image advance(j2k::decode_session& s, int layers, int threads,

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,15 @@ namespace {
 using runtime::arena;
 using runtime::arena_errc;
 using runtime::arena_pool;
+
+/// This process's resident set (VmRSS) in bytes; 0 without /proc.
+std::int64_t rss_bytes()
+{
+    std::ifstream in{"/proc/self/status"};
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
+    return 0;
+}
 
 TEST(Arena, AllocationsAreAlignedAndDisjoint)
 {
@@ -42,6 +53,28 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint)
         blocks.emplace_back(static_cast<std::byte*>(p), bytes);
     }
     EXPECT_GE(blocks.size(), 32u);
+}
+
+TEST(Arena, PagesAreCommittedOnFirstUseNotAtConstruction)
+{
+    // Each service worker owns an arena from start-up; an idle one must cost
+    // address space, not memory.
+    const std::int64_t before = rss_bytes();
+    if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+    constexpr std::int64_t cap = 64 << 20;
+    arena a{static_cast<std::size_t>(cap)};
+    const std::int64_t built = rss_bytes();
+    EXPECT_LT(built - before, cap / 4);
+
+    constexpr std::int64_t touch = 1 << 20;
+    void* p = a.try_alloc(static_cast<std::size_t>(touch), 64);
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 1, static_cast<std::size_t>(touch));
+    // The touched pages are committed, and not the rest of the block (the
+    // upper bound leaves room for a sanitizer's shadow of the touched range).
+    const std::int64_t grown = rss_bytes() - built;
+    EXPECT_GE(grown, touch * 3 / 4);
+    EXPECT_LT(grown, cap / 4);
 }
 
 TEST(Arena, ExhaustionReportsTypedErrorWithoutThrowing)

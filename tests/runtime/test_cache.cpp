@@ -1,6 +1,7 @@
 // decoded_cache — shared FNV-1a vectors, LRU eviction and byte accounting,
 // pin semantics, single-flight collapsing (API-level and through the
-// service), and session-prefix resume bit-exactness against the golden
+// service), byte-checked entries under equal keys, shared images handed to
+// completions, and session-prefix resume bit-exactness against the golden
 // corpus.
 #include <runtime/cache/decoded_cache.hpp>
 
@@ -53,6 +54,11 @@ std::vector<std::uint8_t> make_stream(int w, int h, int comps, int tile,
 decoded_cache::image_ptr make_image(int w, int h)
 {
     return std::make_shared<const j2k::image>(j2k::image{w, h, 1, 8});
+}
+
+decoded_cache::input_ptr share(const std::vector<std::uint8_t>& bytes)
+{
+    return std::make_shared<const std::vector<std::uint8_t>>(bytes);
 }
 
 cache_key key_of(std::uint64_t content, int layers = 1)
@@ -115,7 +121,7 @@ TEST(DecodedCache, PinnedEntriesSurviveEvictionUntilUnpinned)
     decoded_cache cache{2048};
     const auto img = make_image(16, 16);
 
-    cache.insert(key_of(1), img, /*pin=*/true);
+    cache.insert(key_of(1), img, {}, /*pin=*/true);
     cache.insert(key_of(2), img);
     cache.insert(key_of(3), img);  // over budget: 2 (unpinned, coldest) goes
     EXPECT_NE(cache.peek(key_of(1)), nullptr);
@@ -137,9 +143,9 @@ TEST(DecodedCache, PinIsRefusedOncePinnedBytesWouldExceedBudget)
     // inserted unpinned instead of growing without bound.
     decoded_cache cache{2048};
     const auto img = make_image(16, 16);
-    cache.insert(key_of(1), img, true);
-    cache.insert(key_of(2), img, true);
-    cache.insert(key_of(3), img, true);
+    cache.insert(key_of(1), img, {}, true);
+    cache.insert(key_of(2), img, {}, true);
+    cache.insert(key_of(3), img, {}, true);
     EXPECT_EQ(cache.stats().pinned_bytes, 2048u);
     EXPECT_LE(cache.stats().bytes, 2048u);
 }
@@ -204,6 +210,154 @@ TEST(DecodedCache, AbortedFlightPropagatesErrorAndRetriesNextTime)
     EXPECT_FALSE(cache.begin_flight(k).has_value());
     cache.complete_flight(k, make_image(8, 8));
     EXPECT_NE(cache.peek(k), nullptr);
+}
+
+// ---- the bytes decide, not the hash ----------------------------------------
+
+TEST(DecodedCache, EqualKeysOverDifferentBytesNeverShareAnImage)
+{
+    // Two different codestreams under one key, as a crafted hash collision
+    // would give them.  Whichever got there first, the other is told
+    // "mismatch" — no image, no flight — on a hit, on joining a flight and on
+    // insert, and so decodes its own.
+    const auto a = make_stream(32, 32, 1, 32);
+    const auto b = make_stream(48, 32, 1, 32);
+    const auto img_a = std::make_shared<const j2k::image>(j2k::decode(a));
+    const auto img_b = std::make_shared<const j2k::image>(j2k::decode(b));
+    const cache_key k = key_of(0xC0111DEull);
+
+    {  // hit
+        decoded_cache cache{1u << 20};
+        ASSERT_FALSE(cache.begin_flight(k, a).has_value());
+        cache.complete_flight(k, img_a, share(a));
+        const auto r = cache.begin_flight(k, b);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_TRUE(r->mismatch);
+        EXPECT_EQ(r->image, nullptr);
+        EXPECT_EQ(r->error, nullptr);
+        const auto hit = cache.begin_flight(k, a);
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_FALSE(hit->mismatch);
+        EXPECT_EQ(hit->image, img_a);
+        const auto st = cache.stats();
+        EXPECT_EQ(st.hits, 1u);
+        EXPECT_EQ(st.misses, 1u);
+        EXPECT_EQ(st.mismatches, 1u);
+        EXPECT_EQ(st.bytes, image_bytes(*img_a) + a.size());  // input charged
+    }
+    {  // joining a flight
+        decoded_cache cache{1u << 20};
+        ASSERT_FALSE(cache.begin_flight(k, b).has_value());  // b leads
+        const auto r = cache.begin_flight(k, a);  // answered at once, no wait
+        ASSERT_TRUE(r.has_value());
+        EXPECT_TRUE(r->mismatch);
+        EXPECT_EQ(r->image, nullptr);
+        std::thread joiner{[&] {  // same bytes as the leader: collapses
+            const auto j = cache.begin_flight(k, b);
+            ASSERT_TRUE(j.has_value());
+            EXPECT_TRUE(j->collapsed);
+            EXPECT_EQ(j->image, img_b);
+        }};
+        while (cache.stats().collapses == 0) std::this_thread::yield();
+        cache.complete_flight(k, img_b, share(b));
+        joiner.join();
+        EXPECT_EQ(cache.stats().mismatches, 1u);
+    }
+    {  // insert keeps the resident entry; the other bytes still mismatch
+        decoded_cache cache{1u << 20};
+        cache.insert(k, img_a, share(a));
+        cache.insert(k, img_b, share(b));
+        EXPECT_EQ(cache.peek(k, b), nullptr);
+        EXPECT_EQ(cache.peek(k, a), img_a);
+        EXPECT_EQ(cache.peek(k), nullptr);  // no bytes is other bytes too
+        EXPECT_EQ(cache.stats().entries, 1u);
+        EXPECT_EQ(cache.stats().mismatches, 2u);
+    }
+}
+
+TEST(DecodedCache, HitComparesSafelyWhileItsEntryIsEvicted)
+{
+    // A hit compares the request's bytes after releasing the cache mutex,
+    // holding the entry's buffer by reference count.  An eviction in between
+    // must neither free the bytes under the compare (the sanitizer legs
+    // check that) nor turn the hit into a mismatch.
+    const std::vector<std::uint8_t> a(256u << 10, 0x5A);
+    const std::vector<std::uint8_t> b(256u << 10, 0xA5);
+    const auto img = make_image(16, 16);
+    const cache_key k = key_of(1);
+    decoded_cache cache{300u << 10};  // one entry fits, two do not
+#if defined(__SANITIZE_THREAD__)
+    constexpr int rounds = 300;  // TSan instruments every byte copied and compared
+#else
+    // The window is narrow: a compare that holds no reference to the buffer
+    // failed here in 8 of 8 runs at 3000 rounds, 1 of 8 at 500 (ASan).
+    constexpr int rounds = 3000;
+#endif
+    std::thread evictor{[&] {
+        for (int i = 0; i < rounds; ++i) {
+            cache.insert(k, img, share(a));
+            cache.insert(key_of(2), img, share(b));  // evicts k
+        }
+    }};
+    for (int i = 0; i < rounds; ++i) {
+        const auto r = cache.begin_flight(k, a);
+        if (!r) {
+            cache.complete_flight(k, img, share(a));
+            continue;
+        }
+        EXPECT_FALSE(r->mismatch);
+        EXPECT_EQ(r->image, img);
+    }
+    evictor.join();
+    EXPECT_EQ(cache.stats().mismatches, 0u);
+}
+
+TEST(DecodeService, HitsHandTheCompletionTheCachedImageItself)
+{
+    // A hit costs a refcount: the leader's completion and every later hit's
+    // completion receive the one object the cache holds, and the entry keeps
+    // the job's own input bytes.
+    const auto cs = make_stream(64, 64, 1, 32);
+    decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
+    const auto run = [&] {
+        std::promise<std::shared_ptr<const j2k::image>> got;
+        svc.submit_async(std::vector<std::uint8_t>{cs}, {},
+                         [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+                             EXPECT_EQ(e, nullptr);
+                             got.set_value(std::move(img));
+                         });
+        return got.get_future().get();
+    };
+    const auto leader = run();
+    const auto hit1 = run();
+    const auto hit2 = run();
+    ASSERT_NE(leader, nullptr);
+    EXPECT_EQ(*leader, j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(hit1.get(), leader.get());
+    EXPECT_EQ(hit2.get(), leader.get());
+
+    const auto m = svc.metrics();
+    EXPECT_EQ(m.cache_misses, 1u);
+    EXPECT_EQ(m.cache_hits, 2u);
+    EXPECT_EQ(m.cache_bytes, image_bytes(*leader) + cs.size());
+    cache_key k = key_of(runtime::seeded_hash(cs));
+    EXPECT_EQ(svc.cache()->peek(k, cs), leader);
+}
+
+TEST(DecodeService, LayeredLeaderKeepsOneInputBufferForItsImageAndPrefix)
+{
+    // A layered full-quality miss caches both an image and a session prefix
+    // over the same codestream.  They share the job's buffer: the prefix
+    // checked out here and the image entry are its only holders.
+    const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
+    decode_service svc{{.workers = 2, .cache_bytes = 32u << 20}};
+    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    auto lease = svc.cache()->checkout_session(runtime::seeded_hash(cs), cs, 3);
+    ASSERT_TRUE(lease.has_value());
+    EXPECT_EQ(lease->bytes.use_count(), 2);
+    EXPECT_EQ(lease->session.layers_decoded(), 3);
+    svc.cache()->deposit_session(runtime::seeded_hash(cs), std::move(lease->bytes),
+                                 std::move(lease->session));
 }
 
 TEST(DecodeService, ConcurrentIdenticalSubmitsDecodeExactlyOnce)
@@ -333,10 +487,10 @@ TEST(DecodedCache, DeeperPrefixNeverServesAShallowerRequest)
     const std::uint64_t h = fnv1a_bytes(cs);
     decoded_cache cache{32u << 20};
 
-    std::vector<std::uint8_t> owned = cs;
-    j2k::decode_session s{owned};
+    const auto owned = share(cs);
+    j2k::decode_session s{*owned};
     const j2k::image full = s.advance_to(3);
-    cache.deposit_session(h, std::move(owned), std::move(s));
+    cache.deposit_session(h, owned, std::move(s));
 
     EXPECT_FALSE(cache.checkout_session(h, cs, /*max_layers=*/1).has_value());
 
@@ -352,11 +506,11 @@ TEST(DecodedCache, CheckoutVerifiesContentBytesNotJustTheHash)
 {
     const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
     decoded_cache cache{32u << 20};
-    std::vector<std::uint8_t> owned = cs;
-    j2k::decode_session s{owned};
+    const auto owned = share(cs);
+    j2k::decode_session s{*owned};
     (void)s.advance_to(1);
     const std::uint64_t h = fnv1a_bytes(cs);
-    cache.deposit_session(h, std::move(owned), std::move(s));
+    cache.deposit_session(h, owned, std::move(s));
 
     // Same (forged) hash, different bytes: the memcmp guard must refuse —
     // resuming a wrong-content session would produce plausible garbage.

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <fstream>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,6 +53,27 @@ net::server_config quiet_config()
     net::server_config cfg;  // port 0 = ephemeral
     cfg.service.workers = 2;
     return cfg;
+}
+
+/// This process's resident set (VmRSS) in bytes; 0 without /proc.
+std::int64_t rss_bytes()
+{
+    std::ifstream in{"/proc/self/status"};
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
+    return 0;
+}
+
+/// Poll `done` every millisecond for up to five seconds; true once it holds.
+template <typename Pred>
+bool wait_for(Pred done)
+{
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
 }
 
 // ---- protocol unit tests ---------------------------------------------------
@@ -203,7 +227,15 @@ TEST(NetProtocol, RawImagePayloadRoundTrips)
     for (const int depth : {8, 12}) {
         const j2k::image img = j2k::make_test_image(17, 9, 3, depth);
         const auto bytes = net::encode_image_raw(img);
+        EXPECT_EQ(bytes.size(), net::raw_image_size(img));
         EXPECT_EQ(net::decode_image_raw(bytes), img);
+        // The in-place encoder writes the same bytes into a buffer of exactly
+        // that size, and refuses any other.
+        std::vector<std::uint8_t> frame(5 + bytes.size(), 0xEE);
+        net::encode_image_raw_into(img, std::span{frame}.subspan(5));
+        EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), frame.begin() + 5));
+        EXPECT_THROW(net::encode_image_raw_into(img, std::span{frame}.subspan(4)),
+                     std::invalid_argument);
     }
     EXPECT_THROW((void)net::decode_image_raw(std::vector<std::uint8_t>(4, 0)),
                  std::runtime_error);
@@ -429,6 +461,27 @@ TEST(NetServer, OversizedPayloadLenIsRefusedAndConnectionCloses)
     // The server refuses to resynchronise: the connection is closed.
     EXPECT_THROW((void)cli.recv(), std::runtime_error);
     EXPECT_EQ(srv.stats().bad_frames, 1u);
+}
+
+TEST(NetServer, DeclaredPayloadIsCommittedOnlyAsItsBytesArrive)
+{
+    // A header may declare up to max_payload; memory must follow the bytes
+    // that actually arrive, or one 20-byte header pins 64 MiB.
+    net::server srv{quiet_config()};
+    srv.start();
+    net::client cli{"127.0.0.1", srv.port()};
+    const std::int64_t before = rss_bytes();
+    if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+
+    net::request_header h;
+    h.request_id = 5;
+    h.payload_len = 60u << 20;
+    std::vector<std::uint8_t> wire(net::k_header_size + 1024, 0x5A);
+    net::encode_request_header(h, wire.data());
+    ASSERT_EQ(::send(cli.fd(), wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    ASSERT_TRUE(wait_for([&] { return srv.stats().bytes_in >= wire.size(); }));
+    EXPECT_LT(rss_bytes() - before, std::int64_t{8} << 20);
 }
 
 TEST(NetServer, GarbageHeaderIsRefusedAsBadFrame)
@@ -990,6 +1043,11 @@ TEST(NetSharded, ConnectionsSpreadAcrossShardsAndAllDecodeCorrectly)
         EXPECT_EQ(net::decode_image_raw(r.payload), serial);
     }
 
+    // The loop counts a response once send() has returned, which can be
+    // after the client has read it: give the count a bounded wait to land.
+    EXPECT_TRUE(wait_for([&] {
+        return srv.stats().responses_out >= static_cast<std::uint64_t>(conns);
+    }));
     const auto total = srv.stats();
     EXPECT_EQ(total.connections_accepted, static_cast<std::uint64_t>(conns));
     EXPECT_EQ(total.frames_in, static_cast<std::uint64_t>(conns));

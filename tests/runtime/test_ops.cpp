@@ -262,6 +262,7 @@ const char* const k_pinned_samples[] = {
     "j2k_cache_entries",
     "j2k_cache_evictions_total",
     "j2k_cache_hits_total",
+    "j2k_cache_mismatches_total",
     "j2k_cache_misses_total",
     "j2k_cache_pinned_bytes",
     "j2k_cache_session_entries",
@@ -353,6 +354,7 @@ const char* const k_pinned_service_keys[] = {
     "cache.hits",
     "cache.misses",
     "cache.collapses",
+    "cache.mismatches",
     "cache.evictions",
     "cache.session_resumes",
     "cache.bytes",
@@ -563,7 +565,7 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
           &s.jobs_batched, &s.jobs_promoted, &s.queue_depth_high_water,
           &s.jobs_progressive, &s.layers_emitted, &s.progressive_cancelled,
           &s.t1_segment_bytes, &s.progressive_active_high_water, &s.cache_hits,
-          &s.cache_misses, &s.cache_collapses, &s.cache_evictions,
+          &s.cache_misses, &s.cache_collapses, &s.cache_mismatches, &s.cache_evictions,
           &s.cache_session_resumes, &s.cache_bytes, &s.cache_pinned_bytes,
           &s.cache_entries, &s.cache_session_entries,
           &s.tiles_decoded, &s.tasks_stolen, &s.pool_submissions, &s.latency_count,
@@ -650,6 +652,7 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         {"cache.hits", {"j2k_cache_hits_total", 1.0 * s.cache_hits}},
         {"cache.misses", {"j2k_cache_misses_total", 1.0 * s.cache_misses}},
         {"cache.collapses", {"j2k_cache_collapses_total", 1.0 * s.cache_collapses}},
+        {"cache.mismatches", {"j2k_cache_mismatches_total", 1.0 * s.cache_mismatches}},
         {"cache.evictions", {"j2k_cache_evictions_total", 1.0 * s.cache_evictions}},
         {"cache.session_resumes",
          {"j2k_cache_session_resumes_total", 1.0 * s.cache_session_resumes}},
@@ -974,7 +977,7 @@ TEST(OpsServer, ReadyzFlipsWhenTheServiceDrains)
     const auto heavy = test_stream(256, 256);
     for (int i = 0; i < 6; ++i)
         f.svc.submit_async(std::vector<std::uint8_t>{heavy}, {},
-                           [](j2k::image&&, std::exception_ptr) {});
+                           [](std::shared_ptr<const j2k::image>, std::exception_ptr) {});
     std::thread closer{[&f] { f.svc.shutdown(); }};
     // Poll until the flip is visible; shutdown() blocks until the queue
     // drains, so some of these scrapes overlap the drain window.

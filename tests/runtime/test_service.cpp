@@ -433,17 +433,18 @@ TEST(DecodeService, SubmitAsyncInvokesCompletionInsteadOfFuture)
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{{.workers = 2}};
     std::promise<void> done;
-    j2k::image out;
+    std::shared_ptr<const j2k::image> out;
     std::exception_ptr err;
     svc.submit_async(std::move(cs), {},
-                     [&](j2k::image&& img, std::exception_ptr e) {
+                     [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
                          out = std::move(img);
                          err = e;
                          done.set_value();
                      });
     done.get_future().wait();
     EXPECT_EQ(err, nullptr);
-    EXPECT_EQ(out, serial);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(*out, serial);
 }
 
 TEST(DecodeService, SubmitAsyncDeliversErrorsThroughTheCallback)
@@ -451,7 +452,10 @@ TEST(DecodeService, SubmitAsyncDeliversErrorsThroughTheCallback)
     decode_service svc{{.workers = 2}};
     std::promise<std::exception_ptr> got;
     svc.submit_async(std::vector<std::uint8_t>(32, 0), {},
-                     [&](j2k::image&&, std::exception_ptr e) { got.set_value(e); });
+                     [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+                         EXPECT_EQ(img, nullptr);
+                         got.set_value(e);
+                     });
     const auto err = got.get_future().get();
     ASSERT_NE(err, nullptr);
     EXPECT_THROW(std::rethrow_exception(err), j2k::codestream_error);
@@ -471,8 +475,8 @@ TEST(DecodeService, SubmitBatchUsesOnePoolSubmissionForTheWholeBatch)
     for (std::size_t i = 0; i < n; ++i) {
         decode_service::batch_item it;
         it.bytes = cs;
-        it.done = [&, i](j2k::image&& img, std::exception_ptr e) {
-            if (!e) out[i] = std::move(img);
+        it.done = [&, i](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+            if (!e) out[i] = *img;
             settled[i].set_value();
         };
         items.push_back(std::move(it));
