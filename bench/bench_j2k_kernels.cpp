@@ -1,22 +1,15 @@
 // bench_j2k_kernels — scalar vs vector A/B of every dispatched decode kernel
-// (5/3 lifting, 9/7 lifting, ICT/RCT, dequantisation)
-// plus an arena on/off steady-state decode loop with an interposed global
-// operator-new counter.
+// (5/3 lifting, 9/7 lifting, ICT/RCT, dequantisation).
 //
 // Emits a single JSON object (stdout + BENCH_j2k_kernels.json, or argv[1])
-// so CI can gate the two tentpole claims:
-//   * at least one vectorised kernel is >= 1.5x its scalar twin
-//     ("best_speedup", also regression-gated against the committed baseline);
-//   * the arena-backed kernel loop does ZERO heap allocation at steady state
-//     ("arena.steady_state_mallocs" must be exactly 0).
+// so CI can gate that at least one vectorised kernel is >= 1.5x its scalar
+// twin ("best_speedup", also regression-gated against the committed
+// baseline):
 //
 //   { "bench": "j2k_kernels", "avx2_supported": true, "isa": "avx2",
 //     "kernels": [ {"kernel":"dwt53","scalar_ms":..,"vector_ms":..,
 //                   "speedup":..}, ... ],
 //     "best_speedup": ..., "best_kernel": "...",
-//     "arena": { "heap_ms":.., "arena_ms":.., "heap_over_arena":..,
-//                "heap_mallocs":.., "steady_state_mallocs":0,
-//                "fallback_allocs":0, "high_water_bytes":.. },
 //     "hashes_ok": true }
 //
 // On a host without AVX2 the vector phases degrade to scalar-vs-scalar
@@ -24,58 +17,13 @@
 // assertion with a notice instead of failing.
 #include <j2k/j2k.hpp>
 #include <j2k/kernels.hpp>
-#include <runtime/arena.hpp>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
-
-// ---------------------------------------------------------------------------
-// Interposed global allocator: counts every route into the heap so the bench
-// can assert the arena loop allocates nothing.  Counting is a single relaxed
-// increment — cheap enough to leave on for the timed phases too.
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n)
-{
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(n ? n : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a)
-{
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    // libstdc++'s new_delete_resource forwards pmr alignments (e.g. 4 for an
-    // int32 vector) verbatim; posix_memalign rejects anything below
-    // sizeof(void*), so clamp up — a stricter alignment is always valid.
-    std::size_t align = static_cast<std::size_t>(a);
-    if (align < sizeof(void*)) align = sizeof(void*);
-    void* p = nullptr;
-    if (posix_memalign(&p, align, n ? n : 1) != 0) throw std::bad_alloc{};
-    return p;
-}
-void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -243,83 +191,6 @@ bool verify_hashes(const j2k::kernel_table& sc, const j2k::kernel_table& vec)
     return ok;
 }
 
-// --- arena steady-state phase ------------------------------------------------
-
-struct arena_result {
-    double heap_ms = 0.0;
-    double arena_ms = 0.0;
-    std::uint64_t heap_mallocs = 0;          ///< per-iteration heap allocs, mr = null
-    std::uint64_t steady_state_mallocs = 0;  ///< per 10 iterations, arena-backed
-    std::uint64_t fallback_allocs = 0;
-    std::uint64_t high_water = 0;
-};
-
-arena_result bench_arena()
-{
-    // The per-job hot loop with every transient pre-sized or arena-backed:
-    // 5/3 roundtrip scratch, tier-1 block state, dequant + ICT on fixed
-    // buffers.  With `mr` = arena this must not touch the heap at all.
-    constexpr int k_plane = 256;
-    constexpr std::size_t k_buf = 1 << 14;
-    j2k::plane p{k_plane, k_plane};
-    std::mt19937 rng{41};
-    for (auto& v : p.samples()) v = static_cast<std::int32_t>(rng() % 512) - 256;
-
-    std::vector<std::int32_t> coeffs(64 * 64);
-    for (auto& c : coeffs) {
-        c = static_cast<std::int32_t>(rng() % 128);
-        if (rng() % 2) c = -c;
-        if (rng() % 4) c = 0;
-    }
-    const auto cb = j2k::tier1_encode(coeffs.data(), 64, 64, j2k::band::hl);
-    std::vector<std::int32_t> t1_out(coeffs.size());
-    std::vector<std::int32_t> q(k_buf);
-    std::vector<double> dq(k_buf);
-    std::vector<std::int32_t> y(k_buf), u(k_buf), v(k_buf);
-    for (std::size_t i = 0; i < k_buf; ++i) {
-        q[i] = static_cast<std::int32_t>(rng() % 64) - 32;
-        y[i] = static_cast<std::int32_t>(rng() % 256);
-        u[i] = v[i] = static_cast<std::int32_t>(rng() % 64) - 32;
-    }
-    const j2k::kernel_table& K = j2k::kernels();
-
-    runtime::arena arena{8u << 20};
-    auto iteration = [&](std::pmr::memory_resource* mr) {
-        j2k::dwt53_forward(p, 3, mr);
-        j2k::dwt53_inverse(p, 3, mr);
-        j2k::tier1_decode(cb, t1_out.data(), j2k::band::hl, nullptr, 0, mr);
-        K.dequant(q.data(), dq.data(), 0.03125, k_buf);
-        K.ict_inverse(y.data(), u.data(), v.data(), k_buf);
-    };
-
-    arena_result r;
-    r.heap_ms = time_ms([&] { iteration(nullptr); });
-    r.arena_ms = time_ms([&] {
-        iteration(&arena);
-        arena.reset();
-    });
-
-    // Malloc accounting, decoupled from the timing: a fixed 10-iteration
-    // window after warmup.
-    for (int i = 0; i < 3; ++i) {
-        iteration(&arena);
-        arena.reset();
-    }
-    const std::uint64_t before_heap = g_heap_allocs.load();
-    for (int i = 0; i < 10; ++i) iteration(nullptr);
-    r.heap_mallocs = (g_heap_allocs.load() - before_heap) / 10;
-
-    const std::uint64_t before = g_heap_allocs.load();
-    for (int i = 0; i < 10; ++i) {
-        iteration(&arena);
-        arena.reset();
-    }
-    r.steady_state_mallocs = g_heap_allocs.load() - before;
-    r.fallback_allocs = arena.fallback_allocs();
-    r.high_water = arena.high_water();
-    return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv)
@@ -353,7 +224,6 @@ int main(int argc, char** argv)
         }
     }
     const bool hashes_ok = verify_hashes(sc, vec);
-    const arena_result ar = bench_arena();
 
     std::string json = "{\"bench\":\"j2k_kernels\"";
     char buf[512];
@@ -374,17 +244,6 @@ int main(int argc, char** argv)
     std::snprintf(buf, sizeof buf,
                   "],\"best_speedup\":%.3f,\"best_kernel\":\"%s\"", best, best_kernel);
     json += buf;
-    std::snprintf(
-        buf, sizeof buf,
-        ",\"arena\":{\"heap_ms\":%.4f,\"arena_ms\":%.4f,\"heap_over_arena\":%.3f,"
-        "\"heap_mallocs\":%llu,\"steady_state_mallocs\":%llu,"
-        "\"fallback_allocs\":%llu,\"high_water_bytes\":%llu}",
-        ar.heap_ms, ar.arena_ms, ar.heap_ms / ar.arena_ms,
-        static_cast<unsigned long long>(ar.heap_mallocs),
-        static_cast<unsigned long long>(ar.steady_state_mallocs),
-        static_cast<unsigned long long>(ar.fallback_allocs),
-        static_cast<unsigned long long>(ar.high_water));
-    json += buf;
     json += std::string{",\"hashes_ok\":"} + (hashes_ok ? "true" : "false") + "}";
 
     std::printf("%s\n", json.c_str());
@@ -393,9 +252,7 @@ int main(int argc, char** argv)
         std::fprintf(f, "%s\n", json.c_str());
         std::fclose(f);
     }
-    // The bench is also its own smoke test: broken bit-exactness or a heap
-    // allocation inside the arena loop fails the binary, not just the JSON.
-    if (!hashes_ok) return 1;
-    if (ar.steady_state_mallocs != 0) return 2;
-    return 0;
+    // The bench is also its own smoke test: broken bit-exactness fails the
+    // binary, not just the JSON.
+    return hashes_ok ? 0 : 1;
 }

@@ -304,8 +304,8 @@ std::uint16_t get_u16(const std::uint8_t* p)
 }
 
 /// The rolling window of previous-band central local differences.  Backed by
-/// the caller's arena when one is provided (this is the codec's only decode
-/// scratch beyond the output image itself).
+/// the caller's memory resource when one is provided (this is the codec's
+/// only decode scratch beyond the output image itself).
 struct cd_window {
     explicit cd_window(std::pmr::memory_resource* mr)
         : planes(mr != nullptr ? mr : std::pmr::get_default_resource())
@@ -542,13 +542,12 @@ public:
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
                                       const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr,
                                       codec::stage_profile*) const override
     {
         if (req.discard_levels != 0 || req.max_quality_layers != 0 ||
             req.max_passes != 0)
             bad_stream("ccsds123 is lossless: reduction options unsupported");
-        return ccsds::decode(bytes, mr);
+        return ccsds::decode(bytes);
     }
 };
 

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -83,13 +82,12 @@ public:
     [[nodiscard]] virtual std::uint8_t wire_id() const noexcept = 0;
     [[nodiscard]] virtual capabilities caps() const noexcept = 0;
 
-    /// Decode a whole codestream.  `mr`, when non-null, backs decode-transient
-    /// scratch (per-job arenas); the returned image always owns heap storage.
-    /// `profile`, when non-null, accumulates where the decode spent its time.
-    /// Throws codec::codestream_error on malformed input — nothing else.
+    /// Decode a whole codestream.  Scratch comes from the heap and is freed as
+    /// each stage ends.  `profile`, when non-null, accumulates where the
+    /// decode spent its time.  Throws codec::codestream_error on malformed
+    /// input — nothing else.
     [[nodiscard]] virtual image decode(std::span<const std::uint8_t> bytes,
                                        const decode_request& req,
-                                       std::pmr::memory_resource* mr = nullptr,
                                        stage_profile* profile = nullptr) const = 0;
 };
 

@@ -72,7 +72,9 @@ public:
             throw std::invalid_argument{"image: 1..255 components supported"};
         if (bit_depth < 1 || bit_depth > 16)
             throw std::invalid_argument{"image: 1..16 bit depth supported"};
-        comps_.assign(static_cast<std::size_t>(components), plane{width, height});
+        // Built in place: no template plane to copy, so the peak is the image.
+        comps_.reserve(static_cast<std::size_t>(components));
+        for (int c = 0; c < components; ++c) comps_.emplace_back(width, height);
     }
 
     [[nodiscard]] int width() const noexcept { return w_; }

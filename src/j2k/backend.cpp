@@ -32,18 +32,16 @@ public:
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
                                       const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr,
                                       codec::stage_profile* profile) const override
     {
         decoder dec{bytes};
         dec.set_max_passes(req.max_passes);
         dec.set_max_quality_layers(req.max_quality_layers);
         if (req.discard_levels > 0)
-            return dec.decode_reduced(req.discard_levels, nullptr, mr, profile);
+            return dec.decode_reduced(req.discard_levels, nullptr, profile);
         // One full-depth advance of a fresh session is the one-shot decode.
         // On a pool worker the tiles fan out over that worker's own pool.
         decode_session s{dec};
-        s.set_scratch_arena(mr);
         if (const runtime::thread_pool* pool = runtime::thread_pool::current())
             s.set_threads(pool->size());
         return s.advance_to(req.max_quality_layers, nullptr, profile);

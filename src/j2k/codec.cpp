@@ -379,7 +379,6 @@ image decoder::decode_all_parallel(int threads) const
 }
 
 image decoder::decode_reduced(int discard, decode_stats* stats,
-                              std::pmr::memory_resource* mr,
                               codec::stage_profile* profile) const
 {
     using codec::stage_profile;
@@ -387,7 +386,6 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
         throw std::invalid_argument{"decode_reduced: discard out of range"};
     if (discard == 0) {
         decode_session s{*this};
-        s.set_scratch_arena(mr);
         return s.advance_to(max_layers_, stats, profile);
     }
 
@@ -398,7 +396,7 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
     for (int t = 0; t < static_cast<int>(grid.size()); ++t) {
         const tile_rect& tr = grid[static_cast<std::size_t>(t)];
         detail::stage_laps lap{profile};
-        const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr, mr);
+        const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr);
         lap.add(&stage_profile::entropy_ns);
         const tile_wavelet tw = dequantize(tc);
         lap.add(&stage_profile::iq_ns);
@@ -413,10 +411,10 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
             plane full{tr.width, tr.height};
             if (!tw.lossy) {
                 full = tw.iplanes[static_cast<std::size_t>(comp)];
-                dwt53_inverse_partial(full, info_.levels, discard, mr);
+                dwt53_inverse_partial(full, info_.levels, discard);
             } else {
                 std::vector<double> buf = tw.dplanes[static_cast<std::size_t>(comp)];
-                dwt97_inverse_partial(buf, tr.width, tr.height, info_.levels, discard, mr);
+                dwt97_inverse_partial(buf, tr.width, tr.height, info_.levels, discard);
                 for (std::size_t i = 0; i < buf.size(); ++i)
                     full.samples()[i] = static_cast<std::int32_t>(std::lround(buf[i]));
             }

@@ -87,7 +87,7 @@ public:
 
     /// Stage 1 — arithmetic (tier-1) decoding of one tile.  The hot stage.
     /// `mr`, when non-null, backs the per-code-block decoder scratch (see
-    /// tier1_decode) — pass a per-job arena for malloc-free steady state.
+    /// tier1_decode); null uses the heap.
     [[nodiscard]] tile_coeffs entropy_decode(
         int tile_index, tier1_stats* stats = nullptr,
         std::pmr::memory_resource* mr = nullptr) const;
@@ -129,7 +129,6 @@ public:
     /// unchanged but the IDWT and downstream stages shrink by ~4^discard.
     /// `profile`, when non-null, accumulates the per-stage wall time.
     [[nodiscard]] image decode_reduced(int discard, decode_stats* stats = nullptr,
-                                       std::pmr::memory_resource* mr = nullptr,
                                        codec::stage_profile* profile = nullptr) const;
 
 private:

@@ -57,9 +57,8 @@ struct band_rect {
 // -- 5/3 reversible (integer, in-place on a plane) ---------------------------
 //
 // All 2-D transforms take an optional memory resource for their internal
-// scratch (the interleave grid and row buffer).  Pass a per-job arena
-// (runtime/arena.hpp) to keep the hot path allocation-free; nullptr falls
-// back to the default heap resource.
+// scratch (the interleave grid and row buffer); nullptr (the decode path's
+// choice) uses the heap, and the scratch is freed when the call returns.
 
 /// Forward L-level 5/3 transform of `p` in place.
 void dwt53_forward(plane& p, int levels, std::pmr::memory_resource* mr = nullptr);

@@ -46,7 +46,7 @@ struct decode_session::impl {
     int current = 0;     ///< layers consumed so far
     bool poisoned = false;
     /// Backs per-advance transients only (see session.hpp) — never the
-    /// persistent block slots, which may outlive any job-scoped arena.
+    /// persistent block slots, which may outlive the resource.
     std::pmr::memory_resource* scratch = nullptr;
     /// Segment payload bytes handed to the MQ decoders so far.  Plain streams
     /// decode through decoder::entropy_decode and are not tracked here (a

@@ -112,8 +112,8 @@ struct layered_codeblock {
 
 /// Decode the first `layers` segments (0 = all); exact for full decodes,
 /// progressively coarser for prefixes.  `mr`, when non-null, supplies the
-/// decoder's per-block scratch (significance maps, magnitudes, contexts) —
-/// pass a per-job arena to keep the hot path allocation-free.
+/// decoder's per-block scratch (significance maps, magnitudes, contexts);
+/// null uses the heap.
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
                           band orient, int layers = 0,
                           tier1_stats* stats = nullptr,
@@ -131,8 +131,8 @@ public:
     /// `num_planes` is stream data: implausible values throw codestream_error
     /// (empty geometry stays std::invalid_argument, as for tier1_decode).
     /// `mr` backs the per-block coder state; leave it null (heap) for
-    /// decoders that outlive a decode job — session slots deposited into the
-    /// result cache must never reference a job-scoped arena.
+    /// decoders that outlive the resource — session slots deposited into the
+    /// result cache always are.
     tier1_block_decoder(int width, int height, int num_planes, band orient,
                         std::pmr::memory_resource* mr = nullptr);
     ~tier1_block_decoder();

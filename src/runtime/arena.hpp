@@ -1,31 +1,22 @@
-// runtime/arena.hpp — per-job bump allocator + bounded arena pool.
+// runtime/arena.hpp — bump allocator behind std::pmr::memory_resource.
 //
-// Steady-state serving should do zero malloc on the decode hot path: every
-// transient buffer a job needs (tier-1 block state, DWT scratch, gather
-// buffers) comes from one pre-sized arena leased for the job's lifetime and
-// reset on return.  The shape follows the tjdec idiom (SNIPPETS.md §3): one
-// caller-supplied pool, a monotonic cursor, no per-allocation bookkeeping.
-//
-//   decode_service ──owns──► arena_pool (one arena per worker)
-//        │ per job                 │ acquire()/RAII release
-//        ▼                         ▼
-//   arena_pool::lease ──► runtime::arena : std::pmr::memory_resource
-//        │ resource()                       │ bump-pointer do_allocate
-//        ▼                                  ▼ exhaustion → upstream heap
-//   j2k decode stages (std::pmr::vector scratch, dwt/tier-1 buffers)
+// The decode service does not use it: decode scratch comes from the heap and
+// is freed when its stage ends (docs/RUNTIME.md, "Decode scratch").  It stays
+// for callers that hand a resource to the j2k entry points that still take
+// one (decoder::entropy_decode, decoder::idwt,
+// decode_session::set_scratch_arena), such as the serving benchmark's replay.
+// The shape follows the tjdec idiom (SNIPPETS.md §3): one caller-supplied
+// block, a monotonic cursor, no per-allocation bookkeeping.
 //
 // Design points:
-//   * The arena is a std::pmr::memory_resource, so the codec never sees the
-//     runtime type — it just threads a memory_resource* through its scratch.
-//   * The bump cursor is an atomic fetch-CAS, because one job fans its tiles
-//     out across the pool and tiles allocate concurrently from the same
-//     per-job arena.  Disjoint chunks, no locks.
-//   * Exhaustion NEVER throws mid-decode: try_alloc() reports a typed error
-//     (arena_errc) and do_allocate() falls back to the upstream heap resource,
-//     counting the fallback so benches/metrics can assert it stayed at zero.
+//   * The bump cursor is an atomic fetch-CAS, so tiles decoding in parallel
+//     can allocate from one arena.  Disjoint chunks, no locks.
+//   * Exhaustion never throws: try_alloc() reports a typed error (arena_errc)
+//     and do_allocate() falls back to the upstream heap resource, counting
+//     the fallback.
 //   * reset() is cheap (cursor to zero) and, when poisoning is on (default
 //     under !NDEBUG, switchable for tests), fills the used prefix with 0xA5 so
-//     stale-byte reuse across jobs is loud instead of silent.
+//     stale-byte reuse is loud instead of silent.
 //   * deallocate is a no-op for arena-owned chunks (monotonic), and routes
 //     non-owned pointers back upstream, so pmr containers that outlive a
 //     fallback allocation still destroy cleanly.
@@ -37,8 +28,6 @@
 #include <cstring>
 #include <memory>
 #include <memory_resource>
-#include <mutex>
-#include <vector>
 
 namespace runtime {
 
@@ -50,15 +39,14 @@ enum class arena_errc : std::uint8_t {
 };
 
 /// Monotonic bump allocator over one pre-sized block.  Thread-safe for
-/// concurrent allocation; reset() requires external quiescence (the pool's
-/// lease discipline provides it).
+/// concurrent allocation; reset() requires external quiescence.
 class arena final : public std::pmr::memory_resource {
 public:
     static constexpr std::byte k_poison{0xA5};
 
     /// The block is left uninitialised, so its pages are committed as the
-    /// bump cursor first reaches them, not at construction: an idle worker's
-    /// arena costs address space, not memory.
+    /// bump cursor first reaches them, not at construction: an unused arena
+    /// costs address space, not memory.
     explicit arena(std::size_t capacity)
         : block_{capacity ? std::make_unique_for_overwrite<std::byte[]>(capacity) : nullptr},
           cap_{capacity}
@@ -96,9 +84,9 @@ public:
         }
     }
 
-    /// Drop every allocation.  Callers must guarantee no live users (the pool
-    /// resets only between leases).  With poisoning on, the used prefix is
-    /// overwritten so stale bytes from the previous job cannot leak through.
+    /// Drop every allocation.  Callers must guarantee no live users.  With
+    /// poisoning on, the used prefix is overwritten so stale bytes from the
+    /// previous use cannot leak through.
     void reset() noexcept
     {
         const std::size_t used_now = off_.load(std::memory_order_relaxed);
@@ -113,7 +101,7 @@ public:
     {
         return off_.load(std::memory_order_relaxed);
     }
-    /// Lifetime maximum of used() — sizes the pool from real traffic.
+    /// Lifetime maximum of used().
     [[nodiscard]] std::size_t high_water() const noexcept
     {
         return high_water_.load(std::memory_order_relaxed);
@@ -187,125 +175,6 @@ private:
     std::atomic<std::uint64_t> fallbacks_{0};
     std::atomic<bool> poison_{k_default_poison};
     std::pmr::memory_resource* upstream_ = std::pmr::new_delete_resource();
-};
-
-/// Fixed set of arenas, one leased per in-flight job.  Sized to the worker
-/// count, so with jobs ≤ workers a lease is always available; an empty lease
-/// (pool dry, or pooling disabled) degrades the job to plain heap allocation.
-class arena_pool {
-public:
-    arena_pool(std::size_t count, std::size_t bytes_each) : bytes_each_{bytes_each}
-    {
-        arenas_.reserve(count);
-        free_.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            arenas_.push_back(std::make_unique<arena>(bytes_each));
-            free_.push_back(arenas_.back().get());
-        }
-    }
-
-    /// RAII lease: resource() feeds the job's scratch; the destructor resets
-    /// the arena (poisoning per its flag) and returns it to the pool.
-    class lease {
-    public:
-        lease() = default;
-        lease(arena_pool* pool, arena* a) noexcept : pool_{pool}, a_{a} {}
-        lease(lease&& o) noexcept : pool_{o.pool_}, a_{o.a_}
-        {
-            o.pool_ = nullptr;
-            o.a_ = nullptr;
-        }
-        lease& operator=(lease&& o) noexcept
-        {
-            if (this != &o) {
-                release();
-                pool_ = o.pool_;
-                a_ = o.a_;
-                o.pool_ = nullptr;
-                o.a_ = nullptr;
-            }
-            return *this;
-        }
-        lease(const lease&) = delete;
-        lease& operator=(const lease&) = delete;
-        ~lease() { release(); }
-
-        [[nodiscard]] explicit operator bool() const noexcept { return a_ != nullptr; }
-        [[nodiscard]] arena* get() const noexcept { return a_; }
-        /// Null when the lease is empty — callers pass this straight through
-        /// as the optional scratch resource (null = heap).
-        [[nodiscard]] std::pmr::memory_resource* resource() const noexcept
-        {
-            return a_;
-        }
-
-    private:
-        void release() noexcept
-        {
-            if (pool_ && a_) pool_->give_back(a_);
-            pool_ = nullptr;
-            a_ = nullptr;
-        }
-        arena_pool* pool_ = nullptr;
-        arena* a_ = nullptr;
-    };
-
-    /// Never blocks: an exhausted pool yields an empty lease (counted), and
-    /// the job simply runs on the heap.
-    [[nodiscard]] lease acquire() noexcept
-    {
-        std::lock_guard lk{m_};
-        ++leases_;
-        if (free_.empty()) {
-            ++dry_;
-            return {};
-        }
-        arena* a = free_.back();
-        free_.pop_back();
-        return {this, a};
-    }
-
-    [[nodiscard]] std::size_t size() const noexcept { return arenas_.size(); }
-    [[nodiscard]] std::size_t bytes_each() const noexcept { return bytes_each_; }
-    [[nodiscard]] std::uint64_t leases() const noexcept
-    {
-        std::lock_guard lk{m_};
-        return leases_;
-    }
-    /// acquire() calls that found the pool empty.
-    [[nodiscard]] std::uint64_t dry_acquires() const noexcept
-    {
-        std::lock_guard lk{m_};
-        return dry_;
-    }
-    [[nodiscard]] std::uint64_t fallback_allocs() const noexcept
-    {
-        std::uint64_t n = 0;
-        for (const auto& a : arenas_) n += a->fallback_allocs();
-        return n;
-    }
-    [[nodiscard]] std::size_t high_water() const noexcept
-    {
-        std::size_t n = 0;
-        for (const auto& a : arenas_)
-            n = a->high_water() > n ? a->high_water() : n;
-        return n;
-    }
-
-private:
-    void give_back(arena* a) noexcept
-    {
-        a->reset();
-        std::lock_guard lk{m_};
-        free_.push_back(a);
-    }
-
-    std::size_t bytes_each_ = 0;
-    std::vector<std::unique_ptr<arena>> arenas_;
-    mutable std::mutex m_;
-    std::vector<arena*> free_;
-    std::uint64_t leases_ = 0;
-    std::uint64_t dry_ = 0;
 };
 
 }  // namespace runtime

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 
 namespace runtime {
 
@@ -47,6 +48,23 @@ const char* compiler_version() noexcept
 #else
     return "unknown";
 #endif
+}
+
+process_memory read_process_memory() noexcept
+{
+    process_memory m;
+    std::FILE* f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr) return m;
+    char line[256];
+    unsigned long long kib = 0;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        if (std::sscanf(line, "VmRSS: %llu kB", &kib) == 1)
+            m.resident_bytes = kib * 1024;
+        else if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1)
+            m.resident_peak_bytes = kib * 1024;
+    }
+    std::fclose(f);
+    return m;
 }
 
 metrics_snapshot service_metrics::snapshot() const
@@ -111,6 +129,9 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add_gauge("uptime_seconds", "uptime_s", real(uptime_s, 3));
     out.add_gauge("pool_threads", "pool_threads", std::uint64_t(pool_threads));
     out.add_gauge("tracing_armed", "tracing_armed", metric_value::flag(tracing_armed));
+    out.add_gauge("process_resident_bytes", "resident_bytes", resident_bytes);
+    out.add_gauge("process_resident_peak_bytes", "resident_peak_bytes",
+                  resident_peak_bytes);
     out.add({.key = "build_type"}, metric_value::text(build));
     out.add({.key = "compiler"}, metric_value::text(compiler));
     const obs::metric_label build_labels[] = {{"type", build}, {"compiler", compiler}};
@@ -163,14 +184,6 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add({.key = "kernel_isa"}, metric_value::text(kernel_isa));
     const obs::metric_label isa[] = {{"isa", kernel_isa}};
     out.add({.family = "kernel_dispatch", .type = gauge, .labels = isa}, 1);
-    out.begin("arena");
-    out.add_gauge("arena_capacity_bytes", "capacity_bytes", arena_capacity_bytes);
-    out.add_counter("arena_leases_total", "leases", arena_leases);
-    out.add_counter("arena_dry_acquires_total", "dry_acquires", arena_dry_acquires);
-    out.add_counter("arena_fallback_allocs_total", "fallback_allocs",
-                    arena_fallback_allocs);
-    out.add_gauge("arena_high_water_bytes", "high_water_bytes", arena_high_water_bytes);
-    out.end();
 
     out.add_counter("tiles_decoded_total", "tiles_decoded", tiles_decoded);
     out.add_counter("tasks_stolen_total", "tasks_stolen", tasks_stolen);

@@ -33,6 +33,14 @@ namespace runtime {
 [[nodiscard]] const char* build_type() noexcept;
 [[nodiscard]] const char* compiler_version() noexcept;
 
+/// This process's resident memory, as /proc/self/status reports it.
+struct process_memory {
+    std::uint64_t resident_bytes = 0;       ///< VmRSS
+    std::uint64_t resident_peak_bytes = 0;  ///< VmHWM: the peak VmRSS so far
+};
+/// Reads /proc/self/status; zeros where it (or a field) is missing.
+[[nodiscard]] process_memory read_process_memory() noexcept;
+
 /// Point-in-time copy of every service metric.
 struct metrics_snapshot {
     // Process metadata (filled by decode_service::metrics(); zero/empty in a
@@ -42,15 +50,12 @@ struct metrics_snapshot {
     bool tracing_armed = false;      ///< obs tracer armed at snapshot time
     const char* build = "";          ///< build type (static string)
     const char* compiler = "";       ///< compiler version (static string)
+    std::uint64_t resident_bytes = 0;       ///< see process_memory
+    std::uint64_t resident_peak_bytes = 0;
 
-    // Kernel dispatch + per-job arena pool (filled by decode_service::
-    // metrics(); empty/zero in a bare service_metrics::snapshot()).
+    // Kernel dispatch (filled by decode_service::metrics(); empty in a bare
+    // service_metrics::snapshot()).
     const char* kernel_isa = "";     ///< resolved SIMD tier: "scalar" / "avx2"
-    std::uint64_t arena_capacity_bytes = 0;  ///< per-arena size (0 = pooling off)
-    std::uint64_t arena_leases = 0;          ///< jobs that requested an arena
-    std::uint64_t arena_dry_acquires = 0;    ///< acquire() found the pool empty
-    std::uint64_t arena_fallback_allocs = 0; ///< scratch spills to the heap
-    std::uint64_t arena_high_water_bytes = 0;
 
     // Admission.
     std::uint64_t jobs_submitted = 0;

@@ -42,11 +42,6 @@ decode_service::decode_service(service_config cfg)
     // any job can name them (idempotent; static-init order plays no part).
     j2k::ensure_backend_registered();
     ccsds::ensure_backend_registered();
-    // One arena per worker: jobs in flight never exceed the worker count, so
-    // with the pool sized this way acquire() never runs dry in steady state.
-    if (cfg_.arena_bytes > 0)
-        arenas_ = std::make_unique<arena_pool>(
-            static_cast<std::size_t>(pool_->size()), cfg_.arena_bytes);
 }
 
 decode_service::~decode_service()
@@ -199,7 +194,7 @@ bool decode_service::admit(job_ptr j)
         OBS_TRACE_ASYNC_END("job", "queue_wait", evicted->trace_id);
         OBS_TRACE_ASYNC_END("job", "job", evicted->trace_id);
         settle(*evicted, std::make_exception_ptr(job_dropped{}));
-        finish_one();  // the evicted job leaves the in-flight set
+        retire(std::move(evicted));  // the evicted job leaves the in-flight set
         return true;
     case push_result::ok:
         return true;
@@ -209,14 +204,14 @@ bool decode_service::admit(job_ptr j)
         OBS_TRACE_ASYNC_END("job", "queue_wait", id);
         OBS_TRACE_ASYNC_END("job", "job", id);
         settle(*j, std::make_exception_ptr(admission_rejected{}));
-        finish_one();
+        retire(std::move(j));
         return false;
     case push_result::closed:
         metrics_.on_rejected(opt.prio);
         OBS_TRACE_ASYNC_END("job", "queue_wait", id);
         OBS_TRACE_ASYNC_END("job", "job", id);
         settle(*j, std::make_exception_ptr(service_stopped{}));
-        finish_one();
+        retire(std::move(j));
         return false;
     }
     return false;  // unreachable
@@ -244,13 +239,16 @@ void decode_service::pump(std::size_t n)
             OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
             record_priority_depths();
             run_job(*p);
-            finish_one();
+            retire(std::move(p));
         }
     });
 }
 
-void decode_service::finish_one()
+void decode_service::retire(job_ptr j)
 {
+    // Tear the job down first (its promise, completion and any shared image
+    // it still holds), so in_flight() == 0 leaves nothing for a worker to do.
+    j.reset();
     {
         std::lock_guard lk{drain_m_};
         --in_flight_;
@@ -282,14 +280,13 @@ void decode_service::run_job(job& j)
         if (j.opt.max_passes > 0 && !caps.pass_cap)
             throw unsupported_codec{id, "does not support pass caps"};
 
-        const arena_pool::lease scratch = acquire_arena();
         if (j.on_layer) {
-            stream_layers(j, scratch.resource());
+            stream_layers(j);
         } else {
             if (cache_ && j.opt.cache != cache_policy::bypass)
-                shared = decode_cached(j, *be, scratch.resource());
+                shared = decode_cached(j, *be);
             // Bypass, or bytes that mismatch the resident key: uncached.
-            if (!shared) img = decode_one(j, *be, scratch.resource());
+            if (!shared) img = decode_one(j, *be);
         }
     } catch (const unsupported_codec&) {
         err = std::current_exception();
@@ -324,19 +321,18 @@ void decode_service::run_job(job& j)
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
 
-j2k::image decode_service::decode_one(const job& j, const codec::backend& be,
-                                      std::pmr::memory_resource* mr)
+j2k::image decode_service::decode_one(const job& j, const codec::backend& be)
 {
     const codec::decode_request req{j.opt.discard_levels, j.opt.max_quality_layers,
                                     j.opt.max_passes};
     codec::stage_profile prof;
-    j2k::image img = be.decode(j.bytes, req, mr, &prof);
+    j2k::image img = be.decode(j.bytes, req, &prof);
     metrics_.add_stages(prof);
     return img;
 }
 
-std::shared_ptr<const j2k::image> decode_service::decode_cached(
-    job& j, const codec::backend& be, std::pmr::memory_resource* mr)
+std::shared_ptr<const j2k::image> decode_service::decode_cached(job& j,
+                                                                const codec::backend& be)
 {
     cache_key key;
     key.content_hash = seeded_hash(j.bytes);
@@ -369,7 +365,7 @@ std::shared_ptr<const j2k::image> decode_service::decode_cached(
         const bool resumable =
             stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
         auto shared = std::make_shared<const j2k::image>(
-            resumable ? decode_prefix(key, input, mr) : decode_one(j, be, mr));
+            resumable ? decode_prefix(key, input) : decode_one(j, be));
         cache_->complete_flight(key, shared, input, j.opt.cache == cache_policy::pin);
         j.bytes = {};
         return shared;
@@ -387,13 +383,11 @@ decode_service::input_ptr decode_service::share_bytes(job& j)
     return std::make_shared<buffer>(j.bytes.begin(), j.bytes.end());
 }
 
-j2k::image decode_service::decode_prefix(const cache_key& key,
-                                         const input_ptr& input,
-                                         std::pmr::memory_resource* mr)
+j2k::image decode_service::decode_prefix(const cache_key& key, const input_ptr& input)
 {
     if (auto lease = cache_->checkout_session(key.content_hash, *input, key.layers)) {
         try {
-            j2k::image img = advance(lease->session, key.layers, pool_->size(), mr);
+            j2k::image img = advance(lease->session, key.layers, pool_->size());
             cache_->deposit_session(key.content_hash, std::move(lease->bytes),
                                     std::move(lease->session));
             return img;
@@ -404,26 +398,23 @@ j2k::image decode_service::decode_prefix(const cache_key& key,
     }
     // The prefix and the image entry keep one buffer between them.
     j2k::decode_session s{*input};
-    j2k::image img = advance(s, key.layers, pool_->size(), mr);
+    j2k::image img = advance(s, key.layers, pool_->size());
     cache_->deposit_session(key.content_hash, input, std::move(s));
     return img;
 }
 
-j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threads,
-                                   std::pmr::memory_resource* mr)
+j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threads)
 {
     codec::stage_profile prof;
     const std::uint64_t before = s.tier1_segment_bytes();
     s.set_threads(threads);
-    s.set_scratch_arena(mr);
     j2k::image img = s.advance_to(layers, nullptr, &prof);
-    s.set_scratch_arena(nullptr);  // a cached session outlives the job's lease
     metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - before);
     metrics_.add_stages(prof);
     return img;
 }
 
-void decode_service::stream_layers(job& j, std::pmr::memory_resource* mr)
+void decode_service::stream_layers(job& j)
 {
     metrics_.on_progressive_started();
     OBS_TRACE_COUNTER("runtime", "progressive_active", metrics_.progressive_active());
@@ -436,7 +427,7 @@ void decode_service::stream_layers(job& j, std::pmr::memory_resource* mr)
             // Per-refinement async span under the job's span tree; the j2k
             // stage spans (tier-1 / IQ / IDWT) nest inside it.
             OBS_TRACE_ASYNC_BEGIN("job", "layer", j.trace_id);
-            j2k::image img = advance(s, l, 1, mr);  // on this worker alone
+            j2k::image img = advance(s, l, 1);  // on this worker alone
             OBS_TRACE_ASYNC_END("job", "layer", j.trace_id);
             metrics_.on_layer_emitted();
             const bool more =
@@ -482,13 +473,9 @@ metrics_snapshot decode_service::metrics() const
     s.uptime_s = process_uptime_s();
     s.pool_threads = pool_->size();
     s.kernel_isa = j2k::kernel_isa_name(j2k::active_kernel_isa());
-    if (arenas_) {
-        s.arena_capacity_bytes = arenas_->bytes_each();
-        s.arena_leases = arenas_->leases();
-        s.arena_dry_acquires = arenas_->dry_acquires();
-        s.arena_fallback_allocs = arenas_->fallback_allocs();
-        s.arena_high_water_bytes = arenas_->high_water();
-    }
+    const process_memory mem = read_process_memory();
+    s.resident_bytes = mem.resident_bytes;
+    s.resident_peak_bytes = mem.resident_peak_bytes;
     s.tracing_armed = obs::tracing_enabled();
     s.build = build_type();
     s.compiler = compiler_version();

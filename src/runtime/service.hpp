@@ -26,7 +26,6 @@
 // fast.
 #pragma once
 
-#include "arena.hpp"
 #include "metrics.hpp"
 #include "queue.hpp"
 #include "thread_pool.hpp"
@@ -141,14 +140,10 @@ struct service_config {
     /// session prefixes, and concurrent identical misses collapse to one
     /// decode (see cache/decoded_cache.hpp).
     std::size_t cache_bytes = 0;
-    /// Per-job scratch arena size (0 = no arenas; jobs allocate from the
-    /// heap).  The service owns one arena per worker; each job leases one for
-    /// its lifetime and every decode transient (tier-1 block state, DWT
-    /// interleave buffers, gather blocks) bump-allocates from it, so steady
-    /// state does zero malloc on the hot path.  A job whose scratch outgrows
-    /// the arena degrades to heap fallback (counted, never fatal); see
-    /// runtime/arena.hpp.
-    std::size_t arena_bytes = 8u << 20;
+    /// Not a setting: the service never reads it (decode scratch comes from
+    /// the heap and is freed as each stage ends).  It is the size callers
+    /// give a runtime::arena (runtime/arena.hpp) they build themselves.
+    static constexpr std::size_t arena_bytes = 8u << 20;
 };
 
 class decode_service {
@@ -250,6 +245,14 @@ public:
     }
 
     [[nodiscard]] int workers() const noexcept { return pool_->size(); }
+    /// Jobs admitted and not yet retired.  A job is destroyed (promise,
+    /// completion, shared image) before it leaves this count, so 0 means no
+    /// worker is still tearing one down.
+    [[nodiscard]] std::size_t in_flight() const
+    {
+        std::lock_guard lk{drain_m_};
+        return in_flight_;
+    }
     [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
     [[nodiscard]] std::size_t queue_depth(priority p) const { return queue_.size(p); }
 
@@ -301,14 +304,12 @@ private:
     /// stream, and a single success or failure settle.
     void run_job(job& j);
     /// One-shot decode through the codec's backend, fed to the stage counters.
-    j2k::image decode_one(const job& j, const codec::backend& be,
-                          std::pmr::memory_resource* mr);
+    j2k::image decode_one(const job& j, const codec::backend& be);
     /// Through the cache: hits and collapsed waits share the resident image;
     /// a miss leads the single flight, publishes its decode and hands the
     /// job's bytes to the entry.  Null when the key is taken by other bytes —
     /// the caller then decodes uncached.
-    std::shared_ptr<const j2k::image> decode_cached(job& j, const codec::backend& be,
-                                                    std::pmr::memory_resource* mr);
+    std::shared_ptr<const j2k::image> decode_cached(job& j, const codec::backend& be);
     /// Input bytes as the cache keeps them (decoded_cache::input_ptr).
     using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
     /// The job's bytes as a buffer the cache can keep: an owned vector is
@@ -318,22 +319,15 @@ private:
     /// Layered j2k flight leader over `input`: resume the cached session
     /// prefix when one fits, else decode cold; the advanced prefix goes back
     /// to the cache.
-    j2k::image decode_prefix(const cache_key& key, const input_ptr& input,
-                             std::pmr::memory_resource* mr);
-    /// Advance a session over `threads` tiles at a time on `mr` scratch,
-    /// feeding the tier-1 byte, stage and tile counters.
-    j2k::image advance(j2k::decode_session& s, int layers, int threads,
-                       std::pmr::memory_resource* mr);
+    j2k::image decode_prefix(const cache_key& key, const input_ptr& input);
+    /// Advance a session over `threads` tiles at a time, feeding the tier-1
+    /// byte, stage and tile counters.
+    j2k::image advance(j2k::decode_session& s, int layers, int threads);
     /// Progressive job: one session on this worker, one on_layer per layer.
-    void stream_layers(job& j, std::pmr::memory_resource* mr);
-    void finish_one();
+    void stream_layers(job& j);
+    /// Destroy a settled job, then take it out of the in-flight count.
+    void retire(job_ptr j);
     void record_priority_depths();
-    /// One lease per job; empty (→ heap scratch) when pooling is disabled or
-    /// the pool is momentarily dry.
-    [[nodiscard]] arena_pool::lease acquire_arena() noexcept
-    {
-        return arenas_ ? arenas_->acquire() : arena_pool::lease{};
-    }
 
     service_config cfg_;
     service_metrics metrics_;
@@ -345,9 +339,6 @@ private:
 
     two_level_queue<job_ptr> queue_;
     std::unique_ptr<decoded_cache> cache_;  ///< null when cache_bytes == 0
-    /// Declared before pool_ so workers (which hold leases mid-job) are
-    /// joined before the arenas they allocate from are torn down.
-    std::unique_ptr<arena_pool> arenas_;  ///< null when arena_bytes == 0
     std::unique_ptr<thread_pool> pool_;  ///< last member: destroyed (joined) first
 };
 

@@ -131,7 +131,6 @@ public:
     }
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t>,
                                       const codec::decode_request&,
-                                      std::pmr::memory_resource*,
                                       codec::stage_profile*) const override
     {
         throw codec::codestream_error{"fake"};

@@ -1,15 +1,14 @@
-// Per-job bump allocator + pool (runtime/arena.hpp): alignment and cursor
-// arithmetic, the typed no-throw exhaustion contract, poison-fill on reset,
-// heap fallback accounting, pmr container integration, and the concurrent
-// lease discipline the decode service relies on (exercised under TSan in CI).
+// Bump allocator (runtime/arena.hpp): alignment and cursor arithmetic, the
+// typed no-throw exhaustion contract, poison-fill on reset, heap fallback
+// accounting, pmr container integration, and concurrent allocation
+// (exercised under TSan in CI).
 #include <runtime/arena.hpp>
+#include <runtime/metrics.hpp>
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,15 +16,11 @@ namespace {
 
 using runtime::arena;
 using runtime::arena_errc;
-using runtime::arena_pool;
 
 /// This process's resident set (VmRSS) in bytes; 0 without /proc.
 std::int64_t rss_bytes()
 {
-    std::ifstream in{"/proc/self/status"};
-    for (std::string line; std::getline(in, line);)
-        if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
-    return 0;
+    return static_cast<std::int64_t>(runtime::read_process_memory().resident_bytes);
 }
 
 TEST(Arena, AllocationsAreAlignedAndDisjoint)
@@ -57,8 +52,8 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint)
 
 TEST(Arena, PagesAreCommittedOnFirstUseNotAtConstruction)
 {
-    // Each service worker owns an arena from start-up; an idle one must cost
-    // address space, not memory.
+    // An arena that is built but not yet used must cost address space, not
+    // memory.
     const std::int64_t before = rss_bytes();
     if (before == 0) GTEST_SKIP() << "no /proc/self/status";
     constexpr std::int64_t cap = 64 << 20;
@@ -193,95 +188,6 @@ TEST(Arena, ConcurrentAllocationYieldsDisjointChunks)
         for (auto* p : ptrs[static_cast<std::size_t>(t)])
             for (int i = 0; i < 64; ++i)
                 ASSERT_EQ(std::to_integer<int>(p[i]), t + 1);
-}
-
-TEST(ArenaPool, LeaseReturnsResetArenaToThePool)
-{
-    arena_pool pool{2, 4096};
-    arena* first = nullptr;
-    {
-        auto l = pool.acquire();
-        ASSERT_TRUE(l);
-        first = l.get();
-        l.get()->set_poison(true);
-        ASSERT_NE(l.resource()->allocate(100, 8), nullptr);
-        EXPECT_EQ(l.get()->used(), 100u);
-    }
-    // Returned and reset; a fresh acquire can see an empty arena again.
-    auto l2 = pool.acquire();
-    auto l3 = pool.acquire();
-    ASSERT_TRUE(l2);
-    ASSERT_TRUE(l3);
-    arena* back = l2.get() == first ? l2.get() : l3.get();
-    EXPECT_EQ(back, first);
-    EXPECT_EQ(back->used(), 0u);
-}
-
-TEST(ArenaPool, DryPoolYieldsEmptyLeaseAndCountsIt)
-{
-    arena_pool pool{1, 1024};
-    auto l1 = pool.acquire();
-    ASSERT_TRUE(l1);
-    auto l2 = pool.acquire();  // dry: never blocks
-    EXPECT_FALSE(l2);
-    EXPECT_EQ(l2.resource(), nullptr) << "empty lease degrades the job to heap";
-    EXPECT_EQ(pool.dry_acquires(), 1u);
-    EXPECT_EQ(pool.leases(), 2u);
-}
-
-TEST(ArenaPool, AggregatesPerArenaStats)
-{
-    arena_pool pool{2, 512};
-    {
-        auto l = pool.acquire();
-        ASSERT_TRUE(l);
-        ASSERT_NE(l.get()->try_alloc(300, 8), nullptr);
-        // Spill past capacity through the pmr interface.
-        void* p = l.resource()->allocate(1024, 8);
-        ASSERT_NE(p, nullptr);
-        l.resource()->deallocate(p, 1024, 8);
-    }
-    EXPECT_EQ(pool.high_water(), 300u);
-    EXPECT_GE(pool.fallback_allocs(), 1u);
-}
-
-TEST(ArenaPool, ConcurrentAcquireReleaseKeepsEveryArenaSingleOwner)
-{
-    // The service's steady state: jobs acquire, allocate, release in parallel.
-    // Each lease writes a thread-unique pattern and verifies it before
-    // returning the arena — overlap between two live leases would corrupt it.
-    arena_pool pool{4, 1u << 16};
-    constexpr int k_threads = 8;
-    constexpr int k_iters = 100;
-    std::vector<std::thread> ts;
-    for (int t = 0; t < k_threads; ++t) {
-        ts.emplace_back([&pool, t] {
-            for (int i = 0; i < k_iters; ++i) {
-                auto l = pool.acquire();
-                if (!l) continue;  // dry is legal under oversubscription
-                auto* p = static_cast<std::byte*>(l.get()->try_alloc(256, 8));
-                if (!p) continue;
-                std::memset(p, t + 1, 256);
-                for (int k = 0; k < 256; ++k)
-                    ASSERT_EQ(std::to_integer<int>(p[k]), t + 1);
-            }
-        });
-    }
-    for (auto& th : ts) th.join();
-    EXPECT_EQ(pool.leases(), static_cast<std::uint64_t>(k_threads) * k_iters);
-}
-
-TEST(ArenaPool, MoveOnlyLeaseTransfersOwnership)
-{
-    arena_pool pool{1, 1024};
-    auto l1 = pool.acquire();
-    ASSERT_TRUE(l1);
-    auto l2 = std::move(l1);
-    EXPECT_FALSE(l1);  // NOLINT(bugprone-use-after-move): post-move state is specified
-    ASSERT_TRUE(l2);
-    l2 = arena_pool::lease{};  // release through move-assignment
-    auto l3 = pool.acquire();
-    EXPECT_TRUE(l3) << "arena must be back in the pool after the move chain";
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -58,10 +57,7 @@ net::server_config quiet_config()
 /// This process's resident set (VmRSS) in bytes; 0 without /proc.
 std::int64_t rss_bytes()
 {
-    std::ifstream in{"/proc/self/status"};
-    for (std::string line; std::getline(in, line);)
-        if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
-    return 0;
+    return static_cast<std::int64_t>(runtime::read_process_memory().resident_bytes);
 }
 
 /// Poll `done` every millisecond for up to five seconds; true once it holds.
@@ -892,13 +888,17 @@ TEST(NetServer, FdExhaustionShedsPendingConnectionsInsteadOfSpinning)
     }
     // The server frees the warm connection's fd asynchronously; fill only
     // once it has, or that slot reopens mid-test and the accept succeeds.
+    // Wait too until the warm-up job is torn down: a worker still releasing
+    // it may need an fd (a sanitizer's first check of a type opens a pipe),
+    // and with the table full that fails inside the worker, not the server.
     {
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (srv.stats().connections_open != 0 &&
+        while ((srv.stats().connections_open != 0 || srv.service().in_flight() != 0) &&
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
         ASSERT_EQ(srv.stats().connections_open, 0u);
+        ASSERT_EQ(srv.service().in_flight(), 0u);
     }
     {
         scoped_nofile_limit clamp{static_cast<rlim_t>(max_open_fd() + 8)};

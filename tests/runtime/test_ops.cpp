@@ -251,11 +251,6 @@ std::string first_string(const std::string& json, const std::string& key)
 }
 
 const char* const k_pinned_samples[] = {
-    "j2k_arena_capacity_bytes",
-    "j2k_arena_dry_acquires_total",
-    "j2k_arena_fallback_allocs_total",
-    "j2k_arena_high_water_bytes",
-    "j2k_arena_leases_total",
     "j2k_build_info{compiler,type}",
     "j2k_cache_bytes",
     "j2k_cache_collapses_total",
@@ -299,6 +294,8 @@ const char* const k_pinned_samples[] = {
     "j2k_pool_threads",
     "j2k_priority_latency_us_count{priority}",
     "j2k_priority_latency_us{priority,quantile}",
+    "j2k_process_resident_bytes",
+    "j2k_process_resident_peak_bytes",
     "j2k_progressive_active_high_water",
     "j2k_progressive_cancelled_total",
     "j2k_queue_depth_high_water",
@@ -329,6 +326,8 @@ const char* const k_pinned_service_keys[] = {
     "process.uptime_s",
     "process.pool_threads",
     "process.tracing_armed",
+    "process.resident_bytes",
+    "process.resident_peak_bytes",
     "process.build_type",
     "process.compiler",
     "jobs_submitted",
@@ -362,12 +361,6 @@ const char* const k_pinned_service_keys[] = {
     "cache.entries",
     "cache.session_entries",
     "kernel_isa",
-    "arena",
-    "arena.capacity_bytes",
-    "arena.leases",
-    "arena.dry_acquires",
-    "arena.fallback_allocs",
-    "arena.high_water_bytes",
     "tiles_decoded",
     "tasks_stolen",
     "pool_submissions",
@@ -491,6 +484,12 @@ TEST(OpsServer, ExpositionIsPinned)
     EXPECT_EQ(first_number(json, "evictions"), 0);
     EXPECT_EQ(first_string(json, "build_type"), runtime::build_type());
     EXPECT_EQ(first_string(json, "compiler"), runtime::compiler_version());
+    // Read from /proc/self/status as the snapshot is taken (0 without it).
+    if (runtime::read_process_memory().resident_bytes > 0) {
+        EXPECT_GT(first_number(json, "resident_bytes"), 0);
+        EXPECT_GE(first_number(json, "resident_peak_bytes"),
+                  first_number(json, "resident_bytes"));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -559,8 +558,7 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
     s.compiler = "cc 1.0";
     s.kernel_isa = "avx2";
     for (std::uint64_t* f :
-         {&s.arena_capacity_bytes, &s.arena_leases, &s.arena_dry_acquires,
-          &s.arena_fallback_allocs, &s.arena_high_water_bytes, &s.jobs_submitted,
+         {&s.resident_bytes, &s.resident_peak_bytes, &s.jobs_submitted,
           &s.jobs_completed, &s.jobs_failed, &s.jobs_rejected, &s.jobs_dropped,
           &s.jobs_batched, &s.jobs_promoted, &s.queue_depth_high_water,
           &s.jobs_progressive, &s.layers_emitted, &s.progressive_cancelled,
@@ -625,6 +623,10 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         {"process.uptime_s", {"j2k_uptime_seconds", s.uptime_s}},
         {"process.pool_threads", {"j2k_pool_threads", 3.0}},
         {"process.tracing_armed", {"j2k_tracing_armed", 1.0}},
+        {"process.resident_bytes",
+         {"j2k_process_resident_bytes", 1.0 * s.resident_bytes}},
+        {"process.resident_peak_bytes",
+         {"j2k_process_resident_peak_bytes", 1.0 * s.resident_peak_bytes}},
         {"jobs_submitted", {"j2k_jobs_submitted_total", 1.0 * s.jobs_submitted}},
         {"jobs_completed", {"j2k_jobs_completed_total", 1.0 * s.jobs_completed}},
         {"jobs_failed", {"j2k_jobs_failed_total", 1.0 * s.jobs_failed}},
@@ -661,15 +663,6 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         {"cache.entries", {"j2k_cache_entries", 1.0 * s.cache_entries}},
         {"cache.session_entries",
          {"j2k_cache_session_entries", 1.0 * s.cache_session_entries}},
-        {"arena.capacity_bytes",
-         {"j2k_arena_capacity_bytes", 1.0 * s.arena_capacity_bytes}},
-        {"arena.leases", {"j2k_arena_leases_total", 1.0 * s.arena_leases}},
-        {"arena.dry_acquires",
-         {"j2k_arena_dry_acquires_total", 1.0 * s.arena_dry_acquires}},
-        {"arena.fallback_allocs",
-         {"j2k_arena_fallback_allocs_total", 1.0 * s.arena_fallback_allocs}},
-        {"arena.high_water_bytes",
-         {"j2k_arena_high_water_bytes", 1.0 * s.arena_high_water_bytes}},
         {"tiles_decoded", {"j2k_tiles_decoded_total", 1.0 * s.tiles_decoded}},
         {"tasks_stolen", {"j2k_tasks_stolen_total", 1.0 * s.tasks_stolen}},
         {"pool_submissions", {"j2k_pool_submissions_total", 1.0 * s.pool_submissions}},

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <future>
+#include <latch>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -311,14 +313,20 @@ TEST(DecodeService, CloseWhileSubmittingSettlesEveryFutureExactlyOnce)
         constexpr int submitters = 4;
         std::vector<std::vector<std::future<j2k::image>>> futs(submitters);
         std::atomic<bool> stop{false};
+        // Every submitter is in its loop before shutdown: on a loaded host a
+        // sleep alone can end before any of them has run.
+        std::latch submitting{submitters};
         std::vector<std::thread> threads;
         for (int t = 0; t < submitters; ++t)
             threads.emplace_back([&, t] {
+                bool first = true;
                 while (!stop.load(std::memory_order_acquire)) {
                     const auto p = (t % 2 == 0) ? priority::interactive : priority::batch;
                     futs[static_cast<std::size_t>(t)].push_back(svc->submit(cs, p));
+                    if (std::exchange(first, false)) submitting.count_down();
                 }
             });
+        submitting.wait();
         std::this_thread::sleep_for(std::chrono::milliseconds(5 + 10 * round));
         svc->shutdown();  // races the submit loops
         stop.store(true, std::memory_order_release);
