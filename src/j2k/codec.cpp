@@ -8,6 +8,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace j2k {
 
@@ -217,15 +218,11 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
         for (const auto& br : subband_layout(tr.width, tr.height, info_.levels)) {
             if (br.width == 0 || br.height == 0) continue;
             for_each_codeblock(br, [&](int x0, int y0, int bw, int bh) {
-                codeblock cb;
-                cb.width = bw;
-                cb.height = bh;
-                cb.num_planes = r.u8();
+                const int planes = r.u8();
                 const std::uint32_t len = r.u32();
                 const auto seg = r.bytes(len);
-                cb.data.assign(seg.begin(), seg.end());
                 block.resize(static_cast<std::size_t>(bw) * bh);
-                tier1_decode(cb, block.data(), br.b, stats, max_passes_, mr);
+                tier1_decode(bw, bh, planes, seg, block.data(), br.b, stats, max_passes_, mr);
                 scatter_block(coeffs, x0, y0, bw, bh, block.data());
             });
         }
@@ -243,8 +240,13 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
     const int use = max_layers_ <= 0 ? layers : std::min(max_layers_, layers);
 
     // Gather each block's segments from the layer-major chunks, in the same
-    // canonical block order the encoder used.
-    std::vector<layered_codeblock> blocks;
+    // canonical block order the encoder used.  Segments stay spans into the
+    // codestream.
+    struct block_segments {
+        int planes;
+        std::vector<std::pair<int, std::span<const std::uint8_t>>> segs;  ///< passes, bytes
+    };
+    std::vector<block_segments> blocks;
     for (int l = 0; l < use; ++l) {
         const std::size_t idx =
             static_cast<std::size_t>(l) * static_cast<std::size_t>(grid.size()) +
@@ -255,20 +257,11 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
         for (int c = 0; c < info_.components; ++c) {
             for (const auto& br : subband_layout(tr.width, tr.height, info_.levels)) {
                 if (br.width == 0 || br.height == 0) continue;
-                for_each_codeblock(br, [&](int, int, int bw, int bh) {
-                    if (l == 0) {
-                        layered_codeblock lcb;
-                        lcb.width = bw;
-                        lcb.height = bh;
-                        lcb.num_planes = r.u8();
-                        lcb.segments.resize(static_cast<std::size_t>(layers));
-                        blocks.push_back(std::move(lcb));
-                    }
-                    auto& seg = blocks.at(bi).segments[static_cast<std::size_t>(l)];
-                    seg.passes = r.u8();
+                for_each_codeblock(br, [&](int, int, int, int) {
+                    if (l == 0) blocks.push_back({r.u8(), {}});
+                    const int passes = r.u8();
                     const std::uint32_t len = r.u32();
-                    const auto bytes = r.bytes(len);
-                    seg.data.assign(bytes.begin(), bytes.end());
+                    blocks.at(bi).segs.emplace_back(passes, r.bytes(len));
                     ++bi;
                 });
             }
@@ -284,10 +277,13 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
         for (const auto& br : subband_layout(tr.width, tr.height, info_.levels)) {
             if (br.width == 0 || br.height == 0) continue;
             for_each_codeblock(br, [&](int x0, int y0, int bw, int bh) {
+                const block_segments& b = blocks.at(bi++);
+                // tier1_decode_layered over the codestream's own bytes.
+                tier1_block_decoder dec{bw, bh, b.planes, br.b, mr};
+                for (const auto& [passes, data] : b.segs) dec.advance(passes, data, stats);
                 blk.resize(static_cast<std::size_t>(bw) * bh);
-                tier1_decode_layered(blocks.at(bi), blk.data(), br.b, use, stats, mr);
+                dec.read(blk.data());
                 scatter_block(coeffs, x0, y0, bw, bh, blk.data());
-                ++bi;
             });
         }
         tc.comps.push_back(std::move(coeffs));
@@ -295,14 +291,14 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
     return tc;
 }
 
-tile_wavelet decoder::dequantize(const tile_coeffs& tc) const
+tile_wavelet decoder::dequantize(tile_coeffs tc) const
 {
     OBS_TRACE_SCOPE("j2k", "iq");
     tile_wavelet tw;
     tw.rect = tc.rect;
     tw.lossy = info_.mode == wavelet::w9_7;
     if (!tw.lossy) {
-        tw.iplanes = tc.comps;  // reversible path: IQ is the identity
+        tw.iplanes = std::move(tc.comps);  // reversible path: IQ is the identity
         return tw;
     }
     const kernel_table& K = kernels();
@@ -325,20 +321,18 @@ tile_wavelet decoder::dequantize(const tile_coeffs& tc) const
     return tw;
 }
 
-tile_pixels decoder::idwt(const tile_wavelet& tw, std::pmr::memory_resource* mr) const
+tile_pixels decoder::idwt(tile_wavelet tw, std::pmr::memory_resource* mr) const
 {
     OBS_TRACE_SCOPE("j2k", "idwt");
     tile_pixels tp;
     tp.rect = tw.rect;
     if (!tw.lossy) {
-        for (plane p : tw.iplanes) {
-            dwt53_inverse(p, info_.levels, mr);
-            tp.comps.push_back(std::move(p));
-        }
+        // The 5/3 synthesis runs in place in the coefficient planes.
+        for (plane& p : tw.iplanes) dwt53_inverse(p, info_.levels, mr);
+        tp.comps = std::move(tw.iplanes);
         return tp;
     }
-    for (const auto& dbuf : tw.dplanes) {
-        std::vector<double> buf = dbuf;
+    for (auto& buf : tw.dplanes) {
         dwt97_inverse(buf, tw.rect.width, tw.rect.height, info_.levels, mr);
         plane p{tw.rect.width, tw.rect.height};
         for (std::size_t i = 0; i < buf.size(); ++i)
@@ -396,9 +390,9 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
     for (int t = 0; t < static_cast<int>(grid.size()); ++t) {
         const tile_rect& tr = grid[static_cast<std::size_t>(t)];
         detail::stage_laps lap{profile};
-        const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr);
+        tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr);
         lap.add(&stage_profile::entropy_ns);
-        const tile_wavelet tw = dequantize(tc);
+        const tile_wavelet tw = dequantize(std::move(tc));
         lap.add(&stage_profile::iq_ns);
         // Partial synthesis, then crop the reduced-resolution LL region.
         const int tw_r = reduced_extent(tr.width, discard);

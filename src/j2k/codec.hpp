@@ -104,12 +104,15 @@ public:
     void set_max_quality_layers(int layers) noexcept { max_layers_ = layers; }
     [[nodiscard]] int max_quality_layers() const noexcept { return max_layers_; }
 
-    /// Stage 2 — inverse quantisation.
-    [[nodiscard]] tile_wavelet dequantize(const tile_coeffs& tc) const;
+    /// Stage 2 — inverse quantisation.  Takes the tile by value: moved in,
+    /// the lossless path hands its planes on without a copy (IQ is the
+    /// identity there).
+    [[nodiscard]] tile_wavelet dequantize(tile_coeffs tc) const;
 
-    /// Stage 3 — inverse DWT (5/3 or 9/7 as per stream mode).  `mr` backs the
+    /// Stage 3 — inverse DWT (5/3 or 9/7 as per stream mode), in place in the
+    /// tile's own planes (move it in to spare the copy).  `mr` backs the
     /// transform's interleave scratch.
-    [[nodiscard]] tile_pixels idwt(const tile_wavelet& tw,
+    [[nodiscard]] tile_pixels idwt(tile_wavelet tw,
                                    std::pmr::memory_resource* mr = nullptr) const;
 
     /// Stages 4+5 over an assembled image — inverse colour transform and

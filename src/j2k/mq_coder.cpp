@@ -22,38 +22,28 @@ void mq_encoder::init()
 
 void mq_encoder::encode(mq_context& cx, int d)
 {
-    if ((d != 0) == (cx.mps != 0))
-        code_mps(cx);
-    else
-        code_lps(cx);
-}
-
-void mq_encoder::code_mps(mq_context& cx)
-{
-    const mq_state& s = detail::k_mq_states[cx.index];
-    a_ -= s.qe;
-    if ((a_ & 0x8000) == 0) {
-        if (a_ < s.qe)
-            a_ = s.qe;  // conditional exchange: MPS gets the lower subinterval
+    const mq_transition& t = detail::k_mq_transitions[cx.state];
+    const std::uint32_t qe = t.qe;
+    a_ -= qe;
+    if ((d != 0) == ((cx.state & 1u) != 0)) {
+        // CODEMPS
+        if (a_ & 0x8000) {
+            c_ += qe;
+            return;
+        }
+        if (a_ < qe)
+            a_ = qe;  // conditional exchange: MPS gets the lower subinterval
         else
-            c_ += s.qe;
-        cx.index = s.nmps;
-        renorm();
+            c_ += qe;
+        cx.state = t.next[0];
     } else {
-        c_ += s.qe;
+        // CODELPS
+        if (a_ < qe)
+            c_ += qe;  // conditional exchange
+        else
+            a_ = qe;
+        cx.state = t.next[1];
     }
-}
-
-void mq_encoder::code_lps(mq_context& cx)
-{
-    const mq_state& s = detail::k_mq_states[cx.index];
-    a_ -= s.qe;
-    if (a_ < s.qe)
-        c_ += s.qe;  // conditional exchange
-    else
-        a_ = s.qe;
-    if (s.sw) cx.mps = static_cast<std::uint8_t>(1 - cx.mps);
-    cx.index = s.nlps;
     renorm();
 }
 
@@ -136,7 +126,6 @@ void mq_decoder::init(std::span<const std::uint8_t> data) noexcept
 {
     bp_ = data.data();
     end_ = data.data() + data.size();
-    decisions_ = 0;
     c_ = peek(0) << 16;
     byte_in();
     c_ <<= 7;

@@ -2,14 +2,25 @@
 //
 // This is the entropy-coding engine of JPEG 2000 (identical to the JBIG2 MQ
 // coder): an adaptive, multiplication-free binary arithmetic coder driven by
-// a 47-entry probability state machine.  Contexts carry an (index, MPS) pair
-// and adapt independently.  The encoder/decoder pair implements the flow
-// charts of ISO/IEC 15444-1 Annex C (ENCODE / CODEMPS / CODELPS / BYTEOUT /
-// FLUSH and INITDEC / DECODE / MPS_EXCHANGE / LPS_EXCHANGE / RENORMD /
-// BYTEIN) with 0xFF byte-stuffing.
+// a 47-entry probability state machine.  The encoder/decoder pair implements
+// the flow charts of ISO/IEC 15444-1 Annex C (ENCODE / CODEMPS / CODELPS /
+// BYTEOUT / FLUSH and INITDEC / DECODE / MPS_EXCHANGE / LPS_EXCHANGE /
+// RENORMD / BYTEIN) with 0xFF byte-stuffing.
+//
+// A context is one state byte, `index·2 + MPS` (0..93).  Both coders look it
+// up in a 94-entry table derived at compile time from Table C.2: Qe and the
+// state bytes that follow an MPS and an LPS, the SWITCH already folded into
+// the LPS successor's MPS bit.  A decision is therefore one table load, and
+// the new state is `next[is_lps]` with no SWITCH branch.
+//
+// RENORMD shifts A left by its leading-zero count in one step and C by the
+// same amount, looping only where CT runs out of bits first (BYTEIN then
+// refills C, honouring the stuffing and the end of the segment).  Bit for
+// bit it is the spec's one-bit-per-iteration loop.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -17,15 +28,15 @@
 
 namespace j2k {
 
-/// Adaptive probability state of one coding context.
+/// Adaptive probability state of one coding context: one byte holding
+/// `index·2 + MPS`, where index is the Table C.2 row (0..46) and MPS the
+/// current most-probable symbol.
 struct mq_context {
-    std::uint8_t index = 0;  ///< state index into the Qe table (0..46)
-    std::uint8_t mps = 0;    ///< current most-probable symbol (0 or 1)
+    std::uint8_t state = 0;
 
     void reset(std::uint8_t idx = 0, std::uint8_t m = 0) noexcept
     {
-        index = idx;
-        mps = m;
+        state = static_cast<std::uint8_t>(idx * 2 + m);
     }
 };
 
@@ -37,10 +48,15 @@ struct mq_state {
     std::uint8_t sw;       ///< 1 ⇒ exchange MPS sense on LPS
 };
 
+/// One row of the coders' 94-entry table, indexed by a context's state byte.
+struct mq_transition {
+    std::uint16_t qe;            ///< LPS probability estimate
+    std::uint8_t next[2];        ///< state byte after an MPS [0] / an LPS [1]
+};
+
 namespace detail {
 /// ISO/IEC 15444-1 Table C.2 — Qe values and probability estimation state
-/// transitions, {Qe, NMPS, NLPS, SWITCH}.  In the header so that DECODE
-/// inlines into the tier-1 passes.
+/// transitions, {Qe, NMPS, NLPS, SWITCH}.
 inline constexpr std::array<mq_state, 47> k_mq_states{{
     {0x5601, 1, 1, 1},   {0x3401, 2, 6, 0},   {0x1801, 3, 9, 0},
     {0x0AC1, 4, 12, 0},  {0x0521, 5, 29, 0},  {0x0221, 38, 33, 0},
@@ -59,6 +75,20 @@ inline constexpr std::array<mq_state, 47> k_mq_states{{
     {0x0015, 43, 40, 0}, {0x0009, 44, 41, 0}, {0x0005, 45, 42, 0},
     {0x0001, 45, 43, 0}, {0x5601, 46, 46, 0},
 }};
+
+/// Table C.2 expanded over both MPS senses.  In the header so that DECODE
+/// inlines into the tier-1 passes.
+inline constexpr std::array<mq_transition, 94> k_mq_transitions = [] {
+    std::array<mq_transition, 94> t{};
+    for (unsigned s = 0; s < t.size(); ++s) {
+        const mq_state& row = k_mq_states[s >> 1];
+        const unsigned mps = s & 1u;
+        t[s] = {row.qe,
+                {static_cast<std::uint8_t>(row.nmps * 2 + mps),
+                 static_cast<std::uint8_t>(row.nlps * 2 + (mps ^ row.sw))}};
+    }
+    return t;
+}();
 }  // namespace detail
 
 /// The 47-state table (shared by encoder and decoder).
@@ -86,8 +116,6 @@ public:
     [[nodiscard]] std::size_t bytes_emitted() const noexcept { return out_.size(); }
 
 private:
-    void code_mps(mq_context& cx);
-    void code_lps(mq_context& cx);
     void renorm();
     void byte_out();
 
@@ -101,11 +129,12 @@ private:
 
 /// MQ decoder reading from a byte span (not owned; must outlive the decoder).
 ///
-/// A small value type: the registers (A, C, CT and the byte pointer) plus a
-/// decision count are its whole state, and DECODE, RENORMD and BYTEIN are
-/// inline.  The tier-1 passes copy the decoder into a local for the length
-/// of a pass and store it back afterwards, so the registers stay in machine
-/// registers across every decision of the pass.
+/// A small value type: the registers (A, C, CT and the byte pointer) are its
+/// whole state, and DECODE, RENORMD and BYTEIN are inline.  The tier-1 passes
+/// copy the decoder into a local for the length of a pass and store it back
+/// afterwards, so the registers stay in machine registers across every
+/// decision of the pass.  It keeps no decision count: tier-1 counts
+/// decisions only when asked for statistics.
 class mq_decoder {
 public:
     explicit mq_decoder(std::span<const std::uint8_t> data) noexcept { init(data); }
@@ -116,55 +145,41 @@ public:
     /// Decode one binary decision in context `cx` (DECODE).
     [[nodiscard]] int decode(mq_context& cx) noexcept
     {
-        ++decisions_;
-        const mq_state& s = detail::k_mq_states[cx.index];
-        const std::uint32_t qe = s.qe;
+        const mq_transition& t = detail::k_mq_transitions[cx.state];
+        const std::uint32_t qe = t.qe;
+        const int mps = cx.state & 1;
         a_ -= qe;
-        int d;
+        unsigned lps;
         if ((c_ >> 16) < qe) {
             // LPS_EXCHANGE: the LPS sub-interval is decoded, unless it is
             // the larger one (A < Qe), in which case the senses swap.
-            if (a_ < qe) {
-                d = cx.mps;
-                cx.index = s.nmps;
-            } else {
-                d = 1 - cx.mps;
-                cx.mps = static_cast<std::uint8_t>(cx.mps ^ s.sw);
-                cx.index = s.nlps;
-            }
+            lps = a_ >= qe ? 1u : 0u;
             a_ = qe;
         } else {
             c_ -= qe << 16;
-            if (a_ & 0x8000) return cx.mps;
+            if (a_ & 0x8000) return mps;
             // MPS_EXCHANGE
-            if (a_ < qe) {
-                d = 1 - cx.mps;
-                cx.mps = static_cast<std::uint8_t>(cx.mps ^ s.sw);
-                cx.index = s.nlps;
-            } else {
-                d = cx.mps;
-                cx.index = s.nmps;
-            }
+            lps = a_ < qe ? 1u : 0u;
         }
+        cx.state = t.next[lps];
         renorm();
-        return d;
+        return mps ^ static_cast<int>(lps);
     }
 
-    /// Number of decisions decoded since init (profiling hook: the paper's
-    /// execution-time model charges per-decision work to the arith stage).
-    [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
-
 private:
-    /// RENORMD: one shift per iteration until A regains bit 15, with a
-    /// BYTEIN whenever CT runs out.
+    /// RENORMD: shift A (0 < A < 0x8000) left until bit 15 is set, and C with
+    /// it, BYTEIN-ing whenever CT runs out on the way.
     void renorm() noexcept
     {
-        do {
-            if (ct_ == 0) byte_in();
-            a_ <<= 1;
-            c_ <<= 1;
-            --ct_;
-        } while ((a_ & 0x8000) == 0);
+        int n = std::countl_zero(a_) - 16;
+        a_ <<= n;
+        while (n > ct_) {
+            c_ <<= ct_;
+            n -= ct_;
+            byte_in();
+        }
+        c_ <<= n;
+        ct_ -= n;
     }
 
     /// The byte `k` places past the pointer, or 0xFF beyond the segment:
@@ -201,7 +216,6 @@ private:
     std::uint32_t c_ = 0;
     std::uint32_t a_ = 0;
     int ct_ = 0;
-    std::uint64_t decisions_ = 0;
 };
 
 }  // namespace j2k

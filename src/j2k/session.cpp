@@ -4,6 +4,7 @@
 #include <runtime/thread_pool.hpp>
 
 #include <stdexcept>
+#include <utility>
 
 namespace j2k {
 
@@ -130,9 +131,9 @@ struct decode_session::impl {
             tc = dec.entropy_decode(t, stats ? &stats->t1 : nullptr, scratch);
         }
         lap.add(&codec::stage_profile::entropy_ns);
-        const tile_wavelet tw = dec.dequantize(tc);
+        tile_wavelet tw = dec.dequantize(std::move(tc));
         lap.add(&codec::stage_profile::iq_ns);
-        const tile_pixels tp = dec.idwt(tw, scratch);
+        const tile_pixels tp = dec.idwt(std::move(tw), scratch);
         lap.add(&codec::stage_profile::idwt_ns);
         for (int c = 0; c < info.components; ++c)
             insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)], tr);

@@ -6,7 +6,9 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace j2k {
@@ -134,21 +136,26 @@ constexpr auto k_sc = make_sc_table();
 }
 
 /// Coder state of one block shared by encoder and decoder: one flag word per
-/// sample on a grid padded by one sample on every side (so the neighbour
-/// updates of an edge sample need no bounds checks), plus the MQ contexts.
-/// Magnitudes live outside (the encoder's |coeff|, the decoder's
-/// accumulator), addressed unpadded.
+/// sample in stripe-column order — the four words of a stripe column next to
+/// each other, so one 64-bit load reads the whole column — with a padding
+/// column on either side of every stripe, plus the MQ contexts.  Magnitudes
+/// live outside (the encoder's |coeff|, the decoder's accumulator), addressed
+/// row-major and unpadded.
 struct block_state {
     int w;
     int h;
-    int stride;  ///< w + 2
+    int stripe;  ///< flag words per stripe: 4·(w + 2)
     const zc_table* zc;
     std::pmr::vector<std::uint16_t> flags;
+    /// Takes the neighbour updates of the first stripe's top row and of a
+    /// full last stripe's bottom row, which have no stripe to go to.
+    std::array<std::uint16_t, 9> sink{};
     std::array<mq_context, k_num_ctx> cx{};
 
     block_state(int width, int height, band orient, std::pmr::memory_resource* mr = nullptr)
-        : w{width}, h{height}, stride{width + 2}, zc{&zc_table_for(orient)},
-          flags(static_cast<std::size_t>(width + 2) * static_cast<std::size_t>(height + 2),
+        : w{width}, h{height}, stripe{4 * (width + 2)}, zc{&zc_table_for(orient)},
+          flags(static_cast<std::size_t>(4 * (width + 2)) *
+                    static_cast<std::size_t>((height + 3) / 4),
                 std::uint16_t{0}, mr_of(mr))
     {
         for (auto& c : cx) c.reset();
@@ -159,8 +166,8 @@ struct block_state {
 
     [[nodiscard]] std::uint16_t& flag(int x, int y) noexcept
     {
-        return flags[static_cast<std::size_t>(y + 1) * static_cast<std::size_t>(stride) +
-                     static_cast<std::size_t>(x + 1)];
+        return flags[static_cast<std::size_t>(y / 4) * static_cast<std::size_t>(stripe) +
+                     static_cast<std::size_t>(4 * (x + 1) + y % 4)];
     }
 
     /// out[i] = ±mag[i], the sign from NEG.  `mag` may alias `out`.
@@ -199,14 +206,15 @@ struct pass_ref {
 /// primitive: `int bit(mq_context&, int actual)` — the encoder codes `actual`
 /// and echoes it; the decoder ignores `actual` and returns the decoded
 /// decision.  Both sides therefore execute identical control flow over
-/// identical state.
+/// identical state.  `IO::counts` compiles the visited-sample count (and the
+/// IO's decision count) in for tier1_stats, or out.
 ///
 /// A pass_coder lives in a local of engine::run for the length of one pass
 /// and holds by value everything the pass reads — geometry, table and array
 /// pointers, and the IO with the MQ registers — so the compiler keeps all of
 /// that in registers instead of reloading it after every context update.
 ///
-/// VISIT is cleared lazily: the cleanup pass clears it on every sample it
+/// VISIT is cleared lazily: the cleanup pass clears it on every column it
 /// walks, so each plane's significance pass starts with VISIT clear and no
 /// plane-wide reset is needed.  Within a plane, SIG && VISIT marks a sample
 /// that became significant in this plane's significance pass — exactly the
@@ -215,42 +223,44 @@ template <typename IO>
 struct pass_coder {
     int w;
     int h;
-    int s;                  ///< flag-grid stride
+    int stripe;             ///< flag words per stripe
     std::uint16_t* flags;   ///< flag word of sample (0, 0)
     const zc_table& zc;
     mq_context* cx;
     std::uint32_t* mag;
     IO io;
     int plane;
-    std::uint64_t visited = 0;
+    std::uint16_t* sink;    ///< block_state::sink, at its middle word
+    std::uint64_t visited = 0;  ///< samples visited (IO::counts only)
 
     void significance()
     {
-        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
+        for_each_column([&](std::uint16_t* col, int x, int sy, int rows, std::uint64_t cw) {
             // No sample of the column has a significant neighbour.
-            if ((column_or(col, rows) & f_neighbours) == 0) return;
+            if ((cw & lanes(f_neighbours)) == 0) return;
             for (int dy = 0; dy < rows; ++dy) {
-                std::uint16_t* f = col + dy * s;
+                std::uint16_t* f = col + dy;
                 const std::uint16_t fv = *f;
                 if ((fv & f_sig) || !(fv & f_neighbours)) continue;
-                ++visited;
+                count(1);
                 *f = static_cast<std::uint16_t>(fv | f_visit);
                 const std::size_t i = index(x, sy + dy);
-                if (io.bit(cx[zc[fv & f_neighbours]], actual_bit(i))) become_significant(f, i);
+                if (io.bit(cx[zc[fv & f_neighbours]], actual_bit(i)))
+                    become_significant(f, i, sy, dy);
             }
         });
     }
 
     void refinement()
     {
-        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
-            if ((column_or(col, rows) & f_sig) == 0) return;
-            for (int dy = 0; dy < rows; ++dy) {
-                std::uint16_t* f = col + dy * s;
+        for_each_column([&](std::uint16_t* col, int x, int sy, int, std::uint64_t cw) {
+            // Rows significant before this plane (SIG without VISIT).
+            unsigned m = row_mask((cw >> 12) & ~(cw >> 13));
+            count(static_cast<unsigned>(std::popcount(m)));
+            for (; m != 0; m &= m - 1) {
+                const int dy = std::countr_zero(m);
+                std::uint16_t* f = col + dy;
                 const std::uint16_t fv = *f;
-                // Significant before this plane (SIG without VISIT).
-                if ((fv & (f_sig | f_visit)) != f_sig) continue;
-                ++visited;
                 const int ctx = (fv & f_refined)      ? k_ctx_mr_base + 2
                                 : (fv & f_neighbours) ? k_ctx_mr_base + 1
                                                       : k_ctx_mr_base;
@@ -264,53 +274,83 @@ struct pass_coder {
 
     void cleanup()
     {
-        for_each_column([&](std::uint16_t* col, int x, int sy, int rows) {
-            int start = 0;
-            if (rows == 4 && (column_or(col, 4) & (f_neighbours | f_sig | f_visit)) == 0) {
+        for_each_column([&](std::uint16_t* col, int x, int sy, int rows, std::uint64_t cw) {
+            unsigned m;  // rows to code: neither significant nor visited
+            if (rows == 4 && (cw & lanes(f_neighbours | f_sig | f_visit)) == 0) {
                 // Run-length mode: one decision covers the whole column.
-                ++visited;
+                count(1);
                 const int actual_pos = first_one_in_column(x, sy);
                 if (io.bit(cx[k_ctx_rl], actual_pos < 4 ? 1 : 0) == 0) return;
                 // Position of the first 1 bit: two uniform decisions.
                 int pos = io.bit(cx[k_ctx_uni], (actual_pos >> 1) & 1) << 1;
                 pos |= io.bit(cx[k_ctx_uni], actual_pos & 1);
-                become_significant(col + pos * s, index(x, sy + pos));
-                start = pos + 1;
+                become_significant(col + pos, index(x, sy + pos), sy, pos);
+                m = (0xEu << pos) & 0xFu;
+            } else {
+                m = row_mask(~((cw >> 12) | (cw >> 13))) & ((1u << rows) - 1);
+                // The plane's last pass: clear VISIT on the whole column.
+                store(col, cw & ~lanes(f_visit));
             }
-            for (int dy = start; dy < rows; ++dy) {
-                std::uint16_t* f = col + dy * s;
-                const std::uint16_t fv = *f;
-                if (fv & (f_sig | f_visit)) {
-                    *f = static_cast<std::uint16_t>(fv & ~f_visit);
-                    continue;
-                }
-                ++visited;
+            count(static_cast<unsigned>(std::popcount(m)));
+            // Turning significant changes the neighbour bits of the rows
+            // below, never their SIG or VISIT, so `m` stays exact.
+            for (; m != 0; m &= m - 1) {
+                const int dy = std::countr_zero(m);
+                std::uint16_t* f = col + dy;
                 const std::size_t i = index(x, sy + dy);
-                if (io.bit(cx[zc[fv & f_neighbours]], actual_bit(i))) become_significant(f, i);
+                if (io.bit(cx[zc[*f & f_neighbours]], actual_bit(i)))
+                    become_significant(f, i, sy, dy);
             }
         });
     }
 
 private:
-    /// Calls fn(col, x, sy, rows) for every stripe column in coding order:
-    /// `col` is the flag word of its top sample, `rows` its height (4, less
-    /// in a block's last stripe).
+    void count(unsigned n) noexcept
+    {
+        if constexpr (IO::counts) visited += n;
+    }
+
+    /// `v` in each of a column word's four 16-bit lanes.
+    static constexpr std::uint64_t lanes(std::uint16_t v) noexcept
+    {
+        return v * 0x0001000100010001ull;
+    }
+
+    /// Bit 0 of each lane of `v`, gathered into bits 0..3 (bit dy = row dy):
+    /// the multiply moves lane k's bit to bit 48 + k, and no two partial
+    /// products meet below bit 64.
+    static unsigned row_mask(std::uint64_t v) noexcept
+    {
+        return static_cast<unsigned>(((v & lanes(1)) * 0x0001000200040008ull) >> 48);
+    }
+
+    /// The four flag words of the stripe column at `col` as one value, row
+    /// dy in lane dy.
+    static std::uint64_t load(const std::uint16_t* col) noexcept
+    {
+        std::uint64_t v;
+        std::memcpy(&v, col, sizeof v);
+        return v;
+    }
+
+    static void store(std::uint16_t* col, std::uint64_t v) noexcept
+    {
+        std::memcpy(col, &v, sizeof v);
+    }
+
+    /// Calls fn(col, x, sy, rows, cw) for every stripe column in coding
+    /// order: `col` is the flag word of its top sample, `rows` its height (4,
+    /// less in a block's last stripe) and `cw` its four flag words.  Lanes
+    /// past `rows` exist but are never coded: they can hold neighbour bits,
+    /// never SIG, VISIT or REFINED.
     template <typename Fn>
     void for_each_column(Fn&& fn)
     {
         for (int sy = 0; sy < h; sy += 4) {
             const int rows = std::min(4, h - sy);
-            for (int x = 0; x < w; ++x) fn(flags + sy * s + x, x, sy, rows);
+            std::uint16_t* col = flags + (sy / 4) * stripe;
+            for (int x = 0; x < w; ++x, col += 4) fn(col, x, sy, rows, load(col));
         }
-    }
-
-    /// OR of the flag words of a stripe column's `rows` samples.
-    [[nodiscard]] std::uint32_t column_or(const std::uint16_t* col, int rows) const noexcept
-    {
-        if (rows == 4) return col[0] | col[s] | col[2 * s] | col[3 * s];
-        std::uint32_t v = col[0];
-        for (int dy = 1; dy < rows; ++dy) v |= col[dy * s];
-        return v;
     }
 
     [[nodiscard]] int actual_bit(std::size_t i) const noexcept
@@ -319,10 +359,10 @@ private:
         return static_cast<int>((mag[i] >> plane) & 1u);
     }
 
-    /// Code the sign of the sample at `f` (magnitude index `i`), which has
-    /// just turned significant, and publish its significance and sign into
-    /// the flag words of its eight neighbours.
-    void become_significant(std::uint16_t* f, std::size_t i)
+    /// Code the sign of the sample at `f` (magnitude index `i`, row `dy` of
+    /// the stripe at `sy`), which has just turned significant, and publish
+    /// its significance and sign into the flag words of its eight neighbours.
+    void become_significant(std::uint16_t* f, std::size_t i, int sy, int dy)
     {
         const std::uint16_t fv = *f;
         const sc_entry sc = k_sc[(fv & 0x0Fu) | ((fv >> 4) & 0xF0u)];
@@ -336,18 +376,21 @@ private:
         }
         *f = static_cast<std::uint16_t>(fv | f_sig | (neg ? f_neg : 0));
         // Direct neighbours learn significance and sign, diagonals only
-        // significance.
+        // significance.  The rows above and below may sit in the
+        // neighbouring stripe, 4 words to a column.
         const auto direct = [neg](std::uint16_t bit) {
             return static_cast<std::uint16_t>(bit | ((bit * neg) << 8));
         };
-        f[-s] |= direct(f_s);
-        f[s] |= direct(f_n);
-        f[-1] |= direct(f_e);
-        f[1] |= direct(f_w);
-        f[-s - 1] |= f_se;
-        f[-s + 1] |= f_sw;
-        f[s - 1] |= f_ne;
-        f[s + 1] |= f_nw;
+        std::uint16_t* up = dy != 0 ? f - 1 : sy != 0 ? f - stripe + 3 : sink;
+        std::uint16_t* down = dy != 3 ? f + 1 : sy + 4 < h ? f + stripe - 3 : sink;
+        up[0] |= direct(f_s);
+        down[0] |= direct(f_n);
+        f[-4] |= direct(f_e);
+        f[4] |= direct(f_w);
+        up[-4] |= f_se;
+        up[4] |= f_sw;
+        down[-4] |= f_ne;
+        down[4] |= f_nw;
     }
 
     /// First row offset (0..3) whose bit at `plane` is 1, or 4 if none.
@@ -375,12 +418,12 @@ struct engine {
     block_state& st;
     std::uint32_t* mag;
     IO io;
-    std::uint64_t visited = 0;  ///< samples visited, for tier1_stats
+    std::uint64_t visited = 0;  ///< samples visited (IO::counts only)
 
     void run(pass_ref pr)
     {
-        pass_coder<IO> p{st.w,         st.h, st.stride, &st.flag(0, 0), *st.zc,
-                         st.cx.data(), mag,  io,        pr.plane};
+        pass_coder<IO> p{st.w,   st.h,     st.stripe, &st.flag(0, 0), *st.zc, st.cx.data(),
+                         mag,    io,       pr.plane,  &st.sink[4]};
         switch (pr.kind) {
             case pass_kind::significance: p.significance(); break;
             case pass_kind::refinement: p.refinement(); break;
@@ -393,6 +436,7 @@ struct engine {
 
 struct encode_io {
     static constexpr bool is_decoder = false;
+    static constexpr bool counts = false;
     mq_encoder* enc;
     int bit(mq_context& cx, int actual)
     {
@@ -401,11 +445,40 @@ struct encode_io {
     }
 };
 
+/// `Count` instantiates the engine with tier1_stats counting (decisions
+/// here, visited samples in pass_coder) or without it.
+template <bool Count>
 struct decode_io {
     static constexpr bool is_decoder = true;
+    static constexpr bool counts = Count;
     mq_decoder dec;
-    int bit(mq_context& cx, int /*actual*/) noexcept { return dec.decode(cx); }
+    std::uint64_t decisions = 0;  ///< decisions decoded (Count only)
+    int bit(mq_context& cx, int /*actual*/) noexcept
+    {
+        if constexpr (Count) ++decisions;
+        return dec.decode(cx);
+    }
 };
+
+/// Decode passes [first, end) of the canonical sequence from one codeword
+/// segment, with counting compiled in only when `stats` asks for it.
+void decode_passes(block_state& st, std::uint32_t* mag, int num_planes, int first, int end,
+                   std::span<const std::uint8_t> data, tier1_stats* stats)
+{
+    const auto run = [&]<bool Count>(std::bool_constant<Count>) {
+        engine<decode_io<Count>> eng{st, mag, decode_io<Count>{mq_decoder{data}}};
+        for (int i = first; i < end; ++i) eng.run(pass_at(num_planes, i));
+        if constexpr (Count) {
+            stats->mq_decisions += eng.io.decisions;
+            stats->passes += static_cast<std::uint64_t>(end - first);
+            stats->samples += eng.visited;
+        }
+    };
+    if (stats)
+        run(std::true_type{});
+    else
+        run(std::false_type{});
+}
 
 /// Encoder-side set-up shared by the plain and layered encoders: magnitudes,
 /// NEG preset from the coefficient signs, and the plane count (0 = empty).
@@ -533,15 +606,9 @@ void tier1_block_decoder::advance(int passes, std::span<const std::uint8_t> data
     state& st = *st_;
     ++st.segments;
     if (st.num_planes == 0 || passes <= 0) return;
-    engine<decode_io> eng{st.bs, st.mag.data(), decode_io{mq_decoder{data}}};
     const int end = std::min(pass_total(st.num_planes), st.pass_i + passes);
-    const int first = st.pass_i;
-    for (; st.pass_i < end; ++st.pass_i) eng.run(pass_at(st.num_planes, st.pass_i));
-    if (stats) {
-        stats->mq_decisions += eng.io.dec.decisions();
-        stats->passes += static_cast<std::uint64_t>(end - first);
-        stats->samples += eng.visited;
-    }
+    decode_passes(st.bs, st.mag.data(), st.num_planes, st.pass_i, end, data, stats);
+    st.pass_i = end;
 }
 
 void tier1_block_decoder::read(std::int32_t* out) const
@@ -575,34 +642,36 @@ void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
     dec.read(out);
 }
 
-void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
-                  tier1_stats* stats, int max_passes,
+void tier1_decode(int width, int height, int num_planes, std::span<const std::uint8_t> data,
+                  std::int32_t* out, band orient, tier1_stats* stats, int max_passes,
                   std::pmr::memory_resource* mr)
 {
-    if (cb.width <= 0 || cb.height <= 0)
+    if (width <= 0 || height <= 0)
         throw std::invalid_argument{"tier1_decode: empty block"};
     // Stream data, same contract as tier1_decode_layered above.
-    if (cb.num_planes < 0 || cb.num_planes > 31)
+    if (num_planes < 0 || num_planes > 31)
         throw codestream_error{"tier1_decode: implausible bit-plane count"};
-    const auto n = static_cast<std::size_t>(cb.width) * static_cast<std::size_t>(cb.height);
+    const auto n = static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
     std::fill(out, out + n, 0);
-    if (cb.num_planes == 0) return;
+    if (num_planes == 0) return;
 
     // `out` doubles as the magnitude accumulator (magnitudes stay below
     // 2^31, and uint32_t may alias int32_t); signs are applied from the flag
     // words at the end.
-    block_state st{cb.width, cb.height, orient, mr};
+    block_state st{width, height, orient, mr};
     auto* mag = reinterpret_cast<std::uint32_t*>(out);
-    engine<decode_io> eng{st, mag, decode_io{mq_decoder{cb.data}}};
-    const int total = pass_total(cb.num_planes);
+    const int total = pass_total(num_planes);
     const int passes = max_passes > 0 ? std::min(max_passes, total) : total;
-    for (int i = 0; i < passes; ++i) eng.run(pass_at(cb.num_planes, i));
+    decode_passes(st, mag, num_planes, 0, passes, data, stats);
     st.write_signed(mag, out);
-    if (stats) {
-        stats->mq_decisions += eng.io.dec.decisions();
-        stats->passes += static_cast<std::uint64_t>(passes);
-        stats->samples += eng.visited;
-    }
+}
+
+void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
+                  tier1_stats* stats, int max_passes,
+                  std::pmr::memory_resource* mr)
+{
+    tier1_decode(cb.width, cb.height, cb.num_planes, cb.data, out, orient, stats, max_passes,
+                 mr);
 }
 
 }  // namespace j2k

@@ -16,8 +16,7 @@
 // This stage is the "arithmetic decoder" of the paper's Figure 1 — the block
 // that consumes ~88.8% (lossless) / 78.6% (lossy) of software decode time.
 //
-// Coder state is one 16-bit flag word per sample, on a grid padded by one
-// sample on every side so edge samples need no bounds checks:
+// Coder state is one 16-bit flag word per sample:
 //
 //   bits 0..3    significance of the direct neighbours N, W, E, S
 //   bits 4..7    significance of the diagonals NW, NE, SW, SE
@@ -28,18 +27,34 @@
 //   bit 14 REFINED  the sample has had at least one refinement decision
 //   bit 15 NEG   the sample's own sign
 //
+// The words are stored in stripe-column order, as OpenJPEG does: the four
+// words of a stripe column sit next to each other, so one 64-bit load reads
+// the column, one lane per row, and each stripe has a padding column on
+// either side so edge samples need no bounds checks.  A neighbour above or
+// below may sit in the next stripe; updates that would leave the block go
+// to a small sink.
+//
 // The low byte indexes a 256-entry zero-coding context table per
 // orientation; the significance and sign nibbles of the direct neighbours
 // index one 256-entry sign-coding table (context + XOR bit); the refinement
 // context is REFINED plus "low byte non-zero".  A sample turning significant
 // ORs its bits into its eight neighbours' words.
 //
-// VISIT is cleared lazily: the cleanup pass clears it on every sample it
+// VISIT is cleared lazily: the cleanup pass clears it on every column it
 // walks, so each plane starts with VISIT clear without a plane-wide reset,
 // and SIG && VISIT is "became significant in this plane's significance
-// pass" — the samples its refinement pass skips.  The significance and
-// refinement passes skip a stripe column, and the cleanup pass takes its
-// run-length path, on one OR of the column's four words.
+// pass" — the samples its refinement pass skips.  Each pass tests a stripe
+// column on its 64-bit word: the significance pass skips a column with no
+// significant neighbour, and the cleanup pass takes its run-length path on
+// an all-clear column.  The refinement and cleanup passes turn the word into
+// a 4-bit mask of the rows they code (SIG without VISIT; neither) and walk
+// its set bits, with no branch per row.  The significance pass keeps a
+// branch per row, because a row turning significant gives the row below it
+// a neighbour.
+//
+// One pass engine serves encoder and decoder.  The decoder instantiates it
+// with counting (decisions, samples visited, passes) when it is handed a
+// tier1_stats and without when not, so the service's decodes count nothing.
 #pragma once
 
 #include "dwt.hpp"
@@ -68,6 +83,7 @@ struct codeblock {
 };
 
 /// Statistics reported by the decoder (drives the paper's timing model).
+/// Counted only when a decoder is handed one.
 struct tier1_stats {
     std::uint64_t mq_decisions = 0;  ///< binary decisions decoded
     std::uint64_t passes = 0;        ///< coding passes executed
@@ -158,7 +174,8 @@ public:
 
     /// Bytes of coder state this decoder holds: its flag words, magnitude
     /// accumulator, MQ contexts and cursor — about 6 B per sample plus the
-    /// padding ring and a fixed part.
+    /// padding columns, the last stripe rounded up to 4 rows, and a fixed
+    /// part.
     [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
 private:
@@ -167,11 +184,18 @@ private:
 };
 
 /// Decode a code block back into signed coefficients; exact inverse of
-/// tier1_encode.  `stats`, when non-null, is accumulated into.
+/// tier1_encode.  `data` is the block's MQ codeword segment, read in place
+/// (a span into the codestream will do).  `stats`, when non-null, is
+/// accumulated into.
 ///
 /// `max_passes` > 0 truncates decoding after that many coding passes — the
 /// SNR-scalability mechanism of EBCOT: fewer passes yield a coarser (but
 /// valid) reconstruction from a prefix of the codeword.  0 decodes all.
+void tier1_decode(int width, int height, int num_planes, std::span<const std::uint8_t> data,
+                  std::int32_t* out, band orient, tier1_stats* stats = nullptr,
+                  int max_passes = 0, std::pmr::memory_resource* mr = nullptr);
+
+/// tier1_decode over an encoded block's own fields.
 void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
                   tier1_stats* stats = nullptr, int max_passes = 0,
                   std::pmr::memory_resource* mr = nullptr);

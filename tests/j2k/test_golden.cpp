@@ -14,6 +14,7 @@
 #include "corpus_specs.hpp"
 
 #include <j2k/backend.hpp>
+#include <j2k/session.hpp>
 #include <runtime/hash.hpp>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -117,6 +119,45 @@ TEST(GoldenCorpus, Tier1CountersMatchCommittedValues)
         EXPECT_EQ(st.t1.mq_decisions, g.mq_decisions) << g.file;
         EXPECT_EQ(st.t1.passes, g.passes) << g.file;
         EXPECT_EQ(st.t1.samples, g.samples) << g.file;
+    }
+}
+
+/// Every coefficient of every tile, through decoder::entropy_decode.
+std::vector<j2k::plane> all_coefficients(const j2k::decoder& dec, j2k::tier1_stats* stats)
+{
+    std::vector<j2k::plane> out;
+    for (int t = 0; t < dec.tile_count(); ++t)
+        for (auto& p : dec.entropy_decode(t, stats).comps) out.push_back(std::move(p));
+    return out;
+}
+
+TEST(GoldenCorpus, CountingLeavesCoefficientsUnchanged)
+{
+    // Tier-1 runs one pass engine instantiated with and without counting;
+    // asking for tier1_stats must change nothing but the counters.
+    for (const auto& g : k_t1_counters) {
+        const auto cs = load(g.file);
+        j2k::decoder dec{cs};
+        // Plain streams take tier1_decode, layered ones the block decoder
+        // fed straight from the codestream's chunks.
+        j2k::tier1_stats counted;
+        EXPECT_EQ(all_coefficients(dec, &counted), all_coefficients(dec, nullptr)) << g.file;
+        EXPECT_EQ(counted.mq_decisions, g.mq_decisions) << g.file;
+        EXPECT_EQ(counted.passes, g.passes) << g.file;
+        EXPECT_EQ(counted.samples, g.samples) << g.file;
+        // A pass-truncated plain decode, and a one-layer layered one.
+        dec.set_max_passes(5);
+        dec.set_max_quality_layers(1);
+        EXPECT_EQ(all_coefficients(dec, &counted), all_coefficients(dec, nullptr)) << g.file;
+
+        // The resumable session, layer by layer.
+        j2k::decode_session with{cs};
+        j2k::decode_session without{cs};
+        for (int l = 1; l <= with.total_layers(); ++l) {
+            j2k::decode_stats st;
+            EXPECT_EQ(with.advance_to(l, &st), without.advance_to(l)) << g.file << " layer " << l;
+            EXPECT_GT(st.t1.mq_decisions, 0u) << g.file << " layer " << l;
+        }
     }
 }
 

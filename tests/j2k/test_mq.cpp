@@ -116,18 +116,6 @@ TEST(MqCoder, RandomMultiContextRoundTrips)
     }
 }
 
-TEST(MqCoder, DecoderCountsDecisions)
-{
-    mq_encoder enc;
-    mq_context cx;
-    for (int i = 0; i < 100; ++i) enc.encode(cx, i % 3 == 0);
-    const auto bytes = enc.flush();
-    mq_decoder dec{bytes};
-    mq_context dcx;
-    for (int i = 0; i < 100; ++i) (void)dec.decode(dcx);
-    EXPECT_EQ(dec.decisions(), 100u);
-}
-
 TEST(MqCoder, StuffedBytesNeverFormMarkers)
 {
     // Encode pathological data that maximises 0xFF production pressure.

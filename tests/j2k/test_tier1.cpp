@@ -192,8 +192,9 @@ TEST(Tier1, BlockDecoderResidentBytesMatchItsAllocations)
             const std::size_t est = dec.resident_bytes();
             EXPECT_GE(est, mr.live) << w << "x" << h;
             EXPECT_LE(est - mr.live, 256u) << w << "x" << h;
-            // Flag words on the padded grid plus one magnitude per sample.
-            EXPECT_EQ(mr.live, static_cast<std::size_t>((w + 2) * (h + 2)) * 2 +
+            // Four flag words per stripe column, padding columns included,
+            // plus one magnitude per sample.
+            EXPECT_EQ(mr.live, static_cast<std::size_t>(4 * (w + 2) * ((h + 3) / 4)) * 2 +
                                    static_cast<std::size_t>(w * h) * 4)
                 << w << "x" << h;
         }
