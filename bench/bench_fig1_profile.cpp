@@ -12,6 +12,11 @@
 //               followed by the same times in absolute units: ns per image
 //               sample for each stage, and tier-1 ns per MQ decision.
 //
+// Then the cost a progressive request pays again for every layer it sends:
+// synthesis only (coefficients out of the block decoders, IQ, IDWT, ICT, DC
+// shift), ns per sample of a six-layer 256x256x3 lossless session, the
+// `progressive` serving workload's geometry.
+//
 // The native cost of the second codec follows: ccsds::decode ns per sample on
 // a 128x128x16-band 12-bit cube (the ccsds_zipf serving workload's geometry),
 // with P=3 full local sums and with P=15 narrow ones.  Every native ns/sample
@@ -19,6 +24,7 @@
 // argv[1]).  Absolute ns depend on the host; compare runs on one machine.
 #include <ccsds/ccsds123.hpp>
 #include <decoder/decoder.hpp>
+#include <j2k/session.hpp>
 
 #include <algorithm>
 #include <chrono>
@@ -104,6 +110,35 @@ shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
     return {a / tot, q / tot, w / tot, ict, dc};
 }
 
+/// Synthesis-only ns per sample of a progressive session: a six-layer
+/// 256x256x3 lossless stream in 64x64 tiles at 3 levels (the `progressive`
+/// corpus geometry) is decoded in full once, then advance_to(6) is timed
+/// again, which re-runs synthesis only (session.hpp).  Median of 15 calls,
+/// one thread.  Returns a negative value if a reconstruction differs from
+/// the source.
+double progressive_resynth_ns_per_sample()
+{
+    using clock = std::chrono::steady_clock;
+    const codec::image src = codec::make_test_image(256, 256, 3, 8, 1);
+    j2k::codec_params p;
+    p.tile_width = 64;
+    p.tile_height = 64;
+    p.levels = 3;
+    p.quality_layers = 6;
+    const auto cs = j2k::encode(src, p);
+    j2k::decode_session s{cs};
+    if (s.advance_to(6) != src) return -1;
+    std::vector<double> ns;
+    for (int rep = 0; rep < 15; ++rep) {
+        const auto t0 = clock::now();
+        const codec::image out = s.advance_to(6);
+        ns.push_back(std::chrono::duration<double, std::nano>(clock::now() - t0).count());
+        if (out != src) return -1;
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2] / (256.0 * 256.0 * 3.0);
+}
+
 /// ccsds::decode ns per sample: median of 7 timed decodes after one warm-up.
 /// Returns a negative value if any decode differs from the source cube.
 double ccsds_ns_per_sample(int pred_bands, ccsds::neighbor_mode mode)
@@ -170,6 +205,13 @@ int main(int argc, char** argv)
                 "(as the paper itself\nback-annotates measured times); the native column "
                 "profiles this repo's own codec.\n");
 
+    std::printf("\n=== Progressive resynthesis (6-layer 256x256x3 lossless) ===\n");
+    const double resynth = progressive_resynth_ns_per_sample();
+    std::printf("  repeat advance_to(6), synthesis only  %.2f ns/sample\n", resynth);
+    std::snprintf(buf, sizeof buf, ",\"progressive\":{\"resynth_ns_per_sample\":%.2f}",
+                  resynth);
+    json += buf;
+
     std::printf("\n=== CCSDS-123 native decode (128x128x16 bands, 12-bit) ===\n");
     const double full_p3 = ccsds_ns_per_sample(3, ccsds::neighbor_mode::full);
     const double narrow_p15 = ccsds_ns_per_sample(15, ccsds::neighbor_mode::narrow);
@@ -187,6 +229,6 @@ int main(int argc, char** argv)
         std::fprintf(f, "%s\n", json.c_str());
         std::fclose(f);
     }
-    // A ccsds decode that differs from its source cube fails the binary.
-    return full_p3 < 0 || narrow_p15 < 0 ? 1 : 0;
+    // A decode that differs from its source fails the binary.
+    return resynth < 0 || full_p3 < 0 || narrow_p15 < 0 ? 1 : 0;
 }

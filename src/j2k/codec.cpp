@@ -25,14 +25,6 @@ void gather_block(const plane& p, int x0, int y0, int w, int h, std::vector<std:
     }
 }
 
-void scatter_block(plane& p, int x0, int y0, int w, int h, const std::int32_t* in)
-{
-    for (int y = 0; y < h; ++y) {
-        const std::int32_t* s = in + static_cast<std::ptrdiff_t>(y) * w;
-        std::copy(s, s + w, p.row(y0 + y) + x0);
-    }
-}
-
 /// Quantise a 9/7 coefficient buffer (doubles) into an integer plane, band by
 /// band, using per-band step sizes.
 plane quantize_tile(const std::vector<double>& buf, int w, int h,
@@ -211,8 +203,6 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
 
     tile_coeffs tc;
     tc.rect = tr;
-    std::pmr::vector<std::int32_t> block{
-        mr ? mr : std::pmr::get_default_resource()};
     for (int c = 0; c < info_.components; ++c) {
         plane coeffs{tr.width, tr.height};
         for (const auto& br : subband_layout(tr.width, tr.height, info_.levels)) {
@@ -221,9 +211,8 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
                 const int planes = r.u8();
                 const std::uint32_t len = r.u32();
                 const auto seg = r.bytes(len);
-                block.resize(static_cast<std::size_t>(bw) * bh);
-                tier1_decode(bw, bh, planes, seg, block.data(), br.b, stats, max_passes_, mr);
-                scatter_block(coeffs, x0, y0, bw, bh, block.data());
+                tier1_decode(bw, bh, planes, seg, coeffs.row(y0) + x0, coeffs.width(),
+                             br.b, stats, max_passes_, mr);
             });
         }
         tc.comps.push_back(std::move(coeffs));
@@ -270,7 +259,6 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
 
     tile_coeffs tc;
     tc.rect = tr;
-    std::pmr::vector<std::int32_t> blk{mr ? mr : std::pmr::get_default_resource()};
     std::size_t bi = 0;
     for (int c = 0; c < info_.components; ++c) {
         plane coeffs{tr.width, tr.height};
@@ -281,9 +269,7 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
                 // tier1_decode_layered over the codestream's own bytes.
                 tier1_block_decoder dec{bw, bh, b.planes, br.b, mr};
                 for (const auto& [passes, data] : b.segs) dec.advance(passes, data, stats);
-                blk.resize(static_cast<std::size_t>(bw) * bh);
-                dec.read(blk.data());
-                scatter_block(coeffs, x0, y0, bw, bh, blk.data());
+                dec.read(coeffs.row(y0) + x0, coeffs.width());
             });
         }
         tc.comps.push_back(std::move(coeffs));

@@ -86,7 +86,8 @@ public:
     [[nodiscard]] std::vector<tile_rect> tiles() const;
 
     /// Stage 1 — arithmetic (tier-1) decoding of one tile.  The hot stage.
-    /// `mr`, when non-null, backs the per-code-block decoder scratch (see
+    /// Each code block is written once, straight into its tile plane.  `mr`,
+    /// when non-null, backs the per-code-block decoder scratch (see
     /// tier1_decode); null uses the heap.
     [[nodiscard]] tile_coeffs entropy_decode(
         int tile_index, tier1_stats* stats = nullptr,
@@ -111,7 +112,7 @@ public:
 
     /// Stage 3 — inverse DWT (5/3 or 9/7 as per stream mode), in place in the
     /// tile's own planes (move it in to spare the copy).  `mr` backs the
-    /// transform's interleave scratch.
+    /// transform's scratch (grid, row buffer).
     [[nodiscard]] tile_pixels idwt(tile_wavelet tw,
                                    std::pmr::memory_resource* mr = nullptr) const;
 

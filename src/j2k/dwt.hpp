@@ -9,6 +9,18 @@
 // each level re-transforms the LL band of the previous one.  Subbands are
 // stored in the canonical quadrant layout (LL top-left, HL top-right, LH
 // bottom-left, HH bottom-right).
+//
+// Synthesis runs columns then rows and reads no neighbour through a mirrored
+// index.  The column pass lifts the region's low rows against its high rows
+// in place, whole rows at a time through the kernel table.  The row pass
+// takes the rows in interleaved order and works on each as the quadrant
+// layout stores it, low half then high half: one pass per pair of lifting
+// steps indexes interior neighbours directly, mirrors the two ends
+// explicitly (H[-1] = H[0], H[nh] = H[nh-1], L[nl] = L[nl-1]), and the last
+// pass writes the row interleaved into a grid copied back once per level.
+// Analysis still lifts interleaved rows and columns with a mirrored index per
+// access.  Both give the bits of lifting every column and row in 1-D with
+// that index.
 #pragma once
 
 #include "image.hpp"
@@ -57,7 +69,7 @@ struct band_rect {
 // -- 5/3 reversible (integer, in-place on a plane) ---------------------------
 //
 // All 2-D transforms take an optional memory resource for their internal
-// scratch (the interleave grid and row buffer); nullptr (the decode path's
+// scratch (one w×h grid and one row buffer); nullptr (the decode path's
 // choice) uses the heap, and the scratch is freed when the call returns.
 
 /// Forward L-level 5/3 transform of `p` in place.
@@ -90,6 +102,8 @@ void dwt97_inverse_partial(std::vector<double>& buf, int w, int h, int levels,
 
 /// One 5/3 analysis pass over `n` interleaved samples with stride 1.
 void dwt53_analyze_1d(std::int32_t* x, int n);
+/// Inverse of dwt53_analyze_1d: deinterleaves `x` and runs the 2-D
+/// transform's row synthesis on it.
 void dwt53_synthesize_1d(std::int32_t* x, int n);
 void dwt97_analyze_1d(double* x, int n);
 void dwt97_synthesize_1d(double* x, int n);

@@ -10,14 +10,6 @@ namespace j2k {
 
 namespace {
 
-void scatter_block(plane& p, int x0, int y0, int w, int h, const std::int32_t* in)
-{
-    for (int y = 0; y < h; ++y) {
-        const std::int32_t* s = in + static_cast<std::ptrdiff_t>(y) * w;
-        std::copy(s, s + w, p.row(y0 + y) + x0);
-    }
-}
-
 void add_stats(decode_stats& into, const decode_stats& s)
 {
     into.t1.mq_decisions += s.t1.mq_decisions;
@@ -57,7 +49,7 @@ struct decode_session::impl {
     /// Persistent tier-1 state of one code block (layered streams only).
     struct block_slot {
         int comp;
-        int x0, y0, w, h;
+        int x0, y0;  ///< the block's place in its tile plane
         tier1_block_decoder t1;
     };
     std::vector<std::vector<block_slot>> slots;  ///< [tile] in canonical order
@@ -89,7 +81,7 @@ struct decode_session::impl {
                     detail::for_each_codeblock(br, [&](int x0, int y0, int bw, int bh) {
                         if (l == 0) {
                             const int planes = r.u8();
-                            tb.push_back(block_slot{c, x0, y0, bw, bh,
+                            tb.push_back(block_slot{c, x0, y0,
                                                     tier1_block_decoder{bw, bh, planes, br.b}});
                         }
                         block_slot& s = tb.at(bi);
@@ -119,13 +111,9 @@ struct decode_session::impl {
             tc.rect = tr;
             for (int c = 0; c < info.components; ++c)
                 tc.comps.emplace_back(tr.width, tr.height);
-            std::pmr::vector<std::int32_t> blk{
-                scratch ? scratch : std::pmr::get_default_resource()};
             for (const auto& s : slots[static_cast<std::size_t>(t)]) {
-                blk.resize(static_cast<std::size_t>(s.w) * s.h);
-                s.t1.read(blk.data());
-                scatter_block(tc.comps[static_cast<std::size_t>(s.comp)], s.x0, s.y0,
-                              s.w, s.h, blk.data());
+                plane& p = tc.comps[static_cast<std::size_t>(s.comp)];
+                s.t1.read(p.row(s.y0) + s.x0, p.width());
             }
         } else {
             tc = dec.entropy_decode(t, stats ? &stats->t1 : nullptr, scratch);

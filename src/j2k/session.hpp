@@ -11,6 +11,12 @@
 // codestream is arithmetic-decoded exactly once, however many refinements the
 // session emits.
 //
+// Those downstream stages are what a refinement pays again, so they run at
+// memory speed: each block decoder writes its signed coefficients once,
+// straight into a transient tile plane, and the IDWT lifts the plane's
+// halves in place, with no interleave copy and no mirrored index
+// (dwt.hpp).  No plane persists between calls.
+//
 //   advance_to(1) ──► tier-1 [layer 1]      ─► IQ ─► IDWT ─► finish ─► image₁
 //   advance_to(2) ──► tier-1 [layer 2 only] ─► IQ ─► IDWT ─► finish ─► image₂
 //   ...                       (state: coefficients + contexts persist)
@@ -58,13 +64,13 @@ public:
     /// independent).
     void set_threads(int threads) noexcept;
 
-    /// Back per-advance transient scratch (tier-1 block state of plain
-    /// streams, IDWT interleave buffers, gather blocks) with `mr`; null (the
-    /// default, and what the decode service uses) means the heap, each buffer
-    /// freed when its stage ends.  Only transients touch `mr`: the persistent
-    /// layer state that survives between advances always lives on the heap,
-    /// so a session may outlive the resource once it is detached again with
-    /// set_scratch_arena(nullptr).
+    /// Back per-advance transient scratch (tier-1 block state and
+    /// magnitudes of plain streams, the IDWT's grid and row buffer)
+    /// with `mr`; null (the default, and what the decode service uses) means
+    /// the heap, each buffer freed when its stage ends.  Only transients
+    /// touch `mr`: the persistent layer state that survives between advances
+    /// always lives on the heap, so a session may outlive the resource once
+    /// it is detached again with set_scratch_arena(nullptr).
     void set_scratch_arena(std::pmr::memory_resource* mr) noexcept;
 
     /// Decode forward to `layers` quality layers (<= 0 or past the end clamp

@@ -170,13 +170,17 @@ struct block_state {
                      static_cast<std::size_t>(4 * (x + 1) + y % 4)];
     }
 
-    /// out[i] = ±mag[i], the sign from NEG.  `mag` may alias `out`.
-    void write_signed(const std::uint32_t* mag, std::int32_t* out) noexcept
+    /// out[y·stride + x] = ±mag[y·w + x], the sign taken from NEG without a
+    /// branch.  Row y's flag words sit 4 apart, from sample (0, y) on.
+    void write_signed(const std::uint32_t* mag, std::int32_t* out,
+                      std::ptrdiff_t stride) noexcept
     {
-        for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x, ++mag, ++out) {
-                const auto m = static_cast<std::int32_t>(*mag);
-                *out = (flag(x, y) & f_neg) ? -m : m;
+        static_assert(f_neg == 0x8000, "NEG must be the flag word's top bit");
+        for (int y = 0; y < h; ++y, mag += w, out += stride) {
+            const std::uint16_t* f = &flag(0, y);
+            for (int x = 0; x < w; ++x, f += 4) {
+                const std::int32_t neg = -static_cast<std::int32_t>(*f >> 15);  // 0 or -1
+                out[x] = (static_cast<std::int32_t>(mag[x]) ^ neg) - neg;
             }
         }
     }
@@ -611,9 +615,9 @@ void tier1_block_decoder::advance(int passes, std::span<const std::uint8_t> data
     st.pass_i = end;
 }
 
-void tier1_block_decoder::read(std::int32_t* out) const
+void tier1_block_decoder::read(std::int32_t* out, std::ptrdiff_t stride) const
 {
-    st_->bs.write_signed(st_->mag.data(), out);
+    st_->bs.write_signed(st_->mag.data(), out, stride);
 }
 
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
@@ -643,35 +647,35 @@ void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
 }
 
 void tier1_decode(int width, int height, int num_planes, std::span<const std::uint8_t> data,
-                  std::int32_t* out, band orient, tier1_stats* stats, int max_passes,
-                  std::pmr::memory_resource* mr)
+                  std::int32_t* out, std::ptrdiff_t out_stride, band orient,
+                  tier1_stats* stats, int max_passes, std::pmr::memory_resource* mr)
 {
     if (width <= 0 || height <= 0)
         throw std::invalid_argument{"tier1_decode: empty block"};
     // Stream data, same contract as tier1_decode_layered above.
     if (num_planes < 0 || num_planes > 31)
         throw codestream_error{"tier1_decode: implausible bit-plane count"};
-    const auto n = static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
-    std::fill(out, out + n, 0);
-    if (num_planes == 0) return;
-
-    // `out` doubles as the magnitude accumulator (magnitudes stay below
-    // 2^31, and uint32_t may alias int32_t); signs are applied from the flag
-    // words at the end.
+    if (num_planes == 0) {
+        for (int y = 0; y < height; ++y) std::fill_n(out + y * out_stride, width, 0);
+        return;
+    }
+    // Magnitudes accumulate row-major and unpadded; the signs come from the
+    // flag words in the one signed write.
     block_state st{width, height, orient, mr};
-    auto* mag = reinterpret_cast<std::uint32_t*>(out);
+    const auto n = static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
+    std::pmr::vector<std::uint32_t> mag(n, 0u, mr_of(mr));
     const int total = pass_total(num_planes);
     const int passes = max_passes > 0 ? std::min(max_passes, total) : total;
-    decode_passes(st, mag, num_planes, 0, passes, data, stats);
-    st.write_signed(mag, out);
+    decode_passes(st, mag.data(), num_planes, 0, passes, data, stats);
+    st.write_signed(mag.data(), out, out_stride);
 }
 
 void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
                   tier1_stats* stats, int max_passes,
                   std::pmr::memory_resource* mr)
 {
-    tier1_decode(cb.width, cb.height, cb.num_planes, cb.data, out, orient, stats, max_passes,
-                 mr);
+    tier1_decode(cb.width, cb.height, cb.num_planes, cb.data, out, cb.width, orient,
+                 stats, max_passes, mr);
 }
 
 }  // namespace j2k

@@ -55,6 +55,11 @@
 // One pass engine serves encoder and decoder.  The decoder instantiates it
 // with counting (decisions, samples visited, passes) when it is handed a
 // tier1_stats and without when not, so the service's decodes count nothing.
+//
+// The decoder accumulates magnitudes row-major and unpadded.  Every decoder
+// (tier1_decode, tier1_block_decoder::read) hands them out through one
+// signed write: row by row, at the caller's row stride, so a block lands
+// straight in its tile plane, with the sign taken from NEG without a branch.
 #pragma once
 
 #include "dwt.hpp"
@@ -164,9 +169,12 @@ public:
     void advance(int passes, std::span<const std::uint8_t> data,
                  tier1_stats* stats = nullptr);
 
-    /// Copy the current reconstruction (exact after all segments, coarser
-    /// after a prefix) into `out` (width*height samples, row-major).
-    void read(std::int32_t* out) const;
+    /// Write the current reconstruction (exact after all segments, coarser
+    /// after a prefix) into the width×height block at `out`, whose rows lie
+    /// `stride` samples apart — a code block's place in its tile plane.
+    void read(std::int32_t* out, std::ptrdiff_t stride) const;
+    /// read() into a dense row-major width×height block.
+    void read(std::int32_t* out) const { read(out, width()); }
 
     [[nodiscard]] int width() const noexcept;
     [[nodiscard]] int height() const noexcept;
@@ -185,17 +193,19 @@ private:
 
 /// Decode a code block back into signed coefficients; exact inverse of
 /// tier1_encode.  `data` is the block's MQ codeword segment, read in place
-/// (a span into the codestream will do).  `stats`, when non-null, is
-/// accumulated into.
+/// (a span into the codestream will do).  The width×height coefficients go
+/// to `out`, rows `out_stride` samples apart, so a block decodes straight
+/// into its tile plane.  `stats`, when non-null, is accumulated into.
 ///
 /// `max_passes` > 0 truncates decoding after that many coding passes — the
 /// SNR-scalability mechanism of EBCOT: fewer passes yield a coarser (but
 /// valid) reconstruction from a prefix of the codeword.  0 decodes all.
 void tier1_decode(int width, int height, int num_planes, std::span<const std::uint8_t> data,
-                  std::int32_t* out, band orient, tier1_stats* stats = nullptr,
-                  int max_passes = 0, std::pmr::memory_resource* mr = nullptr);
+                  std::int32_t* out, std::ptrdiff_t out_stride, band orient,
+                  tier1_stats* stats = nullptr, int max_passes = 0,
+                  std::pmr::memory_resource* mr = nullptr);
 
-/// tier1_decode over an encoded block's own fields.
+/// tier1_decode over an encoded block's own fields, into a dense block.
 void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
                   tier1_stats* stats = nullptr, int max_passes = 0,
                   std::pmr::memory_resource* mr = nullptr);

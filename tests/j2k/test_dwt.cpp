@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -197,6 +201,196 @@ TEST(Dwt97, ConstantSignalPreservedInLLWithUnitGain)
             if (x >= 16 || y >= 16)
                 ASSERT_NEAR(buf[static_cast<std::size_t>(y) * 32 + x], 0.0, 1e-6);
 }
+
+// ---- synthesis against the mirrored-index reference ----
+//
+// The reference is the textbook form: every level interleaves each column,
+// then each row, and lifts it in 1-D with a mirrored index per neighbour
+// access.  The transform under test must give the same bits for every row
+// length and plane shape, including the ones the golden corpus never
+// reaches.
+
+namespace ref {
+
+constexpr double k_alpha = -1.586134342059924;
+constexpr double k_beta = -0.052980118572961;
+constexpr double k_gamma = 0.882911075530934;
+constexpr double k_delta = 0.443506852043971;
+constexpr double k_K = 1.230174104914001;
+
+int mirror(int i, int n)
+{
+    if (n == 1) return 0;
+    const int period = 2 * (n - 1);
+    int j = i % period;
+    if (j < 0) j += period;
+    return j < n ? j : period - j;
+}
+
+/// [L | H] halves → even/odd samples.
+template <typename T>
+void interleave(T* x, int n)
+{
+    const std::vector<T> s(x, x + n);
+    const int nl = (n + 1) / 2;
+    for (int i = 0; i < n; ++i)
+        x[i] = s[static_cast<std::size_t>(i % 2 == 0 ? i / 2 : nl + i / 2)];
+}
+
+void synthesize53(std::int32_t* x, int n)
+{
+    if (n < 2) return;
+    auto at = [x, n](int i) { return x[mirror(i, n)]; };
+    for (int i = 0; i < n; i += 2) x[i] -= (at(i - 1) + at(i + 1) + 2) >> 2;
+    for (int i = 1; i < n; i += 2) x[i] += (at(i - 1) + at(i + 1)) >> 1;
+}
+
+void synthesize97(double* x, int n)
+{
+    if (n < 2) return;
+    auto at = [x, n](int i) { return x[mirror(i, n)]; };
+    for (int i = 0; i < n; i += 2) x[i] *= k_K;
+    for (int i = 1; i < n; i += 2) x[i] *= 1.0 / k_K;
+    for (int i = 0; i < n; i += 2) x[i] -= k_delta * (at(i - 1) + at(i + 1));
+    for (int i = 1; i < n; i += 2) x[i] -= k_gamma * (at(i - 1) + at(i + 1));
+    for (int i = 0; i < n; i += 2) x[i] -= k_beta * (at(i - 1) + at(i + 1));
+    for (int i = 1; i < n; i += 2) x[i] -= k_alpha * (at(i - 1) + at(i + 1));
+}
+
+/// Levels levels-1 … discard of the inverse over a row-major w×h buffer:
+/// columns, then rows, of each level's extent.
+template <typename T, typename Synth>
+void inverse(T* data, int w, int h, int levels, int discard, Synth synth)
+{
+    for (int l = levels - 1; l >= discard; --l) {
+        const int lw = j2k::reduced_extent(w, l);
+        const int lh = j2k::reduced_extent(h, l);
+        if (lh >= 2) {
+            std::vector<T> col(static_cast<std::size_t>(lh));
+            for (int x = 0; x < lw; ++x) {
+                const auto at = [&](int y) -> T& {
+                    return data[static_cast<std::size_t>(y) * w + x];
+                };
+                for (int y = 0; y < lh; ++y) col[static_cast<std::size_t>(y)] = at(y);
+                interleave(col.data(), lh);
+                synth(col.data(), lh);
+                for (int y = 0; y < lh; ++y) at(y) = col[static_cast<std::size_t>(y)];
+            }
+        }
+        if (lw >= 2) {
+            for (int y = 0; y < lh; ++y) {
+                T* row = data + static_cast<std::size_t>(y) * w;
+                interleave(row, lw);
+                synth(row, lw);
+            }
+        }
+    }
+}
+
+}  // namespace ref
+
+std::vector<double> random_doubles(std::size_t n, std::uint32_t seed)
+{
+    std::mt19937 rng{seed};
+    std::uniform_real_distribution<double> u{-1000.0, 1000.0};
+    std::vector<double> v(n);
+    for (auto& x : v) x = u(rng);
+    return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DwtRowSynthesis, MatchesMirroredLiftingForEveryRowLength)
+{
+    // Each row length both ways in: interleaved through the 1-D entry
+    // points, and as the [L | H] halves the 2-D transform hands its row pass
+    // (an n×1 plane, one level).
+    for (int n = 2; n <= 67; ++n) {
+        for (std::uint32_t seed = 0; seed < 4; ++seed) {
+            const auto row_seed = static_cast<std::uint32_t>(n * 10) + seed;
+            const plane halves = random_plane(n, 1, row_seed, 4095);
+            std::vector<std::int32_t> want = halves.samples();
+            ref::interleave(want.data(), n);
+            ref::synthesize53(want.data(), n);
+
+            plane p = halves;
+            j2k::dwt53_inverse(p, 1);
+            ASSERT_EQ(p.samples(), want) << "5/3 halves, n=" << n;
+
+            std::vector<std::int32_t> x = halves.samples();
+            ref::interleave(x.data(), n);
+            std::vector<std::int32_t> y = x;
+            ref::synthesize53(y.data(), n);
+            j2k::dwt53_synthesize_1d(x.data(), n);
+            ASSERT_EQ(x, y) << "5/3 interleaved, n=" << n;
+
+            const std::vector<double> dhalves =
+                random_doubles(static_cast<std::size_t>(n), row_seed);
+            std::vector<double> dwant = dhalves;
+            ref::interleave(dwant.data(), n);
+            ref::synthesize97(dwant.data(), n);
+
+            std::vector<double> buf = dhalves;
+            j2k::dwt97_inverse(buf, n, 1, 1);
+            ASSERT_TRUE(same_bits(buf, dwant)) << "9/7 halves, n=" << n;
+
+            std::vector<double> dx = dhalves;
+            ref::interleave(dx.data(), n);
+            std::vector<double> dy = dx;
+            ref::synthesize97(dy.data(), n);
+            j2k::dwt97_synthesize_1d(dx.data(), n);
+            ASSERT_TRUE(same_bits(dx, dy)) << "9/7 interleaved, n=" << n;
+        }
+    }
+}
+
+class DwtPlaneSynthesis : public testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(DwtPlaneSynthesis, FullAndPartialInversesMatchMirroredLifting)
+{
+    const auto [w, h] = GetParam();
+    const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+    const auto seed = static_cast<std::uint32_t>(w * 7919 + h);
+    for (int levels = 0; levels <= 5; ++levels) {
+        const auto level_seed = seed + static_cast<std::uint32_t>(levels);
+        for (int discard = 0; discard <= levels; ++discard) {
+            const plane coeffs = random_plane(w, h, level_seed, 4095);
+            std::vector<std::int32_t> want = coeffs.samples();
+            ref::inverse(want.data(), w, h, levels, discard, ref::synthesize53);
+            plane p = coeffs;
+            if (discard == 0)
+                j2k::dwt53_inverse(p, levels);
+            else
+                j2k::dwt53_inverse_partial(p, levels, discard);
+            ASSERT_EQ(p.samples(), want) << "5/3 " << w << "x" << h << " L" << levels
+                                         << " discard " << discard;
+
+            const std::vector<double> dcoeffs = random_doubles(n, level_seed);
+            std::vector<double> dwant = dcoeffs;
+            ref::inverse(dwant.data(), w, h, levels, discard, ref::synthesize97);
+            std::vector<double> buf = dcoeffs;
+            if (discard == 0)
+                j2k::dwt97_inverse(buf, w, h, levels);
+            else
+                j2k::dwt97_inverse_partial(buf, w, h, levels, discard);
+            ASSERT_TRUE(same_bits(buf, dwant))
+                << "9/7 " << w << "x" << h << " L" << levels << " discard " << discard;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DwtPlaneSynthesis,
+                         testing::Values(std::pair{1, 37}, std::pair{37, 1},
+                                         std::pair{2, 2}, std::pair{3, 5},
+                                         std::pair{33, 65}, std::pair{64, 64}),
+                         [](const testing::TestParamInfo<std::pair<int, int>>& info) {
+                             return std::to_string(info.param.first) + "x" +
+                                    std::to_string(info.param.second);
+                         });
 
 // ---- layout ----
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory_resource>
 #include <random>
 #include <vector>
@@ -154,6 +155,76 @@ TEST(Tier1, NegativeAndPositiveSignsPreserved)
     std::vector<std::int32_t> v(8 * 8, 0);
     for (int i = 0; i < 64; ++i) v[static_cast<std::size_t>(i)] = (i % 2 ? -1 : 1) * (i + 1);
     expect_roundtrip(v, 8, 8, band::ll);
+}
+
+TEST(Tier1, StridedWritesFillTheBlockInTheirPlaneAndNothingElse)
+{
+    // Both decoders write a block straight into its tile plane at the
+    // plane's row stride.  Every last-stripe height (h % 4 of 0..3), narrow
+    // and full widths, negative and zero coefficients: the block must read
+    // back as the dense read(out) does, and no sample outside it may change.
+    constexpr std::int32_t k_sentinel = -0x5A5A5A5;
+    for (const int h : {1, 2, 3, 4, 5, 6, 7, 8, 13, 32}) {
+        for (const int w : {1, 5, 32}) {
+            const auto block_seed = static_cast<std::uint32_t>(w * 97 + h);
+            auto coeffs = random_coeffs(w, h, block_seed, 300, 0.7);
+            coeffs[0] = -std::abs(coeffs[0]) - 1;  // at least one negative sample
+            const j2k::layered_codeblock lcb =
+                j2k::tier1_encode_layered(coeffs.data(), w, h, band::lh, {1, 2, 0});
+            j2k::tier1_block_decoder dec{w, h, lcb.num_planes, band::lh};
+            for (const auto& seg : lcb.segments) {
+                dec.advance(seg.passes, seg.data);
+                std::vector<std::int32_t> dense(coeffs.size(), 7);
+                dec.read(dense.data());
+
+                const int stride = w + 9;
+                const int x0 = 3;
+                const int y0 = 2;
+                std::vector<std::int32_t> plane(
+                    static_cast<std::size_t>(stride) * (h + 4), k_sentinel);
+                dec.read(plane.data() + y0 * stride + x0, stride);
+                for (int y = 0; y < h + 4; ++y) {
+                    for (int x = 0; x < stride; ++x) {
+                        const bool inside =
+                            x >= x0 && x < x0 + w && y >= y0 && y < y0 + h;
+                        const std::int32_t want =
+                            inside ? dense[static_cast<std::size_t>((y - y0) * w + x - x0)]
+                                   : k_sentinel;
+                        ASSERT_EQ(plane[static_cast<std::size_t>(y * stride + x)], want)
+                            << w << "x" << h << " at (" << x << ", " << y << "), "
+                            << dec.segments_consumed() << " segments";
+                    }
+                }
+            }
+            std::vector<std::int32_t> dense(coeffs.size());
+            dec.read(dense.data());
+            ASSERT_EQ(dense, coeffs) << w << "x" << h;
+
+            // The one-shot decoder, non-empty and empty, through the same write.
+            const codeblock cb = j2k::tier1_encode(coeffs.data(), w, h, band::lh);
+            const codeblock empty{w, h, 0, {}};
+            for (const codeblock* b : {&cb, &empty}) {
+                const int stride = w + 4;
+                std::vector<std::int32_t> plane(
+                    static_cast<std::size_t>(stride) * (h + 2), k_sentinel);
+                j2k::tier1_decode(b->width, b->height, b->num_planes, b->data,
+                                  plane.data() + stride + 1, stride, band::lh);
+                for (int y = 0; y < h + 2; ++y) {
+                    for (int x = 0; x < stride; ++x) {
+                        const bool inside = x >= 1 && x < 1 + w && y >= 1 && y < 1 + h;
+                        const std::int32_t want =
+                            !inside              ? k_sentinel
+                            : b->num_planes == 0 ? 0
+                                                 : coeffs[static_cast<std::size_t>(
+                                                       (y - 1) * w + (x - 1))];
+                        ASSERT_EQ(plane[static_cast<std::size_t>(y * stride + x)], want)
+                            << w << "x" << h << " one-shot, planes " << b->num_planes
+                            << " at (" << x << ", " << y << ")";
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Passes allocations through to the heap and keeps count of the bytes live.

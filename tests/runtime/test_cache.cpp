@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
 #include <fstream>
 #include <future>
 #include <string>
@@ -657,12 +659,23 @@ TEST(DecodeService, UnknownCodecIdFailsTypedWithoutTouchingTheCache)
     decode_options opt;
     opt.codec = 200;  // nothing registered there
     auto fut = svc.submit(cs, opt);
+    // The worker's teardown of the job drops the promise's reference to the
+    // exception through a refcount TSan does not see.  Holding a reference
+    // here until no job is left makes the test thread's release the last
+    // one, so the exception is freed on the thread that read it.
+    std::exception_ptr held;
     try {
         (void)fut.get();
         FAIL() << "unsupported codec id decoded";
     } catch (const runtime::unsupported_codec& e) {
         EXPECT_EQ(e.id(), 200);
+        held = std::current_exception();
     }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.in_flight() != 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(svc.in_flight(), 0u);
+    held = nullptr;
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 0u);
     EXPECT_EQ(m.cache_entries, 0u);
