@@ -11,7 +11,8 @@
 //     "mixed_priority": { "interactive": {"count":..,"p50_us":..,"p99_us":..},
 //                         "batch": {...}, "promotions":.., "steals":.. },
 //     "zipf": { "cold_jobs_per_sec":.., "cached_jobs_per_sec":..,
-//               "throughput_ratio":.., "hit_rate":.., "hashes_ok":true },
+//               "throughput_ratio":.., "hit_rate":.., "hashes_ok":true,
+//               "cache_bytes":.., "cache_entries":.., "input_bytes":.. },
 //     "ops_scrape": { "base_jobs_per_sec":.., "scraped_jobs_per_sec":..,
 //                     "ratio":.., "scrapes":.. } }
 //
@@ -22,7 +23,11 @@
 // The zipf phase replays a fixed power-law request sequence over 8 distinct
 // codestreams with the decoded-result cache off, then on; the acceptance
 // signal is a throughput ratio >= 2 at a hit rate >= 0.8 with every response
-// matching its direct-decode digest (hashes_ok).
+// matching its direct-decode digest (hashes_ok) — cached responses are
+// futures unpacked from the packed entries.  After the cached run it reports
+// the cache's charged bytes and entries and the summed size of the inputs the
+// entries keep, so (cache_bytes - input_bytes) / entries is the bytes one
+// 256×256×3 8-bit result costs resident.
 //
 // The ops_scrape phase runs a hot cached workload undisturbed and again with
 // a live ops server scraped over HTTP at 10 Hz; the acceptance signal is
@@ -98,6 +103,9 @@ struct zipf_result {
     std::uint64_t collapses = 0;
     std::uint64_t session_resumes = 0;
     bool hashes_ok = true;
+    std::uint64_t cache_bytes = 0;    ///< charged bytes after the cached run
+    std::uint64_t cache_entries = 0;  ///< result entries resident after it
+    std::uint64_t input_bytes = 0;    ///< summed size of those entries' inputs
 };
 
 zipf_result run_zipf(int requests)
@@ -168,6 +176,15 @@ zipf_result run_zipf(int requests)
                              : 0.0;
             z.collapses = m.cache_collapses;
             z.session_resumes = m.cache_session_resumes;
+            z.cache_bytes = m.cache_bytes;
+            z.cache_entries = m.cache_entries;
+            // The budget holds all 8 results, so every stream requested (and
+            // rank 1, the warm-up) is resident, keeping its job's exact copy.
+            std::vector<bool> seen(streams.size(), false);
+            seen[0] = true;
+            for (const int r : sequence) seen[static_cast<std::size_t>(r)] = true;
+            for (std::size_t i = 0; i < streams.size(); ++i)
+                if (seen[i]) z.input_bytes += streams[i].size();
         } else {
             z.cold_jps = jps;
         }
@@ -334,12 +351,16 @@ int main(int argc, char** argv)
                     "\"cold_jobs_per_sec\":%.2f,\"cached_jobs_per_sec\":%.2f,"
                     "\"throughput_ratio\":%.2f,\"hit_rate\":%.3f,"
                     "\"collapses\":%llu,\"session_resumes\":%llu,"
-                    "\"hashes_ok\":%s}",
+                    "\"hashes_ok\":%s,\"cache_bytes\":%llu,\"cache_entries\":%llu,"
+                    "\"input_bytes\":%llu}",
                     std::max(64, jobs * 2), z.cold_jps, z.cached_jps,
                     z.cold_jps > 0 ? z.cached_jps / z.cold_jps : 0.0, z.hit_rate,
                     static_cast<unsigned long long>(z.collapses),
                     static_cast<unsigned long long>(z.session_resumes),
-                    z.hashes_ok ? "true" : "false");
+                    z.hashes_ok ? "true" : "false",
+                    static_cast<unsigned long long>(z.cache_bytes),
+                    static_cast<unsigned long long>(z.cache_entries),
+                    static_cast<unsigned long long>(z.input_bytes));
     }
 
     {

@@ -501,6 +501,15 @@ codec::image decode(std::span<const std::uint8_t> cs, std::pmr::memory_resource*
     const geometry g{si.width, si.height, si.bands, si.bit_depth,
                      si.pred_bands, si.mode};
 
+    // Every sample is one GPO2 code, and every code costs at least one bit
+    // (its stop bit, or the escape's unary run), so a payload below one bit
+    // per sample is truncated: refuse it before the image or the cd window
+    // is sized.
+    const std::uint64_t samples = std::uint64_t{static_cast<std::uint32_t>(g.width)} *
+                                  static_cast<std::uint32_t>(g.height) *
+                                  static_cast<std::uint32_t>(g.bands);
+    if ((cs.size() - k_header_size) * 8 < samples) bad_stream("truncated codestream");
+
     const auto maxval =
         static_cast<std::int32_t>((std::uint32_t{1} << g.depth) - 1);
     codec::image img{g.width, g.height, g.bands, g.depth};

@@ -26,32 +26,41 @@ std::size_t image_bytes(const j2k::image& img) noexcept
            static_cast<std::size_t>(img.components()) * sizeof(std::int32_t);
 }
 
+std::size_t image_bytes(const raw_image& img) noexcept
+{
+    return img.size();
+}
+
 namespace {
 
-std::span<const std::uint8_t> view(const decoded_cache::input_ptr& in) noexcept
+using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+std::span<const std::uint8_t> view(const input_ptr& in) noexcept
 {
     return in ? std::span<const std::uint8_t>{*in} : std::span<const std::uint8_t>{};
 }
 
-std::size_t capacity(const decoded_cache::input_ptr& in) noexcept
+std::size_t capacity(const input_ptr& in) noexcept
 {
     return in ? in->capacity() : 0;
 }
 
 }  // namespace
 
-/// One resident decoded image and the bytes it was decoded from.
-struct decoded_cache::image_entry {
+/// One resident decoded result and the bytes it was decoded from.
+template <typename Value>
+struct basic_decoded_cache<Value>::image_entry {
     image_ptr img;
     input_ptr input;
-    std::size_t bytes = 0;  ///< charged: sample storage + input capacity
+    std::size_t bytes = 0;  ///< charged: image_bytes + input capacity
     bool pinned = false;
     lru_list::iterator lru_it;  ///< position in lru_ (pinned entries included,
                                 ///< skipped at eviction time)
 };
 
 /// One resident resumable prefix.  `session` is empty while checked out.
-struct decoded_cache::session_entry {
+template <typename Value>
+struct basic_decoded_cache<Value>::session_entry {
     input_ptr bytes;
     std::optional<j2k::decode_session> session;
     std::size_t resident = 0;  ///< accounted bytes (codestream + decoder state)
@@ -61,7 +70,8 @@ struct decoded_cache::session_entry {
 /// Single-flight rendezvous: the leader publishes exactly once, waiters block
 /// on the flight's own cv (not the cache mutex) so a long decode never holds
 /// the cache lock.
-struct decoded_cache::flight {
+template <typename Value>
+struct basic_decoded_cache<Value>::flight {
     explicit flight(std::span<const std::uint8_t> in) : input{in} {}
 
     /// The leader's bytes.  Joiners compare against them under the cache
@@ -75,23 +85,31 @@ struct decoded_cache::flight {
     std::exception_ptr err;
 };
 
-decoded_cache::decoded_cache(std::size_t byte_budget) : budget_{byte_budget} {}
+template <typename Value>
+basic_decoded_cache<Value>::basic_decoded_cache(std::size_t byte_budget)
+    : budget_{byte_budget}
+{
+}
 
-decoded_cache::~decoded_cache() = default;
+template <typename Value>
+basic_decoded_cache<Value>::~basic_decoded_cache() = default;
 
-void decoded_cache::account_insert_locked(std::size_t bytes, bool pinned)
+template <typename Value>
+void basic_decoded_cache<Value>::account_insert_locked(std::size_t bytes, bool pinned)
 {
     bytes_ += bytes;
     if (pinned) pinned_bytes_ += bytes;
 }
 
-void decoded_cache::account_erase_locked(std::size_t bytes, bool pinned)
+template <typename Value>
+void basic_decoded_cache<Value>::account_erase_locked(std::size_t bytes, bool pinned)
 {
     bytes_ -= bytes;
     if (pinned) pinned_bytes_ -= bytes;
 }
 
-void decoded_cache::evict_to_budget_locked()
+template <typename Value>
+void basic_decoded_cache<Value>::evict_to_budget_locked()
 {
     // Unpinned images go first, coldest first; session prefixes only after
     // every unpinned image is gone (a prefix took O(layers) tier-1 work to
@@ -122,15 +140,17 @@ void decoded_cache::evict_to_budget_locked()
     }
 }
 
-decoded_cache::flight_result decoded_cache::mismatch_locked()
+template <typename Value>
+auto basic_decoded_cache<Value>::mismatch_locked() -> flight_result
 {
     ++mismatches_;
     OBS_TRACE_INSTANT("cache", "mismatch");
     return flight_result{nullptr, nullptr, false, true};
 }
 
-void decoded_cache::insert_locked(const cache_key& k, image_ptr img, input_ptr input,
-                                  bool pin)
+template <typename Value>
+void basic_decoded_cache<Value>::insert_locked(const cache_key& k, image_ptr img,
+                                               input_ptr input, bool pin)
 {
     if (!img || images_.count(k)) return;
     const std::size_t sz = image_bytes(*img) + capacity(input);
@@ -139,16 +159,19 @@ void decoded_cache::insert_locked(const cache_key& k, image_ptr img, input_ptr i
     // unbounded growth.
     const bool pinned = pin && pinned_bytes_ + sz <= budget_;
     lru_.push_front(k);
-    images_.emplace(k, image_entry{std::move(img), std::move(input), sz, pinned, lru_.begin()});
+    images_.emplace(k,
+                    image_entry{std::move(img), std::move(input), sz, pinned, lru_.begin()});
     account_insert_locked(sz, pinned);
     ++inserts_;
     evict_to_budget_locked();
     OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
 }
 
-decoded_cache::flight_result decoded_cache::hit_or_mismatch(
-    const cache_key& k, image_ptr img, const input_ptr& stored,
-    std::span<const std::uint8_t> input)
+template <typename Value>
+auto basic_decoded_cache<Value>::hit_or_mismatch(const cache_key& k, image_ptr img,
+                                                 const input_ptr& stored,
+                                                 std::span<const std::uint8_t> input)
+    -> flight_result
 {
     // `stored` keeps the buffer alive even if the entry is evicted meanwhile,
     // so the compare (a whole input on a hit) runs without the mutex.
@@ -163,8 +186,10 @@ decoded_cache::flight_result decoded_cache::hit_or_mismatch(
     return flight_result{std::move(img), nullptr, false};
 }
 
-std::optional<decoded_cache::flight_result> decoded_cache::begin_flight(
-    const cache_key& k, std::span<const std::uint8_t> input)
+template <typename Value>
+auto basic_decoded_cache<Value>::begin_flight(const cache_key& k,
+                                              std::span<const std::uint8_t> input)
+    -> std::optional<flight_result>
 {
     std::shared_ptr<flight> f;
     image_ptr img;
@@ -193,8 +218,9 @@ std::optional<decoded_cache::flight_result> decoded_cache::begin_flight(
     return flight_result{f->img, f->err, true};
 }
 
-void decoded_cache::complete_flight(const cache_key& k, image_ptr img, input_ptr input,
-                                    bool pin)
+template <typename Value>
+void basic_decoded_cache<Value>::complete_flight(const cache_key& k, image_ptr img,
+                                                 input_ptr input, bool pin)
 {
     std::shared_ptr<flight> f;
     {
@@ -214,7 +240,9 @@ void decoded_cache::complete_flight(const cache_key& k, image_ptr img, input_ptr
     }
 }
 
-void decoded_cache::abort_flight(const cache_key& k, std::exception_ptr err) noexcept
+template <typename Value>
+void basic_decoded_cache<Value>::abort_flight(const cache_key& k,
+                                              std::exception_ptr err) noexcept
 {
     std::shared_ptr<flight> f;
     {
@@ -230,8 +258,9 @@ void decoded_cache::abort_flight(const cache_key& k, std::exception_ptr err) noe
     f->cv.notify_all();
 }
 
-decoded_cache::image_ptr decoded_cache::peek(const cache_key& k,
-                                             std::span<const std::uint8_t> input)
+template <typename Value>
+auto basic_decoded_cache<Value>::peek(const cache_key& k,
+                                      std::span<const std::uint8_t> input) -> image_ptr
 {
     image_ptr img;
     input_ptr stored;
@@ -245,13 +274,16 @@ decoded_cache::image_ptr decoded_cache::peek(const cache_key& k,
     return hit_or_mismatch(k, std::move(img), stored, input).image;
 }
 
-void decoded_cache::insert(const cache_key& k, image_ptr img, input_ptr input, bool pin)
+template <typename Value>
+void basic_decoded_cache<Value>::insert(const cache_key& k, image_ptr img, input_ptr input,
+                                        bool pin)
 {
     std::lock_guard lk{m_};
     insert_locked(k, std::move(img), std::move(input), pin);
 }
 
-bool decoded_cache::set_pinned(const cache_key& k, bool pinned)
+template <typename Value>
+bool basic_decoded_cache<Value>::set_pinned(const cache_key& k, bool pinned)
 {
     std::lock_guard lk{m_};
     auto it = images_.find(k);
@@ -265,8 +297,11 @@ bool decoded_cache::set_pinned(const cache_key& k, bool pinned)
     return true;
 }
 
-std::optional<decoded_cache::session_lease> decoded_cache::checkout_session(
-    std::uint64_t content_hash, std::span<const std::uint8_t> expect, int max_layers)
+template <typename Value>
+auto basic_decoded_cache<Value>::checkout_session(std::uint64_t content_hash,
+                                                  std::span<const std::uint8_t> expect,
+                                                  int max_layers)
+    -> std::optional<session_lease>
 {
     std::lock_guard lk{m_};
     auto it = sessions_.find(content_hash);
@@ -285,8 +320,10 @@ std::optional<decoded_cache::session_lease> decoded_cache::checkout_session(
     return lease;
 }
 
-void decoded_cache::deposit_session(std::uint64_t content_hash, input_ptr bytes,
-                                    j2k::decode_session session)
+template <typename Value>
+void basic_decoded_cache<Value>::deposit_session(std::uint64_t content_hash,
+                                                 input_ptr bytes,
+                                                 j2k::decode_session session)
 {
     const std::size_t resident = capacity(bytes) + session.resident_bytes();
     std::lock_guard lk{m_};
@@ -324,7 +361,8 @@ void decoded_cache::deposit_session(std::uint64_t content_hash, input_ptr bytes,
     OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
 }
 
-void decoded_cache::discard_session(std::uint64_t content_hash) noexcept
+template <typename Value>
+void basic_decoded_cache<Value>::discard_session(std::uint64_t content_hash) noexcept
 {
     std::lock_guard lk{m_};
     auto it = sessions_.find(content_hash);
@@ -333,7 +371,8 @@ void decoded_cache::discard_session(std::uint64_t content_hash) noexcept
     sessions_.erase(it);
 }
 
-cache_stats decoded_cache::stats() const
+template <typename Value>
+cache_stats basic_decoded_cache<Value>::stats() const
 {
     std::lock_guard lk{m_};
     cache_stats s;
@@ -357,7 +396,8 @@ cache_stats decoded_cache::stats() const
     return s;
 }
 
-void decoded_cache::clear()
+template <typename Value>
+void basic_decoded_cache<Value>::clear()
 {
     std::lock_guard lk{m_};
     for (auto& [k, e] : images_) account_erase_locked(e.bytes, e.pinned);
@@ -372,5 +412,8 @@ void decoded_cache::clear()
         it = sessions_.erase(it);
     }
 }
+
+template class basic_decoded_cache<j2k::image>;
+template class basic_decoded_cache<raw_image>;
 
 }  // namespace runtime

@@ -8,10 +8,10 @@
 // behind a clean transaction interface, not state smeared through the codec)
 // and holds two value kinds:
 //
-//   1. fully decoded images, keyed by (codestream hash, codec, quality
-//      layers, discard levels, max passes) and stored with the input bytes
-//      they were decoded from — a hit answers a decode_all-shaped request
-//      with zero tier-1 work and hands out the shared image, not a copy;
+//   1. decoded results, keyed by (codestream hash, codec, quality layers,
+//      discard levels, max passes) and stored with the input bytes they were
+//      decoded from — a hit answers a decode_all-shaped request with zero
+//      tier-1 work and hands out the shared result, not a copy;
 //   2. resumable decode_session prefixes, keyed by content hash alone — a
 //      cached layer-k prefix serves a layer-(k+n) request at O(new layers)
 //      tier-1 cost, and an equal-depth prefix at synthesis-only cost.  A
@@ -33,11 +33,20 @@
 //        ▼                                    complete_flight / abort_flight
 //   [decode] ── complete_flight(k, img, in) ► waiters wake, entry inserted
 //
-// Eviction is LRU over a byte budget; an image entry is charged its samples
-// plus its stored input.  Input buffers are shared, not copied: a layered
-// j2k leader's image entry and the session prefix it deposits hold one
-// buffer, and each is charged for it, so the budget can overstate what is
-// resident but never understate it.  Entries pinned by policy
+// The class is a template over the result type.  The service caches
+// raw_image (runtime/raw_image.hpp): each result packed once into the wire
+// layout, 1 byte per sample up to 8 bits and 2 above, so an entry costs what
+// its response payload does and a hit is answered by copying its bytes.
+// `decoded_cache`, the j2k::image instantiation, stores int32 planes at 4 B
+// per sample; the serving benchmark's replay simulates the server's cache with
+// it, and the cache-mechanics tests use it.  Both are explicitly instantiated
+// in decoded_cache.cpp.
+//
+// Eviction is LRU over a byte budget; a result entry is charged its
+// image_bytes plus its stored input.  Input buffers are shared, not copied:
+// a layered j2k leader's result entry and the session prefix it deposits
+// hold one buffer, and each is charged for it, so the budget can overstate
+// what is resident but never understate it.  Entries pinned by policy
 // (cache_policy::pin, the J2NE pin flag) and session entries currently
 // checked out are never evicted; pinned bytes still count against the
 // budget so a pin-flood degrades to "cache full", not OOM.
@@ -61,6 +70,7 @@
 
 #include <j2k/image.hpp>
 #include <j2k/session.hpp>
+#include <runtime/raw_image.hpp>
 
 #include <condition_variable>
 #include <cstddef>
@@ -122,25 +132,28 @@ struct cache_stats {
     std::vector<codec_split> by_codec;
 };
 
-class decoded_cache {
+/// The cache over results of type `Value` (j2k::image or raw_image; each
+/// charged image_bytes(value) per entry).
+template <typename Value>
+class basic_decoded_cache {
 public:
-    using image_ptr = std::shared_ptr<const j2k::image>;
+    using image_ptr = std::shared_ptr<const Value>;
     /// The input bytes an entry was decoded from.  Shared, so an image entry
     /// and a session prefix over one codestream keep a single buffer.
     using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-    /// `byte_budget` bounds resident bytes (images by exact sample storage
-    /// plus their input's capacity, sessions by codestream plus
-    /// decode_session::resident_bytes(); a shared input is charged to each
-    /// entry holding it).  A single
+    /// `byte_budget` bounds resident bytes (results by image_bytes — their
+    /// exact sample storage — plus their input's capacity, sessions by
+    /// codestream plus decode_session::resident_bytes(); a shared input is
+    /// charged to each entry holding it).  A single
     /// entry larger than the whole budget is still admitted and evicted the
     /// moment anything else arrives — refusing it would make the hottest
     /// large image permanently uncacheable.
-    explicit decoded_cache(std::size_t byte_budget);
-    ~decoded_cache();
+    explicit basic_decoded_cache(std::size_t byte_budget);
+    ~basic_decoded_cache();
 
-    decoded_cache(const decoded_cache&) = delete;
-    decoded_cache& operator=(const decoded_cache&) = delete;
+    basic_decoded_cache(const basic_decoded_cache&) = delete;
+    basic_decoded_cache& operator=(const basic_decoded_cache&) = delete;
 
     // ---- image entries + single-flight -----------------------------------
 
@@ -273,7 +286,19 @@ private:
     std::unordered_map<std::uint8_t, codec_counters> by_codec_;
 };
 
-/// Exact resident payload bytes of one cached image (sample storage).
+/// Exact resident payload bytes of one cached result: an int32 image's
+/// sample storage (4 B per sample), a raw_image's packed layout (its header
+/// plus 1 or 2 B per sample).
 [[nodiscard]] std::size_t image_bytes(const j2k::image& img) noexcept;
+[[nodiscard]] std::size_t image_bytes(const raw_image& img) noexcept;
+
+extern template class basic_decoded_cache<j2k::image>;
+extern template class basic_decoded_cache<raw_image>;
+
+/// Results as int32 images.  Kept for the serving benchmark's replay, which
+/// simulates the server's cache with it, and for the cache-mechanics tests.
+using decoded_cache = basic_decoded_cache<j2k::image>;
+/// Results packed in the wire layout: the decode service's cache.
+using raw_image_cache = basic_decoded_cache<raw_image>;
 
 }  // namespace runtime

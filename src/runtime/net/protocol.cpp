@@ -1,7 +1,6 @@
 #include "protocol.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <runtime/raw_image.hpp>
 
 namespace runtime::net {
 
@@ -114,79 +113,20 @@ std::optional<layer_header> decode_layer_header(std::span<const std::uint8_t> in
     return h;
 }
 
-std::size_t raw_image_size(const j2k::image& img) noexcept
-{
-    const std::size_t samples = static_cast<std::size_t>(img.width()) * img.height() *
-                                img.components();
-    return 12 + samples * (img.bit_depth() > 8 ? 2 : 1);
-}
+std::size_t raw_image_size(const j2k::image& img) noexcept { return raw_size(img); }
 
 void encode_image_raw_into(const j2k::image& img, std::span<std::uint8_t> out)
 {
-    if (out.size() != raw_image_size(img))
-        throw std::invalid_argument{"raw image: output buffer size mismatch"};
-    const std::int32_t maxv = (1 << img.bit_depth()) - 1;
-    const bool wide = img.bit_depth() > 8;
-    put_u32(out.data(), static_cast<std::uint32_t>(img.width()));
-    put_u32(out.data() + 4, static_cast<std::uint32_t>(img.height()));
-    out[8] = static_cast<std::uint8_t>(img.components());
-    out[9] = static_cast<std::uint8_t>(img.bit_depth());
-    out[10] = 0;
-    out[11] = 0;
-    // Planes are row-major and contiguous: one clamp-and-store pass each.
-    std::uint8_t* p = out.data() + 12;
-    for (int c = 0; c < img.components(); ++c) {
-        const std::vector<std::int32_t>& src = img.comp(c).samples();
-        if (wide) {
-            for (const std::int32_t v : src) {
-                const std::int32_t u = std::clamp(v, 0, maxv);
-                p[0] = static_cast<std::uint8_t>(u >> 8);
-                p[1] = static_cast<std::uint8_t>(u);
-                p += 2;
-            }
-        } else {
-            for (const std::int32_t v : src) *p++ = static_cast<std::uint8_t>(std::clamp(v, 0, maxv));
-        }
-    }
+    pack_raw(img, out);
 }
 
 std::vector<std::uint8_t> encode_image_raw(const j2k::image& img)
 {
-    std::vector<std::uint8_t> out(raw_image_size(img));
-    encode_image_raw_into(img, out);
+    std::vector<std::uint8_t> out(raw_size(img));
+    pack_raw(img, out);
     return out;
 }
 
-j2k::image decode_image_raw(std::span<const std::uint8_t> in)
-{
-    if (in.size() < 12) throw std::runtime_error{"raw image: short header"};
-    const int w = static_cast<int>(get_u32(in.data()));
-    const int h = static_cast<int>(get_u32(in.data() + 4));
-    const int comps = in[8];
-    const int depth = in[9];
-    // comps is a u8, so the structural ceiling is codec::k_max_components
-    // (255) — multispectral payloads carry every band the container allows.
-    if (w <= 0 || h <= 0 || comps < 1 || depth < 1 || depth > 16)
-        throw std::runtime_error{"raw image: bad geometry"};
-    const bool wide = depth > 8;
-    const std::size_t samples =
-        static_cast<std::size_t>(w) * static_cast<std::size_t>(h) * comps;
-    if (in.size() != 12 + samples * (wide ? 2 : 1))
-        throw std::runtime_error{"raw image: size mismatch"};
-    j2k::image img{w, h, comps, depth};
-    const std::uint8_t* p = in.data() + 12;
-    for (int c = 0; c < comps; ++c) {
-        j2k::plane& pl = img.comp(c);
-        for (int y = 0; y < h; ++y) {
-            std::int32_t* row = pl.row(y);
-            for (int x = 0; x < w; ++x) {
-                int v = *p++;
-                if (wide) v = (v << 8) | *p++;
-                row[x] = v;
-            }
-        }
-    }
-    return img;
-}
+j2k::image decode_image_raw(std::span<const std::uint8_t> in) { return unpack_raw(in); }
 
 }  // namespace runtime::net

@@ -55,6 +55,11 @@
 //
 // Responses are emitted in *completion* order, not request order — pipelined
 // clients must correlate by request_id.
+//
+// The `raw` result encoding is the service's own result currency
+// (runtime/raw_image.hpp): every decode is packed into it once, on the worker,
+// and the cache keeps it that way, so an `ok` raw payload is a copy of those
+// bytes and a PNM payload is built from them.
 #pragma once
 
 #include <j2k/image.hpp>
@@ -176,14 +181,15 @@ void encode_layer_header(const layer_header& h, std::uint8_t out[k_layer_header_
 [[nodiscard]] std::optional<layer_header> decode_layer_header(
     std::span<const std::uint8_t> in);
 
+// `raw` payloads of an int32 image, for clients, tests and tools: forwards to
+// runtime/raw_image.hpp, which owns the layout.
+
 /// Size of `img`'s `raw` result payload: 12 header bytes plus one byte per
 /// sample (two above 8 bits).
 [[nodiscard]] std::size_t raw_image_size(const j2k::image& img) noexcept;
 
 /// Encode `img` as the `raw` result payload into `out`, which must hold
-/// exactly raw_image_size(img) bytes (std::invalid_argument otherwise) — the
-/// server writes each response straight into its outbound frame this way,
-/// once.
+/// exactly raw_image_size(img) bytes (std::invalid_argument otherwise).
 void encode_image_raw_into(const j2k::image& img, std::span<std::uint8_t> out);
 
 /// Encode a decoded image as the `raw` result payload, into a new buffer.

@@ -494,7 +494,7 @@ struct server::impl {
                                                    std::uint64_t trace_id)
         {
             return [this, conn_id, request_id, codec, fmt,
-                    trace_id](std::shared_ptr<const j2k::image> img,
+                    trace_id](std::shared_ptr<const raw_image> img,
                               std::exception_ptr err) {
                 response_header rh;
                 rh.request_id = request_id;
@@ -511,20 +511,18 @@ struct server::impl {
             frame.insert(frame.end(), text, text + std::strlen(text));
         }
 
-        /// Encode `img` onto the end of `frame` and answer `ok`: raw samples
-        /// are written in place, once; PNM goes through j2k::pnm_bytes.  On
-        /// failure the frame is cut back to its header room plus the
-        /// diagnostic, and the answer is internal_error.
-        static status append_image(std::vector<std::uint8_t>& frame, const j2k::image& img,
+        /// Append the packed result `img` to `frame` and answer `ok`: a raw
+        /// payload is one copy of its bytes; PNM unpacks them and goes through
+        /// j2k::pnm_bytes.  On failure the frame is cut back to its header
+        /// room plus the diagnostic, and the answer is internal_error.
+        static status append_image(std::vector<std::uint8_t>& frame, const raw_image& img,
                                    result_format fmt, status ok)
         {
             try {
                 if (fmt == result_format::raw) {
-                    const std::size_t at = frame.size();
-                    frame.resize(at + raw_image_size(img));
-                    encode_image_raw_into(img, std::span{frame}.subspan(at));
+                    frame.insert(frame.end(), img.bytes().begin(), img.bytes().end());
                 } else {
-                    const std::vector<std::uint8_t> pnm = j2k::pnm_bytes(img);
+                    const std::vector<std::uint8_t> pnm = j2k::pnm_bytes(img.unpack());
                     frame.insert(frame.end(), pnm.begin(), pnm.end());
                 }
                 return ok;
@@ -605,7 +603,7 @@ struct server::impl {
                                          static_cast<std::uint8_t>(ev.total),
                                          static_cast<std::uint8_t>(ev.last ? 1 : 0)},
                                         frame.data() + k_header_size);
-                    rh.st = append_image(frame, ev.img, fmt, status::streaming);
+                    rh.st = append_image(frame, *ev.img, fmt, status::streaming);
                 } else {
                     rh.st = map_error(std::move(err), frame);
                 }

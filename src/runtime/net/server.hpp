@@ -14,15 +14,16 @@
 //   socket ──► [shard 0: listener+poller+batcher] ──┐
 //   socket ──► [shard 1: listener+poller+batcher] ──┼─► decode_service (pool)
 //   socket ──► [shard N: listener+poller+batcher] ──┘        │ worker:
-//      ▲                                                     │ serialise
+//      ▲                                                     │ frame
 //      └── framed response ◄── owning shard's queue + wake ◄─┘
 //
 // The data path is zero intermediate copy: payload bytes are recv()'d
 // directly into the buffer that becomes the job's owned storage
 // (`decode_service::submit_async` moves it, no memcpy; the buffer grows as
-// bytes arrive, not on the header's word), and the pool worker that decoded
-// the job encodes the shared result once, straight into the outbound frame,
-// off the loop.
+// bytes arrive, not on the header's word).  Results come back already packed
+// in the `raw` layout (runtime/raw_image.hpp), so the pool worker frames a raw
+// response with one copy of the shared bytes, off the loop; the server never
+// encodes an image itself.
 //
 // Small-job batching: requests whose payload is below
 // `small_job_threshold` are coalesced per poll iteration *per shard* and

@@ -26,6 +26,14 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+/// Pack a result into the wire layout, once.  The int32 image is freed before
+/// this returns, so whoever receives the packed copy never holds both.
+std::shared_ptr<const raw_image> pack(j2k::image&& img)
+{
+    const j2k::image dying{std::move(img)};
+    return std::make_shared<const raw_image>(dying);
+}
+
 }  // namespace
 
 decode_service::decode_service(service_config cfg)
@@ -34,7 +42,7 @@ decode_service::decode_service(service_config cfg)
              cfg.policy,
              cfg.promote_after,
              level_capacities{cfg.interactive_capacity, cfg.batch_capacity}},
-      cache_{cfg.cache_bytes > 0 ? std::make_unique<decoded_cache>(cfg.cache_bytes)
+      cache_{cfg.cache_bytes > 0 ? std::make_unique<raw_image_cache>(cfg.cache_bytes)
                                  : nullptr},
       pool_{std::make_unique<thread_pool>(cfg.workers)}
 {
@@ -53,18 +61,18 @@ void decode_service::settle(job& j, j2k::image&& img)
 {
     if (j.settled.exchange(true, std::memory_order_acq_rel)) return;
     if (j.done)
-        j.done(std::make_shared<const j2k::image>(std::move(img)), nullptr);
+        j.done(pack(std::move(img)), nullptr);
     else
         j.promise.set_value(std::move(img));
 }
 
-void decode_service::settle(job& j, std::shared_ptr<const j2k::image> img)
+void decode_service::settle(job& j, std::shared_ptr<const raw_image> img)
 {
     if (j.settled.exchange(true, std::memory_order_acq_rel)) return;
     if (j.done)
         j.done(std::move(img), nullptr);
     else
-        j.promise.set_value(j2k::image{*img});  // a future owns its image
+        j.promise.set_value(img->unpack());  // a future owns its image
 }
 
 void decode_service::settle(job& j, std::exception_ptr err)
@@ -261,7 +269,7 @@ void decode_service::run_job(job& j)
     OBS_TRACE_SCOPE("runtime", j.on_layer ? "progressive_job" : "decode_job");
     const std::uint8_t id = j.opt.codec;
     j2k::image img;
-    std::shared_ptr<const j2k::image> shared;
+    std::shared_ptr<const raw_image> packed;
     std::exception_ptr err;
     bool unsupported = false;
     try {
@@ -284,9 +292,9 @@ void decode_service::run_job(job& j)
             stream_layers(j);
         } else {
             if (cache_ && j.opt.cache != cache_policy::bypass)
-                shared = decode_cached(j, *be);
+                packed = decode_cached(j, *be);
             // Bypass, or bytes that mismatch the resident key: uncached.
-            if (!shared) img = decode_one(j, *be);
+            if (!packed) img = decode_one(j, *be);
         }
     } catch (const unsupported_codec&) {
         err = std::current_exception();
@@ -313,8 +321,8 @@ void decode_service::run_job(job& j)
         metrics_.on_codec_completed(id);
         if (j.on_layer)
             j.settled.store(true, std::memory_order_release);  // all layers delivered
-        else if (shared)
-            settle(j, std::move(shared));
+        else if (packed)
+            settle(j, std::move(packed));
         else
             settle(j, std::move(img));
     }
@@ -331,8 +339,8 @@ j2k::image decode_service::decode_one(const job& j, const codec::backend& be)
     return img;
 }
 
-std::shared_ptr<const j2k::image> decode_service::decode_cached(job& j,
-                                                                const codec::backend& be)
+std::shared_ptr<const raw_image> decode_service::decode_cached(job& j,
+                                                               const codec::backend& be)
 {
     cache_key key;
     key.content_hash = seeded_hash(j.bytes);
@@ -355,7 +363,7 @@ std::shared_ptr<const j2k::image> decode_service::decode_cached(job& j,
         return std::move(r->image);  // null on a mismatch
     }
     // This worker leads the flight: decode inline (never waiting on another
-    // job, so a leader always makes progress) and publish.  Layered
+    // job, so a leader always makes progress), pack and publish.  Layered
     // full-quality requests go through a resumable session so the tier-1
     // prefix can be cached and extended.  The entry keeps the job's bytes;
     // `input` holds them from here on, at the address `j.bytes` and the
@@ -364,11 +372,10 @@ std::shared_ptr<const j2k::image> decode_service::decode_cached(job& j,
     try {
         const bool resumable =
             stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
-        auto shared = std::make_shared<const j2k::image>(
-            resumable ? decode_prefix(key, input) : decode_one(j, be));
-        cache_->complete_flight(key, shared, input, j.opt.cache == cache_policy::pin);
+        auto packed = pack(resumable ? decode_prefix(key, input) : decode_one(j, be));
+        cache_->complete_flight(key, packed, input, j.opt.cache == cache_policy::pin);
         j.bytes = {};
-        return shared;
+        return packed;
     } catch (...) {
         cache_->abort_flight(key, std::current_exception());
         j.bytes = {};
@@ -430,8 +437,8 @@ void decode_service::stream_layers(job& j)
             j2k::image img = advance(s, l, 1);  // on this worker alone
             OBS_TRACE_ASYNC_END("job", "layer", j.trace_id);
             metrics_.on_layer_emitted();
-            const bool more =
-                j.on_layer(layer_event{l, total, l == total, std::move(img)}, nullptr);
+            const bool more = j.on_layer(
+                layer_event{l, total, l == total, pack(std::move(img))}, nullptr);
             if (!more && l < total) {
                 metrics_.on_progressive_cancelled();
                 OBS_TRACE_INSTANT("runtime", "progressive_cancelled");

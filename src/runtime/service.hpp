@@ -8,7 +8,7 @@
 //   submit(bytes[, priority]) ─► [two_level_queue, backpressure] ─► thread_pool
 //        │                                                             │
 //        └── std::future<j2k::image> ◄── promise fulfilled ◄───────────┘
-//   submit_async(bytes, opt, done) ─► ... ─► done(shared image, err)
+//   submit_async(bytes, opt, done) ─► ... ─► done(packed image, err)
 //
 // Admission is a two-level strict-priority queue: `interactive` jobs jump the
 // `batch` backlog, with a starvation escape valve that promotes a batch job
@@ -19,15 +19,21 @@
 // independent, so the result is byte-identical to a serial decode); idle
 // workers steal tile subtasks from busy ones via lock-free Chase–Lev deques,
 // so one large image parallelises even when it is the only job in flight.
-// Results travel by reference where they can: a completion callback receives
-// a std::shared_ptr<const image> — for a cache hit or a flight leader, the
-// very object the cache holds — while a future receives an image of its own.
+// Results travel in wire form where they can.  Every result bound for a
+// completion or the cache is packed once, on the worker, into a raw_image
+// (runtime/raw_image.hpp: the J2NE `raw` payload, 1 byte per sample up to 8
+// bits and 2 above), and its int32 image is freed before the completion runs.
+// A completion receives a std::shared_ptr<const raw_image> — for a cache hit
+// or a flight leader, the very object the cache holds — so a front-end frames
+// a hit with one copy of its bytes.  A future receives an int32 image of its
+// own: an uncached result moved in whole, a cached one unpacked.
 // `shutdown()` drains: queued and running jobs complete, new submissions fail
 // fast.
 #pragma once
 
 #include "metrics.hpp"
 #include "queue.hpp"
+#include "raw_image.hpp"
 #include "thread_pool.hpp"
 
 #include <j2k/codec.hpp>
@@ -53,7 +59,9 @@ class decode_session;  // j2k/session.hpp
 
 namespace runtime {
 
-class decoded_cache;  // cache/decoded_cache.hpp
+template <typename Value>
+class basic_decoded_cache;  // cache/decoded_cache.hpp
+using raw_image_cache = basic_decoded_cache<raw_image>;
 struct cache_key;
 
 /// Base class of every service-raised error (delivered through futures).
@@ -136,9 +144,10 @@ struct service_config {
     /// caller guarantees the bytes outlive the returned future.
     bool copy_input = true;
     /// Byte budget of the decoded-result cache (0 = no cache).  Hot
-    /// codestreams are served from cached images / resumed from cached
-    /// session prefixes, and concurrent identical misses collapse to one
-    /// decode (see cache/decoded_cache.hpp).
+    /// codestreams are served from cached results (packed in the wire
+    /// layout: 1 byte per sample up to 8 bits) / resumed from cached session
+    /// prefixes, and concurrent identical misses collapse to one decode (see
+    /// cache/decoded_cache.hpp).
     std::size_t cache_bytes = 0;
     /// Not a setting: the service never reads it (decode scratch comes from
     /// the heap and is freed as each stage ends).  It is the size callers
@@ -178,13 +187,14 @@ public:
 
     /// Completion callback for the future-less submission paths.  Exactly one
     /// of the two arguments is meaningful: `err` is null on success, `img`
-    /// null on failure.  The image is shared, never copied: a cache hit (and
-    /// the flight leader) hands over the object the cache keeps, so it must
-    /// not be modified.  Uncached results are moved into it.  Runs on a pool
-    /// worker (or inline on the submitting thread for admission failures) —
-    /// it must not block on the service.
+    /// null on failure.  The result arrives packed in the wire layout and is
+    /// shared, never copied: a cache hit (and the flight leader) hands over
+    /// the object the cache keeps.  An uncached result is packed for this
+    /// call alone, after its int32 image is freed.  Runs on a pool worker
+    /// (or inline on the submitting thread for admission failures) — it must
+    /// not block on the service.
     using completion =
-        std::function<void(std::shared_ptr<const j2k::image> img, std::exception_ptr err)>;
+        std::function<void(std::shared_ptr<const raw_image> img, std::exception_ptr err)>;
 
     /// Future-less submit for async front-ends: the outcome (including typed
     /// admission failures) is delivered through `done` instead of a future.
@@ -192,12 +202,13 @@ public:
                       completion done);
 
     /// One refinement of a progressive job: the reconstruction after `layer`
-    /// quality layers (1-based), out of the `total` the job will emit.
+    /// quality layers (1-based), out of the `total` the job will emit, packed
+    /// in the wire layout (its int32 image is freed before the callback).
     struct layer_event {
         int layer = 0;
         int total = 0;
         bool last = false;
-        j2k::image img;
+        std::shared_ptr<const raw_image> img;
     };
 
     /// Per-layer delivery for progressive jobs.  Called once per refinement on
@@ -246,7 +257,7 @@ public:
 
     [[nodiscard]] int workers() const noexcept { return pool_->size(); }
     /// Jobs admitted and not yet retired.  A job is destroyed (promise,
-    /// completion, shared image) before it leaves this count, so 0 means no
+    /// completion, shared result) before it leaves this count, so 0 means no
     /// worker is still tearing one down.
     [[nodiscard]] std::size_t in_flight() const
     {
@@ -256,9 +267,10 @@ public:
     [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
     [[nodiscard]] std::size_t queue_depth(priority p) const { return queue_.size(p); }
 
-    /// The decoded-result cache, or null when cache_bytes == 0.
-    [[nodiscard]] decoded_cache* cache() noexcept { return cache_.get(); }
-    [[nodiscard]] const decoded_cache* cache() const noexcept { return cache_.get(); }
+    /// The decoded-result cache (results packed in the wire layout), or null
+    /// when cache_bytes == 0.
+    [[nodiscard]] raw_image_cache* cache() noexcept { return cache_.get(); }
+    [[nodiscard]] const raw_image_cache* cache() const noexcept { return cache_.get(); }
 
     /// Point-in-time metrics (queue high-water and cache stats merged in).
     [[nodiscard]] metrics_snapshot metrics() const;
@@ -287,11 +299,12 @@ private:
     };
     using job_ptr = std::unique_ptr<job>;
 
-    /// Success with an image of the job's own: moved to either receiver.
+    /// Success with an image of the job's own: a future takes it whole, a
+    /// completion gets it packed (the image freed first).
     static void settle(job& j, j2k::image&& img);
-    /// Success with a shared (cached) image: a completion gets the pointer, a
-    /// future a copy.
-    static void settle(job& j, std::shared_ptr<const j2k::image> img);
+    /// Success with a packed (cached) result: a completion gets the pointer, a
+    /// future an image unpacked from it.
+    static void settle(job& j, std::shared_ptr<const raw_image> img);
     static void settle(job& j, std::exception_ptr err);
     job_ptr make_job(std::vector<std::uint8_t>&& bytes, const decode_options& opt);
     /// Admission core shared by every submit flavour: queue push, eviction /
@@ -305,11 +318,11 @@ private:
     void run_job(job& j);
     /// One-shot decode through the codec's backend, fed to the stage counters.
     j2k::image decode_one(const job& j, const codec::backend& be);
-    /// Through the cache: hits and collapsed waits share the resident image;
-    /// a miss leads the single flight, publishes its decode and hands the
-    /// job's bytes to the entry.  Null when the key is taken by other bytes —
-    /// the caller then decodes uncached.
-    std::shared_ptr<const j2k::image> decode_cached(job& j, const codec::backend& be);
+    /// Through the cache: hits and collapsed waits share the resident result;
+    /// a miss leads the single flight, packs and publishes its decode and
+    /// hands the job's bytes to the entry.  Null when the key is taken by
+    /// other bytes — the caller then decodes uncached.
+    std::shared_ptr<const raw_image> decode_cached(job& j, const codec::backend& be);
     /// Input bytes as the cache keeps them (decoded_cache::input_ptr).
     using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
     /// The job's bytes as a buffer the cache can keep: an owned vector is
@@ -338,7 +351,7 @@ private:
     bool stopped_ = false;
 
     two_level_queue<job_ptr> queue_;
-    std::unique_ptr<decoded_cache> cache_;  ///< null when cache_bytes == 0
+    std::unique_ptr<raw_image_cache> cache_;  ///< null when cache_bytes == 0
     std::unique_ptr<thread_pool> pool_;  ///< last member: destroyed (joined) first
 };
 

@@ -134,7 +134,9 @@ TEST(Codestream, LayersInPrefixBoundaries)
         const std::size_t idx = static_cast<std::size_t>(l) * tiles - 1;
         const std::size_t end = info.chunk_offsets[idx] + info.chunk_lengths[idx];
         EXPECT_EQ(info.layers_in_prefix(end), l) << "layer " << l;
-        if (l < 3) EXPECT_EQ(info.layers_in_prefix(end + 1), l) << "layer " << l;
+        if (l < 3) {
+            EXPECT_EQ(info.layers_in_prefix(end + 1), l) << "layer " << l;
+        }
     }
 
     // Past the end clamps to the full layer count.

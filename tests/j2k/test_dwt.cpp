@@ -198,8 +198,9 @@ TEST(Dwt97, ConstantSignalPreservedInLLWithUnitGain)
     // High bands vanish.
     for (int y = 0; y < 32; ++y)
         for (int x = 0; x < 32; ++x)
-            if (x >= 16 || y >= 16)
+            if (x >= 16 || y >= 16) {
                 ASSERT_NEAR(buf[static_cast<std::size_t>(y) * 32 + x], 0.0, 1e-6);
+            }
 }
 
 // ---- synthesis against the mirrored-index reference ----

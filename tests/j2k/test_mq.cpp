@@ -130,7 +130,9 @@ TEST(MqCoder, StuffedBytesNeverFormMarkers)
     }
     const auto bytes = enc.flush();
     for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
-        if (bytes[i] == 0xFF) EXPECT_LE(bytes[i + 1], 0x8F) << "marker at " << i;
+        if (bytes[i] == 0xFF) {
+            EXPECT_LE(bytes[i + 1], 0x8F) << "marker at " << i;
+        }
     }
     std::vector<mq_context> dcx(4);
     mq_decoder dec{bytes};

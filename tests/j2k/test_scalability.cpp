@@ -105,8 +105,9 @@ TEST(Scalability, TruncatedMagnitudesAreLowerBounds)
     j2k::tier1_decode(cb, part.data(), j2k::band::hh, nullptr, cb.pass_count() / 2);
     for (std::size_t i = 0; i < coeffs.size(); ++i) {
         EXPECT_LE(std::abs(part[i]), std::abs(coeffs[i])) << i;
-        if (part[i] != 0)
+        if (part[i] != 0) {
             EXPECT_EQ(part[i] < 0, coeffs[i] < 0) << i;
+        }
     }
 }
 

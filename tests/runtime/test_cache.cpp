@@ -1,8 +1,8 @@
 // decoded_cache — shared FNV-1a vectors, LRU eviction and byte accounting,
 // pin semantics, single-flight collapsing (API-level and through the
-// service), byte-checked entries under equal keys, shared images handed to
-// completions, and session-prefix resume bit-exactness against the golden
-// corpus.
+// service), byte-checked entries under equal keys, packed results shared with
+// completions and unpacked into futures, and session-prefix resume
+// bit-exactness against the golden corpus.
 #include <runtime/cache/decoded_cache.hpp>
 
 #include <runtime/hash.hpp>
@@ -33,6 +33,7 @@ using runtime::decoded_cache;
 using runtime::fnv1a_bytes;
 using runtime::fnv1a_image;
 using runtime::image_bytes;
+using runtime::raw_image;
 using runtime::service_config;
 
 std::vector<std::uint8_t> load_corpus(const std::string& name)
@@ -317,14 +318,15 @@ TEST(DecodedCache, HitComparesSafelyWhileItsEntryIsEvicted)
 TEST(DecodeService, HitsHandTheCompletionTheCachedImageItself)
 {
     // A hit costs a refcount: the leader's completion and every later hit's
-    // completion receive the one object the cache holds, and the entry keeps
-    // the job's own input bytes.
+    // completion receive the one packed result the cache holds, and the
+    // entry keeps the job's own input bytes.  The entry is charged its raw
+    // layout (12 header bytes, 1 byte per 8-bit sample) plus that input.
     const auto cs = make_stream(64, 64, 1, 32);
     decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
     const auto run = [&] {
-        std::promise<std::shared_ptr<const j2k::image>> got;
+        std::promise<std::shared_ptr<const raw_image>> got;
         svc.submit_async(std::vector<std::uint8_t>{cs}, {},
-                         [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+                         [&](std::shared_ptr<const raw_image> img, std::exception_ptr e) {
                              EXPECT_EQ(e, nullptr);
                              got.set_value(std::move(img));
                          });
@@ -334,16 +336,95 @@ TEST(DecodeService, HitsHandTheCompletionTheCachedImageItself)
     const auto hit1 = run();
     const auto hit2 = run();
     ASSERT_NE(leader, nullptr);
-    EXPECT_EQ(*leader, j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(leader->unpack(), j2k::decoder{cs}.decode_all());
     EXPECT_EQ(hit1.get(), leader.get());
     EXPECT_EQ(hit2.get(), leader.get());
 
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
     EXPECT_EQ(m.cache_hits, 2u);
-    EXPECT_EQ(m.cache_bytes, image_bytes(*leader) + cs.size());
+    EXPECT_EQ(leader->size(), 12u + 64 * 64);
+    EXPECT_EQ(m.cache_bytes, leader->size() + cs.size());
     cache_key k = key_of(runtime::seeded_hash(cs));
     EXPECT_EQ(svc.cache()->peek(k, cs), leader);
+}
+
+TEST(DecodeService, FuturesFromPackedEntriesEqualAFreshDecode)
+{
+    // A future owns an int32 image: the leader's and each hit's are unpacked
+    // from the cached raw bytes, so they must equal a direct decode exactly,
+    // at 1 and 2 bytes per sample, on the heap and in mapped pages (a result
+    // of k_raw_mapped_bytes or more), and under every reduction a key can
+    // carry.
+    struct request_case {
+        const char* what;
+        std::vector<std::uint8_t> cs;
+        decode_options opt;
+        j2k::image direct;
+    };
+    std::vector<request_case> cases;
+    const auto j2k_case = [&](const char* what, std::vector<std::uint8_t> cs,
+                              decode_options opt) {
+        j2k::decoder d{cs};
+        d.set_max_quality_layers(opt.max_quality_layers);
+        j2k::image direct = opt.discard_levels > 0 ? d.decode_reduced(opt.discard_levels)
+                                                   : d.decode_all();
+        cases.push_back({what, std::move(cs), opt, std::move(direct)});
+    };
+    j2k::codec_params p;
+    p.tile_width = 32;
+    p.tile_height = 32;
+    j2k_case("5/3", j2k::encode(j2k::make_test_image(64, 48, 3, 8, 3), p), {});
+    j2k_case("5/3, mapped", j2k::encode(j2k::make_test_image(256, 192, 3, 8, 7), p), {});
+    ASSERT_GE(12u + 256 * 192 * 3, runtime::k_raw_mapped_bytes);
+    p.mode = j2k::wavelet::w9_7;
+    j2k_case("9/7", j2k::encode(j2k::make_test_image(64, 48, 3, 8, 4), p), {});
+    p.mode = j2k::wavelet::w5_3;
+    j2k_case("discard_levels = 1", j2k::encode(j2k::make_test_image(64, 64, 1, 8, 5), p),
+             {.discard_levels = 1});
+    p.quality_layers = 6;
+    j2k_case("6 layers capped at 2",
+             j2k::encode(j2k::make_test_image(64, 64, 3, 8, 6), p),
+             {.max_quality_layers = 2});
+    const codec::image cube = codec::make_test_image(20, 12, 5, 12, 9);
+    cases.push_back({"12-bit CCSDS cube", ccsds::encode(cube),
+                     {.codec = ccsds::k_codec_wire_id}, cube});
+
+    decode_service svc{{.workers = 2, .cache_bytes = 32u << 20}};
+    std::uint64_t hits = 0;
+    for (const request_case& c : cases) {
+        for (int round = 0; round < 3; ++round)  // the leader, then two hits
+            EXPECT_EQ(svc.submit(c.cs, c.opt).get(), c.direct)
+                << c.what << ", round " << round;
+        hits += 2;
+        EXPECT_EQ(svc.metrics().cache_hits, hits) << c.what;
+    }
+    EXPECT_EQ(svc.metrics().cache_misses, cases.size());
+}
+
+TEST(DecodeService, PackedEntriesAreChargedTheirRawSizePlusTheirInput)
+{
+    // cache_stats::bytes charges an entry its raw layout, not int32 planes:
+    // 12 + 1 byte per sample up to 8 bits, 12 + 2 above, plus the capacity
+    // of the input it keeps.
+    decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
+    const auto charge_of = [&](std::vector<std::uint8_t> cs, std::uint8_t codec) {
+        const std::uint64_t before = svc.cache()->stats().bytes;
+        const std::size_t input = cs.capacity();
+        std::promise<void> done;
+        svc.submit_async(std::move(cs), {.codec = codec},
+                         [&](std::shared_ptr<const raw_image> img, std::exception_ptr e) {
+                             EXPECT_EQ(e, nullptr);
+                             EXPECT_NE(img, nullptr);
+                             done.set_value();
+                         });
+        done.get_future().wait();
+        return svc.cache()->stats().bytes - before - input;
+    };
+    EXPECT_EQ(charge_of(make_stream(64, 64, 1, 32), 0), 12u + 4096);
+    const auto cube = ccsds::encode(codec::make_test_image(16, 16, 4, 16, 2));
+    EXPECT_EQ(charge_of(cube, ccsds::k_codec_wire_id), 12u + 2 * 16 * 16 * 4);
+    EXPECT_EQ(svc.cache()->stats().entries, 2u);
 }
 
 TEST(DecodeService, LayeredLeaderKeepsOneInputBufferForItsImageAndPrefix)

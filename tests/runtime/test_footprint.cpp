@@ -1,12 +1,17 @@
 // Heap footprint of the decode service, counted by a replaced global
-// operator new/delete: what an idle service holds, and how far a progressive
-// job's live heap rises above what outlives it.  Decode scratch comes from
-// the heap and is freed as each stage ends, so that peak is one image, the
-// session's persistent block state and the job's own codestream, plus a few
-// per-tile buffers; it does not grow with the number of layers.  A separate
-// binary, because the replacement is process-wide.
+// operator new/delete: what an idle service holds, how far a progressive
+// job's live heap rises above what outlives it, what a cached entry costs,
+// and what a hostile header costs before it is refused.  Decode scratch comes
+// from the heap and is freed as each stage ends, so the progressive peak is
+// one image, the session's persistent block state and the job's own
+// codestream, plus a few per-tile buffers; it does not grow with the number
+// of layers.  A separate binary, because the replacement is process-wide.
+#include <runtime/cache/decoded_cache.hpp>
 #include <runtime/service.hpp>
 
+#include <ccsds/ccsds123.hpp>
+#include <codec/backend.hpp>
+#include <codec/error.hpp>
 #include <j2k/j2k.hpp>
 #include <j2k/session.hpp>
 
@@ -17,7 +22,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <new>
 #include <thread>
@@ -158,6 +165,90 @@ TEST(Footprint, ProgressiveJobPeaksAtOneImagePlusItsSessionForAnyLayerCount)
             << layers << " layers: peak " << peak << " B, image " << image_bytes
             << " B, session " << resident << " B, input " << input_bytes << " B";
     }
+}
+
+TEST(Footprint, CachedGreyEntriesHoldTheirRawBytesAndInputAndLittleElse)
+{
+    // A cached result is kept packed in the raw layout: a 64×64 8-bit entry
+    // is its 12-byte header and 4096 samples at one byte each, beside the
+    // input it was decoded from.  Everything else an entry costs (map and LRU
+    // nodes, shared-pointer control blocks) must stay under 1 KiB.  Int32
+    // planes would hold 16 KiB per entry on their own.
+    constexpr int k_entries = 256;
+    constexpr std::int64_t k_raw_bytes = 12 + 64 * 64;
+    constexpr std::int64_t k_bookkeeping = 1 << 10;
+    std::vector<std::vector<std::uint8_t>> streams;
+    for (int i = 0; i < k_entries; ++i)
+        streams.push_back(j2k::encode(j2k::make_test_image(64, 64, 1, 8, 1000 + i), {}));
+
+    decode_service svc{{.workers = 2, .cache_bytes = 64u << 20}};
+    // Warm every worker's lazily built state with uncached decodes first.
+    for (int i = 0; i < 4; ++i)
+        (void)svc.submit(streams[0], {.cache = runtime::cache_policy::bypass}).get();
+    wait_idle(svc);
+
+    const std::int64_t before = live();
+    std::int64_t inputs = 0;
+    for (const auto& cs : streams) {
+        std::vector<std::uint8_t> job = cs;
+        inputs += static_cast<std::int64_t>(job.capacity());
+        std::promise<void> done;
+        svc.submit_async(std::move(job), {},
+                         [&](std::shared_ptr<const runtime::raw_image> img,
+                             std::exception_ptr err) {
+                             EXPECT_EQ(err, nullptr);
+                             EXPECT_NE(img, nullptr);
+                             done.set_value();
+                         });
+        done.get_future().wait();
+    }
+    wait_idle(svc);
+    const std::int64_t held = live() - before;
+
+    const auto st = svc.cache()->stats();
+    ASSERT_EQ(st.entries, static_cast<std::uint64_t>(k_entries));
+    EXPECT_EQ(st.bytes, static_cast<std::uint64_t>(k_entries * k_raw_bytes + inputs));
+    EXPECT_LE(held, k_entries * (k_raw_bytes + k_bookkeeping) + inputs)
+        << held / k_entries << " B per entry, inputs " << inputs / k_entries
+        << " B per entry";
+}
+
+TEST(Footprint, CcsdsHeaderDeclaringMoreSamplesThanItsBitsIsRefusedUpFront)
+{
+    // A bare 20-byte header declaring 255 bands × 512 × 512 at 16 bits, the
+    // 2^26-sample cap.  Every sample costs at least one bit, so a payload of
+    // none is truncated; it must be refused before any plane is sized, not
+    // after allocating a quarter of a GiB.
+    std::vector<std::uint8_t> cs = ccsds::encode(codec::make_test_image(1, 1, 1, 16));
+    cs.resize(ccsds::k_header_size);
+    const auto put = [&](std::size_t at, std::uint32_t v, int bytes) {
+        for (int b = 0; b < bytes; ++b)
+            cs[at + static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(v >> (8 * (bytes - 1 - b)));
+    };
+    put(6, 255, 2);   // bands
+    put(8, 512, 4);   // width
+    put(12, 512, 4);  // height
+    put(16, 16, 1);   // bit depth
+    ASSERT_EQ(ccsds::read_header(cs).bands, 255);
+
+    const codec::backend& be = ccsds::ensure_backend_registered();
+    reset_peak();
+    const std::int64_t base = live();
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        (void)be.decode(cs, {}, nullptr);
+        ADD_FAILURE() << "an empty payload decoded";
+    } catch (const codec::codestream_error& e) {
+        EXPECT_NE(std::strstr(e.what(), "truncated codestream"), nullptr) << e.what();
+    }
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    const std::int64_t peak = g_peak.load(std::memory_order_relaxed) - base;
+    EXPECT_LT(peak, std::int64_t{16} << 20) << "peak " << peak << " B";
+    std::printf("refused in %lld us, peak %lld B\n", static_cast<long long>(us),
+                static_cast<long long>(peak));
 }
 
 }  // namespace

@@ -323,6 +323,59 @@ TEST(NetServer, LoopbackDecodeRoundTripRawAndPnm)
     EXPECT_GT(st.bytes_out, 0u);
 }
 
+TEST(NetServer, CachedRawAndPnmResponsesEqualTheEncodersOfADirectDecode)
+{
+    // The cache keeps results packed in the raw layout: a hit's raw payload
+    // is a copy of those bytes and its PNM payload is built from them.  Both
+    // must be byte-equal to what the wire encoders make of a direct decode,
+    // at 1 byte per sample (8-bit RGB) and at 2 (a 12-bit j2k plane, a
+    // 16-bit CCSDS cube), for the miss and for the hits behind it.
+    j2k::codec_params deep;
+    deep.tile_width = 32;
+    deep.tile_height = 32;
+    const codec::image cube = codec::make_test_image(24, 16, 3, 16, 7);
+    struct item {
+        std::vector<std::uint8_t> cs;
+        std::uint8_t codec;
+        j2k::image direct;
+    };
+    std::vector<item> items;
+    items.push_back({make_stream(96, 64, 3, 32), 0, {}});
+    items.push_back({j2k::encode(j2k::make_test_image(48, 40, 1, 12), deep), 0, {}});
+    items.push_back({ccsds::encode(cube), ccsds::k_codec_wire_id, cube});
+    for (int i = 0; i < 2; ++i) items[i].direct = j2k::decoder{items[i].cs}.decode_all();
+    EXPECT_EQ(ccsds::decode(items[2].cs), cube);
+
+    net::server_config cfg = quiet_config();
+    cfg.service.cache_bytes = 16u << 20;
+    net::server srv{cfg};
+    srv.start();
+    net::client cli{"127.0.0.1", srv.port()};
+    std::uint32_t id = 0;
+    for (const item& it : items) {
+        const auto raw = net::encode_image_raw(it.direct);
+        const auto pnm = j2k::pnm_bytes(it.direct);
+        for (int round = 0; round < 2; ++round) {  // the miss, then hits
+            net::request r;
+            r.codestream = it.cs;
+            r.codec = it.codec;
+            r.request_id = ++id;
+            const auto got_raw = cli.decode(r);
+            ASSERT_TRUE(got_raw.ok()) << got_raw.message();
+            EXPECT_EQ(got_raw.payload, raw) << "request " << id;
+            r.format = net::result_format::pnm;
+            r.request_id = ++id;
+            const auto got_pnm = cli.decode(r);
+            ASSERT_TRUE(got_pnm.ok()) << got_pnm.message();
+            EXPECT_EQ(got_pnm.payload, pnm) << "request " << id;
+        }
+    }
+    const auto m = srv.service().metrics();
+    EXPECT_EQ(m.cache_misses, items.size());
+    EXPECT_EQ(m.cache_hits, 3 * items.size());
+    srv.stop();
+}
+
 TEST(NetServer, CcsdsCubesDecodeOverTheSameWireAndCache)
 {
     // The second registered codec through the identical serving stack: same

@@ -191,13 +191,15 @@ void expect_clean_exchange(std::uint16_t port,
         const auto h = net::decode_response_header(hdr);
         ASSERT_TRUE(h) << "iter " << iter << ": malformed response header";
         std::vector<std::uint8_t> payload(h->payload_len);
-        if (h->payload_len)
+        if (h->payload_len) {
             ASSERT_EQ(recv_upto(cli.fd(), payload.data(), payload.size()),
                       payload.size())
                 << "iter " << iter << ": torn response payload";
-        if (h->st == net::status::streaming)
+        }
+        if (h->st == net::status::streaming) {
             EXPECT_TRUE(net::decode_layer_header(payload))
                 << "iter " << iter << ": streaming frame without a sub-header";
+        }
     }
 }
 

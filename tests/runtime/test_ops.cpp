@@ -970,7 +970,8 @@ TEST(OpsServer, ReadyzFlipsWhenTheServiceDrains)
     const auto heavy = test_stream(256, 256);
     for (int i = 0; i < 6; ++i)
         f.svc.submit_async(std::vector<std::uint8_t>{heavy}, {},
-                           [](std::shared_ptr<const j2k::image>, std::exception_ptr) {});
+                           [](std::shared_ptr<const runtime::raw_image>,
+                              std::exception_ptr) {});
     std::thread closer{[&f] { f.svc.shutdown(); }};
     // Poll until the flip is visible; shutdown() blocks until the queue
     // drains, so some of these scrapes overlap the drain window.

@@ -220,8 +220,9 @@ TEST(ThreadPool, FanOutFromWorkerIsBalancedByStealing)
     });
     done.get_future().wait();
     EXPECT_EQ(ran.load(), 512);
-    if (std::thread::hardware_concurrency() > 1)
+    if (std::thread::hardware_concurrency() > 1) {
         EXPECT_GT(pool.tasks_stolen(), 0u);
+    }
 }
 
 TEST(ThreadPool, SharedPoolIsProcessWideSingleton)

@@ -20,6 +20,7 @@ using runtime::backpressure;
 using runtime::decode_options;
 using runtime::decode_service;
 using runtime::priority;
+using runtime::raw_image;
 using runtime::service_config;
 
 std::vector<std::uint8_t> make_stream(int w, int h, int comps, int tile,
@@ -358,7 +359,9 @@ TEST(DecodeService, MetricsReportStealsForMultiTileJobs)
     for (int i = 0; i < 4; ++i) (void)svc.submit(cs).get();
     const auto m = svc.metrics();
     EXPECT_EQ(m.tiles_decoded, 64u);
-    if (std::thread::hardware_concurrency() > 1) EXPECT_GT(m.tasks_stolen, 0u);
+    if (std::thread::hardware_concurrency() > 1) {
+        EXPECT_GT(m.tasks_stolen, 0u);
+    }
 }
 
 TEST(DecodeService, LayeredCacheMissFansOutOnTheServicePoolNotTheSharedOne)
@@ -441,10 +444,10 @@ TEST(DecodeService, SubmitAsyncInvokesCompletionInsteadOfFuture)
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{{.workers = 2}};
     std::promise<void> done;
-    std::shared_ptr<const j2k::image> out;
+    std::shared_ptr<const raw_image> out;
     std::exception_ptr err;
     svc.submit_async(std::move(cs), {},
-                     [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+                     [&](std::shared_ptr<const raw_image> img, std::exception_ptr e) {
                          out = std::move(img);
                          err = e;
                          done.set_value();
@@ -452,7 +455,7 @@ TEST(DecodeService, SubmitAsyncInvokesCompletionInsteadOfFuture)
     done.get_future().wait();
     EXPECT_EQ(err, nullptr);
     ASSERT_NE(out, nullptr);
-    EXPECT_EQ(*out, serial);
+    EXPECT_EQ(out->unpack(), serial);
 }
 
 TEST(DecodeService, SubmitAsyncDeliversErrorsThroughTheCallback)
@@ -460,7 +463,7 @@ TEST(DecodeService, SubmitAsyncDeliversErrorsThroughTheCallback)
     decode_service svc{{.workers = 2}};
     std::promise<std::exception_ptr> got;
     svc.submit_async(std::vector<std::uint8_t>(32, 0), {},
-                     [&](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
+                     [&](std::shared_ptr<const raw_image> img, std::exception_ptr e) {
                          EXPECT_EQ(img, nullptr);
                          got.set_value(e);
                      });
@@ -483,8 +486,8 @@ TEST(DecodeService, SubmitBatchUsesOnePoolSubmissionForTheWholeBatch)
     for (std::size_t i = 0; i < n; ++i) {
         decode_service::batch_item it;
         it.bytes = cs;
-        it.done = [&, i](std::shared_ptr<const j2k::image> img, std::exception_ptr e) {
-            if (!e) out[i] = *img;
+        it.done = [&, i](std::shared_ptr<const raw_image> img, std::exception_ptr e) {
+            if (!e) out[i] = img->unpack();
             settled[i].set_value();
         };
         items.push_back(std::move(it));
