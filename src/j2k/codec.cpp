@@ -287,7 +287,6 @@ tile_wavelet decoder::dequantize(tile_coeffs tc) const
         tw.iplanes = std::move(tc.comps);  // reversible path: IQ is the identity
         return tw;
     }
-    const kernel_table& K = kernels();
     for (const auto& cp : tc.comps) {
         std::vector<double> buf(static_cast<std::size_t>(cp.width()) * cp.height(), 0.0);
         for (const auto& br : subband_layout(cp.width(), cp.height(), info_.levels)) {
@@ -299,7 +298,7 @@ tile_wavelet decoder::dequantize(tile_coeffs tc) const
                 const std::int32_t* src = cp.row(br.y0 + y) + br.x0;
                 double* dst =
                     buf.data() + static_cast<std::size_t>(br.y0 + y) * cp.width() + br.x0;
-                K.dequant(src, dst, step, static_cast<std::size_t>(br.width));
+                kernel::dequant(src, dst, step, static_cast<std::size_t>(br.width));
             }
         }
         tw.dplanes.push_back(std::move(buf));

@@ -1,6 +1,33 @@
 #include "codestream.hpp"
 
+#include "tier1.hpp"
+
 namespace j2k {
+
+namespace {
+
+/// Fewest payload bytes each code-block costs, whatever its data: a u8 plane
+/// count and a u32 length in a plain tile payload; a u8 plane count, a u8
+/// pass count and a u32 length in a layered stream's first layer; a pass
+/// count and a length in each later layer (codec.cpp writes exactly these).
+constexpr std::uint64_t k_plain_block_bytes = 5;
+constexpr std::uint64_t k_first_layer_block_bytes = 6;
+constexpr std::uint64_t k_later_layer_block_bytes = 5;
+
+/// Code-blocks of one component of a w×h tile, as the codec walks them.
+[[nodiscard]] std::uint64_t codeblocks(int w, int h, int levels)
+{
+    const auto across = [](int extent) {
+        return static_cast<std::uint64_t>(extent + k_codeblock_size - 1) /
+               k_codeblock_size;
+    };
+    std::uint64_t n = 0;  // an empty band has none
+    for (const auto& br : subband_layout(w, h, levels))
+        n += across(br.width) * across(br.height);
+    return n;
+}
+
+}  // namespace
 
 void byte_writer::patch_u32(std::size_t pos, std::uint32_t v)
 {
@@ -117,12 +144,30 @@ stream_info read_header(std::span<const std::uint8_t> cs)
     if (tiles_x * tiles_y > k_max_tiles)
         throw codestream_error{"tile count above decode limit"};
 
+    // A payload too short for its tile's code-block headers is refused here,
+    // before a decoder sizes the tile's planes from the header's geometry.
+    // Tiles come in at most four sizes: the first tile's width or the last
+    // column's, by the first tile's height or the last row's.
     const auto tiles = tile_grid(info.width, info.height, info.tile_width, info.tile_height);
+    const tile_rect& first = tiles.front();
+    const tile_rect& last = tiles.back();
+    const auto components = static_cast<std::uint64_t>(info.components);
+    const auto per_size = [&](int w, int h) {
+        return codeblocks(w, h, info.levels) * components;
+    };
+    const std::uint64_t blocks_of_size[2][2] = {
+        {per_size(first.width, first.height), per_size(first.width, last.height)},
+        {per_size(last.width, first.height), per_size(last.width, last.height)}};
+    const auto blocks = [&](const tile_rect& tr) {
+        return blocks_of_size[tr.width != first.width][tr.height != first.height];
+    };
     if (info.quality_layers == 1) {
         // Plain stream: each tile payload is prefixed by its u32 byte length.
         for (std::size_t t = 0; t < tiles.size(); ++t) {
             const std::uint32_t len = r.u32();
             if (len > r.remaining()) throw codestream_error{"tile payload truncated"};
+            if (len < k_plain_block_bytes * blocks(tiles[t]))
+                throw codestream_error{"tile payload shorter than its code-blocks"};
             info.tile_offsets.push_back(r.pos());
             info.tile_lengths.push_back(len);
             r.seek(r.pos() + len);
@@ -143,8 +188,13 @@ stream_info read_header(std::span<const std::uint8_t> cs)
         // end on hostile (e.g. UINT32_MAX) directory entries.
         const std::size_t end = r.pos() + r.remaining();  // == stream size
         std::size_t off = r.pos();
-        for (std::uint32_t len : lens) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t len = lens[i];
             if (len > end - off) throw codestream_error{"layered payload truncated"};
+            const std::uint64_t per_block =
+                i < tiles.size() ? k_first_layer_block_bytes : k_later_layer_block_bytes;
+            if (len < per_block * blocks(tiles[i % tiles.size()]))
+                throw codestream_error{"layer chunk shorter than its code-blocks"};
             info.chunk_offsets.push_back(off);
             info.chunk_lengths.push_back(len);
             off += len;

@@ -141,7 +141,9 @@ inline constexpr std::uint64_t k_max_tiles = std::uint64_t{1} << 20;
 /// Serialise the main header.
 void write_header(byte_writer& w, const stream_info& info);
 
-/// Parse the main header and the tile directory.  Throws codestream_error.
+/// Parse the main header and the tile directory.  Throws codestream_error,
+/// also for a tile payload or layer chunk too short to hold the headers of
+/// its code-blocks (at least 5 bytes each), before anything is sized.
 [[nodiscard]] stream_info read_header(std::span<const std::uint8_t> cs);
 
 }  // namespace j2k

@@ -57,7 +57,7 @@ void rct_inverse(image& img)
     auto& y = img.comp(0).samples();
     auto& u = img.comp(1).samples();
     auto& v = img.comp(2).samples();
-    kernels().rct_inverse(y.data(), u.data(), v.data(), y.size());
+    kernel::rct_inverse(y.data(), u.data(), v.data(), y.size());
 }
 
 void ict_forward(image& img)
@@ -83,9 +83,7 @@ void ict_inverse(image& img)
     auto& y = img.comp(0).samples();
     auto& cb = img.comp(1).samples();
     auto& cr = img.comp(2).samples();
-    // Rounding is kernel_round_away (same round-half-away-from-zero as the
-    // previous lround, in the branch-free form both dispatch paths share).
-    kernels().ict_inverse(y.data(), cb.data(), cr.data(), y.size());
+    kernel::ict_inverse(y.data(), cb.data(), cr.data(), y.size());
 }
 
 }  // namespace j2k

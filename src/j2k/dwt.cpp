@@ -165,9 +165,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Vertical (column-direction) passes.  A lifting step is elementwise across
-// a row, so each runs as a whole-row kernel (dispatched: scalar or AVX2)
-// with the two neighbouring rows as operands: the same arithmetic as lifting
-// every column in 1-D.
+// a row, so each runs as a whole-row kernel (kernels.hpp) with the two
+// neighbouring rows as operands: the same arithmetic as lifting every column
+// in 1-D.
 //
 // Analysis copies the region's rows into a contiguous grid, lifts row y
 // against rows mirror(y±1, h) (the mirrored row passed twice at a boundary
@@ -177,7 +177,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void vertical53_forward(std::int32_t* data, int stride, int w, int h,
-                        std::int32_t* g, const kernel_table& K)
+                        std::int32_t* g)
 {
     for (int y = 0; y < h; ++y)
         std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
@@ -186,9 +186,11 @@ void vertical53_forward(std::int32_t* data, int stride, int w, int h,
         return g + static_cast<std::size_t>(mirror(y, h)) * w;
     };
     for (int y = 1; y < h; y += 2)
-        K.lift53_sub_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        kernel::lift53_sub_avg(g + static_cast<std::size_t>(y) * w, row(y - 1),
+                               row(y + 1), w);
     for (int y = 0; y < h; y += 2)
-        K.lift53_add_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        kernel::lift53_add_round(g + static_cast<std::size_t>(y) * w, row(y - 1),
+                                 row(y + 1), w);
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
         const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
@@ -199,8 +201,7 @@ void vertical53_forward(std::int32_t* data, int stride, int w, int h,
 
 /// L[k] -= (H[k-1] + H[k] + 2) >> 2, then H[k] += (L[k] + L[k+1]) >> 1, on
 /// rows, with H[-1] = H[0], H[nh] = H[nh-1] and L[nl] = L[nl-1].
-void vertical53_inverse(std::int32_t* data, int stride, int w, int h,
-                        const kernel_table& K)
+void vertical53_inverse(std::int32_t* data, int stride, int w, int h)
 {
     const int nl = (h + 1) / 2;
     const int nh = h / 2;
@@ -210,13 +211,12 @@ void vertical53_inverse(std::int32_t* data, int stride, int w, int h,
     const auto L = [=](int k) { return row(k); };
     const auto H = [=](int k) { return row(nl + k); };
     for (int k = 0; k < nl; ++k)
-        K.lift53_sub_round(L(k), H(std::max(k - 1, 0)), H(std::min(k, nh - 1)), w);
+        kernel::lift53_sub_round(L(k), H(std::max(k - 1, 0)), H(std::min(k, nh - 1)), w);
     for (int k = 0; k < nh; ++k)
-        K.lift53_add_avg(H(k), L(k), L(std::min(k + 1, nl - 1)), w);
+        kernel::lift53_add_avg(H(k), L(k), L(std::min(k + 1, nl - 1)), w);
 }
 
-void vertical97_forward(double* data, int stride, int w, int h, double* g,
-                        const kernel_table& K)
+void vertical97_forward(double* data, int stride, int w, int h, double* g)
 {
     for (int y = 0; y < h; ++y)
         std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
@@ -226,16 +226,17 @@ void vertical97_forward(double* data, int stride, int w, int h, double* g,
     };
     auto lift = [&](int first, double k) {
         for (int y = first; y < h; y += 2)
-            K.lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), k, w);
+            kernel::lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1),
+                           k, w);
     };
     lift(1, k_alpha);
     lift(0, k_beta);
     lift(1, k_gamma);
     lift(0, k_delta);
     for (int y = 0; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
+        kernel::scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
     for (int y = 1; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
+        kernel::scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
         const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
@@ -244,7 +245,7 @@ void vertical97_forward(double* data, int stride, int w, int h, double* g,
     }
 }
 
-void vertical97_inverse(double* data, int stride, int w, int h, const kernel_table& K)
+void vertical97_inverse(double* data, int stride, int w, int h)
 {
     const int nl = (h + 1) / 2;
     const int nh = h / 2;
@@ -253,17 +254,17 @@ void vertical97_inverse(double* data, int stride, int w, int h, const kernel_tab
     };
     const auto L = [=](int k) { return row(k); };
     const auto H = [=](int k) { return row(nl + k); };
-    for (int k = 0; k < nl; ++k) K.scale97(L(k), k_K, w);
-    for (int k = 0; k < nh; ++k) K.scale97(H(k), 1.0 / k_K, w);
+    for (int k = 0; k < nl; ++k) kernel::scale97(L(k), k_K, w);
+    for (int k = 0; k < nh; ++k) kernel::scale97(H(k), 1.0 / k_K, w);
     // x -= k*(a+b) is x += (-k)*(a+b) bit for bit (IEEE negation is exact),
     // which lets synthesis share the single additive lift kernel.
     const auto low = [&](double c) {
         for (int k = 0; k < nl; ++k)
-            K.lift97(L(k), H(std::max(k - 1, 0)), H(std::min(k, nh - 1)), -c, w);
+            kernel::lift97(L(k), H(std::max(k - 1, 0)), H(std::min(k, nh - 1)), -c, w);
     };
     const auto high = [&](double c) {
         for (int k = 0; k < nh; ++k)
-            K.lift97(H(k), L(k), L(std::min(k + 1, nl - 1)), -c, w);
+            kernel::lift97(H(k), L(k), L(std::min(k + 1, nl - 1)), -c, w);
     };
     low(k_delta);
     high(k_gamma);
@@ -281,8 +282,7 @@ void vertical97_inverse(double* data, int stride, int w, int h, const kernel_tab
 
 template <typename T, typename Fwd1D, typename Vert>
 void forward_level(T* data, int stride, int w, int h, Fwd1D analyze, Vert vertical,
-                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch,
-                   const kernel_table& K)
+                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch)
 {
     if (w >= 2) {
         for (int y = 0; y < h; ++y) {
@@ -294,21 +294,20 @@ void forward_level(T* data, int stride, int w, int h, Fwd1D analyze, Vert vertic
     if (h >= 2) {
         if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
             grid.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-        vertical(data, stride, w, h, grid.data(), K);
+        vertical(data, stride, w, h, grid.data());
     }
 }
 
 template <typename T, typename Row, typename Vert>
 void inverse_level(T* data, int stride, int w, int h, Row synthesize, Vert vertical,
-                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch,
-                   const kernel_table& K)
+                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch)
 {
     if (h < 2) {  // one row, synthesised in place from a copy
         scratch.assign(data, data + w);
         synthesize(scratch.data(), w, data);
         return;
     }
-    vertical(data, stride, w, h, K);
+    vertical(data, stride, w, h);
     // Rows come out interleaved into the grid: row y from row y/2 (even y)
     // or nl + y/2 (odd y), each source row read, and clobbered, once.
     if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
@@ -333,14 +332,13 @@ void forward_multi(T* data, int stride, int w, int h, int levels, Fwd1D f,
                    Vert vertical, std::pmr::memory_resource* mr)
 {
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
-    const kernel_table& K = kernels();  // one table for the whole transform
     std::pmr::vector<T> grid{mr_of(mr)};
     std::pmr::vector<T> scratch{mr_of(mr)};
     for (int l = 0; l < levels; ++l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) break;
-        forward_level(data, stride, lw, lh, f, vertical, grid, scratch, K);
+        forward_level(data, stride, lw, lh, f, vertical, grid, scratch);
     }
 }
 
@@ -351,14 +349,13 @@ void inverse_multi(T* data, int stride, int w, int h, int levels, Row f,
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
     if (stop_level < 0 || stop_level > levels)
         throw std::invalid_argument{"dwt: bad discard level"};
-    const kernel_table& K = kernels();
     std::pmr::vector<T> grid{mr_of(mr)};
     std::pmr::vector<T> scratch{mr_of(mr)};
     for (int l = levels - 1; l >= stop_level; --l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) continue;
-        inverse_level(data, stride, lw, lh, f, vertical, grid, scratch, K);
+        inverse_level(data, stride, lw, lh, f, vertical, grid, scratch);
     }
 }
 

@@ -12,7 +12,7 @@
 //
 // Synthesis runs columns then rows and reads no neighbour through a mirrored
 // index.  The column pass lifts the region's low rows against its high rows
-// in place, whole rows at a time through the kernel table.  The row pass
+// in place, whole rows at a time through the row kernels.  The row pass
 // takes the rows in interleaved order and works on each as the quadrant
 // layout stores it, low half then high half: one pass per pair of lifting
 // steps indexes interior neighbours directly, mirrors the two ends

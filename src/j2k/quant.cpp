@@ -43,7 +43,7 @@ void dequantize_buffer(const std::vector<std::int32_t>& in, std::vector<double>&
 {
     if (step <= 0.0) throw std::invalid_argument{"dequantize_buffer: step must be > 0"};
     out.resize(in.size());
-    kernels().dequant(in.data(), out.data(), step, in.size());
+    kernel::dequant(in.data(), out.data(), step, in.size());
 }
 
 }  // namespace j2k

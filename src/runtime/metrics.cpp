@@ -181,10 +181,6 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add_gauge("cache_session_entries", "session_entries", cache_session_entries);
     out.end();
 
-    out.add({.key = "kernel_isa"}, metric_value::text(kernel_isa));
-    const obs::metric_label isa[] = {{"isa", kernel_isa}};
-    out.add({.family = "kernel_dispatch", .type = gauge, .labels = isa}, 1);
-
     out.add_counter("tiles_decoded_total", "tiles_decoded", tiles_decoded);
     out.add_counter("tasks_stolen_total", "tasks_stolen", tasks_stolen);
     out.add_counter("pool_submissions_total", "pool_submissions", pool_submissions);

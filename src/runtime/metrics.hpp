@@ -53,10 +53,6 @@ struct metrics_snapshot {
     std::uint64_t resident_bytes = 0;       ///< see process_memory
     std::uint64_t resident_peak_bytes = 0;
 
-    // Kernel dispatch (filled by decode_service::metrics(); empty in a bare
-    // service_metrics::snapshot()).
-    const char* kernel_isa = "";     ///< resolved SIMD tier: "scalar" / "avx2"
-
     // Admission.
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;

@@ -7,7 +7,6 @@
 #include <codec/backend.hpp>
 #include <j2k/backend.hpp>
 #include <j2k/image.hpp>
-#include <j2k/kernels.hpp>
 #include <j2k/session.hpp>
 #include <obs/obs.hpp>
 
@@ -479,7 +478,6 @@ metrics_snapshot decode_service::metrics() const
     metrics_snapshot s = metrics_.snapshot();
     s.uptime_s = process_uptime_s();
     s.pool_threads = pool_->size();
-    s.kernel_isa = j2k::kernel_isa_name(j2k::active_kernel_isa());
     const process_memory mem = read_process_memory();
     s.resident_bytes = mem.resident_bytes;
     s.resident_peak_bytes = mem.resident_peak_bytes;

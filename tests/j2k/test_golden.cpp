@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,6 +97,34 @@ TEST(GoldenCorpus, EncoderReproducesCommittedStreams)
 {
     for (const auto& s : j2k_corpus::k_specs)
         EXPECT_EQ(j2k::encode(s.src.make(), s.params), load(s.file)) << s.file;
+}
+
+/// One FNV-1a digest over 64 seeded 9/7 encodes, one over their decodes.
+/// The 9/7 transforms and the irreversible colour transforms are the codec's
+/// double arithmetic: built for an FMA target (-march=x86-64-v3), any TU that
+/// let the compiler contract their multiply-adds would encode some of these
+/// images to other bytes.
+TEST(GoldenCorpus, Seeded97EncodesAndDecodesMatchPinnedDigests)
+{
+    constexpr int k_extents[] = {5, 16, 31, 33, 48, 64, 65, 80};
+    std::mt19937 rng{0x97D16E57u};
+    runtime::fnv1a streams;
+    runtime::fnv1a pixels;
+    for (int i = 0; i < 64; ++i) {
+        const int w = k_extents[rng() % std::size(k_extents)];
+        const int h = k_extents[rng() % std::size(k_extents)];
+        const int comps = rng() % 2 == 0 ? 1 : 3;
+        const int depth = rng() % 2 == 0 ? 8 : 12;
+        j2k::codec_params p;
+        p.mode = j2k::wavelet::w9_7;
+        p.levels = 1 + static_cast<int>(rng() % 5);
+        p.tile_width = p.tile_height = rng() % 2 == 0 ? 32 : 64;
+        const auto cs = j2k::encode(j2k::make_test_image(w, h, comps, depth, rng()), p);
+        streams.bytes(cs);
+        pixels.u64(fnv1a_image(j2k::decode(cs)));
+    }
+    EXPECT_EQ(streams.value(), 0x46C667823B3D3A7Full);
+    EXPECT_EQ(pixels.value(), 0xA7B5AB6ED61E1359ull);
 }
 
 struct t1_counters {

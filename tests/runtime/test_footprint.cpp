@@ -12,6 +12,7 @@
 #include <ccsds/ccsds123.hpp>
 #include <codec/backend.hpp>
 #include <codec/error.hpp>
+#include <j2k/backend.hpp>
 #include <j2k/j2k.hpp>
 #include <j2k/session.hpp>
 
@@ -249,6 +250,65 @@ TEST(Footprint, CcsdsHeaderDeclaringMoreSamplesThanItsBitsIsRefusedUpFront)
     EXPECT_LT(peak, std::int64_t{16} << 20) << "peak " << peak << " B";
     std::printf("refused in %lld us, peak %lld B\n", static_cast<long long>(us),
                 static_cast<long long>(peak));
+}
+
+/// A bare j2k main header declaring 16384×16384×1 (2^28 samples, the cap) in
+/// one tile, then zero-length payloads: the tile length of a plain stream, or
+/// a `layers`-entry chunk directory.  39 bytes plain, 43 with two layers.
+std::vector<std::uint8_t> j2k_header_without_blocks(int layers)
+{
+    j2k::stream_info info;
+    info.width = info.height = 16384;
+    info.components = 1;
+    info.tile_width = info.tile_height = 16384;
+    info.levels = 5;
+    info.quality_layers = layers;
+    j2k::byte_writer w;
+    j2k::write_header(w, info);
+    for (int l = 0; l < layers; ++l) w.u32(0);
+    return w.take();
+}
+
+/// Decodes `cs` through the registered backend (the service's one-shot
+/// path) and expects a codestream_error under 16 MiB of counted peak.
+void expect_refused_up_front(const std::vector<std::uint8_t>& cs)
+{
+    const codec::backend& be = j2k::ensure_backend_registered();
+    reset_peak();
+    const std::int64_t base = live();
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        (void)be.decode(cs, {}, nullptr);
+        ADD_FAILURE() << "a stream without code-blocks decoded";
+    } catch (const codec::codestream_error& e) {
+        std::printf("refused: %s\n", e.what());
+    }
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    const std::int64_t peak = g_peak.load(std::memory_order_relaxed) - base;
+    EXPECT_LT(peak, std::int64_t{16} << 20) << "peak " << peak << " B";
+    std::printf("%zu-byte stream refused in %lld us, peak %lld B\n", cs.size(),
+                static_cast<long long>(us), static_cast<long long>(peak));
+}
+
+TEST(Footprint, J2kTilePayloadShorterThanItsCodeblocksIsRefusedUpFront)
+{
+    // Every code-block costs at least 5 payload bytes (a plane count and a
+    // length), so a zero-length payload cannot hold the 2^18 blocks of this
+    // tile; it must be refused before the tile's planes are sized, not after
+    // allocating 2 GiB of them.
+    const auto cs = j2k_header_without_blocks(1);
+    ASSERT_EQ(cs.size(), 39u);
+    expect_refused_up_front(cs);
+}
+
+TEST(Footprint, J2kLayerChunksShorterThanTheirCodeblocksAreRefusedUpFront)
+{
+    // The layered variant: layer 0 costs 6 bytes per block, later layers 5.
+    const auto cs = j2k_header_without_blocks(2);
+    ASSERT_EQ(cs.size(), 43u);
+    expect_refused_up_front(cs);
 }
 
 }  // namespace

@@ -276,7 +276,6 @@ const char* const k_pinned_samples[] = {
     "j2k_jobs_rejected_total",
     "j2k_jobs_shed_total{kind,priority}",
     "j2k_jobs_submitted_total",
-    "j2k_kernel_dispatch{isa}",
     "j2k_latency_us_count",
     "j2k_latency_us_max",
     "j2k_latency_us_sum",
@@ -360,7 +359,6 @@ const char* const k_pinned_service_keys[] = {
     "cache.pinned_bytes",
     "cache.entries",
     "cache.session_entries",
-    "kernel_isa",
     "tiles_decoded",
     "tasks_stolen",
     "pool_submissions",
@@ -556,7 +554,6 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
     s.tracing_armed = true;
     s.build = "Rel";
     s.compiler = "cc 1.0";
-    s.kernel_isa = "avx2";
     for (std::uint64_t* f :
          {&s.resident_bytes, &s.resident_peak_bytes, &s.jobs_submitted,
           &s.jobs_completed, &s.jobs_failed, &s.jobs_rejected, &s.jobs_dropped,
@@ -703,10 +700,8 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
     // Text values are JSON and dump only; Prometheus carries them as labels.
     EXPECT_EQ(json["process.build_type"], "\"Rel\"");
     EXPECT_EQ(json["process.compiler"], "\"cc 1.0\"");
-    EXPECT_EQ(json["kernel_isa"], "\"avx2\"");
     EXPECT_EQ(prom.at("j2k_build_info{type=\"Rel\",compiler=\"cc 1.0\"}"), "1");
-    EXPECT_EQ(prom.at("j2k_kernel_dispatch{isa=\"avx2\"}"), "1");
-    EXPECT_EQ(json.size(), want.size() + 3);  // the table covers every JSON value
+    EXPECT_EQ(json.size(), want.size() + 2);  // the table covers every JSON value
 
     std::size_t paired = 0;
     for (const auto& [path, w] : want) {
@@ -718,10 +713,10 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         const double scale = path.ends_with("_ms") ? 1e-3 : 1.0;  // ms → seconds
         EXPECT_NEAR(number(prom.at(w.sample)), w.value * scale, 1e-9 * w.value) << path;
     }
-    // The Prometheus-only samples: the two info gauges and the summary sum.
+    // The Prometheus-only samples: the build info gauge and the summary sum.
     EXPECT_NEAR(number(prom.at("j2k_latency_us_sum")),
                 s.latency_mean_us * static_cast<double>(s.latency_count), 0.05);
-    EXPECT_EQ(prom.size(), paired + 3);
+    EXPECT_EQ(prom.size(), paired + 2);
 }
 
 TEST(OpsServer, HealthzAndIndexRespond)
