@@ -190,13 +190,12 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
                                     std::pmr::memory_resource* mr) const
 {
     OBS_TRACE_SCOPE("j2k", "tier1");
-    const auto grid = tiles();
-    if (tile_index < 0 || tile_index >= static_cast<int>(grid.size()))
+    if (tile_index < 0 || tile_index >= tile_count())
         throw std::out_of_range{"entropy_decode: tile index"};
-    const tile_rect tr = grid[static_cast<std::size_t>(tile_index)];
+    const tile_rect tr = tile_at(info_.width, info_.height, info_.tile_width,
+                                 info_.tile_height, tile_index);
 
-    if (info_.quality_layers > 1)
-        return entropy_decode_layered(tile_index, stats, mr);
+    if (info_.quality_layers > 1) return entropy_decode_layered(tr, stats, mr);
 
     byte_reader r{cs_};
     r.seek(info_.tile_offsets[static_cast<std::size_t>(tile_index)]);
@@ -220,11 +219,9 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
     return tc;
 }
 
-tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
+tile_coeffs decoder::entropy_decode_layered(const tile_rect& tr, tier1_stats* stats,
                                             std::pmr::memory_resource* mr) const
 {
-    const auto grid = tiles();
-    const tile_rect tr = grid[static_cast<std::size_t>(tile_index)];
     const int layers = info_.quality_layers;
     const int use = max_layers_ <= 0 ? layers : std::min(max_layers_, layers);
 
@@ -238,8 +235,8 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
     std::vector<block_segments> blocks;
     for (int l = 0; l < use; ++l) {
         const std::size_t idx =
-            static_cast<std::size_t>(l) * static_cast<std::size_t>(grid.size()) +
-            static_cast<std::size_t>(tile_index);
+            static_cast<std::size_t>(l) * static_cast<std::size_t>(tile_count()) +
+            static_cast<std::size_t>(tr.index);
         byte_reader r{cs_};
         r.seek(info_.chunk_offsets[idx]);
         std::size_t bi = 0;

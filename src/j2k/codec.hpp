@@ -137,7 +137,7 @@ public:
 
 private:
     [[nodiscard]] tile_coeffs entropy_decode_layered(
-        int tile_index, tier1_stats* stats, std::pmr::memory_resource* mr) const;
+        const tile_rect& tr, tier1_stats* stats, std::pmr::memory_resource* mr) const;
 
     std::span<const std::uint8_t> cs_;
     stream_info info_;

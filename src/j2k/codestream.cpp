@@ -141,16 +141,27 @@ stream_info read_header(std::span<const std::uint8_t> cs)
     const std::uint64_t tiles_y =
         (static_cast<std::uint64_t>(info.height) + info.tile_height - 1) /
         info.tile_height;
-    if (tiles_x * tiles_y > k_max_tiles)
-        throw codestream_error{"tile count above decode limit"};
+    const std::uint64_t tiles = tiles_x * tiles_y;
+    if (tiles > k_max_tiles) throw codestream_error{"tile count above decode limit"};
+
+    // Every tile costs at least a u32 length, once per layer in a layered
+    // stream's directory, so a stream whose bytes cannot hold them is refused
+    // before anything is sized by the tile count.
+    const std::uint64_t entries = tiles * static_cast<std::uint64_t>(info.quality_layers);
+    if (entries > r.remaining() / 4)
+        throw codestream_error{info.quality_layers == 1 ? "codestream truncated"
+                                                        : "layer directory truncated"};
 
     // A payload too short for its tile's code-block headers is refused here,
     // before a decoder sizes the tile's planes from the header's geometry.
     // Tiles come in at most four sizes: the first tile's width or the last
     // column's, by the first tile's height or the last row's.
-    const auto tiles = tile_grid(info.width, info.height, info.tile_width, info.tile_height);
-    const tile_rect& first = tiles.front();
-    const tile_rect& last = tiles.back();
+    const auto rect = [&](std::uint64_t t) {
+        return tile_at(info.width, info.height, info.tile_width, info.tile_height,
+                       static_cast<int>(t));
+    };
+    const tile_rect first = rect(0);
+    const tile_rect last = rect(tiles - 1);
     const auto components = static_cast<std::uint64_t>(info.components);
     const auto per_size = [&](int w, int h) {
         return codeblocks(w, h, info.levels) * components;
@@ -158,15 +169,18 @@ stream_info read_header(std::span<const std::uint8_t> cs)
     const std::uint64_t blocks_of_size[2][2] = {
         {per_size(first.width, first.height), per_size(first.width, last.height)},
         {per_size(last.width, first.height), per_size(last.width, last.height)}};
-    const auto blocks = [&](const tile_rect& tr) {
+    const auto blocks = [&](std::uint64_t t) {
+        const tile_rect tr = rect(t);
         return blocks_of_size[tr.width != first.width][tr.height != first.height];
     };
     if (info.quality_layers == 1) {
         // Plain stream: each tile payload is prefixed by its u32 byte length.
-        for (std::size_t t = 0; t < tiles.size(); ++t) {
+        info.tile_offsets.reserve(tiles);
+        info.tile_lengths.reserve(tiles);
+        for (std::uint64_t t = 0; t < tiles; ++t) {
             const std::uint32_t len = r.u32();
             if (len > r.remaining()) throw codestream_error{"tile payload truncated"};
-            if (len < k_plain_block_bytes * blocks(tiles[t]))
+            if (len < k_plain_block_bytes * blocks(t))
                 throw codestream_error{"tile payload shorter than its code-blocks"};
             info.tile_offsets.push_back(r.pos());
             info.tile_lengths.push_back(len);
@@ -175,25 +189,21 @@ stream_info read_header(std::span<const std::uint8_t> cs)
     } else {
         // Layered stream: a directory of L×T chunk lengths, then the chunks
         // in layer-major order (quality-progressive).
-        const std::size_t n =
-            static_cast<std::size_t>(info.quality_layers) * tiles.size();
-        // Directory must physically fit in the remaining bytes before the
-        // entry vector is allocated (n can be ~256M on hostile headers).
-        if (n > r.remaining() / 4)
-            throw codestream_error{"layer directory truncated"};
-        std::vector<std::uint32_t> lens(n);
+        std::vector<std::uint32_t> lens(entries);
         for (auto& l : lens) l = r.u32();
         // Validate each chunk against the bytes left *before* accumulating:
         // summing first and comparing after can wrap `off` past the stream
         // end on hostile (e.g. UINT32_MAX) directory entries.
         const std::size_t end = r.pos() + r.remaining();  // == stream size
         std::size_t off = r.pos();
-        for (std::size_t i = 0; i < n; ++i) {
+        info.chunk_offsets.reserve(entries);
+        info.chunk_lengths.reserve(entries);
+        for (std::uint64_t i = 0; i < entries; ++i) {
             const std::uint32_t len = lens[i];
             if (len > end - off) throw codestream_error{"layered payload truncated"};
             const std::uint64_t per_block =
-                i < tiles.size() ? k_first_layer_block_bytes : k_later_layer_block_bytes;
-            if (len < per_block * blocks(tiles[i % tiles.size()]))
+                i < tiles ? k_first_layer_block_bytes : k_later_layer_block_bytes;
+            if (len < per_block * blocks(i % tiles))
                 throw codestream_error{"layer chunk shorter than its code-blocks"};
             info.chunk_offsets.push_back(off);
             info.chunk_lengths.push_back(len);

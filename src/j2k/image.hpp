@@ -40,6 +40,9 @@ struct tile_rect {
 /// Border tiles are clipped; every pixel belongs to exactly one tile.
 [[nodiscard]] std::vector<tile_rect> tile_grid(int w, int h, int tw, int th);
 
+/// Tile `index` of that grid (raster order), without building the grid.
+[[nodiscard]] tile_rect tile_at(int w, int h, int tw, int th, int index);
+
 /// Copy tile `r` of component plane `src` into a dense plane.
 [[nodiscard]] plane extract_tile(const plane& src, const tile_rect& r);
 

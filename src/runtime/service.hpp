@@ -17,7 +17,7 @@
 // capability gate, then a layer stream or a backend decode through the cache.
 // A j2k decode fans out per tile on this service's pool (tiles are
 // independent, so the result is byte-identical to a serial decode); idle
-// workers steal tile subtasks from busy ones via lock-free Chase–Lev deques,
+// workers take the decoding worker's tile tokens from the pool's run queue,
 // so one large image parallelises even when it is the only job in flight.
 // Results travel in wire form where they can.  Every result bound for a
 // completion or the cache is packed once, on the worker, into a raw_image

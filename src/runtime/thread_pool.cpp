@@ -2,8 +2,10 @@
 
 #include <obs/trace.hpp>
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -12,7 +14,7 @@ namespace runtime {
 namespace {
 
 /// Which pool (and worker slot) the current thread belongs to, so submit()
-/// can route spawned subtasks onto the spawning worker's own deque.
+/// can tag a spawned subtask with the worker that spawned it.
 thread_local thread_pool* tl_pool = nullptr;
 thread_local int tl_worker = -1;
 
@@ -22,9 +24,6 @@ thread_pool::thread_pool(int workers)
 {
     if (workers <= 0)
         workers = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    deques_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i)
-        deques_.push_back(std::make_unique<work_deque<task>>());
     workers_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i)
         workers_.emplace_back([this, i] { worker_loop(i); });
@@ -32,107 +31,70 @@ thread_pool::thread_pool(int workers)
 
 thread_pool::~thread_pool()
 {
-    stop_.store(true, std::memory_order_release);
     {
-        std::lock_guard lk{wake_m_};
+        std::lock_guard lk{m_};
+        stop_ = true;
     }
-    wake_cv_.notify_all();
+    cv_.notify_all();
     for (auto& t : workers_) t.join();
 }
 
 void thread_pool::submit(task t)
 {
-    if (tl_pool == this && tl_worker >= 0) {
-        // Worker-local: owner push onto the Chase–Lev deque, no lock.
-        deques_[static_cast<std::size_t>(tl_worker)]->push(new task{std::move(t)});
-    } else {
-        std::lock_guard lk{inject_m_};
-        injected_.push_back({std::move(t), /*root=*/false});
-    }
-    pending_.fetch_add(1, std::memory_order_release);
-    {
-        // Taking the wake mutex (even empty) orders this notify after any
-        // worker's predicate check, so the wakeup cannot be lost.
-        std::lock_guard lk{wake_m_};
-    }
-    wake_cv_.notify_one();
+    push({std::move(t), tl_pool == this ? tl_worker : -1, /*root=*/false});
 }
 
 void thread_pool::submit_root(task t)
 {
-    // Always the injection queue, even from a worker: anything on a worker's
-    // own deque is fair game for a helping loop, and a root task must never
-    // start inside one (it may block on another job — see the header).
-    {
-        std::lock_guard lk{inject_m_};
-        injected_.push_back({std::move(t), /*root=*/true});
-    }
-    pending_.fetch_add(1, std::memory_order_release);
-    {
-        std::lock_guard lk{wake_m_};
-    }
-    wake_cv_.notify_one();
+    // Owned by no worker: a helper takes its own worker's tasks first, and a
+    // root task must never start inside a helping loop (see the header).
+    push({std::move(t), -1, /*root=*/true});
 }
 
-bool thread_pool::pop_or_steal(int self, task& out, bool allow_root)
+void thread_pool::push(queued_task q)
 {
-    // Own deque first, from the bottom: the most recently spawned subtask has
-    // the hottest working set.
-    if (self >= 0) {
-        if (task* p = deques_[static_cast<std::size_t>(self)]->pop()) {
-            out = std::move(*p);
-            delete p;
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    // Then the injection queue: the oldest externally submitted job.  Helpers
-    // (allow_root == false) take the oldest *non-root* entry and leave root
-    // jobs for a worker's top-level loop.
     {
-        std::lock_guard lk{inject_m_};
-        if (allow_root) {
-            if (!injected_.empty()) {
-                out = std::move(injected_.front().fn);
-                injected_.pop_front();
-                pending_.fetch_sub(1, std::memory_order_relaxed);
-                return true;
-            }
-        } else {
-            for (auto it = injected_.begin(); it != injected_.end(); ++it) {
-                if (it->root) continue;
-                out = std::move(it->fn);
-                injected_.erase(it);
-                pending_.fetch_sub(1, std::memory_order_relaxed);
-                return true;
-            }
-        }
+        std::lock_guard lk{m_};
+        queue_.push_back(std::move(q));
     }
-    // Steal from the top of a victim, scanning from a rotating start so
-    // thieves spread over victims instead of all hammering worker 0.
-    const std::size_t n = deques_.size();
-    const std::size_t start = steal_seed_.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t v = (start + k) % n;
-        if (static_cast<int>(v) == self) continue;
-        if (task* p = deques_[v]->steal()) {
-            out = std::move(*p);
-            delete p;
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            const auto steals = stolen_.fetch_add(1, std::memory_order_relaxed) + 1;
-            OBS_TRACE_COUNTER("runtime", "steals", steals);
-            return true;
-        }
+    // An idle worker tests the queue under m_ before it waits, so it either
+    // sees this task or is already waiting for this notify.
+    cv_.notify_one();
+}
+
+bool thread_pool::take(int self, bool allow_root, task& out)
+{
+    // The newest task this worker submitted (never a root one): the subtask
+    // it just spawned.  Otherwise the oldest task it may run.
+    auto it = queue_.end();
+    if (self >= 0) {
+        const auto own = std::find_if(queue_.rbegin(), queue_.rend(),
+                                      [&](const queued_task& q) { return q.owner == self; });
+        if (own != queue_.rend()) it = std::prev(own.base());
     }
-    return false;
+    if (it == queue_.end())
+        it = std::find_if(queue_.begin(), queue_.end(),
+                          [&](const queued_task& q) { return allow_root || !q.root; });
+    if (it == queue_.end()) return false;
+
+    out = std::move(it->fn);
+    const bool stolen = it->owner >= 0 && it->owner != self;
+    queue_.erase(it);
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    if (stolen) {
+        const auto steals = stolen_.fetch_add(1, std::memory_order_relaxed) + 1;
+        OBS_TRACE_COUNTER("runtime", "steals", steals);
+    }
+    return true;
 }
 
 bool thread_pool::try_run_one()
 {
     task t;
-    const int self = (tl_pool == this) ? tl_worker : -1;
-    if (!pop_or_steal(self, t, /*allow_root=*/false)) return false;
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard lk{m_};
+        if (!take(tl_pool == this ? tl_worker : -1, /*allow_root=*/false, t)) return false;
+    }
     t();
     return true;
 }
@@ -144,22 +106,16 @@ void thread_pool::worker_loop(int index)
 #if OBS_TRACING_ENABLED
     obs::tracer::instance().set_thread_name("pool-worker-" + std::to_string(index));
 #endif
-    task t;
+    std::unique_lock lk{m_};
     for (;;) {
-        if (pop_or_steal(index, t, /*allow_root=*/true)) {
-            executed_.fetch_add(1, std::memory_order_relaxed);
-            t();
-            t = nullptr;
-            continue;
-        }
-        std::unique_lock lk{wake_m_};
-        if (stop_.load(std::memory_order_acquire) &&
-            pending_.load(std::memory_order_acquire) == 0)
-            break;  // drain-on-exit: leave only once nothing is pending
-        wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
-            return stop_.load(std::memory_order_acquire) ||
-                   pending_.load(std::memory_order_acquire) > 0;
-        });
+        cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+        task t;
+        // Drain on exit: a stopping pool leaves only once the queue is empty.
+        if (!take(index, /*allow_root=*/true, t)) return;
+        lk.unlock();
+        t();
+        t = nullptr;  // a task's captures die outside the lock too
+        lk.lock();
     }
 }
 

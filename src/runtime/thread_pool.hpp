@@ -1,18 +1,18 @@
-// runtime/thread_pool.hpp — fixed worker pool with per-worker lock-free
-// work-stealing deques.
+// runtime/thread_pool.hpp — fixed worker pool over one locked run queue.
 //
-// Workers own a Chase–Lev deque each (see work_deque.hpp): the owner pushes
-// and pops at the bottom with plain atomics (LIFO, good locality for subtasks
-// it just spawned), idle workers steal from the top with a single CAS (FIFO,
-// takes the oldest — typically largest — piece of a competing job).  The
-// per-task hot path (a worker fanning tiles out to its siblings) therefore
-// crosses no mutex at all.
+// Every task, whoever submits it, goes into one queue guarded by one mutex,
+// tagged with the pool worker that submitted it (none for a thread outside
+// the pool, and none for a root task).  A thread takes the newest task it
+// submitted itself, the subtask it just spawned and whose data is warm; if it
+// has none, it takes the oldest task it is allowed to run.  Idle workers wait
+// on one condition variable without a timeout: every push is made under the
+// mutex, so its notify cannot be lost.  This is the paper's application model
+// on the host: software tasks that share work through one guarded object whose
+// methods a single lock serialises.
 //
-// Tasks submitted from *outside* the pool cannot use an owner end, so they
-// land on a shared mutex-guarded injection queue instead; workers drain it
-// FIFO between their own deque and stealing.  That queue sees one push per
-// externally submitted job (the admission path), not per subtask, so the
-// mutex is off the hot path by construction.
+// The lock carries little traffic.  Each decode job queues its one root pump,
+// and a `parallel_for` queues one token per extra thread: a 16-tile decode
+// queues 1 on a 2-worker pool and 3 on a 4-worker pool, a 1-tile one none.
 //
 // `parallel_for` is the fork/join primitive the decode service fans tiles out
 // with.  The calling thread *helps* — it executes pending tasks while it
@@ -26,14 +26,12 @@
 // finish.  Root tasks therefore start only from a worker's top-level loop.
 #pragma once
 
-#include "work_deque.hpp"
-
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,9 +53,8 @@ public:
 
     [[nodiscard]] int size() const noexcept { return static_cast<int>(workers_.size()); }
 
-    /// Enqueue a task.  From a worker thread the task lands on that worker's
-    /// own deque (stealable by the others); from outside, on the shared
-    /// injection queue.
+    /// Enqueue a task.  From a worker thread the task belongs to that worker,
+    /// which takes it back first; any idle thread may take it meanwhile.
     void submit(task t);
 
     /// Enqueue a *root* task: one that may block waiting on the result of
@@ -65,8 +62,8 @@ public:
     /// cache entry).  Root tasks only ever start from a worker's top-level
     /// loop — never from inside a `parallel_for` helping loop — so a task
     /// that is itself mid-job can never nest a second job on its stack and
-    /// then block on work buried beneath its own frames.  They always go to
-    /// the shared injection queue, even when submitted from a worker.
+    /// then block on work buried beneath its own frames.  A root task belongs
+    /// to no worker, even when submitted from one.
     void submit_root(task t);
 
     /// Run `fn(0) .. fn(n-1)`, returning when all have finished.  Subtasks
@@ -78,10 +75,11 @@ public:
     /// after the loop has quiesced.
     void parallel_for(int n, const std::function<void(int)>& fn, int max_concurrency = 0);
 
-    /// Execute one pending task if any is available.  Returns false when
-    /// every deque was empty.  Exposed so blocked threads can help.  Helpers
-    /// skip root tasks (see `submit_root`): running a blocking job from a
-    /// helping loop would stack it on top of the very work it waits for.
+    /// Execute one pending task if any is available.  Returns false when the
+    /// queue held none this thread may run.  Exposed so blocked threads can
+    /// help.  Helpers skip root tasks (see `submit_root`): running a blocking
+    /// job from a helping loop would stack it on top of the very work it
+    /// waits for.
     bool try_run_one();
 
     /// Tasks executed since construction (all workers + helpers).
@@ -90,7 +88,8 @@ public:
         return executed_.load(std::memory_order_relaxed);
     }
 
-    /// Steals observed since construction (tasks run by a non-owning worker).
+    /// Steals since construction: tasks run by a thread other than the pool
+    /// worker that submitted them.
     [[nodiscard]] std::uint64_t tasks_stolen() const noexcept
     {
         return stolen_.load(std::memory_order_relaxed);
@@ -107,27 +106,25 @@ public:
     [[nodiscard]] static thread_pool* current() noexcept;
 
 private:
-    void worker_loop(int index);
-    bool pop_or_steal(int self, task& out, bool allow_root);
-
-    struct injected_task {
+    struct queued_task {
         task fn;
+        int owner = -1;     ///< index of the submitting worker, or -1
         bool root = false;  ///< only a worker's top-level loop may run it
     };
 
-    std::vector<std::unique_ptr<work_deque<task>>> deques_;
-    std::vector<std::thread> workers_;
+    void push(queued_task q);
+    /// With `m_` held: move the task worker `self` (-1 off-pool) runs next
+    /// into `out` and count it; false when there is none it may run.
+    bool take(int self, bool allow_root, task& out);
+    void worker_loop(int index);
 
-    std::mutex inject_m_;
-    std::deque<injected_task> injected_;  ///< external submissions (admission path)
-
-    std::mutex wake_m_;
-    std::condition_variable wake_cv_;
-    std::atomic<int> pending_{0};
-    std::atomic<bool> stop_{false};
-    std::atomic<std::size_t> steal_seed_{0};
+    std::mutex m_;
+    std::condition_variable cv_;
+    std::deque<queued_task> queue_;  ///< guarded by m_
+    bool stop_ = false;              ///< guarded by m_
     std::atomic<std::uint64_t> executed_{0};
     std::atomic<std::uint64_t> stolen_{0};
+    std::vector<std::thread> workers_;  ///< last: the workers use every member above
 };
 
 }  // namespace runtime

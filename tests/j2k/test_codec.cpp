@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 namespace {
 
@@ -239,6 +242,37 @@ TEST(Image, TileGridCoversImage)
     EXPECT_EQ(area, 100 * 60);
     EXPECT_EQ(tiles.back().width, 4);   // 100 - 3*32
     EXPECT_EQ(tiles.back().height, 28); // 60 - 32
+}
+
+TEST(Image, TileAtIsTheRasterOrderTileOfTheGrid)
+{
+    struct geometry {
+        int w, h, tw, th;
+    };
+    for (const geometry g : {geometry{100, 60, 32, 32}, geometry{64, 64, 64, 64},
+                             geometry{7, 5, 1, 1}, geometry{30, 90, 64, 16},
+                             geometry{65, 47, 32, 48}}) {
+        std::vector<j2k::tile_rect> expect;  // row by row, clipped at the borders
+        for (int y = 0; y < g.h; y += g.th)
+            for (int x = 0; x < g.w; x += g.tw)
+                expect.push_back({static_cast<int>(expect.size()), x, y,
+                                  std::min(g.tw, g.w - x), std::min(g.th, g.h - y)});
+        const auto grid = j2k::tile_grid(g.w, g.h, g.tw, g.th);
+        ASSERT_EQ(grid.size(), expect.size());
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            const j2k::tile_rect t = j2k::tile_at(g.w, g.h, g.tw, g.th, static_cast<int>(i));
+            for (const j2k::tile_rect& r : {t, grid[i]}) {
+                EXPECT_EQ(r.index, expect[i].index);
+                EXPECT_EQ(r.x0, expect[i].x0);
+                EXPECT_EQ(r.y0, expect[i].y0);
+                EXPECT_EQ(r.width, expect[i].width);
+                EXPECT_EQ(r.height, expect[i].height);
+            }
+        }
+        const int n = static_cast<int>(expect.size());
+        EXPECT_THROW((void)j2k::tile_at(g.w, g.h, g.tw, g.th, n), std::out_of_range);
+        EXPECT_THROW((void)j2k::tile_at(g.w, g.h, g.tw, g.th, -1), std::out_of_range);
+    }
 }
 
 TEST(Image, ExtractInsertRoundTrip)

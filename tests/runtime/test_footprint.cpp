@@ -1,11 +1,12 @@
 // Heap footprint of the decode service, counted by a replaced global
 // operator new/delete: what an idle service holds, how far a progressive
 // job's live heap rises above what outlives it, what a cached entry costs,
-// and what a hostile header costs before it is refused.  Decode scratch comes
-// from the heap and is freed as each stage ends, so the progressive peak is
-// one image, the session's persistent block state and the job's own
-// codestream, plus a few per-tile buffers; it does not grow with the number
-// of layers.  A separate binary, because the replacement is process-wide.
+// what a hostile header costs before it is refused, and what a decode of
+// many tiles allocates in all.  Decode scratch comes from the heap and is
+// freed as each stage ends, so the progressive peak is one image, the
+// session's persistent block state and the job's own codestream, plus a few
+// per-tile buffers; it does not grow with the number of layers.  A separate
+// binary, because the replacement is process-wide.
 #include <runtime/cache/decoded_cache.hpp>
 #include <runtime/service.hpp>
 
@@ -39,11 +40,13 @@ namespace {
 
 std::atomic<std::int64_t> g_live{0};
 std::atomic<std::int64_t> g_peak{0};
+std::atomic<std::int64_t> g_total{0};  ///< every byte ever allocated
 
 void* counted(void* p)
 {
     if (p == nullptr) throw std::bad_alloc{};
     const auto n = static_cast<std::int64_t>(malloc_usable_size(p));
+    g_total.fetch_add(n, std::memory_order_relaxed);
     const std::int64_t now = g_live.fetch_add(n, std::memory_order_relaxed) + n;
     std::int64_t peak = g_peak.load(std::memory_order_relaxed);
     while (now > peak &&
@@ -252,25 +255,26 @@ TEST(Footprint, CcsdsHeaderDeclaringMoreSamplesThanItsBitsIsRefusedUpFront)
                 static_cast<long long>(peak));
 }
 
-/// A bare j2k main header declaring 16384×16384×1 (2^28 samples, the cap) in
-/// one tile, then zero-length payloads: the tile length of a plain stream, or
-/// a `layers`-entry chunk directory.  39 bytes plain, 43 with two layers.
-std::vector<std::uint8_t> j2k_header_without_blocks(int layers)
+/// A bare j2k main header for a size×size single-component image in
+/// tile×tile tiles with `layers` quality layers, then `lengths` zero u32
+/// lengths.
+std::vector<std::uint8_t> j2k_bare_header(int size, int tile, int layers, int lengths)
 {
     j2k::stream_info info;
-    info.width = info.height = 16384;
+    info.width = info.height = size;
     info.components = 1;
-    info.tile_width = info.tile_height = 16384;
+    info.tile_width = info.tile_height = tile;
     info.levels = 5;
     info.quality_layers = layers;
     j2k::byte_writer w;
     j2k::write_header(w, info);
-    for (int l = 0; l < layers; ++l) w.u32(0);
+    for (int l = 0; l < lengths; ++l) w.u32(0);
     return w.take();
 }
 
 /// Decodes `cs` through the registered backend (the service's one-shot
-/// path) and expects a codestream_error under 16 MiB of counted peak.
+/// path) and expects a codestream_error in under 10 ms and under 16 MiB of
+/// counted peak.
 void expect_refused_up_front(const std::vector<std::uint8_t>& cs)
 {
     const codec::backend& be = j2k::ensure_backend_registered();
@@ -288,17 +292,19 @@ void expect_refused_up_front(const std::vector<std::uint8_t>& cs)
                         .count();
     const std::int64_t peak = g_peak.load(std::memory_order_relaxed) - base;
     EXPECT_LT(peak, std::int64_t{16} << 20) << "peak " << peak << " B";
+    EXPECT_LT(us, 10'000) << "refused in " << us << " us";
     std::printf("%zu-byte stream refused in %lld us, peak %lld B\n", cs.size(),
                 static_cast<long long>(us), static_cast<long long>(peak));
 }
 
 TEST(Footprint, J2kTilePayloadShorterThanItsCodeblocksIsRefusedUpFront)
 {
-    // Every code-block costs at least 5 payload bytes (a plane count and a
-    // length), so a zero-length payload cannot hold the 2^18 blocks of this
-    // tile; it must be refused before the tile's planes are sized, not after
-    // allocating 2 GiB of them.
-    const auto cs = j2k_header_without_blocks(1);
+    // A 16384×16384 image (2^28 samples, the cap) in one tile with a
+    // zero-length payload.  Every code-block costs at least 5 payload bytes
+    // (a plane count and a length), so the payload cannot hold the 2^18
+    // blocks of this tile; it must be refused before the tile's planes are
+    // sized, not after allocating 2 GiB of them.
+    const auto cs = j2k_bare_header(16384, 16384, 1, 1);
     ASSERT_EQ(cs.size(), 39u);
     expect_refused_up_front(cs);
 }
@@ -306,9 +312,54 @@ TEST(Footprint, J2kTilePayloadShorterThanItsCodeblocksIsRefusedUpFront)
 TEST(Footprint, J2kLayerChunksShorterThanTheirCodeblocksAreRefusedUpFront)
 {
     // The layered variant: layer 0 costs 6 bytes per block, later layers 5.
-    const auto cs = j2k_header_without_blocks(2);
+    const auto cs = j2k_bare_header(16384, 16384, 2, 2);
     ASSERT_EQ(cs.size(), 43u);
     expect_refused_up_front(cs);
+}
+
+TEST(Footprint, J2kTileDirectoryShorterThanItsTileCountIsRefusedUpFront)
+{
+    // 1024×1024 in 1×1 tiles, 2^20 of them (the tile cap), and no bytes after
+    // the header.  Every tile costs at least its u32 length, so the stream is
+    // refused before anything is sized by the tile count, not after building
+    // 30 MiB of tile rectangles.
+    const auto cs = j2k_bare_header(1024, 1, 1, 0);
+    ASSERT_EQ(cs.size(), 35u);
+    expect_refused_up_front(cs);
+}
+
+TEST(Footprint, J2kLayerDirectoryShorterThanItsTileCountIsRefusedUpFront)
+{
+    // The layered twin: a directory needs a u32 per chunk (layer × tile).
+    const auto cs = j2k_bare_header(1024, 1, 2, 0);
+    ASSERT_EQ(cs.size(), 35u);
+    expect_refused_up_front(cs);
+}
+
+TEST(Footprint, J2kDecodeOfManyTilesAllocatesInProportionToThem)
+{
+    // A valid 128×128 stream in 1×1 tiles: 16384 tiles, ~11 bytes each.  A
+    // tile's rectangle must not cost a walk of the whole grid (16384 of them
+    // per tile, 10 GiB allocated in all); the decode allocates a few hundred
+    // bytes per tile.
+    j2k::codec_params p;
+    p.tile_width = p.tile_height = 1;
+    const j2k::image src = j2k::make_test_image(128, 128, 1);
+    const std::vector<std::uint8_t> cs = j2k::encode(src, p);
+    ASSERT_EQ(j2k::read_header(cs).tile_count(), 128 * 128);
+
+    const codec::backend& be = j2k::ensure_backend_registered();
+    const std::int64_t before = g_total.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const codec::image img = be.decode(cs, {}, nullptr);
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    const std::int64_t total = g_total.load(std::memory_order_relaxed) - before;
+    EXPECT_TRUE(img == src);
+    EXPECT_LT(total, std::int64_t{64} << 20) << "allocated " << total << " B";
+    std::printf("%zu-byte stream of 16384 tiles decoded in %lld ms, %lld B allocated\n",
+                cs.size(), static_cast<long long>(ms), static_cast<long long>(total));
 }
 
 }  // namespace

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -85,8 +90,8 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 
 TEST(ThreadPool, ParallelForFromInsideSubmittedTask)
 {
-    // Fan-out spawned by a pool task lands on that worker's own deque and is
-    // stolen by the others — the service's per-tile pattern.
+    // Fan-out spawned by a pool task belongs to that worker and is stolen by
+    // the others — the service's per-tile pattern.
     thread_pool pool{4};
     std::atomic<int> sum{0};
     std::promise<void> done;
@@ -129,7 +134,7 @@ TEST(ThreadPool, DestructorDrainsPendingTasks)
     {
         thread_pool pool{1};
         for (int i = 0; i < 50; ++i) pool.submit([&] { ran.fetch_add(1); });
-    }  // ~thread_pool joins after the deques are empty
+    }  // ~thread_pool joins after the queue is empty
     EXPECT_EQ(ran.load(), 50);
 }
 
@@ -153,9 +158,9 @@ TEST(ThreadPool, TryRunOneFromExternalThreadHelps)
 
 TEST(ThreadPool, ExternalHelperStealsFromWorkerDeque)
 {
-    // Deterministic steal: the only worker pushes a subtask onto its own
-    // Chase–Lev deque and then parks, so the helper's try_run_one can only
-    // obtain that task by stealing.
+    // Deterministic steal: the only worker submits a subtask of its own and
+    // then parks, so the helper's try_run_one can only obtain that task by
+    // stealing.
     thread_pool pool{1};
     std::atomic<bool> gate{false};
     std::atomic<int> inner_ran{0};
@@ -206,22 +211,62 @@ TEST(ThreadPool, RootTasksOnlyRunAtWorkerTopLevel)
 
 TEST(ThreadPool, FanOutFromWorkerIsBalancedByStealing)
 {
-    // A single submitted job fanning out across the pool: with more work
-    // than one worker can hold, siblings must steal a share of it.
+    // A single submitted job fanning out across the pool.  Iteration 0 holds
+    // its thread until a second thread enters the loop, which that thread can
+    // only do by taking a token the owning worker submitted: a steal.  Idle
+    // workers wait without a timeout, so if the notify after a worker-local
+    // submit were lost, no second thread would come and the wait would end at
+    // its 10 s bound.
     thread_pool pool{4};
+    std::mutex m;
+    std::condition_variable cv;
+    std::set<std::thread::id> entered;  // guarded by m
+    bool joined = false;                // as seen by iteration 0
     std::atomic<int> ran{0};
     std::promise<void> done;
     pool.submit([&] {
-        pool.parallel_for(512, [&](int) {
+        pool.parallel_for(512, [&](int i) {
+            {
+                std::unique_lock lk{m};
+                entered.insert(std::this_thread::get_id());
+                cv.notify_all();
+                if (i == 0)
+                    joined = cv.wait_for(lk, std::chrono::seconds(10),
+                                         [&] { return entered.size() >= 2; });
+            }
             ran.fetch_add(1);
-            std::this_thread::yield();
         });
         done.set_value();
     });
     done.get_future().wait();
+    EXPECT_TRUE(joined) << "no second thread entered the loop within 10 s";
     EXPECT_EQ(ran.load(), 512);
-    if (std::thread::hardware_concurrency() > 1) {
-        EXPECT_GT(pool.tasks_stolen(), 0u);
+    EXPECT_GT(pool.tasks_stolen(), 0u);
+}
+
+TEST(ThreadPool, FanOutFromATaskQueuesOneTokenPerExtraThread)
+{
+    // The run queue's traffic from one fan-out: inside a task on a k-worker
+    // pool, parallel_for(n, fn, c) queues min(n, k + 1, c) - 1 tokens (c = 0
+    // sets no cap), each executed once, beside the outer task.  A fan-out of
+    // one task per index would trip this, not quietly load the pool's lock.
+    constexpr int k = 4;
+    struct fan_out {
+        int n;
+        int cap;
+        std::uint64_t tokens;
+    };
+    for (const fan_out f : {fan_out{1000, 0, 4}, fan_out{1000, 2, 1}, fan_out{1, 0, 0}}) {
+        thread_pool pool{k};
+        std::atomic<int> ran{0};
+        std::promise<void> done;
+        pool.submit([&] {
+            pool.parallel_for(f.n, [&](int) { ran.fetch_add(1); }, f.cap);
+            done.set_value();
+        });
+        done.get_future().wait();
+        EXPECT_EQ(ran.load(), f.n);
+        EXPECT_EQ(pool.tasks_executed(), 1 + f.tokens) << "n=" << f.n << " cap=" << f.cap;
     }
 }
 
