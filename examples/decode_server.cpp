@@ -148,12 +148,11 @@ int run_serve(std::uint16_t port, std::size_t cache_bytes, int ops_port,
     if (cache_bytes) {
         const auto m = srv.service().metrics();
         std::printf("cache: hits=%llu misses=%llu collapses=%llu evictions=%llu "
-                    "session_resumes=%llu bytes=%llu\n",
+                    "bytes=%llu\n",
                     static_cast<unsigned long long>(m.cache_hits),
                     static_cast<unsigned long long>(m.cache_misses),
                     static_cast<unsigned long long>(m.cache_collapses),
                     static_cast<unsigned long long>(m.cache_evictions),
-                    static_cast<unsigned long long>(m.cache_session_resumes),
                     static_cast<unsigned long long>(m.cache_bytes));
     }
     return 0;

@@ -6,13 +6,41 @@ namespace j2k {
 
 namespace {
 
-/// Fewest payload bytes each code-block costs, whatever its data: a u8 plane
-/// count and a u32 length in a plain tile payload; a u8 plane count, a u8
-/// pass count and a u32 length in a layered stream's first layer; a pass
-/// count and a length in each later layer (codec.cpp writes exactly these).
-constexpr std::uint64_t k_plain_block_bytes = 5;
-constexpr std::uint64_t k_first_layer_block_bytes = 6;
-constexpr std::uint64_t k_later_layer_block_bytes = 5;
+/// The code-block header layouts (codec.cpp writes exactly these): in a plain
+/// tile payload a u8 plane count and a u32 segment length; in a layered
+/// stream's first-layer chunk a u8 plane count, a u8 pass count and a u32
+/// length; in a later-layer chunk a pass count and a length.
+enum class block_header { plain, first_layer, later_layer };
+
+/// Walk the headers of the `blocks` code-blocks of one tile payload or layer
+/// chunk, skipping each segment.  Throws when a header or a segment runs past
+/// the payload, or a plane count is implausible, so a decoder never sizes a
+/// plane for data that is not there.
+void walk_codeblocks(std::span<const std::uint8_t> payload, std::uint64_t blocks,
+                     block_header h)
+{
+    const bool layered = h != block_header::plain;
+    const bool planes = h != block_header::later_layer;
+    const std::size_t header_bytes = (planes ? 1u : 0u) + (layered ? 1u : 0u) + 4u;
+    // Indexed reads, not byte_reader calls: every cached j2k request parses
+    // its header, and this loop runs once per code-block per layer.
+    std::size_t pos = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        if (payload.size() - pos < header_bytes)
+            throw codestream_error{layered ? "layer chunk shorter than its code-blocks"
+                                           : "tile payload shorter than its code-blocks"};
+        if (planes && payload[pos] > k_max_bitplanes)
+            throw codestream_error{"implausible code-block plane count"};
+        pos += header_bytes;
+        const std::uint8_t* l = payload.data() + pos - 4;  // big-endian u32 length
+        const std::uint32_t len = std::uint32_t{l[0]} << 24 | std::uint32_t{l[1]} << 16 |
+                                  std::uint32_t{l[2]} << 8 | l[3];
+        if (len > payload.size() - pos)
+            throw codestream_error{layered ? "code-block segment overruns its layer chunk"
+                                           : "code-block segment overruns its tile payload"};
+        pos += len;
+    }
+}
 
 /// Code-blocks of one component of a w×h tile, as the codec walks them.
 [[nodiscard]] std::uint64_t codeblocks(int w, int h, int levels)
@@ -152,9 +180,10 @@ stream_info read_header(std::span<const std::uint8_t> cs)
         throw codestream_error{info.quality_layers == 1 ? "codestream truncated"
                                                         : "layer directory truncated"};
 
-    // A payload too short for its tile's code-block headers is refused here,
-    // before a decoder sizes the tile's planes from the header's geometry.
-    // Tiles come in at most four sizes: the first tile's width or the last
+    // Every code-block header of every tile is walked here, and a payload
+    // whose headers or segments do not fit it is refused, before a decoder
+    // sizes the image or a tile's planes from the header's geometry.  Tiles
+    // come in at most four sizes: the first tile's width or the last
     // column's, by the first tile's height or the last row's.
     const auto rect = [&](std::uint64_t t) {
         return tile_at(info.width, info.height, info.tile_width, info.tile_height,
@@ -180,11 +209,9 @@ stream_info read_header(std::span<const std::uint8_t> cs)
         for (std::uint64_t t = 0; t < tiles; ++t) {
             const std::uint32_t len = r.u32();
             if (len > r.remaining()) throw codestream_error{"tile payload truncated"};
-            if (len < k_plain_block_bytes * blocks(t))
-                throw codestream_error{"tile payload shorter than its code-blocks"};
             info.tile_offsets.push_back(r.pos());
             info.tile_lengths.push_back(len);
-            r.seek(r.pos() + len);
+            walk_codeblocks(r.bytes(len), blocks(t), block_header::plain);
         }
     } else {
         // Layered stream: a directory of L×T chunk lengths, then the chunks
@@ -201,10 +228,9 @@ stream_info read_header(std::span<const std::uint8_t> cs)
         for (std::uint64_t i = 0; i < entries; ++i) {
             const std::uint32_t len = lens[i];
             if (len > end - off) throw codestream_error{"layered payload truncated"};
-            const std::uint64_t per_block =
-                i < tiles ? k_first_layer_block_bytes : k_later_layer_block_bytes;
-            if (len < per_block * blocks(i % tiles))
-                throw codestream_error{"layer chunk shorter than its code-blocks"};
+            walk_codeblocks(cs.subspan(off, len), blocks(i % tiles),
+                            i < tiles ? block_header::first_layer
+                                      : block_header::later_layer);
             info.chunk_offsets.push_back(off);
             info.chunk_lengths.push_back(len);
             off += len;

@@ -141,9 +141,10 @@ inline constexpr std::uint64_t k_max_tiles = std::uint64_t{1} << 20;
 /// Serialise the main header.
 void write_header(byte_writer& w, const stream_info& info);
 
-/// Parse the main header and the tile directory.  Throws codestream_error,
-/// also for a tile payload or layer chunk too short to hold the headers of
-/// its code-blocks (at least 5 bytes each), before anything is sized.
+/// Parse the main header and the tile directory, and walk the code-block
+/// headers of every tile payload and layer chunk.  Throws codestream_error,
+/// also for a payload or chunk whose block headers or segments run past it,
+/// or a block declaring more than k_max_bitplanes, before anything is sized.
 [[nodiscard]] stream_info read_header(std::span<const std::uint8_t> cs);
 
 }  // namespace j2k

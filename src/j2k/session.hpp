@@ -93,9 +93,9 @@ public:
 
     /// Approximate bytes of persistent decoder state this session retains
     /// (per-block magnitudes, flag planes, MQ contexts; the codestream span
-    /// is the caller's and not included).  Drives the byte budget of the
-    /// runtime's decoded-result cache, which holds sessions as resumable
-    /// prefixes.  Plain (single-layer) streams retain no block state: 0.
+    /// is the caller's and not included): what a progressive job holds
+    /// beside its output image between refinements.  Plain (single-layer)
+    /// streams retain no block state: 0.
     [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
 private:

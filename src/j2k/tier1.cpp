@@ -584,7 +584,7 @@ tier1_block_decoder::tier1_block_decoder(int width, int height, int num_planes,
         throw std::invalid_argument{"tier1_block_decoder: empty block"};
     // num_planes is stream data, not an API argument — malformed values are a
     // codestream error so hostile inputs stay inside the decode error contract.
-    if (num_planes < 0 || num_planes > 31)
+    if (num_planes < 0 || num_planes > k_max_bitplanes)
         throw codestream_error{"tier1_block_decoder: implausible plane count"};
     st_ = std::make_unique<state>(width, height, num_planes, orient, mr);
 }
@@ -653,7 +653,7 @@ void tier1_decode(int width, int height, int num_planes, std::span<const std::ui
     if (width <= 0 || height <= 0)
         throw std::invalid_argument{"tier1_decode: empty block"};
     // Stream data, same contract as tier1_decode_layered above.
-    if (num_planes < 0 || num_planes > 31)
+    if (num_planes < 0 || num_planes > k_max_bitplanes)
         throw codestream_error{"tier1_decode: implausible bit-plane count"};
     if (num_planes == 0) {
         for (int y = 0; y < height; ++y) std::fill_n(out + y * out_stride, width, 0);

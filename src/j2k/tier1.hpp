@@ -98,6 +98,10 @@ struct tier1_stats {
 /// Nominal code-block size used throughout this codec.
 inline constexpr int k_codeblock_size = 32;
 
+/// Most magnitude bit-planes a code-block may declare (a coefficient is an
+/// int32 with its sign kept apart).  A larger count is stream corruption.
+inline constexpr int k_max_bitplanes = 31;
+
 /// Encode `w`×`h` signed quantised coefficients (row-major) of a subband with
 /// orientation `orient`.
 [[nodiscard]] codeblock tier1_encode(const std::int32_t* coeffs, int w, int h,
@@ -152,8 +156,8 @@ public:
     /// `num_planes` is stream data: implausible values throw codestream_error
     /// (empty geometry stays std::invalid_argument, as for tier1_decode).
     /// `mr` backs the per-block coder state; leave it null (heap) for
-    /// decoders that outlive the resource — session slots deposited into the
-    /// result cache always are.
+    /// decoders that outlive the resource — a session's persistent block
+    /// slots always are.
     tier1_block_decoder(int width, int height, int num_planes, band orient,
                         std::pmr::memory_resource* mr = nullptr);
     ~tier1_block_decoder();

@@ -58,15 +58,6 @@ struct basic_decoded_cache<Value>::image_entry {
                                 ///< skipped at eviction time)
 };
 
-/// One resident resumable prefix.  `session` is empty while checked out.
-template <typename Value>
-struct basic_decoded_cache<Value>::session_entry {
-    input_ptr bytes;
-    std::optional<j2k::decode_session> session;
-    std::size_t resident = 0;  ///< accounted bytes (codestream + decoder state)
-    bool leased = false;
-};
-
 /// Single-flight rendezvous: the leader publishes exactly once, waiters block
 /// on the flight's own cv (not the cache mutex) so a long decode never holds
 /// the cache lock.
@@ -111,12 +102,10 @@ void basic_decoded_cache<Value>::account_erase_locked(std::size_t bytes, bool pi
 template <typename Value>
 void basic_decoded_cache<Value>::evict_to_budget_locked()
 {
-    // Unpinned images go first, coldest first; session prefixes only after
-    // every unpinned image is gone (a prefix took O(layers) tier-1 work to
-    // build, an image only synthesis).  Leased sessions and pinned images are
-    // untouchable, so a fully pinned cache may sit above budget — bounded,
-    // because inserts refuse the pin bit once pins alone would exceed the
-    // budget (see complete_flight/insert).
+    // Unpinned entries go coldest first.  Pinned ones are untouchable, so a
+    // fully pinned cache may sit above budget — bounded, because inserts
+    // refuse the pin bit once pins alone would exceed the budget (see
+    // complete_flight/insert).
     auto it = lru_.end();
     while (bytes_ > budget_ && it != lru_.begin()) {
         --it;
@@ -125,16 +114,6 @@ void basic_decoded_cache<Value>::evict_to_budget_locked()
         account_erase_locked(found->second.bytes, false);
         it = lru_.erase(it);
         images_.erase(found);
-        ++evictions_;
-        OBS_TRACE_INSTANT("cache", "evict");
-    }
-    for (auto sit = sessions_.begin(); bytes_ > budget_ && sit != sessions_.end();) {
-        if (sit->second.leased) {
-            ++sit;
-            continue;
-        }
-        account_erase_locked(sit->second.resident, false);
-        sit = sessions_.erase(sit);
         ++evictions_;
         OBS_TRACE_INSTANT("cache", "evict");
     }
@@ -298,80 +277,6 @@ bool basic_decoded_cache<Value>::set_pinned(const cache_key& k, bool pinned)
 }
 
 template <typename Value>
-auto basic_decoded_cache<Value>::checkout_session(std::uint64_t content_hash,
-                                                  std::span<const std::uint8_t> expect,
-                                                  int max_layers)
-    -> std::optional<session_lease>
-{
-    std::lock_guard lk{m_};
-    auto it = sessions_.find(content_hash);
-    if (it == sessions_.end() || it->second.leased || !it->second.session) return std::nullopt;
-    session_entry& e = it->second;
-    if (e.session->layers_decoded() > max_layers)
-        return std::nullopt;  // deeper than the request: not bit-exact to resume
-    if (!std::ranges::equal(view(e.bytes), expect))
-        return std::nullopt;  // hash collision or stale entry: never resume
-    e.leased = true;
-    ++session_resumes_;
-    OBS_TRACE_INSTANT("cache", "session_resume");
-    // The entry keeps its byte accounting until return.
-    session_lease lease{std::move(e.bytes), std::move(*e.session)};
-    e.session.reset();
-    return lease;
-}
-
-template <typename Value>
-void basic_decoded_cache<Value>::deposit_session(std::uint64_t content_hash,
-                                                 input_ptr bytes,
-                                                 j2k::decode_session session)
-{
-    const std::size_t resident = capacity(bytes) + session.resident_bytes();
-    std::lock_guard lk{m_};
-    ++session_deposits_;
-    auto it = sessions_.find(content_hash);
-    if (it != sessions_.end()) {
-        session_entry& e = it->second;
-        if (e.leased) {
-            // Lease return (or a cold deposit racing one — same handling:
-            // the returning/incoming state replaces the checked-out slot).
-            account_erase_locked(e.resident, false);
-            e.bytes = std::move(bytes);
-            e.session.emplace(std::move(session));
-            e.resident = resident;
-            e.leased = false;
-            account_insert_locked(resident, false);
-        } else if (e.session &&
-                   session.layers_decoded() > e.session->layers_decoded()) {
-            account_erase_locked(e.resident, false);
-            e.bytes = std::move(bytes);
-            e.session.emplace(std::move(session));
-            e.resident = resident;
-            account_insert_locked(resident, false);
-        }
-        // else: resident prefix is at least as deep — drop the deposit.
-    } else {
-        session_entry e;
-        e.bytes = std::move(bytes);
-        e.session.emplace(std::move(session));
-        e.resident = resident;
-        account_insert_locked(resident, false);
-        sessions_.emplace(content_hash, std::move(e));
-    }
-    evict_to_budget_locked();
-    OBS_TRACE_COUNTER("cache", "cache_bytes", bytes_);
-}
-
-template <typename Value>
-void basic_decoded_cache<Value>::discard_session(std::uint64_t content_hash) noexcept
-{
-    std::lock_guard lk{m_};
-    auto it = sessions_.find(content_hash);
-    if (it == sessions_.end() || !it->second.leased) return;
-    account_erase_locked(it->second.resident, false);
-    sessions_.erase(it);
-}
-
-template <typename Value>
 cache_stats basic_decoded_cache<Value>::stats() const
 {
     std::lock_guard lk{m_};
@@ -382,12 +287,9 @@ cache_stats basic_decoded_cache<Value>::stats() const
     s.mismatches = mismatches_;
     s.inserts = inserts_;
     s.evictions = evictions_;
-    s.session_resumes = session_resumes_;
-    s.session_deposits = session_deposits_;
     s.bytes = bytes_;
     s.pinned_bytes = pinned_bytes_;
     s.entries = images_.size();
-    s.session_entries = sessions_.size();
     s.by_codec.reserve(by_codec_.size());
     for (const auto& [id, c] : by_codec_)
         s.by_codec.push_back({id, c.hits, c.misses});
@@ -403,14 +305,6 @@ void basic_decoded_cache<Value>::clear()
     for (auto& [k, e] : images_) account_erase_locked(e.bytes, e.pinned);
     images_.clear();
     lru_.clear();
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if (it->second.leased) {
-            ++it;  // dropped on return via deposit_session + eviction
-            continue;
-        }
-        account_erase_locked(it->second.resident, false);
-        it = sessions_.erase(it);
-    }
 }
 
 template class basic_decoded_cache<j2k::image>;

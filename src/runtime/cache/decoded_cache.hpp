@@ -6,18 +6,11 @@
 // over and over.  This cache sits between admission and the decode kernels as
 // its own byte-budgeted subsystem (the TLM discipline: a storage service
 // behind a clean transaction interface, not state smeared through the codec)
-// and holds two value kinds:
-//
-//   1. decoded results, keyed by (codestream hash, codec, quality layers,
-//      discard levels, max passes) and stored with the input bytes they were
-//      decoded from — a hit answers a decode_all-shaped request with zero
-//      tier-1 work and hands out the shared result, not a copy;
-//   2. resumable decode_session prefixes, keyed by content hash alone — a
-//      cached layer-k prefix serves a layer-(k+n) request at O(new layers)
-//      tier-1 cost, and an equal-depth prefix at synthesis-only cost.  A
-//      prefix *deeper* than the request is never resumed: tier-1 block state
-//      is cumulative and cannot be rolled back, so only an equal-or-shallower
-//      prefix reproduces the request bit-exactly.
+// and holds one kind of entry: a decoded result, keyed by (codestream hash,
+// codec, quality layers, discard levels, max passes) and stored with the
+// input bytes it was decoded from.  A hit answers a decode_all-shaped request
+// with zero tier-1 work and hands out the shared result, not a copy.  It
+// knows no codec's types beyond the result it stores.
 //
 // Concurrent identical misses collapse single-flight: the first requester
 // becomes the leader and decodes; the others block on the flight and share
@@ -42,41 +35,34 @@
 // it, and the cache-mechanics tests use it.  Both are explicitly instantiated
 // in decoded_cache.cpp.
 //
-// Eviction is LRU over a byte budget; a result entry is charged its
-// image_bytes plus its stored input.  Input buffers are shared, not copied:
-// a layered j2k leader's result entry and the session prefix it deposits
-// hold one buffer, and each is charged for it, so the budget can overstate
-// what is resident but never understate it.  Entries pinned by policy
-// (cache_policy::pin, the J2NE pin flag) and session entries currently
-// checked out are never evicted; pinned bytes still count against the
-// budget so a pin-flood degrades to "cache full", not OOM.
+// Eviction is LRU over a byte budget; an entry is charged its image_bytes plus
+// its stored input.  Entries pinned by policy (cache_policy::pin, the J2NE pin
+// flag) are never evicted; pinned bytes still count against the budget so a
+// pin-flood degrades to "cache full", not OOM.
 //
 // Trust model: the hash picks a bucket, the bytes decide.  `content_hash` is
 // runtime::seeded_hash of the codestream (8 bytes per step, seeded per
-// process), and nothing is served on its say-so: a hit, a request joining an
-// in-flight decode, and a session checkout each compare the request's bytes
-// with the stored (or in-flight leader's) bytes first.  Equal keys over
-// different bytes are a *mismatch* — counted, answered with no image and no
-// flight, so the caller decodes on its own and leaves the cache as it was.
-// One client's input can therefore never be answered with an image decoded
-// from another's, however the hash collides.  A hit compares after the cache
-// mutex is released (it holds the entry's buffer by reference count, so an
-// eviction meanwhile cannot free it), so lookups never queue behind a
-// whole-input memcmp.  A join compares under the mutex, because the leader's
-// bytes are only known alive while its flight is registered, and a session
-// checkout does too: each holds the mutex for one memcmp of the request, but
-// only while a leader decodes or on a layered j2k miss.
+// process), and nothing is served on its say-so: a hit and a request joining
+// an in-flight decode each compare the request's bytes with the stored (or
+// in-flight leader's) bytes first.  Equal keys over different bytes are a
+// *mismatch* — counted, answered with no image and no flight, so the caller
+// decodes on its own and leaves the cache as it was.  One client's input can
+// therefore never be answered with an image decoded from another's, however
+// the hash collides.  A hit compares after the cache mutex is released (it
+// holds the entry's buffer by reference count, so an eviction meanwhile
+// cannot free it), so lookups never queue behind a whole-input memcmp.  A
+// join compares under the mutex, because the leader's bytes are only known
+// alive while its flight is registered; it holds the mutex for one memcmp of
+// the request, but only while a leader decodes.
 #pragma once
 
 #include <j2k/image.hpp>
-#include <j2k/session.hpp>
 #include <runtime/raw_image.hpp>
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -115,12 +101,9 @@ struct cache_stats {
     std::uint64_t mismatches = 0; ///< key matched, input bytes did not (uncached)
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t session_resumes = 0;   ///< prefix checkouts that saved tier-1 work
-    std::uint64_t session_deposits = 0;
-    std::uint64_t bytes = 0;          ///< charged bytes (images + inputs + sessions)
+    std::uint64_t bytes = 0;          ///< charged bytes (images + inputs)
     std::uint64_t pinned_bytes = 0;   ///< subset of `bytes` exempt from eviction
     std::uint64_t entries = 0;        ///< image entries resident
-    std::uint64_t session_entries = 0;
 
     /// Hit/miss split per codec wire id (sorted by id; only ids that have
     /// seen traffic appear).  Sums to `hits`/`misses`.
@@ -138,15 +121,13 @@ template <typename Value>
 class basic_decoded_cache {
 public:
     using image_ptr = std::shared_ptr<const Value>;
-    /// The input bytes an entry was decoded from.  Shared, so an image entry
-    /// and a session prefix over one codestream keep a single buffer.
+    /// The input bytes an entry was decoded from, moved out of the leader's
+    /// job without a copy.
     using input_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-    /// `byte_budget` bounds resident bytes (results by image_bytes — their
-    /// exact sample storage — plus their input's capacity, sessions by
-    /// codestream plus decode_session::resident_bytes(); a shared input is
-    /// charged to each entry holding it).  A single
-    /// entry larger than the whole budget is still admitted and evicted the
+    /// `byte_budget` bounds resident bytes (each result by image_bytes — its
+    /// exact sample storage — plus its input's capacity).  A single entry
+    /// larger than the whole budget is still admitted and evicted the
     /// moment anything else arrives — refusing it would make the hottest
     /// large image permanently uncacheable.
     explicit basic_decoded_cache(std::size_t byte_budget);
@@ -201,52 +182,19 @@ public:
     /// Flip an entry's pin.  Returns false when the key is not resident.
     bool set_pinned(const cache_key& k, bool pinned);
 
-    // ---- resumable session prefixes --------------------------------------
-
-    /// An exclusive lease on a cached session prefix: the codestream bytes
-    /// the session references plus the session itself.  While leased, the
-    /// entry stays resident (and unevictable) but cannot be leased again —
-    /// a concurrent request for the same content decodes cold instead.
-    struct session_lease {
-        input_ptr bytes;  ///< the storage `session` points into
-        j2k::decode_session session;
-    };
-
-    /// Check out the session prefix for `content_hash`, verifying the stored
-    /// bytes equal `expect` (collision paranoia: never resume a session over
-    /// different content).  Returns nullopt when absent, already leased,
-    /// mismatched, or deeper than `max_layers` (resuming a deeper prefix
-    /// cannot reproduce a shallower reconstruction bit-exactly).
-    [[nodiscard]] std::optional<session_lease> checkout_session(
-        std::uint64_t content_hash, std::span<const std::uint8_t> expect,
-        int max_layers = std::numeric_limits<int>::max());
-
-    /// Deposit (or return) a session prefix.  Keeps the deeper of the
-    /// deposited and any resident prefix for the hash.  The session must
-    /// reference the storage of `bytes` (non-null).
-    void deposit_session(std::uint64_t content_hash, input_ptr bytes,
-                         j2k::decode_session session);
-
-    /// Drop a leased prefix without returning it — the lease holder's
-    /// advance threw and the session is poisoned.  No-op for unleased hashes.
-    void discard_session(std::uint64_t content_hash) noexcept;
-
     // ---- introspection ---------------------------------------------------
 
     [[nodiscard]] cache_stats stats() const;
     [[nodiscard]] std::size_t byte_budget() const noexcept { return budget_; }
-    /// Drop every unleased entry (leased sessions are dropped on return).
+    /// Drop every entry.
     void clear();
 
 private:
     struct image_entry;
-    struct session_entry;
     struct flight;
     using lru_list = std::list<cache_key>;
 
-    /// Evict unpinned image entries LRU-first until bytes_ <= budget_.
-    /// Session prefixes are evicted only after every unpinned image is gone:
-    /// a prefix regenerates O(L) tier-1 work, an image only O(synthesis).
+    /// Evict unpinned entries LRU-first until bytes_ <= budget_.
     void evict_to_budget_locked();
     /// Insert a leader's or warm-up image unless `k` is already resident.
     void insert_locked(const cache_key& k, image_ptr img, input_ptr input, bool pin);
@@ -265,7 +213,6 @@ private:
     mutable std::mutex m_;
     std::unordered_map<cache_key, image_entry, cache_key_hash> images_;
     std::unordered_map<cache_key, std::shared_ptr<flight>, cache_key_hash> flights_;
-    std::unordered_map<std::uint64_t, session_entry> sessions_;
     lru_list lru_;  ///< front = most recent; back = eviction candidate
 
     std::uint64_t bytes_ = 0;
@@ -276,8 +223,6 @@ private:
     std::uint64_t mismatches_ = 0;
     std::uint64_t inserts_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t session_resumes_ = 0;
-    std::uint64_t session_deposits_ = 0;
     /// Per-codec hit/miss split, keyed by cache_key::codec.
     struct codec_counters {
         std::uint64_t hits = 0;

@@ -173,12 +173,9 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add_counter("cache_collapses_total", "collapses", cache_collapses);
     out.add_counter("cache_mismatches_total", "mismatches", cache_mismatches);
     out.add_counter("cache_evictions_total", "evictions", cache_evictions);
-    out.add_counter("cache_session_resumes_total", "session_resumes",
-                    cache_session_resumes);
     out.add_gauge("cache_bytes", "bytes", cache_bytes);
     out.add_gauge("cache_pinned_bytes", "pinned_bytes", cache_pinned_bytes);
     out.add_gauge("cache_entries", "entries", cache_entries);
-    out.add_gauge("cache_session_entries", "session_entries", cache_session_entries);
     out.end();
 
     out.add_counter("tiles_decoded_total", "tiles_decoded", tiles_decoded);

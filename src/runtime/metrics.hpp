@@ -92,11 +92,9 @@ struct metrics_snapshot {
     /// but whose bytes did not; each was decoded uncached.
     std::uint64_t cache_mismatches = 0;
     std::uint64_t cache_evictions = 0;
-    std::uint64_t cache_session_resumes = 0;
     std::uint64_t cache_bytes = 0;
     std::uint64_t cache_pinned_bytes = 0;
     std::uint64_t cache_entries = 0;
-    std::uint64_t cache_session_entries = 0;
 
     // Work.
     std::uint64_t tiles_decoded = 0;

@@ -115,7 +115,7 @@ enum class status : std::uint8_t {
 /// reading or populating the server's decoded-result cache; `cache_pin`
 /// exempts the inserted entry from eviction.  Setting both is contradictory
 /// and rejected as a bad frame.  Both are no-ops on a server running without
-/// a cache.
+/// a cache, and on a progressive request, which never touches the cache.
 inline constexpr std::uint8_t k_flag_progressive = 0x01;
 inline constexpr std::uint8_t k_flag_cache_bypass = 0x02;
 inline constexpr std::uint8_t k_flag_cache_pin = 0x04;

@@ -351,10 +351,9 @@ std::shared_ptr<const raw_image> decode_service::decode_cached(job& j,
     // j2k, the one progressive codec, keys layered streams by normalised
     // depth: "all layers" requests (0 or >= stream depth) share one entry
     // with explicit full-depth requests.
-    int stream_layers = 0;
     if (be.caps().progressive) {
-        stream_layers = j2k::read_header(j.bytes).quality_layers;
-        if (key.layers <= 0 || key.layers >= stream_layers) key.layers = stream_layers;
+        const int depth = j2k::read_header(j.bytes).quality_layers;
+        if (key.layers <= 0 || key.layers >= depth) key.layers = depth;
     }
 
     if (auto r = cache_->begin_flight(key, j.bytes)) {
@@ -362,16 +361,12 @@ std::shared_ptr<const raw_image> decode_service::decode_cached(job& j,
         return std::move(r->image);  // null on a mismatch
     }
     // This worker leads the flight: decode inline (never waiting on another
-    // job, so a leader always makes progress), pack and publish.  Layered
-    // full-quality requests go through a resumable session so the tier-1
-    // prefix can be cached and extended.  The entry keeps the job's bytes;
-    // `input` holds them from here on, at the address `j.bytes` and the
-    // flight's joiners read.
+    // job, so a leader always makes progress), pack and publish.  The entry
+    // keeps the job's bytes; `input` holds them from here on, at the address
+    // `j.bytes` and the flight's joiners read.
     const input_ptr input = share_bytes(j);
     try {
-        const bool resumable =
-            stream_layers > 1 && key.discard_levels == 0 && key.max_passes == 0;
-        auto packed = pack(resumable ? decode_prefix(key, input) : decode_one(j, be));
+        auto packed = pack(decode_one(j, be));
         cache_->complete_flight(key, packed, input, j.opt.cache == cache_policy::pin);
         j.bytes = {};
         return packed;
@@ -389,51 +384,24 @@ decode_service::input_ptr decode_service::share_bytes(job& j)
     return std::make_shared<buffer>(j.bytes.begin(), j.bytes.end());
 }
 
-j2k::image decode_service::decode_prefix(const cache_key& key, const input_ptr& input)
-{
-    if (auto lease = cache_->checkout_session(key.content_hash, *input, key.layers)) {
-        try {
-            j2k::image img = advance(lease->session, key.layers, pool_->size());
-            cache_->deposit_session(key.content_hash, std::move(lease->bytes),
-                                    std::move(lease->session));
-            return img;
-        } catch (...) {
-            cache_->discard_session(key.content_hash);  // poisoned: never return it
-            throw;
-        }
-    }
-    // The prefix and the image entry keep one buffer between them.
-    j2k::decode_session s{*input};
-    j2k::image img = advance(s, key.layers, pool_->size());
-    cache_->deposit_session(key.content_hash, input, std::move(s));
-    return img;
-}
-
-j2k::image decode_service::advance(j2k::decode_session& s, int layers, int threads)
-{
-    codec::stage_profile prof;
-    const std::uint64_t before = s.tier1_segment_bytes();
-    s.set_threads(threads);
-    j2k::image img = s.advance_to(layers, nullptr, &prof);
-    metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - before);
-    metrics_.add_stages(prof);
-    return img;
-}
-
 void decode_service::stream_layers(job& j)
 {
     metrics_.on_progressive_started();
     OBS_TRACE_COUNTER("runtime", "progressive_active", metrics_.progressive_active());
     try {
-        j2k::decode_session s{j.bytes};
-        const int stream_layers = s.total_layers();
+        j2k::decode_session s{j.bytes};  // on this worker alone
+        const int depth = s.total_layers();
         const int cap = j.opt.max_quality_layers;
-        const int total = cap > 0 && cap < stream_layers ? cap : stream_layers;
+        const int total = cap > 0 && cap < depth ? cap : depth;
         for (int l = 1; l <= total; ++l) {
             // Per-refinement async span under the job's span tree; the j2k
             // stage spans (tier-1 / IQ / IDWT) nest inside it.
             OBS_TRACE_ASYNC_BEGIN("job", "layer", j.trace_id);
-            j2k::image img = advance(s, l, 1);  // on this worker alone
+            codec::stage_profile prof;
+            const std::uint64_t before = s.tier1_segment_bytes();
+            j2k::image img = s.advance_to(l, nullptr, &prof);
+            metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - before);
+            metrics_.add_stages(prof);
             OBS_TRACE_ASYNC_END("job", "layer", j.trace_id);
             metrics_.on_layer_emitted();
             const bool more = j.on_layer(
@@ -443,17 +411,6 @@ void decode_service::stream_layers(job& j)
                 OBS_TRACE_INSTANT("runtime", "progressive_cancelled");
                 break;
             }
-        }
-        // Even a cancelled stream leaves a valid layer-l prefix; deposit it so
-        // later full-quality submits resume instead of decoding cold.  Only
-        // a job that owns its bytes may: the session references them, and
-        // share_bytes keeps that storage where it is, where a borrowed span
-        // (copy_input = false) would be copied away from under it.
-        if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1 &&
-            j.owns_bytes()) {
-            const std::uint64_t hash = seeded_hash(j.bytes);
-            cache_->deposit_session(hash, share_bytes(j), std::move(s));
-            j.bytes = {};
         }
     } catch (...) {
         metrics_.on_progressive_finished();
@@ -494,11 +451,9 @@ metrics_snapshot decode_service::metrics() const
         s.cache_collapses = cs.collapses;
         s.cache_mismatches = cs.mismatches;
         s.cache_evictions = cs.evictions;
-        s.cache_session_resumes = cs.session_resumes;
         s.cache_bytes = cs.bytes;
         s.cache_pinned_bytes = cs.pinned_bytes;
         s.cache_entries = cs.entries;
-        s.cache_session_entries = cs.session_entries;
         // Merge the cache's per-codec split into the job split, resolving
         // wire ids to the same exposition names service_metrics uses.
         for (const auto& bc : cs.by_codec) {

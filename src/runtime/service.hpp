@@ -14,7 +14,9 @@
 // `batch` backlog, with a starvation escape valve that promotes a batch job
 // after `promote_after` consecutive bypassing interactive pops.  Every job,
 // whatever its codec, takes one path (run_job): codec::backend lookup and
-// capability gate, then a layer stream or a backend decode through the cache.
+// capability gate, then a layer stream (which never touches the cache) or a
+// backend decode through the cache, where every miss leader decodes with the
+// same one-shot call as an uncached job.
 // A j2k decode fans out per tile on this service's pool (tiles are
 // independent, so the result is byte-identical to a serial decode); idle
 // workers take the decoding worker's tile tokens from the pool's run queue,
@@ -53,16 +55,11 @@ namespace codec {
 class backend;  // codec/backend.hpp
 }
 
-namespace j2k {
-class decode_session;  // j2k/session.hpp
-}
-
 namespace runtime {
 
 template <typename Value>
 class basic_decoded_cache;  // cache/decoded_cache.hpp
 using raw_image_cache = basic_decoded_cache<raw_image>;
-struct cache_key;
 
 /// Base class of every service-raised error (delivered through futures).
 class service_error : public std::runtime_error {
@@ -106,7 +103,7 @@ private:
 };
 
 /// Per-request policy toward the decoded-result cache (no-op when the
-/// service runs without one).
+/// service runs without one, and on progressive jobs, which never touch it).
 enum class cache_policy : std::uint8_t {
     use = 0,     ///< serve hits, join single-flight, insert on miss (default)
     bypass = 1,  ///< always decode; neither read nor populate the cache
@@ -145,9 +142,8 @@ struct service_config {
     bool copy_input = true;
     /// Byte budget of the decoded-result cache (0 = no cache).  Hot
     /// codestreams are served from cached results (packed in the wire
-    /// layout: 1 byte per sample up to 8 bits) / resumed from cached session
-    /// prefixes, and concurrent identical misses collapse to one decode (see
-    /// cache/decoded_cache.hpp).
+    /// layout: 1 byte per sample up to 8 bits), and concurrent identical
+    /// misses collapse to one decode (see cache/decoded_cache.hpp).
     std::size_t cache_bytes = 0;
     /// Not a setting: the service never reads it (decode scratch comes from
     /// the heap and is freed as each stage ends).  It is the size callers
@@ -225,6 +221,8 @@ public:
     /// `opt.discard_levels` is not supported on this path and is ignored.
     /// Tier-1 state persists across refinements, so the arithmetic-decoding
     /// work over the whole job is O(L), not O(L²) (see j2k/session.hpp).
+    /// The job neither reads nor fills the decoded-result cache, whatever
+    /// `opt.cache` says: its session ends with it.
     void submit_progressive(std::vector<std::uint8_t>&& bytes, const decode_options& opt,
                             progressive_completion on_layer);
 
@@ -319,7 +317,7 @@ private:
     /// One-shot decode through the codec's backend, fed to the stage counters.
     j2k::image decode_one(const job& j, const codec::backend& be);
     /// Through the cache: hits and collapsed waits share the resident result;
-    /// a miss leads the single flight, packs and publishes its decode and
+    /// a miss leads the single flight, packs and publishes its decode_one and
     /// hands the job's bytes to the entry.  Null when the key is taken by
     /// other bytes — the caller then decodes uncached.
     std::shared_ptr<const raw_image> decode_cached(job& j, const codec::backend& be);
@@ -329,14 +327,8 @@ private:
     /// moved, so its storage (which `j.bytes` views) stays where it is; a
     /// borrowed span is copied.
     static input_ptr share_bytes(job& j);
-    /// Layered j2k flight leader over `input`: resume the cached session
-    /// prefix when one fits, else decode cold; the advanced prefix goes back
-    /// to the cache.
-    j2k::image decode_prefix(const cache_key& key, const input_ptr& input);
-    /// Advance a session over `threads` tiles at a time, feeding the tier-1
-    /// byte, stage and tile counters.
-    j2k::image advance(j2k::decode_session& s, int layers, int threads);
-    /// Progressive job: one session on this worker, one on_layer per layer.
+    /// Progressive job: one session on this worker, one on_layer per layer,
+    /// each advance fed to the tier-1 byte, stage and tile counters.
     void stream_layers(job& j);
     /// Destroy a settled job, then take it out of the in-flight count.
     void retire(job_ptr j);

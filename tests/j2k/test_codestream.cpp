@@ -101,6 +101,24 @@ TEST(Codestream, LayeredChunkLengthUint32MaxRejected)
     EXPECT_THROW((void)j2k::read_header(cs), j2k::codestream_error);
 }
 
+TEST(Codestream, ImplausiblePlaneCountRejected)
+{
+    // A code-block's first header byte is its bit-plane count; more than
+    // k_max_bitplanes is refused by read_header, before a decoder sizes any
+    // plane, in a plain tile payload and in a layered stream's first layer.
+    for (const int layers : {1, 3}) {
+        auto cs = make_stream(64, 64, 1, 32, layers);
+        const auto info = j2k::read_header(cs);
+        const std::size_t first =
+            layers == 1 ? info.tile_offsets[0] : info.chunk_offsets[0];
+        cs[first] = static_cast<std::uint8_t>(j2k::k_max_bitplanes);
+        EXPECT_NO_THROW((void)j2k::read_header(cs)) << layers << " layers";
+        cs[first] = static_cast<std::uint8_t>(j2k::k_max_bitplanes + 1);
+        EXPECT_THROW((void)j2k::read_header(cs), j2k::codestream_error)
+            << layers << " layers";
+    }
+}
+
 TEST(Codestream, LayeredPayloadTruncationRejected)
 {
     auto cs = make_stream(64, 64, 1, 32, 3);

@@ -218,11 +218,20 @@ TEST(DecodeSession, CorruptLayerPoisonsTheSession)
     auto cs = j2k::encode(src, p);
     const j2k::stream_info info = j2k::read_header(cs);
     // Overwrite the first segment length of the last layer's chunk (u32 after
-    // the pass-count byte) with a hostile value.  Earlier layers stay sound;
-    // advancing into the corrupt layer must throw and poison the session.
+    // the pass-count byte) with a hostile value.  read_header walks every
+    // segment length, so a session over those bytes is refused up front.
     const std::size_t off = static_cast<std::size_t>(info.chunk_offsets[3]) + 1;
-    cs[off] = cs[off + 1] = cs[off + 2] = cs[off + 3] = 0xFF;
+    auto corrupt = [&] { cs[off] = cs[off + 1] = cs[off + 2] = cs[off + 3] = 0xFF; };
+    const std::vector<std::uint8_t> sound = cs;
+    corrupt();
+    EXPECT_THROW(decode_session{cs}, j2k::codestream_error);
+
+    // The session references the caller's bytes, so they can still go bad
+    // after it is built.  Earlier layers stay sound; advancing into the
+    // corrupt layer must throw and poison the session.
+    cs = sound;
     decode_session s{cs};
+    corrupt();
     (void)s.advance_to(2);  // fine: corruption is in layer 4
     EXPECT_THROW((void)s.advance_to(4), j2k::codestream_error);
     EXPECT_THROW((void)s.advance_to(1), std::logic_error);

@@ -1,8 +1,9 @@
 // decoded_cache — shared FNV-1a vectors, LRU eviction and byte accounting,
 // pin semantics, single-flight collapsing (API-level and through the
 // service), byte-checked entries under equal keys, packed results shared with
-// completions and unpacked into futures, and session-prefix resume
-// bit-exactness against the golden corpus.
+// completions and unpacked into futures, layer-capped and full-depth misses
+// bit-exact against the golden corpus, and progressive jobs that leave the
+// cache alone.
 #include <runtime/cache/decoded_cache.hpp>
 
 #include <runtime/hash.hpp>
@@ -10,7 +11,6 @@
 
 #include <ccsds/ccsds123.hpp>
 #include <j2k/j2k.hpp>
-#include <j2k/session.hpp>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +70,16 @@ cache_key key_of(std::uint64_t content, int layers = 1)
     k.content_hash = content;
     k.layers = layers;
     return k;
+}
+
+/// Wait (bounded) until no job is left in the service, not even one a worker
+/// is still tearing down.
+void wait_idle(const decode_service& svc)
+{
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.in_flight() != 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(svc.in_flight(), 0u);
 }
 
 // ---- shared FNV-1a ---------------------------------------------------------
@@ -427,22 +437,6 @@ TEST(DecodeService, PackedEntriesAreChargedTheirRawSizePlusTheirInput)
     EXPECT_EQ(svc.cache()->stats().entries, 2u);
 }
 
-TEST(DecodeService, LayeredLeaderKeepsOneInputBufferForItsImageAndPrefix)
-{
-    // A layered full-quality miss caches both an image and a session prefix
-    // over the same codestream.  They share the job's buffer: the prefix
-    // checked out here and the image entry are its only holders.
-    const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
-    decode_service svc{{.workers = 2, .cache_bytes = 32u << 20}};
-    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
-    auto lease = svc.cache()->checkout_session(runtime::seeded_hash(cs), cs, 3);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lease->bytes.use_count(), 2);
-    EXPECT_EQ(lease->session.layers_decoded(), 3);
-    svc.cache()->deposit_session(runtime::seeded_hash(cs), std::move(lease->bytes),
-                                 std::move(lease->session));
-}
-
 TEST(DecodeService, ConcurrentIdenticalSubmitsDecodeExactlyOnce)
 {
     // Acceptance-criteria shape: N identical requests in flight at once,
@@ -536,13 +530,14 @@ TEST(DecodeService, DistinctOptionsGetDistinctEntriesButNormalisedDepthShares)
     EXPECT_EQ(m.cache_entries, 2u);
 }
 
-// ---- session-prefix resume -------------------------------------------------
+// ---- layered misses and progressive jobs ----------------------------------
 
 TEST(DecodeService, PrefixResumeIsBitExactAgainstGoldenCorpus)
 {
-    // layered_53.ojk: 3 quality layers.  Decode depth 1 (deposits a depth-1
-    // prefix), then full depth — the full decode must resume the prefix and
-    // still match both the direct decoder and the committed golden hash.
+    // layered_53.ojk: 3 quality layers.  Decode depth 1, then full depth
+    // through the service: each is a miss of its own, decoded from scratch,
+    // and both match the direct decoder; the full image matches the
+    // committed golden hash.
     const auto cs = load_corpus("layered_53.ojk");
     decode_service svc{{.workers = 2, .cache_bytes = 32u << 20}};
 
@@ -555,55 +550,14 @@ TEST(DecodeService, PrefixResumeIsBitExactAgainstGoldenCorpus)
     const j2k::image full = svc.submit(cs).get();
     EXPECT_EQ(full, j2k::decoder{cs}.decode_all());
     EXPECT_EQ(fnv1a_image(full), 0xAA4C7851D4825229ull);
-
-    const auto m = svc.metrics();
-    EXPECT_GE(m.cache_session_resumes, 1u);
-    EXPECT_GE(m.cache_session_entries, 1u);
+    EXPECT_EQ(svc.metrics().cache_misses, 2u);
 }
 
-TEST(DecodedCache, DeeperPrefixNeverServesAShallowerRequest)
+TEST(DecodeService, FullDepthSubmitAfterAProgressiveStreamIsOnePlainMiss)
 {
-    // Tier-1 block state is cumulative: resuming a depth-3 session for a
-    // depth-1 request would return the depth-3 image.  The checkout must
-    // refuse; an equal-depth checkout is fine (synthesis-only resume).
-    const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
-    const std::uint64_t h = fnv1a_bytes(cs);
-    decoded_cache cache{32u << 20};
-
-    const auto owned = share(cs);
-    j2k::decode_session s{*owned};
-    const j2k::image full = s.advance_to(3);
-    cache.deposit_session(h, owned, std::move(s));
-
-    EXPECT_FALSE(cache.checkout_session(h, cs, /*max_layers=*/1).has_value());
-
-    auto lease = cache.checkout_session(h, cs, /*max_layers=*/3);
-    ASSERT_TRUE(lease.has_value());
-    EXPECT_EQ(lease->session.layers_decoded(), 3);
-    EXPECT_EQ(lease->session.advance_to(3), full);  // no new tier-1 work
-    cache.deposit_session(h, std::move(lease->bytes), std::move(lease->session));
-    EXPECT_EQ(cache.stats().session_entries, 1u);
-}
-
-TEST(DecodedCache, CheckoutVerifiesContentBytesNotJustTheHash)
-{
-    const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
-    decoded_cache cache{32u << 20};
-    const auto owned = share(cs);
-    j2k::decode_session s{*owned};
-    (void)s.advance_to(1);
-    const std::uint64_t h = fnv1a_bytes(cs);
-    cache.deposit_session(h, owned, std::move(s));
-
-    // Same (forged) hash, different bytes: the memcmp guard must refuse —
-    // resuming a wrong-content session would produce plausible garbage.
-    const auto other = make_stream(64, 64, 1, 32, /*layers=*/3 + 1);
-    EXPECT_FALSE(cache.checkout_session(h, other, 3).has_value());
-    EXPECT_TRUE(cache.checkout_session(h, cs, 3).has_value());
-}
-
-TEST(DecodeService, ProgressiveJobDepositsItsPrefixForLaterSubmits)
-{
+    // A progressive job neither reads nor fills the cache, so a full-depth
+    // submit of the same bytes after it is an ordinary miss, decoded from
+    // scratch and bit-exact.
     const auto cs = make_stream(64, 64, 3, 32, /*layers=*/3);
     decode_service svc{{.workers = 2, .cache_bytes = 32u << 20}};
 
@@ -618,21 +572,14 @@ TEST(DecodeService, ProgressiveJobDepositsItsPrefixForLaterSubmits)
                            });
     done.get_future().wait();
     EXPECT_EQ(layers_seen, 3);
+    wait_idle(svc);
+    EXPECT_EQ(svc.cache()->stats().bytes, 0u);
 
-    // The deposit happens after the last layer callback returns, on the
-    // decoding worker — poll briefly instead of racing it.
-    auto m = svc.metrics();
-    for (int i = 0; i < 400 && m.cache_session_entries == 0; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        m = svc.metrics();
-    }
-    EXPECT_GE(m.cache_session_entries, 1u);
-
-    // A later full-depth submit resumes the deposited complete prefix at
-    // synthesis-only cost and stays bit-exact.
     EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
-    m = svc.metrics();
-    EXPECT_GE(m.cache_session_resumes, 1u);
+    const auto m = svc.metrics();
+    EXPECT_EQ(m.cache_misses, 1u);
+    EXPECT_EQ(m.cache_hits, 0u);
+    EXPECT_EQ(m.cache_entries, 1u);
 }
 
 // ---- codec-namespaced keys -------------------------------------------------
@@ -752,10 +699,7 @@ TEST(DecodeService, UnknownCodecIdFailsTypedWithoutTouchingTheCache)
         EXPECT_EQ(e.id(), 200);
         held = std::current_exception();
     }
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (svc.in_flight() != 0 && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(svc.in_flight(), 0u);
+    wait_idle(svc);
     held = nullptr;
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 0u);

@@ -1,8 +1,8 @@
 // Heap footprint of the decode service, counted by a replaced global
 // operator new/delete: what an idle service holds, how far a progressive
-// job's live heap rises above what outlives it, what a cached entry costs,
-// what a hostile header costs before it is refused, and what a decode of
-// many tiles allocates in all.  Decode scratch comes from the heap and is
+// job's live heap rises above what outlives it (nothing does, cache or not),
+// what a cached entry costs, what a hostile header costs before it is
+// refused, and what a decode of many tiles allocates in all.  Decode scratch comes from the heap and is
 // freed as each stage ends, so the progressive peak is one image, the
 // session's persistent block state and the job's own codestream, plus a few
 // per-tile buffers; it does not grow with the number of layers.  A separate
@@ -131,7 +131,7 @@ TEST(Footprint, ProgressiveJobPeaksAtOneImagePlusItsSessionForAnyLayerCount)
     const auto image_bytes = static_cast<std::int64_t>(
         std::size_t{256} * 256 * 3 * sizeof(std::int32_t));
 
-    decode_service svc{{.workers = 2}};  // no cache: the session ends with the job
+    decode_service svc{{.workers = 2}};
     for (const int layers : {1, 6}) {
         j2k::codec_params p;
         p.tile_width = 64;  // 16 tiles
@@ -217,6 +217,52 @@ TEST(Footprint, CachedGreyEntriesHoldTheirRawBytesAndInputAndLittleElse)
         << " B per entry";
 }
 
+TEST(Footprint, ProgressiveStreamsLeaveNothingInTheCache)
+{
+    // The serving benchmark's `progressive` shape: eight 256×256×3 streams in
+    // 64×64 tiles with 6 quality layers, each streamed twice through a
+    // 2-worker service with a 64 MiB cache.  A progressive job's session ends
+    // with the job, so the cache stays empty and the heap comes back to where
+    // it was, give or take the service's own small bookkeeping.
+    constexpr int k_streams = 8;
+    constexpr std::int64_t k_slack = 64 << 10;
+    j2k::codec_params p;
+    p.tile_width = p.tile_height = 64;
+    p.quality_layers = 6;
+    std::vector<std::vector<std::uint8_t>> streams;
+    for (int i = 0; i < k_streams; ++i)
+        streams.push_back(j2k::encode(j2k::make_test_image(256, 256, 3, 8, 2000 + i), p));
+
+    decode_service svc{{.workers = 2, .cache_bytes = 64u << 20}};
+    const auto stream = [&](const std::vector<std::uint8_t>& cs,
+                            runtime::cache_policy policy) {
+        std::promise<void> done;
+        svc.submit_progressive(
+            std::vector<std::uint8_t>{cs}, {.cache = policy},
+            [&](decode_service::layer_event&& ev, std::exception_ptr err) {
+                EXPECT_EQ(err, nullptr);
+                if (err || ev.last) done.set_value();
+                return true;
+            });
+        done.get_future().wait();
+    };
+    // Warm every worker's lazily built state with uncached streams first.
+    for (int i = 0; i < 4; ++i) stream(streams[0], runtime::cache_policy::bypass);
+    wait_idle(svc);
+
+    const std::int64_t before = live();
+    for (int round = 0; round < 2; ++round)
+        for (const auto& cs : streams) stream(cs, runtime::cache_policy::use);
+    wait_idle(svc);
+    const std::int64_t held = live() - before;
+
+    const std::uint64_t cached = svc.cache()->stats().bytes;
+    EXPECT_EQ(cached, 0u);
+    EXPECT_LT(held, k_slack) << "live heap grew " << held << " B over 16 streams";
+    std::printf("16 streams left %lld B of live heap and %llu B in the cache\n",
+                static_cast<long long>(held), static_cast<unsigned long long>(cached));
+}
+
 TEST(Footprint, CcsdsHeaderDeclaringMoreSamplesThanItsBitsIsRefusedUpFront)
 {
     // A bare 20-byte header declaring 255 bands × 512 × 512 at 16 bits, the
@@ -283,7 +329,7 @@ void expect_refused_up_front(const std::vector<std::uint8_t>& cs)
     const auto t0 = std::chrono::steady_clock::now();
     try {
         (void)be.decode(cs, {}, nullptr);
-        ADD_FAILURE() << "a stream without code-blocks decoded";
+        ADD_FAILURE() << "a stream whose code-blocks do not fit it decoded";
     } catch (const codec::codestream_error& e) {
         std::printf("refused: %s\n", e.what());
     }
@@ -314,6 +360,46 @@ TEST(Footprint, J2kLayerChunksShorterThanTheirCodeblocksAreRefusedUpFront)
     // The layered variant: layer 0 costs 6 bytes per block, later layers 5.
     const auto cs = j2k_bare_header(16384, 16384, 2, 2);
     ASSERT_EQ(cs.size(), 43u);
+    expect_refused_up_front(cs);
+}
+
+/// A 4096×4096 single-tile stream, 16384 code-blocks, whose tile payload
+/// (each layer chunk, when `layers` > 1) holds exactly its blocks' headers,
+/// all zero but for the first block's segment length: the whole payload
+/// (chunk), which overruns it by that header's bytes.
+std::vector<std::uint8_t> j2k_first_segment_overruns(int layers)
+{
+    constexpr std::uint32_t k_blocks = (4096 / 32) * (4096 / 32);
+    const std::uint32_t header = layers > 1 ? 6 : 5;  // + a pass count when layered
+    const auto chunk = [&](int l) { return (l == 0 ? header : 5) * k_blocks; };
+    std::vector<std::uint8_t> cs = j2k_bare_header(4096, 4096, layers, 0);
+    j2k::byte_writer w;
+    for (int l = 0; l < layers; ++l) w.u32(chunk(l));
+    const std::size_t first_length = w.size() + header - 4;
+    for (int l = 0; l < layers; ++l)
+        for (std::uint32_t i = 0; i < chunk(l); ++i) w.u8(0);
+    w.patch_u32(first_length, chunk(0));
+    const std::vector<std::uint8_t> rest = w.take();
+    cs.insert(cs.end(), rest.begin(), rest.end());
+    return cs;
+}
+
+TEST(Footprint, J2kSegmentOverrunningItsTilePayloadIsRefusedUpFront)
+{
+    // The block headers fit the payload, but the first block's segment runs
+    // past it.  The stream must be refused before the 64 MiB output image
+    // and the 64 MiB tile plane are sized, not after.
+    const auto cs = j2k_first_segment_overruns(1);
+    ASSERT_EQ(cs.size(), 35u + 4 + 5 * 16384);
+    expect_refused_up_front(cs);
+}
+
+TEST(Footprint, J2kSegmentOverrunningItsLayerChunkIsRefusedUpFront)
+{
+    // The layered twin: the first block's segment overruns the layer-0 chunk
+    // but not the stream (layer 1's chunk follows it).
+    const auto cs = j2k_first_segment_overruns(2);
+    ASSERT_EQ(cs.size(), 35u + 8 + 11 * 16384);
     expect_refused_up_front(cs);
 }
 

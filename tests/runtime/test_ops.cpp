@@ -260,8 +260,6 @@ const char* const k_pinned_samples[] = {
     "j2k_cache_mismatches_total",
     "j2k_cache_misses_total",
     "j2k_cache_pinned_bytes",
-    "j2k_cache_session_entries",
-    "j2k_cache_session_resumes_total",
     "j2k_codec_cache_hits_total{codec}",
     "j2k_codec_cache_misses_total{codec}",
     "j2k_codec_jobs_completed_total{codec}",
@@ -354,11 +352,9 @@ const char* const k_pinned_service_keys[] = {
     "cache.collapses",
     "cache.mismatches",
     "cache.evictions",
-    "cache.session_resumes",
     "cache.bytes",
     "cache.pinned_bytes",
     "cache.entries",
-    "cache.session_entries",
     "tiles_decoded",
     "tasks_stolen",
     "pool_submissions",
@@ -561,10 +557,8 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
           &s.jobs_progressive, &s.layers_emitted, &s.progressive_cancelled,
           &s.t1_segment_bytes, &s.progressive_active_high_water, &s.cache_hits,
           &s.cache_misses, &s.cache_collapses, &s.cache_mismatches, &s.cache_evictions,
-          &s.cache_session_resumes, &s.cache_bytes, &s.cache_pinned_bytes,
-          &s.cache_entries, &s.cache_session_entries,
-          &s.tiles_decoded, &s.tasks_stolen, &s.pool_submissions, &s.latency_count,
-          &s.latency_max_us})
+          &s.cache_bytes, &s.cache_pinned_bytes, &s.cache_entries, &s.tiles_decoded,
+          &s.tasks_stolen, &s.pool_submissions, &s.latency_count, &s.latency_max_us})
         n(*f);
     for (double* f : {&s.uptime_s, &s.entropy_ms, &s.iq_ms, &s.idwt_ms, &s.finish_ms,
                       &s.latency_mean_us, &s.latency_p50_us, &s.latency_p95_us,
@@ -653,13 +647,9 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         {"cache.collapses", {"j2k_cache_collapses_total", 1.0 * s.cache_collapses}},
         {"cache.mismatches", {"j2k_cache_mismatches_total", 1.0 * s.cache_mismatches}},
         {"cache.evictions", {"j2k_cache_evictions_total", 1.0 * s.cache_evictions}},
-        {"cache.session_resumes",
-         {"j2k_cache_session_resumes_total", 1.0 * s.cache_session_resumes}},
         {"cache.bytes", {"j2k_cache_bytes", 1.0 * s.cache_bytes}},
         {"cache.pinned_bytes", {"j2k_cache_pinned_bytes", 1.0 * s.cache_pinned_bytes}},
         {"cache.entries", {"j2k_cache_entries", 1.0 * s.cache_entries}},
-        {"cache.session_entries",
-         {"j2k_cache_session_entries", 1.0 * s.cache_session_entries}},
         {"tiles_decoded", {"j2k_tiles_decoded_total", 1.0 * s.tiles_decoded}},
         {"tasks_stolen", {"j2k_tasks_stolen_total", 1.0 * s.tasks_stolen}},
         {"pool_submissions", {"j2k_pool_submissions_total", 1.0 * s.pool_submissions}},

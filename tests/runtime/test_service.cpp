@@ -366,9 +366,9 @@ TEST(DecodeService, MetricsReportStealsForMultiTileJobs)
 
 TEST(DecodeService, LayeredCacheMissFansOutOnTheServicePoolNotTheSharedOne)
 {
-    // A layered miss decodes through a resumable session; its tile fan-out
-    // must run on the service's own workers (bounded by `workers`, counted in
-    // tasks_stolen), never on the process-wide pool.
+    // A layered miss decodes through the j2k backend's one-shot session; its
+    // tile fan-out must run on the service's own workers (bounded by
+    // `workers`, counted in tasks_stolen), never on the process-wide pool.
     const auto cs = make_stream(128, 128, 3, 32, j2k::wavelet::w5_3, 3);  // 16 tiles
     const std::uint64_t before = runtime::thread_pool::shared().tasks_executed();
     decode_service svc{{.workers = 4, .cache_bytes = 16u << 20}};
@@ -379,9 +379,9 @@ TEST(DecodeService, LayeredCacheMissFansOutOnTheServicePoolNotTheSharedOne)
 
 TEST(DecodeService, StageAndTileCountersSeeEveryJ2kPath)
 {
-    // 4-tile, 3-layer stream through the three paths that bypass the plain
-    // one-shot decode: a layered cache miss (resumable session), a reduced-
-    // resolution decode, and a progressive job (tiles counted per layer).
+    // 4-tile, 3-layer stream through the three j2k paths: a layered cache
+    // miss (the one-shot full-depth session), a reduced-resolution decode,
+    // and a progressive job (tiles counted per layer).
     const auto cs = make_stream(64, 64, 3, 32, j2k::wavelet::w5_3, 3);
     auto expect_counted = [](const runtime::metrics_snapshot& m, std::uint64_t tiles,
                              const char* path) {
