@@ -42,6 +42,15 @@ void walk_codeblocks(std::span<const std::uint8_t> payload, std::uint64_t blocks
     }
 }
 
+/// Tiles of the grid the main header declares.
+[[nodiscard]] std::uint64_t tiles_of(const stream_info& info)
+{
+    const auto across = [](int extent, int tile) {
+        return (static_cast<std::uint64_t>(extent) + tile - 1) / tile;
+    };
+    return across(info.width, info.tile_width) * across(info.height, info.tile_height);
+}
+
 /// Code-blocks of one component of a w×h tile, as the codec walks them.
 [[nodiscard]] std::uint64_t codeblocks(int w, int h, int levels)
 {
@@ -53,6 +62,50 @@ void walk_codeblocks(std::span<const std::uint8_t> payload, std::uint64_t blocks
     for (const auto& br : subband_layout(w, h, levels))
         n += across(br.width) * across(br.height);
     return n;
+}
+
+/// The fixed fields of the main header, read from `r` and held to the
+/// structural checks and the resource limits.
+stream_info parse_main_header(byte_reader& r)
+{
+    if (r.u32() != k_magic) throw codestream_error{"bad magic"};
+    if (r.u8() != k_version) throw codestream_error{"unsupported version"};
+    stream_info info;
+    info.width = static_cast<int>(r.u32());
+    info.height = static_cast<int>(r.u32());
+    info.components = r.u8();
+    info.bit_depth = r.u8();
+    info.tile_width = static_cast<int>(r.u32());
+    info.tile_height = static_cast<int>(r.u32());
+    info.mode = r.u8() ? wavelet::w9_7 : wavelet::w5_3;
+    info.levels = r.u8();
+    info.quality_layers = r.u8();
+    info.quant.base_step = r.f64();
+    info.quant.guard_bits = r.u8();
+    if (info.width <= 0 || info.height <= 0)
+        throw codestream_error{"bad image geometry"};
+    if (info.components < 1 || info.components > 4)
+        throw codestream_error{"bad component count"};
+    if (info.bit_depth < 1 || info.bit_depth > 16)
+        throw codestream_error{"bad bit depth"};
+    if (info.tile_width <= 0 || info.tile_height <= 0)
+        throw codestream_error{"bad tile geometry"};
+    if (info.levels < 0 || info.levels > 12)
+        throw codestream_error{"bad level count"};
+    if (!(info.quant.base_step > 0.0) || info.quant.base_step > 1.0)
+        throw codestream_error{"bad quantiser step"};
+    if (info.quality_layers < 1) throw codestream_error{"bad layer count"};
+
+    // Resource limits: hostile headers must fail cleanly *before* any decode
+    // allocation is sized from them.
+    if (info.width > k_max_dimension || info.height > k_max_dimension)
+        throw codestream_error{"image dimensions above decode limit"};
+    if (static_cast<std::uint64_t>(info.width) * info.height * info.components >
+        k_max_total_samples)
+        throw codestream_error{"image sample count above decode limit"};
+    if (tiles_of(info) > k_max_tiles)
+        throw codestream_error{"tile count above decode limit"};
+    return info;
 }
 
 }  // namespace
@@ -125,52 +178,17 @@ void write_header(byte_writer& w, const stream_info& info)
     w.u8(static_cast<std::uint8_t>(info.quant.guard_bits));
 }
 
+stream_info read_main_header(std::span<const std::uint8_t> cs)
+{
+    byte_reader r{cs};
+    return parse_main_header(r);
+}
+
 stream_info read_header(std::span<const std::uint8_t> cs)
 {
     byte_reader r{cs};
-    if (r.u32() != k_magic) throw codestream_error{"bad magic"};
-    if (r.u8() != k_version) throw codestream_error{"unsupported version"};
-    stream_info info;
-    info.width = static_cast<int>(r.u32());
-    info.height = static_cast<int>(r.u32());
-    info.components = r.u8();
-    info.bit_depth = r.u8();
-    info.tile_width = static_cast<int>(r.u32());
-    info.tile_height = static_cast<int>(r.u32());
-    info.mode = r.u8() ? wavelet::w9_7 : wavelet::w5_3;
-    info.levels = r.u8();
-    info.quality_layers = r.u8();
-    info.quant.base_step = r.f64();
-    info.quant.guard_bits = r.u8();
-    if (info.width <= 0 || info.height <= 0)
-        throw codestream_error{"bad image geometry"};
-    if (info.components < 1 || info.components > 4)
-        throw codestream_error{"bad component count"};
-    if (info.bit_depth < 1 || info.bit_depth > 16)
-        throw codestream_error{"bad bit depth"};
-    if (info.tile_width <= 0 || info.tile_height <= 0)
-        throw codestream_error{"bad tile geometry"};
-    if (info.levels < 0 || info.levels > 12)
-        throw codestream_error{"bad level count"};
-    if (!(info.quant.base_step > 0.0) || info.quant.base_step > 1.0)
-        throw codestream_error{"bad quantiser step"};
-    if (info.quality_layers < 1) throw codestream_error{"bad layer count"};
-
-    // Resource limits: hostile headers must fail cleanly *before* any decode
-    // allocation is sized from them.
-    if (info.width > k_max_dimension || info.height > k_max_dimension)
-        throw codestream_error{"image dimensions above decode limit"};
-    if (static_cast<std::uint64_t>(info.width) * info.height * info.components >
-        k_max_total_samples)
-        throw codestream_error{"image sample count above decode limit"};
-    const std::uint64_t tiles_x =
-        (static_cast<std::uint64_t>(info.width) + info.tile_width - 1) /
-        info.tile_width;
-    const std::uint64_t tiles_y =
-        (static_cast<std::uint64_t>(info.height) + info.tile_height - 1) /
-        info.tile_height;
-    const std::uint64_t tiles = tiles_x * tiles_y;
-    if (tiles > k_max_tiles) throw codestream_error{"tile count above decode limit"};
+    stream_info info = parse_main_header(r);
+    const std::uint64_t tiles = tiles_of(info);
 
     // Every tile costs at least a u32 length, once per layer in a layered
     // stream's directory, so a stream whose bytes cannot hold them is refused

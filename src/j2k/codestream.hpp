@@ -141,7 +141,14 @@ inline constexpr std::uint64_t k_max_tiles = std::uint64_t{1} << 20;
 /// Serialise the main header.
 void write_header(byte_writer& w, const stream_info& info);
 
-/// Parse the main header and the tile directory, and walk the code-block
+/// Parse the fixed fields of the main header (the bytes write_header writes)
+/// and hold them to the structural checks and the resource limits above; the
+/// tile directory is left unread, so the offset and length vectors stay
+/// empty.  O(1): for a caller that needs only the geometry or the layer
+/// count.  Throws codestream_error.
+[[nodiscard]] stream_info read_main_header(std::span<const std::uint8_t> cs);
+
+/// read_main_header, then parse the tile directory and walk the code-block
 /// headers of every tile payload and layer chunk.  Throws codestream_error,
 /// also for a payload or chunk whose block headers or segments run past it,
 /// or a block declaring more than k_max_bitplanes, before anything is sized.

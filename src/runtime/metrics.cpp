@@ -86,7 +86,6 @@ metrics_snapshot service_metrics::snapshot() const
     s.jobs_completed = completed_.value();
     s.jobs_failed = failed_.value();
     s.jobs_rejected = rejected_.value();
-    s.jobs_dropped = dropped_.value();
     s.jobs_batched = batched_.value();
     s.jobs_progressive = progressive_.value();
     s.layers_emitted = layers_.value();
@@ -95,10 +94,8 @@ metrics_snapshot service_metrics::snapshot() const
     s.progressive_active_high_water = static_cast<std::uint64_t>(progressive_active_.max());
     s.tiles_decoded = tiles_.value();
     s.pool_submissions = pool_submissions_.value();
-    for (std::size_t p = 0; p < priority_count; ++p) {
+    for (std::size_t p = 0; p < priority_count; ++p)
         s.shed_by_priority[p].rejected = prio_rejected_[p].value();
-        s.shed_by_priority[p].dropped = prio_dropped_[p].value();
-    }
     s.entropy_ms = static_cast<double>(entropy_ns_.value()) / 1e6;
     s.iq_ms = static_cast<double>(iq_ns_.value()) / 1e6;
     s.idwt_ms = static_cast<double>(idwt_ns_.value()) / 1e6;
@@ -142,18 +139,14 @@ void metrics_snapshot::for_each(obs::metric_sink& out) const
     out.add_counter("jobs_completed_total", "jobs_completed", jobs_completed);
     out.add_counter("jobs_failed_total", "jobs_failed", jobs_failed);
     out.add_counter("jobs_rejected_total", "jobs_rejected", jobs_rejected);
-    out.add_counter("jobs_dropped_total", "jobs_dropped", jobs_dropped);
     out.add_counter("jobs_promoted_total", "jobs_promoted", jobs_promoted);
     out.add_counter("jobs_batched_total", "jobs_batched", jobs_batched);
     for (std::size_t p = 0; p < priority_count; ++p) {
         const char* pn = priority_name(static_cast<priority>(p));
         const obs::metric_label rejected[] = {{"priority", pn}, {"kind", "rejected"}};
-        const obs::metric_label dropped[] = {{"priority", pn}, {"kind", "dropped"}};
         out.begin(std::string{"shed_"} + pn);
         out.add({.family = "jobs_shed_total", .labels = rejected, .key = "rejected"},
                 shed_by_priority[p].rejected);
-        out.add({.family = "jobs_shed_total", .labels = dropped, .key = "dropped"},
-                shed_by_priority[p].dropped);
         out.end();
     }
     out.add_gauge("queue_depth_high_water", "queue_depth_high_water",

@@ -58,18 +58,14 @@ struct metrics_snapshot {
     std::uint64_t jobs_completed = 0;
     std::uint64_t jobs_failed = 0;    ///< decode threw (malformed stream, ...)
     std::uint64_t jobs_rejected = 0;  ///< refused at admission (reject policy)
-    std::uint64_t jobs_dropped = 0;   ///< evicted while queued (drop_oldest)
     std::uint64_t jobs_batched = 0;   ///< jobs admitted through submit_batch
     // Kept by the queue under its lock (filled by decode_service::metrics()).
     std::uint64_t jobs_promoted = 0;  ///< batch jobs popped past waiting interactive
     std::uint64_t queue_depth_high_water = 0;
 
     /// Shed accounting split by admission class (indexed by runtime::priority).
-    /// `dropped` is charged to the priority of the *evicted* job, which with
-    /// per-priority capacities is not always the priority being pushed.
     struct priority_shed {
         std::uint64_t rejected = 0;
-        std::uint64_t dropped = 0;
     };
     priority_shed shed_by_priority[priority_count];
 
@@ -161,11 +157,6 @@ public:
         rejected_.add();
         prio_rejected_[static_cast<std::size_t>(p)].add();
     }
-    void on_dropped(priority p) noexcept
-    {
-        dropped_.add();
-        prio_dropped_[static_cast<std::size_t>(p)].add();
-    }
     void on_batched() noexcept { batched_.add(); }
     void on_progressive_started() noexcept
     {
@@ -210,7 +201,6 @@ private:
     obs::counter completed_;
     obs::counter failed_;
     obs::counter rejected_;
-    obs::counter dropped_;
     obs::counter batched_;
     obs::counter progressive_;
     obs::counter layers_;
@@ -224,7 +214,6 @@ private:
     obs::counter idwt_ns_;
     obs::counter finish_ns_;
     std::array<obs::counter, priority_count> prio_rejected_;
-    std::array<obs::counter, priority_count> prio_dropped_;
     obs::log2_histogram latency_;
     std::array<obs::log2_histogram, priority_count> prio_latency_;
 

@@ -1,14 +1,13 @@
 #include "client.hpp"
 
+#include "poller.hpp"
+
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -62,26 +61,8 @@ void append_frame(std::vector<std::uint8_t>& out, const request& r)
 
 }  // namespace
 
-client::client(const std::string& host, std::uint16_t port)
+client::client(const std::string& host, std::uint16_t port) : fd_{connect_tcp(host, port)}
 {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::system_error{errno, std::generic_category(), "socket"};
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error{"client: numeric IPv4 host expected: " + host};
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-        const int err = errno;
-        ::close(fd_);
-        fd_ = -1;
-        throw std::system_error{err, std::generic_category(), "connect"};
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 client::~client()

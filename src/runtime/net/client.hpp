@@ -60,7 +60,9 @@ struct layer_frame {
 
 class client {
 public:
-    /// Connect (blocking) to a decode server.  Numeric IPv4 host only.
+    /// Connect (blocking) to a decode server through net::connect_tcp:
+    /// std::runtime_error for a host that is not numeric IPv4,
+    /// std::system_error when the connect fails.
     client(const std::string& host, std::uint16_t port);
     ~client();
 

@@ -4,41 +4,140 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
-#include <poll.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define RUNTIME_NET_HAVE_EPOLL 1
-#else
-#define RUNTIME_NET_HAVE_EPOLL 0
-#endif
-
 namespace runtime::net {
+
+namespace {
+
+/// The listen(2) backlog of every listener.
+constexpr int k_accept_backlog = 64;
+
+/// A numeric IPv4 address, or false.
+bool ipv4_address(const std::string& host, std::uint16_t port, sockaddr_in& addr)
+{
+    addr = sockaddr_in{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
+}
+
+}  // namespace
 
 void throw_errno(const char* what)
 {
     throw std::system_error{errno, std::generic_category(), what};
 }
 
-void set_nonblocking(int fd)
+void log_sockopt_failure(const char* what)
 {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-        throw_errno("fcntl(O_NONBLOCK)");
+    std::fprintf(stderr, "runtime::net: setsockopt(%s) failed: %s\n", what,
+                 std::strerror(errno));
 }
 
-int accept_or_shed(int listen_fd, int& reserve_fd, std::atomic<std::uint64_t>& failed)
+// ---- poller -----------------------------------------------------------------
+
+poller::poller() : fd_{::epoll_create1(0)}
+{
+    if (fd_ < 0) throw_errno("epoll_create1");
+}
+
+poller::~poller() { ::close(fd_); }
+
+void poller::control(int op, int fd, std::uint64_t id, bool want_write, const char* what)
+{
+    epoll_event ev{};
+    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.data.u64 = id;
+    if (::epoll_ctl(fd_, op, fd, &ev) < 0) throw_errno(what);
+}
+
+void poller::add(int fd, std::uint64_t id, bool want_write)
+{
+    control(EPOLL_CTL_ADD, fd, id, want_write, "epoll_ctl(ADD)");
+}
+
+void poller::update(int fd, std::uint64_t id, bool want_write)
+{
+    control(EPOLL_CTL_MOD, fd, id, want_write, "epoll_ctl(MOD)");
+}
+
+void poller::remove(int fd) { ::epoll_ctl(fd_, EPOLL_CTL_DEL, fd, nullptr); }
+
+void poller::wait(std::vector<ready_event>& out, int timeout_ms)
+{
+    epoll_event evs[64];
+    const int n = ::epoll_wait(fd_, evs, 64, timeout_ms);
+    for (int i = 0; i < n; ++i) {
+        ready_event e;
+        e.id = evs[i].data.u64;
+        e.readable = (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
+        e.writable = (evs[i].events & EPOLLOUT) != 0;
+        e.hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+        out.push_back(e);
+    }
+}
+
+// ---- listener ---------------------------------------------------------------
+
+listener::listener(const std::string& bind_address, std::uint16_t port, bool reuseport)
+{
+    sockaddr_in addr;
+    if (!ipv4_address(bind_address, port, addr))
+        throw std::system_error{EINVAL, std::generic_category(),
+                                "bad bind address (numeric IPv4 expected)"};
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd_ < 0) throw_errno("socket");
+    try {
+        const int one = 1;
+        if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) < 0)
+            log_sockopt_failure("SO_REUSEADDR");
+        if (reuseport && ::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0)
+            throw_errno("setsockopt(SO_REUSEPORT)");
+        if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
+            ::listen(fd_, k_accept_backlog) < 0)
+            throw_errno("bind/listen");
+        // Without the bound address, port() would report garbage.
+        socklen_t alen = sizeof addr;
+        if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &alen) < 0)
+            throw_errno("getsockname");
+    } catch (...) {
+        ::close(fd_);
+        throw;
+    }
+    port_ = ntohs(addr.sin_port);
+    // Best-effort: without a reserve the shed path degrades to backoff.
+    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
+
+listener::~listener()
+{
+    ::close(fd_);
+    if (reserve_fd_ >= 0) ::close(reserve_fd_);
+}
+
+int listener::accept(std::atomic<std::uint64_t>& failed)
 {
     for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0) return fd;
+        const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK);
+        if (fd >= 0) {
+            const int one = 1;
+            if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0)
+                log_sockopt_failure("TCP_NODELAY");
+            return fd;
+        }
         if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
         if (errno == EINTR) continue;
         failed.fetch_add(1, std::memory_order_relaxed);
@@ -46,13 +145,13 @@ int accept_or_shed(int listen_fd, int& reserve_fd, std::atomic<std::uint64_t>& f
         // listener is healthy — keep draining the queue.
         if (errno != EMFILE && errno != ENFILE) continue;
         OBS_TRACE_INSTANT("net", "accept_fd_exhausted");
-        if (reserve_fd >= 0) {
-            ::close(reserve_fd);
-            reserve_fd = -1;
+        if (reserve_fd_ >= 0) {
+            ::close(reserve_fd_);
+            reserve_fd_ = -1;
         }
-        const int shed = ::accept(listen_fd, nullptr, nullptr);
+        const int shed = ::accept(fd_, nullptr, nullptr);
         if (shed >= 0) ::close(shed);
-        reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         if (shed < 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
             return -1;
@@ -61,105 +160,23 @@ int accept_or_shed(int listen_fd, int& reserve_fd, std::atomic<std::uint64_t>& f
     }
 }
 
-namespace {
+// ---- client side ------------------------------------------------------------
 
-#if RUNTIME_NET_HAVE_EPOLL
-class epoll_poller final : public poller {
-public:
-    epoll_poller()
-    {
-        fd_ = ::epoll_create1(0);
-        if (fd_ < 0) throw_errno("epoll_create1");
-    }
-    ~epoll_poller() override { ::close(fd_); }
-
-    void add(int fd, std::uint64_t id, bool want_write) override
-    {
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-        ev.data.u64 = id;
-        if (::epoll_ctl(fd_, EPOLL_CTL_ADD, fd, &ev) < 0) throw_errno("epoll_ctl(ADD)");
-    }
-    void update(int fd, std::uint64_t id, bool want_write) override
-    {
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-        ev.data.u64 = id;
-        if (::epoll_ctl(fd_, EPOLL_CTL_MOD, fd, &ev) < 0) throw_errno("epoll_ctl(MOD)");
-    }
-    void remove(int fd) override { ::epoll_ctl(fd_, EPOLL_CTL_DEL, fd, nullptr); }
-
-    void wait(std::vector<ready_event>& out, int timeout_ms) override
-    {
-        epoll_event evs[64];
-        const int n = ::epoll_wait(fd_, evs, 64, timeout_ms);
-        for (int i = 0; i < n; ++i) {
-            ready_event e;
-            e.id = evs[i].data.u64;
-            e.readable = (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-            e.writable = (evs[i].events & EPOLLOUT) != 0;
-            e.hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-            out.push_back(e);
-        }
-    }
-
-private:
-    int fd_ = -1;
-};
-#endif
-
-/// Portable fallback: rebuilds the pollfd set per wait.  O(connections) per
-/// iteration, fine at the scales the fallback serves.
-class poll_poller final : public poller {
-public:
-    void add(int fd, std::uint64_t id, bool want_write) override
-    {
-        fds_[fd] = entry{id, want_write};
-    }
-    void update(int fd, std::uint64_t id, bool want_write) override
-    {
-        fds_[fd] = entry{id, want_write};
-    }
-    void remove(int fd) override { fds_.erase(fd); }
-
-    void wait(std::vector<ready_event>& out, int timeout_ms) override
-    {
-        std::vector<pollfd> pfds;
-        pfds.reserve(fds_.size());
-        for (const auto& [fd, e] : fds_)
-            pfds.push_back({fd, static_cast<short>(POLLIN | (e.want_write ? POLLOUT : 0)),
-                            0});
-        const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-        if (n <= 0) return;
-        for (const pollfd& p : pfds) {
-            if (p.revents == 0) continue;
-            ready_event e;
-            e.id = fds_[p.fd].id;
-            e.readable = (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-            e.writable = (p.revents & POLLOUT) != 0;
-            e.hangup = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-            out.push_back(e);
-        }
-    }
-
-private:
-    struct entry {
-        std::uint64_t id = 0;
-        bool want_write = false;
-    };
-    std::unordered_map<int, entry> fds_;
-};
-
-}  // namespace
-
-std::unique_ptr<poller> make_poller(bool force_poll)
+int connect_tcp(const std::string& host, std::uint16_t port)
 {
-#if RUNTIME_NET_HAVE_EPOLL
-    if (!force_poll) return std::make_unique<epoll_poller>();
-#else
-    (void)force_poll;
-#endif
-    return std::make_unique<poll_poller>();
+    sockaddr_in addr;
+    if (!ipv4_address(host, port, addr))
+        throw std::runtime_error{"numeric IPv4 host expected: " + host};
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) throw_errno("socket");
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+        const int err = errno;
+        ::close(fd);
+        throw std::system_error{err, std::generic_category(), "connect"};
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return fd;
 }
 
 }  // namespace runtime::net

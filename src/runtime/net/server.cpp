@@ -14,24 +14,17 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 namespace runtime::net {
 
 namespace {
-
-// poller / ready_event / set_nonblocking / throw_errno moved to poller.hpp —
-// the HTTP ops plane (ops/ops_server.cpp) drives the same backends.
 
 constexpr std::uint64_t k_listener_id = 0;
 constexpr std::uint64_t k_wake_id = 1;
@@ -46,64 +39,6 @@ std::size_t resolve_shards(std::size_t cfg_shards)
     return std::min<std::size_t>(hc ? hc : 1, 16);
 }
 
-void log_sockopt_failure(const char* what)
-{
-    std::fprintf(stderr, "runtime::net: setsockopt(%s) failed: %s\n", what,
-                 std::strerror(errno));
-}
-
-/// Bind + listen one front-end listener.  With `reuseport` every shard binds
-/// the same port and the kernel hashes connections across them — that is the
-/// whole sharding mechanism, so a missing SO_REUSEPORT is a hard error there,
-/// while the best-effort SO_REUSEADDR only logs.
-int make_listener(const std::string& bind_address, std::uint16_t port,
-                  int backlog, bool reuseport, std::uint16_t* bound_port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw_errno("socket");
-    const int one = 1;
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) < 0)
-        log_sockopt_failure("SO_REUSEADDR");
-    if (reuseport) {
-#ifdef SO_REUSEPORT
-        if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0) {
-            const int err = errno;
-            ::close(fd);
-            throw std::system_error{err, std::generic_category(),
-                                    "setsockopt(SO_REUSEPORT)"};
-        }
-#else
-        ::close(fd);
-        throw std::system_error{ENOTSUP, std::generic_category(),
-                                "multi-shard server needs SO_REUSEPORT"};
-#endif
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        throw std::system_error{EINVAL, std::generic_category(),
-                                "bad bind address (numeric IPv4 expected)"};
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, backlog) < 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::system_error{err, std::generic_category(), "bind/listen"};
-    }
-    set_nonblocking(fd);
-    socklen_t alen = sizeof addr;
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen) < 0) {
-        // Without the bound address, port() would report garbage.
-        const int err = errno;
-        ::close(fd);
-        throw std::system_error{err, std::generic_category(), "getsockname"};
-    }
-    *bound_port = ntohs(addr.sin_port);
-    return fd;
-}
-
 }  // namespace
 
 struct server::impl {
@@ -112,7 +47,7 @@ struct server::impl {
           service_{[&] {
               service_config sc = cfg_.service;
               // `block` at admission would stall the event loops; shed instead.
-              if (sc.policy == backpressure::block) sc.policy = backpressure::reject;
+              sc.policy = backpressure::reject;
               return sc;
           }()}
     {
@@ -199,45 +134,33 @@ struct server::impl {
 
         // ---- lifecycle ---------------------------------------------------
 
-        /// Bind the listener, the wake pipe, and the emergency reserve fd.
-        /// No thread yet — start() launches loops only once every shard
-        /// bound, so a failure tears down cleanly with close_fds() alone.
-        void open(std::uint16_t port, bool reuseport, std::uint16_t* bound_port)
+        /// Runs with no loop thread (never launched, or joined), so a failed
+        /// start() tears down by destroying the shards.
+        ~shard() { close_wake_pipe(); }
+
+        /// Bind the listener (`port` 0 = ephemeral, then read
+        /// listener_->port()), and open the poller and the wake pipe.  No
+        /// thread yet: start() launches loops only once every shard opened.
+        void open(std::uint16_t port, bool reuseport)
         {
-            listen_fd_ = make_listener(cfg().bind_address, port,
-                                       cfg().listen_backlog, reuseport, bound_port);
+            listener_ = std::make_unique<listener>(cfg().bind_address, port, reuseport);
+            poller_ = std::make_unique<poller>();
             int pipefd[2];
-            if (::pipe(pipefd) < 0) {
-                const int err = errno;
-                ::close(listen_fd_);
-                listen_fd_ = -1;
-                throw std::system_error{err, std::generic_category(), "pipe"};
-            }
+            // Non-blocking: a full pipe must never block a worker.
+            if (::pipe2(pipefd, O_NONBLOCK) < 0) throw_errno("pipe");
             wake_rd_ = pipefd[0];
             wake_wr_ = pipefd[1];
-            set_nonblocking(wake_rd_);
-            set_nonblocking(wake_wr_);  // a full pipe must never block a worker
-
-            // Emergency reserve: one fd kept idle so that, at EMFILE, the
-            // queued connection can still be accepted and shed (see
-            // accept_or_shed).  Best-effort — a failed open just means the
-            // shed path degrades to backoff.
-            reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-
-            poller_ = make_poller(cfg().use_poll);
-            poller_->add(listen_fd_, k_listener_id, false);
+            poller_->add(listener_->fd(), k_listener_id, false);
             poller_->add(wake_rd_, k_wake_id, false);
         }
 
         void launch() { loop_thread_ = std::thread{[this] { run_loop(); }}; }
 
-        void close_fds()
+        void close_wake_pipe()
         {
-            if (listen_fd_ >= 0) ::close(listen_fd_);
             if (wake_rd_ >= 0) ::close(wake_rd_);
             if (wake_wr_ >= 0) ::close(wake_wr_);
-            if (reserve_fd_ >= 0) ::close(reserve_fd_);
-            listen_fd_ = wake_rd_ = wake_wr_ = reserve_fd_ = -1;
+            wake_rd_ = wake_wr_ = -1;
         }
 
         /// After the loop thread exits: close the wake pipe.  Every writer —
@@ -247,7 +170,7 @@ struct server::impl {
         void join_and_teardown()
         {
             if (loop_thread_.joinable()) loop_thread_.join();
-            close_fds();
+            close_wake_pipe();
         }
 
         // ---- event loop --------------------------------------------------
@@ -261,8 +184,7 @@ struct server::impl {
                 // Drain phase 1: the listener goes first, while established
                 // connections keep flowing (responses for jobs the shared
                 // service is still finishing).
-                if (drain_requested_.load(std::memory_order_acquire) &&
-                    listen_fd_ >= 0)
+                if (drain_requested_.load(std::memory_order_acquire) && listener_)
                     close_listener();
                 events.clear();
                 poller_->wait(events, -1);
@@ -313,23 +235,18 @@ struct server::impl {
 
         void close_listener()
         {
-            if (listen_fd_ >= 0) {
-                poller_->remove(listen_fd_);
-                ::close(listen_fd_);
-                listen_fd_ = -1;
+            if (listener_) {
+                poller_->remove(listener_->fd());
+                listener_.reset();
             }
             listener_closed_.store(true, std::memory_order_release);
         }
 
         void accept_ready()
         {
-            if (listen_fd_ < 0) return;  // raced with drain
+            if (!listener_) return;  // raced with drain
             int fd = -1;
-            while ((fd = accept_or_shed(listen_fd_, reserve_fd_, accepts_failed_)) >= 0) {
-                set_nonblocking(fd);
-                const int one = 1;
-                if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0)
-                    log_sockopt_failure("TCP_NODELAY");
+            while ((fd = listener_->accept(accepts_failed_)) >= 0) {
                 if (cfg().sndbuf_bytes > 0 &&
                     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg().sndbuf_bytes,
                                  sizeof cfg().sndbuf_bytes) < 0)
@@ -549,8 +466,6 @@ struct server::impl {
                 return status::unsupported_codec;
             } catch (const admission_rejected&) {
                 return status::shed;
-            } catch (const job_dropped&) {
-                return status::shed;
             } catch (const service_stopped&) {
                 return status::stopped;
             } catch (const std::exception& e) {
@@ -758,10 +673,9 @@ struct server::impl {
         const std::size_t index_;
         const std::size_t stride_;  ///< conn-id stride = shard count
 
-        int listen_fd_ = -1;
+        std::unique_ptr<listener> listener_;  ///< null once drained or closed
         int wake_rd_ = -1;
         int wake_wr_ = -1;
-        int reserve_fd_ = -1;  ///< emergency fd released to shed at EMFILE
         std::unique_ptr<poller> poller_;
         std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns_;
         std::uint64_t next_conn_id_;
@@ -836,14 +750,12 @@ struct server::impl {
             // more than one, shard 0 included — it must be set before bind.
             for (std::size_t i = 0; i < n; ++i) {
                 auto s = std::make_unique<shard>(*this, i, n);
-                std::uint16_t bound = 0;
-                s->open(i == 0 ? cfg_.port : port_, n > 1, &bound);
-                if (i == 0) port_ = bound;
+                s->open(i == 0 ? cfg_.port : port_, n > 1);
+                if (i == 0) port_ = s->listener_->port();
                 shards_.push_back(std::move(s));
             }
         } catch (...) {
-            for (auto& s : shards_) s->close_fds();  // no threads running yet
-            shards_.clear();
+            shards_.clear();  // no threads running yet: closes every fd
             throw;
         }
         for (auto& s : shards_) s->launch();

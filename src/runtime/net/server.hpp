@@ -2,13 +2,13 @@
 // decode service.
 //
 // The front-end runs `shards` independent event-loop shards.  Each shard owns
-// its own `SO_REUSEPORT` listener on the same port, its own poller (epoll on
-// Linux, poll(2) fallback), wake pipe, completion queue, small-job batcher,
-// and stats block; the kernel hashes incoming connections across the
-// listeners, so there is no shared accept lock and no cross-shard handoff — a
-// connection lives its whole life on the shard that accepted it.  All shards
-// feed the one shared `decode_service` pool; completions wake only the owning
-// shard's self-pipe.  `shards = 1` (the default) is byte-for-byte the classic
+// its own `SO_REUSEPORT` listener on the same port and its own epoll poller
+// (both from net/poller.hpp, the socket layer the ops plane shares), plus a
+// wake pipe, completion queue, small-job batcher and stats block; the kernel
+// hashes incoming connections across the listeners, so there is no shared
+// accept lock and no cross-shard handoff — a connection lives its whole life
+// on the shard that accepted it.  All shards feed the one shared
+// `decode_service` pool; completions wake only the owning shard's self-pipe.  `shards = 1` (the default) is byte-for-byte the classic
 // single-loop server; `shards = 0` sizes from hardware concurrency.
 //
 //   socket ──► [shard 0: listener+poller+batcher] ──┐
@@ -30,11 +30,11 @@
 // admitted through `submit_batch` — one pool pump for the whole burst instead
 // of one per request.
 //
-// Overload never blocks a loop: configure the service with `reject` or
-// `drop_oldest` (the default here is reject) and shed requests come back as
-// framed `status::shed` responses.  Two further shedding valves protect the
-// loops themselves:
-//   * fd exhaustion — each shard holds an emergency reserve fd; on
+// Overload never blocks a loop: the service always admits with `reject`,
+// whatever `service.policy` says, and shed requests come back as framed
+// `status::shed` responses.  Two further shedding valves protect the loops
+// themselves:
+//   * fd exhaustion — each shard's listener holds an emergency reserve fd; on
 //     EMFILE/ENFILE it releases the reserve, accepts the pending connection,
 //     closes it immediately, and re-arms (counted in `accepts_failed`).
 //     Without the shed, a level-triggered poller re-fires on the undrained
@@ -70,8 +70,7 @@ struct server_config {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 = ephemeral (read the bound port via port())
     /// Decode service behind the loops.  `block` at admission would stall an
-    /// event loop, so the server overrides it to `reject` unless the policy
-    /// is already a non-blocking one.
+    /// event loop, so the server runs it with `reject` whatever `policy` says.
     service_config service{.queue_capacity = 64, .policy = backpressure::reject};
     /// Event-loop shards, each with its own SO_REUSEPORT listener.  1 (the
     /// default) preserves the classic single-loop behaviour; 0 sizes from
@@ -88,8 +87,6 @@ struct server_config {
     /// which makes `max_outbound_bytes` the real backlog ceiling instead of
     /// "cap plus whatever the kernel autotunes to".
     int sndbuf_bytes = 0;
-    bool use_poll = false;                     ///< force the poll(2) fallback
-    int listen_backlog = 64;
 };
 
 class server {
@@ -101,7 +98,8 @@ public:
     server& operator=(const server&) = delete;
 
     /// Bind every shard's listener, and start the event loop threads.  Throws
-    /// std::system_error on socket failures.
+    /// std::system_error on socket failures (a bind address that is not
+    /// numeric IPv4, a port in use), leaving no fd open.
     void start();
 
     /// Graceful drain: stop accepting on every shard, drain every admitted

@@ -1,6 +1,6 @@
 #include "http_client.hpp"
 
-#include "../net/poller.hpp"  // throw_errno
+#include "../net/poller.hpp"  // connect_tcp, throw_errno
 
 #include <algorithm>
 #include <cctype>
@@ -9,9 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,18 +30,7 @@ struct fd_guard {
 http_response http_get(const std::string& host, std::uint16_t port,
                        const std::string& target)
 {
-    fd_guard s;
-    s.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (s.fd < 0) net::throw_errno("socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        throw std::runtime_error{"http_get: numeric IPv4 host expected"};
-    if (::connect(s.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0)
-        net::throw_errno("connect");
-    const int one = 1;
-    ::setsockopt(s.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    const fd_guard s{net::connect_tcp(host, port)};
 
     const std::string req = "GET " + target +
                             " HTTP/1.1\r\n"

@@ -18,8 +18,9 @@ struct http_response {
 };
 
 /// GET `target` (path + optional query, e.g. "/metrics?format=json") from
-/// host:port.  Throws std::system_error on connect/send/recv failure and
-/// std::runtime_error on a malformed response.
+/// host:port (numeric IPv4, connected through net::connect_tcp).  Throws
+/// std::system_error on connect/send/recv failure and std::runtime_error on a
+/// non-numeric host or a malformed response.
 [[nodiscard]] http_response http_get(const std::string& host, std::uint16_t port,
                                      const std::string& target);
 

@@ -5,19 +5,10 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
-#include <system_error>
 #include <thread>
 #include <unordered_map>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,12 +21,6 @@ constexpr std::uint64_t k_first_conn_id = 1;
 
 /// Trailing windows every rolling-stage family is exposed over.
 constexpr int k_windows_s[] = {1, 10, 60};
-
-void log_sockopt_failure(const char* what)
-{
-    std::fprintf(stderr, "runtime::ops: setsockopt(%s) failed: %s\n", what,
-                 std::strerror(errno));
-}
 
 bool parse_u64(std::string_view s, std::uint64_t& out)
 {
@@ -88,44 +73,12 @@ struct ops_server::impl {
     void start()
     {
         if (running_) return;
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd_ < 0) net::throw_errno("socket");
-        const int one = 1;
-        if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) < 0)
-            log_sockopt_failure("SO_REUSEADDR");
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(cfg_.port);
-        if (::inet_pton(AF_INET, cfg_.bind_address.c_str(), &addr.sin_addr) != 1) {
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            throw std::system_error{EINVAL, std::generic_category(),
-                                    "bad bind address (numeric IPv4 expected)"};
-        }
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-            ::listen(listen_fd_, cfg_.listen_backlog) < 0) {
-            const int err = errno;
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            throw std::system_error{err, std::generic_category(), "bind/listen"};
-        }
-        net::set_nonblocking(listen_fd_);
-        socklen_t alen = sizeof addr;
-        if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen) < 0) {
-            // Without the bound address, port() would report garbage.
-            const int err = errno;
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            throw std::system_error{err, std::generic_category(), "getsockname"};
-        }
-        port_ = ntohs(addr.sin_port);
-
-        // Emergency reserve fd, released to shed a pending connection when
-        // accept() hits EMFILE/ENFILE (see net::accept_or_shed).
-        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-
-        poller_ = net::make_poller(cfg_.use_poll);
-        poller_->add(listen_fd_, k_listener_id, false);
+        auto l = std::make_unique<net::listener>(cfg_.bind_address, cfg_.port, false);
+        auto p = std::make_unique<net::poller>();
+        p->add(l->fd(), k_listener_id, false);
+        port_ = l->port();
+        listener_ = std::move(l);
+        poller_ = std::move(p);
 
         stop_requested_.store(false, std::memory_order_relaxed);
         running_ = true;
@@ -190,30 +143,19 @@ struct ops_server::impl {
             }
         }
 
-        if (listen_fd_ >= 0) {
-            poller_->remove(listen_fd_);
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-        }
+        poller_->remove(listener_->fd());
+        listener_.reset();
         for (auto& [id, c] : conns_) {
             poller_->remove(c->fd);
             ::close(c->fd);
         }
         conns_.clear();
-        if (reserve_fd_ >= 0) {
-            ::close(reserve_fd_);
-            reserve_fd_ = -1;
-        }
     }
 
     void accept_ready()
     {
         int fd = -1;
-        while ((fd = net::accept_or_shed(listen_fd_, reserve_fd_, accepts_failed_)) >= 0) {
-            net::set_nonblocking(fd);
-            const int one = 1;
-            if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0)
-                log_sockopt_failure("TCP_NODELAY");
+        while ((fd = listener_->accept(accepts_failed_)) >= 0) {
             auto c = std::make_unique<connection>(cfg_.max_request_bytes);
             c->fd = fd;
             c->id = next_conn_id_++;
@@ -495,8 +437,7 @@ struct ops_server::impl {
     std::uint64_t cursor_ = 0;  ///< private tracer cursor (guarded by drain_m_)
     std::uint64_t last_drain_ns_ = 0;
 
-    int listen_fd_ = -1;
-    int reserve_fd_ = -1;  ///< emergency fd released to shed at EMFILE
+    std::unique_ptr<net::listener> listener_;  ///< open while the loop runs
     std::uint16_t port_ = 0;
     std::unique_ptr<net::poller> poller_;
     std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns_;

@@ -19,9 +19,10 @@
 // tracer is non-destructive, so this coexists with /trace tails and with the
 // end-of-run write_json_file dump.
 //
-// It shares the poller backend with the decode front-end (net/poller.hpp)
-// but runs a much simpler connection model: one request, one response,
-// Connection: close.
+// It shares the socket layer with the decode front-end (net/poller.hpp: the
+// epoll poller and the listener, with its backlog and its shedding at fd
+// exhaustion) but runs a much simpler connection model: one request, one
+// response, Connection: close.
 #pragma once
 
 #include "../service.hpp"
@@ -40,8 +41,6 @@ namespace runtime::ops {
 struct ops_config {
     std::string bind_address = "127.0.0.1";  ///< ops plane defaults to loopback
     std::uint16_t port = 0;                  ///< 0 → ephemeral, see port()
-    int listen_backlog = 16;
-    bool use_poll = false;               ///< force the poll(2) poller backend
     std::size_t max_request_bytes = 8 * 1024;  ///< header cap → 431 beyond
     std::string metric_prefix = "j2k";   ///< prefix for every exposed family
     int aggregate_interval_ms = 250;     ///< span-drain cadence for rolling stats
@@ -74,6 +73,9 @@ public:
     void set_ready_probe(ready_probe p);
     void set_extra_counters(extras_fn f);
 
+    /// Bind and start the loop thread.  Throws std::system_error on socket
+    /// failures (a bind address that is not numeric IPv4, a port in use),
+    /// leaving no fd open.
     void start();
     void stop();
     [[nodiscard]] std::uint16_t port() const noexcept;

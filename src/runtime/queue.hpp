@@ -6,10 +6,8 @@
 // (pool workers) meet at a fixed-capacity queue, and what happens when the
 // queue is full is a declared policy instead of an accident:
 //
-//   block       — producers wait for space (lossless, propagates pressure)
-//   reject      — push fails immediately (shed load at admission)
-//   drop_oldest — the oldest queued item is evicted to make room (bounded
-//                 staleness, e.g. live preview frames)
+//   block  — producers wait for space (lossless, propagates pressure)
+//   reject — push fails immediately (shed load at admission)
 //
 // All operations are linearisable under one internal mutex; this queue sits
 // on the admission path (one push per decode job), not on the per-tile hot
@@ -28,15 +26,13 @@ namespace runtime {
 
 /// What a producer wants done when the queue is full.
 enum class backpressure {
-    block,        ///< wait until space is available
-    reject,       ///< fail the push immediately
-    drop_oldest,  ///< evict the oldest queued item, then push
+    block,   ///< wait until space is available
+    reject,  ///< fail the push immediately
 };
 
 /// Outcome of a push attempt.
 enum class push_result {
     ok,       ///< item enqueued
-    dropped,  ///< item enqueued, but an older item was evicted (drop_oldest)
     rejected, ///< queue full and policy is reject
     closed,   ///< queue closed; item not enqueued
 };
@@ -79,13 +75,6 @@ struct level_capacities {
 ///              interactive pops with batch work waiting, one batch item is
 ///              promoted past the interactive backlog (starvation escape
 ///              valve), and the counter resets.
-///   drop_oldest — when the *pushing level* is at its own bound, the victim
-///              must come from that level (evicting elsewhere frees no room),
-///              and the eviction is charged to that level via *evicted_prio.
-///              When only the shared bound is hit, the victim is the oldest
-///              *batch* item when one exists; interactive items are only
-///              evicted when no batch work is queued (shed throughput work
-///              before latency work).
 template <typename T>
 class two_level_queue {
 public:
@@ -113,46 +102,17 @@ public:
     two_level_queue& operator=(const two_level_queue&) = delete;
 
     /// Enqueue `v` at level `p` according to the backpressure policy.  `v` is
-    /// consumed only when the item is actually enqueued (`ok`/`dropped`): on
+    /// consumed only when the item is actually enqueued (`ok`): on
     /// `rejected`/`closed` the caller keeps it — important when the item
-    /// carries a promise that must be failed.  On `dropped`, the evicted item
-    /// is moved into `*evicted` when non-null (so the caller can fail it) and
-    /// destroyed otherwise, and its class is written to `*evicted_prio`.
-    push_result push(T&& v, priority p, T* evicted = nullptr,
-                     priority* evicted_prio = nullptr)
+    /// carries a promise that must be failed.
+    push_result push(T&& v, priority p)
     {
         std::unique_lock lk{m_};
         if (closed_) return push_result::closed;
         if (full_for_locked(p)) {
-            switch (policy_) {
-            case backpressure::reject:
-                return push_result::rejected;
-            case backpressure::drop_oldest: {
-                // When the pushing level itself is at its bound, only an
-                // eviction from that level makes room — and the drop must be
-                // charged to that level, not to whoever happens to be oldest
-                // overall.  Only a purely shared-capacity overflow sheds the
-                // oldest batch item first (a fully interactive queue then
-                // sacrifices interactive work).
-                const priority victim_level =
-                    level_full_locked(p) ? p
-                    : !level(priority::batch).empty() ? priority::batch
-                                                      : priority::interactive;
-                auto& vq = level(victim_level);
-                if (evicted) *evicted = std::move(vq.front());
-                if (evicted_prio) *evicted_prio = victim_level;
-                vq.pop_front();
-                level(p).push_back(std::move(v));
-                high_water_ = std::max(high_water_, total_locked());
-                lk.unlock();
-                not_empty_.notify_one();
-                return push_result::dropped;
-            }
-            case backpressure::block:
-                not_full_.wait(lk, [&] { return closed_ || !full_for_locked(p); });
-                if (closed_) return push_result::closed;
-                break;
-            }
+            if (policy_ == backpressure::reject) return push_result::rejected;
+            not_full_.wait(lk, [&] { return closed_ || !full_for_locked(p); });
+            if (closed_) return push_result::closed;
         }
         level(p).push_back(std::move(v));
         high_water_ = std::max(high_water_, total_locked());
@@ -240,17 +200,13 @@ private:
         return levels_[0].size() + levels_[1].size();
     }
 
-    /// Is level `p` at its own (optional) bound?
-    [[nodiscard]] bool level_full_locked(priority p) const
-    {
-        const std::size_t lcap = level_caps_.of(p);
-        return lcap != 0 && levels_[static_cast<std::size_t>(p)].size() >= lcap;
-    }
-
-    /// Can a push at level `p` not proceed right now?
+    /// Can a push at level `p` not proceed right now?  The shared bound or
+    /// level `p`'s own (optional) bound is reached.
     [[nodiscard]] bool full_for_locked(priority p) const
     {
-        return total_locked() >= cap_ || level_full_locked(p);
+        const std::size_t lcap = level_caps_.of(p);
+        return total_locked() >= cap_ ||
+               (lcap != 0 && levels_[static_cast<std::size_t>(p)].size() >= lcap);
     }
 
     popped take_locked(std::unique_lock<std::mutex>& lk)

@@ -187,22 +187,10 @@ bool decode_service::admit(job_ptr j)
     OBS_TRACE_ASYNC_BEGIN("job", "queue_wait", j->trace_id);
     [[maybe_unused]] const std::uint64_t id = j->trace_id;
 
-    job_ptr evicted;
-    priority evicted_prio = opt.prio;
-    const push_result r = queue_.push(std::move(j), opt.prio, &evicted, &evicted_prio);
+    const push_result r = queue_.push(std::move(j), opt.prio);
     OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
     record_priority_depths();
     switch (r) {
-    case push_result::dropped:
-        // Charge the drop to the priority actually evicted — with per-level
-        // capacities the victim's class can differ from the pusher's.
-        metrics_.on_dropped(evicted_prio);
-        OBS_TRACE_INSTANT("runtime", "job_dropped");
-        OBS_TRACE_ASYNC_END("job", "queue_wait", evicted->trace_id);
-        OBS_TRACE_ASYNC_END("job", "job", evicted->trace_id);
-        settle(*evicted, std::make_exception_ptr(job_dropped{}));
-        retire(std::move(evicted));  // the evicted job leaves the in-flight set
-        return true;
     case push_result::ok:
         return true;
     case push_result::rejected:
@@ -228,8 +216,8 @@ void decode_service::pump(std::size_t n)
 {
     // One pump may pop-and-run up to `n` jobs; a plain submit passes n = 1, a
     // coalesced batch passes its size, so a burst of small jobs costs one pool
-    // submission.  Extra pump capacity left behind by evictions finds an empty
-    // queue and returns — the invariant is pump capacity >= queued jobs.
+    // submission.  The invariant is pump capacity >= queued jobs; a pump that
+    // finds the queue empty returns.
     //
     // Pumps are *root* tasks: a popped job can park on a single-flight cache
     // entry, so one must never start from a parallel_for helping loop — the
@@ -350,9 +338,11 @@ std::shared_ptr<const raw_image> decode_service::decode_cached(job& j,
     key.max_passes = j.opt.max_passes;
     // j2k, the one progressive codec, keys layered streams by normalised
     // depth: "all layers" requests (0 or >= stream depth) share one entry
-    // with explicit full-depth requests.
+    // with explicit full-depth requests.  The depth is a fixed header byte,
+    // so a hit parses no tile directory; a stream whose directory is bad
+    // opens a flight that the backend's full parse aborts, caching nothing.
     if (be.caps().progressive) {
-        const int depth = j2k::read_header(j.bytes).quality_layers;
+        const int depth = j2k::read_main_header(j.bytes).quality_layers;
         if (key.layers <= 0 || key.layers >= depth) key.layers = depth;
     }
 

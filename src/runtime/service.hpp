@@ -73,12 +73,6 @@ public:
     admission_rejected() : service_error{"decode_service: admission queue full"} {}
 };
 
-/// The job was evicted from the queue by a newer one (`drop_oldest`).
-class job_dropped : public service_error {
-public:
-    job_dropped() : service_error{"decode_service: job dropped by newer submission"} {}
-};
-
 /// submit() after shutdown().
 class service_stopped : public service_error {
 public:
@@ -130,7 +124,7 @@ struct service_config {
     std::size_t queue_capacity = 64;  ///< pending-job bound (both priorities)
     /// Optional independent per-priority bounds (0 = shared bound only).
     /// Lets admission reserve headroom for interactive work while batch
-    /// traffic is shed early — sheds are charged to the evicted priority.
+    /// traffic is shed early — each shed is charged to the pushed priority.
     std::size_t interactive_capacity = 0;
     std::size_t batch_capacity = 0;
     backpressure policy = backpressure::block;
@@ -280,8 +274,8 @@ private:
         /// Progressive jobs: per-layer delivery channel (errors included).
         progressive_completion on_layer;
         /// Exactly-once guard for the settle: the settle paths (worker
-        /// success/failure, eviction, rejection, close during admission) can
-        /// race, and std::promise throws on a second set.
+        /// success/failure, rejection, close during admission) can race, and
+        /// std::promise throws on a second set.
         std::atomic<bool> settled{false};
         std::vector<std::uint8_t> owned;      ///< storage when copy_input
         std::span<const std::uint8_t> bytes;  ///< what the decoder reads
@@ -305,8 +299,8 @@ private:
     static void settle(job& j, std::shared_ptr<const raw_image> img);
     static void settle(job& j, std::exception_ptr err);
     job_ptr make_job(std::vector<std::uint8_t>&& bytes, const decode_options& opt);
-    /// Admission core shared by every submit flavour: queue push, eviction /
-    /// rejection settling, metrics and spans.  Returns true when the job was
+    /// Admission core shared by every submit flavour: queue push, rejection
+    /// settling, metrics and spans.  Returns true when the job was
     /// enqueued and therefore needs pump capacity.
     bool admit(job_ptr j);
     /// Hand the pool one pump able to pop-and-run up to `n` queued jobs.

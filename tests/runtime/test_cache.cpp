@@ -2,8 +2,8 @@
 // pin semantics, single-flight collapsing (API-level and through the
 // service), byte-checked entries under equal keys, packed results shared with
 // completions and unpacked into futures, layer-capped and full-depth misses
-// bit-exact against the golden corpus, and progressive jobs that leave the
-// cache alone.
+// bit-exact against the golden corpus, progressive jobs that leave the cache
+// alone, and a stream with a bad tile directory that fails typed, uncached.
 #include <runtime/cache/decoded_cache.hpp>
 
 #include <runtime/hash.hpp>
@@ -704,6 +704,40 @@ TEST(DecodeService, UnknownCodecIdFailsTypedWithoutTouchingTheCache)
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 0u);
     EXPECT_EQ(m.cache_entries, 0u);
+}
+
+TEST(DecodeService, StreamWithABadTileDirectoryFailsTypedAndIsNeverCached)
+{
+    // A cached j2k request keys on the layer count, one fixed byte of the
+    // main header, so the lookup never parses the tile directory.  A stream
+    // whose first directory entry claims more bytes than follow still opens
+    // a flight; the backend's full parse aborts it with the typed error, and
+    // nothing is cached, however often it is asked for.
+    auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
+    j2k::byte_writer main_header;
+    j2k::write_header(main_header, j2k::read_main_header(cs));
+    for (std::size_t b = 0; b < 4; ++b) cs[main_header.size() + b] = 0xFF;
+    EXPECT_EQ(j2k::read_main_header(cs).quality_layers, 3);
+    EXPECT_THROW((void)j2k::read_header(cs), j2k::codestream_error);
+
+    decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
+    std::exception_ptr held[2];  // released after the workers are done
+    for (auto& h : held) {
+        try {
+            (void)svc.submit(cs).get();
+            ADD_FAILURE() << "a stream with a bad tile directory decoded";
+        } catch (const j2k::codestream_error&) {
+            h = std::current_exception();
+        }
+    }
+    wait_idle(svc);
+    for (auto& h : held) h = nullptr;
+    const auto m = svc.metrics();
+    EXPECT_EQ(m.jobs_failed, 2u);
+    EXPECT_EQ(m.cache_misses, 2u);
+    EXPECT_EQ(m.cache_hits, 0u);
+    EXPECT_EQ(m.cache_entries, 0u);
+    EXPECT_EQ(m.cache_bytes, 0u);
 }
 
 }  // namespace

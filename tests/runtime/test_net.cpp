@@ -1,8 +1,11 @@
 // runtime::net — wire protocol codecs, loopback end-to-end decode, torn and
 // malformed frames, mid-frame disconnect, pipelined-burst batching,
-// per-priority shedding, concurrent connections, poll(2) fallback.
+// per-priority shedding, concurrent connections, fd exhaustion, and the
+// socket layer's failure paths (start and connect).
 #include <runtime/net/client.hpp>
 #include <runtime/net/server.hpp>
+
+#include "socket_probe.hpp"
 
 #include <ccsds/ccsds123.hpp>
 #include <j2k/j2k.hpp>
@@ -683,7 +686,6 @@ TEST(NetServer, BatchFloodShedsAgainstItsOwnBoundOnly)
     const auto m = srv.service().metrics();
     EXPECT_EQ(m.shed_by_priority[1].rejected, static_cast<std::uint64_t>(shed));
     EXPECT_EQ(m.shed_by_priority[0].rejected, 0u);
-    EXPECT_EQ(m.shed_by_priority[0].dropped, 0u);
 }
 
 TEST(NetServer, ConcurrentConnectionsAllGetCorrectResults)
@@ -713,19 +715,6 @@ TEST(NetServer, ConcurrentConnectionsAllGetCorrectResults)
     for (auto& t : threads) t.join();
     EXPECT_EQ(correct.load(), clients * per_client);
     EXPECT_EQ(srv.stats().connections_accepted, static_cast<std::uint64_t>(clients));
-}
-
-TEST(NetServer, PollFallbackServesTheSameProtocol)
-{
-    const auto cs = make_stream(64, 64, 1, 64);
-    auto cfg = quiet_config();
-    cfg.use_poll = true;
-    net::server srv{cfg};
-    srv.start();
-    net::client cli{"127.0.0.1", srv.port()};
-    const auto r = cli.decode({cs, 0, net::result_format::raw, 1});
-    ASSERT_TRUE(r.ok()) << r.message();
-    EXPECT_EQ(net::decode_image_raw(r.payload), j2k::decoder{cs}.decode_all());
 }
 
 TEST(NetServer, StopIsIdempotentAndRestartNotRequired)
@@ -994,6 +983,54 @@ TEST(NetServer, FdExhaustionShedsPendingConnectionsInsteadOfSpinning)
     EXPECT_EQ(net::decode_image_raw(r.payload), serial);
 }
 
+// ---- socket failure paths --------------------------------------------------
+
+TEST(NetServer, FailedStartThrowsSystemErrorAndLeavesNoFdOpen)
+{
+    const auto cs = make_stream(64, 64, 1, 64);
+    const socket_probe::held_port busy{true};  // listening, no SO_REUSEPORT
+    for (const std::size_t shards : {1u, 2u}) {
+        for (const bool bad_address : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << shards << " shard(s), "
+                         << (bad_address ? "bad address" : "port in use"));
+            auto cfg = quiet_config();
+            cfg.shards = shards;
+            if (bad_address)
+                cfg.bind_address = "localhost";  // numeric IPv4 only
+            else
+                cfg.port = busy.port;
+            {
+                net::server srv{cfg};
+                const int before = socket_probe::open_fd_count();
+                EXPECT_EQ(socket_probe::system_error_code([&] { srv.start(); }),
+                          bad_address ? EINVAL : EADDRINUSE);
+                EXPECT_EQ(socket_probe::open_fd_count(), before);
+            }
+            cfg.bind_address = "127.0.0.1";
+            cfg.port = 0;
+            net::server srv{cfg};
+            srv.start();
+            EXPECT_EQ(srv.shards(), shards);
+            net::client cli{"127.0.0.1", srv.port()};
+            const auto r = cli.decode({cs, 0, net::result_format::raw, 1});
+            ASSERT_TRUE(r.ok()) << r.message();
+        }
+    }
+}
+
+TEST(NetClient, ConnectFailuresAreTyped)
+{
+    const socket_probe::held_port closed{false};  // bound, not listening
+    const int before = socket_probe::open_fd_count();
+    EXPECT_TRUE(socket_probe::throws_plain_runtime_error(
+        [] { net::client cli{"localhost", 9}; }));
+    EXPECT_EQ(socket_probe::system_error_code(
+                  [&] { net::client cli{"127.0.0.1", closed.port}; }),
+              ECONNREFUSED);
+    EXPECT_EQ(socket_probe::open_fd_count(), before);
+}
+
 // ---- slow-reader outbound cap ----------------------------------------------
 
 TEST(NetServer, SlowReaderIsDisconnectedAtTheOutboundCap)
@@ -1156,13 +1193,12 @@ TEST(NetSharded, AutoShardCountServesTraffic)
     ASSERT_TRUE(r.ok()) << r.message();
 }
 
-TEST(NetSharded, PollFallbackAndTornFramesServeOnShardedServer)
+TEST(NetSharded, TornFramesServeOnShardedServer)
 {
     const auto cs = make_stream(64, 64, 1, 64);
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     auto cfg = quiet_config();
     cfg.shards = 2;
-    cfg.use_poll = true;
     net::server srv{cfg};
     srv.start();
     net::client cli{"127.0.0.1", srv.port()};

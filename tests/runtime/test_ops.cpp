@@ -6,6 +6,8 @@
 #include <runtime/ops/http_client.hpp>
 #include <runtime/ops/ops_server.hpp>
 
+#include "socket_probe.hpp"
+
 #include <ccsds/ccsds123.hpp>
 
 #include <j2k/j2k.hpp>
@@ -267,7 +269,6 @@ const char* const k_pinned_samples[] = {
     "j2k_codec_jobs_unsupported_total{codec}",
     "j2k_jobs_batched_total",
     "j2k_jobs_completed_total",
-    "j2k_jobs_dropped_total",
     "j2k_jobs_failed_total",
     "j2k_jobs_progressive_total",
     "j2k_jobs_promoted_total",
@@ -331,15 +332,12 @@ const char* const k_pinned_service_keys[] = {
     "jobs_completed",
     "jobs_failed",
     "jobs_rejected",
-    "jobs_dropped",
     "jobs_promoted",
     "jobs_batched",
     "shed_interactive",
     "shed_interactive.rejected",
-    "shed_interactive.dropped",
     "shed_batch",
     "shed_batch.rejected",
-    "shed_batch.dropped",
     "queue_depth_high_water",
     "jobs_progressive",
     "layers_emitted",
@@ -469,7 +467,6 @@ TEST(OpsServer, ExpositionIsPinned)
 
     EXPECT_EQ(first_number(json, "jobs_submitted"), 4);
     EXPECT_EQ(first_number(json, "jobs_rejected"), 0);
-    EXPECT_EQ(first_number(json, "jobs_dropped"), 0);
     EXPECT_EQ(first_number(json, "pool_submissions"), 4);
     EXPECT_EQ(first_number(json, "tasks_stolen"), 0);
     EXPECT_EQ(first_number(json, "queue_depth_high_water"), 1);
@@ -552,11 +549,10 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
     s.compiler = "cc 1.0";
     for (std::uint64_t* f :
          {&s.resident_bytes, &s.resident_peak_bytes, &s.jobs_submitted,
-          &s.jobs_completed, &s.jobs_failed, &s.jobs_rejected, &s.jobs_dropped,
-          &s.jobs_batched, &s.jobs_promoted, &s.queue_depth_high_water,
-          &s.jobs_progressive, &s.layers_emitted, &s.progressive_cancelled,
-          &s.t1_segment_bytes, &s.progressive_active_high_water, &s.cache_hits,
-          &s.cache_misses, &s.cache_collapses, &s.cache_mismatches, &s.cache_evictions,
+          &s.jobs_completed, &s.jobs_failed, &s.jobs_rejected, &s.jobs_batched,
+          &s.jobs_promoted, &s.queue_depth_high_water, &s.jobs_progressive,
+          &s.layers_emitted, &s.progressive_cancelled, &s.t1_segment_bytes,
+          &s.progressive_active_high_water, &s.cache_hits, &s.cache_misses, &s.cache_collapses, &s.cache_mismatches, &s.cache_evictions,
           &s.cache_bytes, &s.cache_pinned_bytes, &s.cache_entries, &s.tiles_decoded,
           &s.tasks_stolen, &s.pool_submissions, &s.latency_count, &s.latency_max_us})
         n(*f);
@@ -564,10 +560,7 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
                       &s.latency_mean_us, &s.latency_p50_us, &s.latency_p95_us,
                       &s.latency_p99_us})
         x(*f);
-    for (auto& p : s.shed_by_priority) {
-        n(p.rejected);
-        n(p.dropped);
-    }
+    for (auto& p : s.shed_by_priority) n(p.rejected);
     for (auto& p : s.latency_by_priority) {
         n(p.count);
         x(p.p50_us);
@@ -622,17 +615,12 @@ TEST(MetricsSnapshot, EveryMetricShowsOneValueInPrometheusJsonAndDump)
         {"jobs_completed", {"j2k_jobs_completed_total", 1.0 * s.jobs_completed}},
         {"jobs_failed", {"j2k_jobs_failed_total", 1.0 * s.jobs_failed}},
         {"jobs_rejected", {"j2k_jobs_rejected_total", 1.0 * s.jobs_rejected}},
-        {"jobs_dropped", {"j2k_jobs_dropped_total", 1.0 * s.jobs_dropped}},
         {"jobs_promoted", {"j2k_jobs_promoted_total", 1.0 * s.jobs_promoted}},
         {"jobs_batched", {"j2k_jobs_batched_total", 1.0 * s.jobs_batched}},
         {"shed_interactive.rejected",
          {shed + "interactive\",kind=\"rejected\"}", 1.0 * shed_i.rejected}},
-        {"shed_interactive.dropped",
-         {shed + "interactive\",kind=\"dropped\"}", 1.0 * shed_i.dropped}},
         {"shed_batch.rejected",
          {shed + "batch\",kind=\"rejected\"}", 1.0 * shed_b.rejected}},
-        {"shed_batch.dropped",
-         {shed + "batch\",kind=\"dropped\"}", 1.0 * shed_b.dropped}},
         {"queue_depth_high_water",
          {"j2k_queue_depth_high_water", 1.0 * s.queue_depth_high_water}},
         {"jobs_progressive", {"j2k_jobs_progressive_total", 1.0 * s.jobs_progressive}},
@@ -1195,6 +1183,45 @@ TEST(OpsServer, FdExhaustionShedsConnectionsAndCountsAcceptsFailed)
     const auto m = f.get("/metrics");
     EXPECT_EQ(m.status, 200);
     EXPECT_NE(m.body.find("j2k_ops_accepts_failed_total "), std::string::npos);
+}
+
+TEST(OpsServer, FailedStartThrowsSystemErrorAndLeavesNoFdOpen)
+{
+    runtime::decode_service svc{ops_fixture::make_cfg()};
+    const socket_probe::held_port busy{true};  // listening, no SO_REUSEPORT
+    for (const bool bad_address : {true, false}) {
+        SCOPED_TRACE(bad_address ? "bad address" : "port in use");
+        runtime::ops::ops_config cfg;
+        if (bad_address)
+            cfg.bind_address = "localhost";  // numeric IPv4 only
+        else
+            cfg.port = busy.port;
+        {
+            runtime::ops::ops_server ops{svc, cfg};
+            const int before = socket_probe::open_fd_count();
+            EXPECT_EQ(socket_probe::system_error_code([&] { ops.start(); }),
+                      bad_address ? EINVAL : EADDRINUSE);
+            EXPECT_EQ(socket_probe::open_fd_count(), before);
+        }
+        cfg.bind_address = "127.0.0.1";
+        cfg.port = 0;
+        runtime::ops::ops_server ops{svc, cfg};
+        ops.start();
+        EXPECT_EQ(runtime::ops::http_get("127.0.0.1", ops.port(), "/healthz").status, 200);
+    }
+}
+
+TEST(HttpClient, ConnectFailuresAreTyped)
+{
+    const socket_probe::held_port closed{false};  // bound, not listening
+    const int before = socket_probe::open_fd_count();
+    EXPECT_TRUE(socket_probe::throws_plain_runtime_error(
+        [] { (void)runtime::ops::http_get("localhost", 9, "/healthz"); }));
+    EXPECT_EQ(socket_probe::system_error_code([&] {
+                  (void)runtime::ops::http_get("127.0.0.1", closed.port, "/healthz");
+              }),
+              ECONNREFUSED);
+    EXPECT_EQ(socket_probe::open_fd_count(), before);
 }
 
 }  // namespace

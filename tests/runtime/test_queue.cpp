@@ -88,33 +88,6 @@ TEST(TwoLevelQueue, BatchPopWithoutBypassIsNotAPromotion)
     EXPECT_EQ(q.promoted(), 0u);
 }
 
-TEST(TwoLevelQueue, DropOldestEvictsOldestBatchBeforeAnyInteractive)
-{
-    two_level_queue<int> q{3, backpressure::drop_oldest};
-    (void)q.push(100, priority::batch);
-    (void)q.push(1, priority::interactive);
-    (void)q.push(101, priority::batch);
-    int victim = -1;
-    priority victim_prio = priority::interactive;
-    // Full queue: the victim is the oldest *batch* item even though the
-    // oldest item overall is batch 100 < interactive 1 < batch 101 — and even
-    // when the incoming item is interactive.
-    EXPECT_EQ(q.push(2, priority::interactive, &victim, &victim_prio),
-              push_result::dropped);
-    EXPECT_EQ(victim, 100);
-    EXPECT_EQ(victim_prio, priority::batch);
-    // Still full, one batch left: batch evicted again.
-    EXPECT_EQ(q.push(3, priority::interactive, &victim, &victim_prio),
-              push_result::dropped);
-    EXPECT_EQ(victim, 101);
-    EXPECT_EQ(victim_prio, priority::batch);
-    // No batch left: only now does an interactive item get sacrificed.
-    EXPECT_EQ(q.push(4, priority::interactive, &victim, &victim_prio),
-              push_result::dropped);
-    EXPECT_EQ(victim, 1);
-    EXPECT_EQ(victim_prio, priority::interactive);
-}
-
 TEST(TwoLevelQueue, SharedCapacityAndRejectAcrossLevels)
 {
     two_level_queue<int> q{2, backpressure::reject};
@@ -147,36 +120,6 @@ TEST(TwoLevelQueue, PerLevelCapacityRejectsIndependently)
     EXPECT_EQ(q.pop()->item, 1);
     EXPECT_EQ(q.push(3, priority::interactive), push_result::ok);
     EXPECT_EQ(q.push(103, priority::batch), push_result::rejected);
-}
-
-TEST(TwoLevelQueue, DropOldestChargesEvictedPriority)
-{
-    // Regression: with a per-level bound, the victim must come from the level
-    // that is actually over its bound — evicting from the other level would
-    // free no room for the incoming item — and the reported victim priority
-    // must name that level.  (Previously the oldest batch item was always
-    // sacrificed, so an interactive push over the *interactive* bound evicted
-    // batch work, left the interactive level still full, and the drop was
-    // charged to the wrong class.)
-    two_level_queue<int> q{8, backpressure::drop_oldest, 8,
-                           runtime::level_capacities{2, 2}};
-    (void)q.push(100, priority::batch);  // older than any interactive item
-    (void)q.push(1, priority::interactive);
-    (void)q.push(2, priority::interactive);
-    int victim = -1;
-    priority victim_prio = priority::batch;
-    EXPECT_EQ(q.push(3, priority::interactive, &victim, &victim_prio),
-              push_result::dropped);
-    EXPECT_EQ(victim, 1);  // oldest *interactive*, not batch 100
-    EXPECT_EQ(victim_prio, priority::interactive);
-    EXPECT_EQ(q.size(priority::batch), 1u);
-    EXPECT_EQ(q.size(priority::interactive), 2u);
-    // Over the batch bound, the victim is the oldest batch item as before.
-    (void)q.push(101, priority::batch);
-    EXPECT_EQ(q.push(102, priority::batch, &victim, &victim_prio),
-              push_result::dropped);
-    EXPECT_EQ(victim, 100);
-    EXPECT_EQ(victim_prio, priority::batch);
 }
 
 TEST(TwoLevelQueue, BlockPolicyWaitsOnLevelCapacity)

@@ -159,30 +159,6 @@ TEST(DecodeService, RejectPolicyAccountsForEveryJob)
     EXPECT_GE(m.queue_depth_high_water, 1u);
 }
 
-TEST(DecodeService, DropOldestPolicyFailsEvictedFutures)
-{
-    const auto cs = make_stream(256, 256, 3, 32);
-    decode_service svc{
-        {.workers = 1, .queue_capacity = 1, .policy = backpressure::drop_oldest}};
-    constexpr int jobs = 16;
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < jobs; ++i) futs.push_back(svc.submit(cs));
-    int completed = 0, dropped = 0;
-    for (auto& f : futs) {
-        try {
-            (void)f.get();
-            ++completed;
-        } catch (const runtime::job_dropped&) {
-            ++dropped;
-        }
-    }
-    EXPECT_EQ(completed + dropped, jobs);
-    // The newest submission is never the eviction victim, so at least one
-    // job (the last) always completes.
-    EXPECT_GE(completed, 1);
-    EXPECT_EQ(svc.metrics().jobs_dropped, static_cast<std::uint64_t>(dropped));
-}
-
 TEST(DecodeService, BlockPolicyCompletesEverythingUnderOverload)
 {
     const auto cs = make_stream(128, 128, 3, 64);
@@ -267,38 +243,6 @@ TEST(DecodeService, PromotionValveKeepsBatchFlowingUnderInteractiveLoad)
     const auto m = svc.metrics();
     EXPECT_EQ(m.jobs_completed, 15u);
     EXPECT_GE(m.jobs_promoted, 1u);
-}
-
-TEST(DecodeService, DropOldestShedsBatchWorkBeforeInteractive)
-{
-    // Backpressure × priority: with batch work queued, an overflowing push
-    // must evict the oldest *batch* job — interactive jobs never pay for the
-    // shedding while batch work remains.
-    const auto cs = make_stream(256, 256, 3, 32);  // 64 tiles: piles up
-    decode_service svc{{.workers = 1,
-                        .queue_capacity = 4,
-                        .policy = backpressure::drop_oldest}};
-    std::vector<std::future<j2k::image>> batch, interactive;
-    for (int i = 0; i < 10; ++i) batch.push_back(svc.submit(cs, priority::batch));
-    for (int i = 0; i < 2; ++i)
-        interactive.push_back(svc.submit(cs, priority::interactive));
-    // Every interactive future completes; only batch futures may be dropped.
-    for (auto& f : interactive) EXPECT_NO_THROW((void)f.get());
-    int completed = 0, dropped = 0;
-    for (auto& f : batch) {
-        try {
-            (void)f.get();
-            ++completed;
-        } catch (const runtime::job_dropped&) {
-            ++dropped;
-        }
-    }
-    EXPECT_EQ(completed + dropped, 10);
-    EXPECT_GE(dropped, 1);  // cap 4 with 12 rapid submits must shed
-    const auto m = svc.metrics();
-    EXPECT_EQ(m.jobs_dropped, static_cast<std::uint64_t>(dropped));
-    EXPECT_EQ(m.jobs_submitted, 12u);
-    EXPECT_EQ(m.jobs_completed, static_cast<std::uint64_t>(completed) + 2u);
 }
 
 TEST(DecodeService, CloseWhileSubmittingSettlesEveryFutureExactlyOnce)
