@@ -10,7 +10,11 @@
 //               same workload (an independent confirmation that the
 //               arithmetic decoder dominates a software implementation),
 //               followed by the same times in absolute units: ns per image
-//               sample for each stage, and tier-1 ns per MQ decision.
+//               sample for each stage, and tier-1 ns per MQ decision;
+//   * passes  — tier-1 split by coding pass (significance propagation,
+//               magnitude refinement, cleanup): each kind's share of tier-1
+//               time and its ns per MQ decision, from the per-pass times the
+//               counting decoder records.
 //
 // Then the cost a progressive request pays again for every layer it sends:
 // synthesis only (coefficients out of the block decoders, IQ, IDWT, ICT, DC
@@ -55,11 +59,19 @@ shares model_shares(const decoder::workload& wl, bool lossy)
     return {a / tot, q / tot, w / tot, c / tot, d / tot};
 }
 
+/// One kind of tier-1 pass: its share of tier-1 time and ns per decision.
+struct pass_cost {
+    double share, ns_per_decision;
+};
+
+constexpr const char* k_pass_names[] = {"significance", "refinement", "cleanup"};
+
 /// Native stage times in absolute units.  ICT and DC shift are timed
 /// together (`ict_dc`).
 struct native_cost {
     double arith_ns, iq_ns, idwt_ns, ict_dc_ns;  ///< per image sample
     double arith_ns_per_decision;
+    pass_cost passes[3];  ///< indexed by j2k::pass_kind
 };
 
 shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
@@ -68,12 +80,13 @@ shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
     const auto& md = wl.mode(lossy);
     j2k::decoder dec{md.codestream};
     double a = 0, q = 0, w = 0, cd = 0;
-    // The stages run as the service runs them: tier-1 without tier1_stats
-    // (the decision count comes from one untimed counting pass), and each
-    // tile moved from stage to stage.
-    j2k::tier1_stats t1_stats;
-    for (int t = 0; t < dec.tile_count(); ++t) (void)dec.entropy_decode(t, &t1_stats);
+    // The stages run as the service runs them: tier-1 without tier1_stats,
+    // and each tile moved from stage to stage.  The decision counts and the
+    // per-pass times come from as many separate counting decodes.
     const int reps = 3;
+    j2k::tier1_stats t1_stats;
+    for (int rep = 0; rep < reps; ++rep)
+        for (int t = 0; t < dec.tile_count(); ++t) (void)dec.entropy_decode(t, &t1_stats);
     for (int rep = 0; rep < reps; ++rep) {
         j2k::image out{dec.info().width, dec.info().height, dec.info().components,
                        dec.info().bit_depth};
@@ -101,7 +114,14 @@ shares native_shares(const decoder::workload& wl, bool lossy, native_cost& cost)
     const double samples = static_cast<double>(reps) * dec.info().width *
                            dec.info().height * dec.info().components;
     cost = {1e9 * a / samples, 1e9 * q / samples, 1e9 * w / samples, 1e9 * cd / samples,
-            1e9 * a / (static_cast<double>(reps) * static_cast<double>(t1_stats.mq_decisions))};
+            1e9 * a / static_cast<double>(t1_stats.mq_decisions), {}};
+    double pass_ns = 0;
+    for (const auto& p : t1_stats.by_pass) pass_ns += static_cast<double>(p.ns);
+    for (std::size_t k = 0; k < 3; ++k) {
+        const auto& p = t1_stats.by_pass[k];
+        cost.passes[k] = {static_cast<double>(p.ns) / pass_ns,
+                          static_cast<double>(p.ns) / static_cast<double>(p.decisions)};
+    }
     // ICT and DC shift are measured together natively; split them with the
     // paper's internal ratio for display.
     const auto& p = lossy ? decoder::k_profile_lossy : decoder::k_profile_lossless;
@@ -178,6 +198,11 @@ void print_mode(const char* name, const decoder::stage_profile& paper, const sha
                 "IDWT %.1f, ICT+DC %.1f\n",
                 cost.arith_ns, cost.arith_ns_per_decision, cost.iq_ns, cost.idwt_ns,
                 cost.ict_dc_ns);
+    std::printf("  tier-1 by pass:   ");
+    for (std::size_t k = 0; k < 3; ++k)
+        std::printf(" %s %.1f%% %.2f ns/decision%s", k_pass_names[k],
+                    100 * cost.passes[k].share, cost.passes[k].ns_per_decision,
+                    k < 2 ? "," : "\n");
 }
 
 }  // namespace
@@ -196,10 +221,17 @@ int main(int argc, char** argv)
                    model_shares(wl, lossy), nat, cost);
         std::snprintf(buf, sizeof buf,
                       "%s\"%s\":{\"tier1\":%.2f,\"iq\":%.2f,\"idwt\":%.2f,"
-                      "\"ict_dc\":%.2f,\"tier1_ns_per_mq_decision\":%.2f}",
+                      "\"ict_dc\":%.2f,\"tier1_ns_per_mq_decision\":%.2f,\"passes\":{",
                       lossy ? "," : "", lossy ? "lossy" : "lossless", cost.arith_ns,
                       cost.iq_ns, cost.idwt_ns, cost.ict_dc_ns, cost.arith_ns_per_decision);
         json += buf;
+        for (std::size_t k = 0; k < 3; ++k) {
+            std::snprintf(buf, sizeof buf, "%s\"%s\":{\"share\":%.3f,\"ns_per_mq_decision\":%.2f}",
+                          k ? "," : "", k_pass_names[k], cost.passes[k].share,
+                          cost.passes[k].ns_per_decision);
+            json += buf;
+        }
+        json += "}}";
     }
     std::printf("\nThe model column is back-annotated from the paper's profile "
                 "(as the paper itself\nback-annotates measured times); the native column "

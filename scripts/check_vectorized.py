@@ -24,7 +24,7 @@ import tempfile
 
 KERNELS = [
     "lift53_sub_avg", "lift53_add_avg", "lift53_add_round", "lift53_sub_round",
-    "lift97", "scale97", "ict_inverse", "rct_inverse", "dequant",
+    "lift97", "scale97", "round_to_int", "ict_inverse", "rct_inverse", "dequant",
 ]
 SOURCE = os.path.join("src", "j2k", "kernels.cpp")
 

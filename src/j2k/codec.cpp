@@ -5,7 +5,6 @@
 
 #include <obs/trace.hpp>
 
-#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -317,8 +316,7 @@ tile_pixels decoder::idwt(tile_wavelet tw, std::pmr::memory_resource* mr) const
     for (auto& buf : tw.dplanes) {
         dwt97_inverse(buf, tw.rect.width, tw.rect.height, info_.levels, mr);
         plane p{tw.rect.width, tw.rect.height};
-        for (std::size_t i = 0; i < buf.size(); ++i)
-            p.samples()[i] = static_cast<std::int32_t>(std::lround(buf[i]));
+        kernel::round_to_int(buf.data(), p.samples().data(), buf.size());
         tp.comps.push_back(std::move(p));
     }
     return tp;
@@ -391,8 +389,7 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
             } else {
                 std::vector<double> buf = tw.dplanes[static_cast<std::size_t>(comp)];
                 dwt97_inverse_partial(buf, tr.width, tr.height, info_.levels, discard);
-                for (std::size_t i = 0; i < buf.size(); ++i)
-                    full.samples()[i] = static_cast<std::int32_t>(std::lround(buf[i]));
+                kernel::round_to_int(buf.data(), full.samples().data(), buf.size());
             }
             const tile_rect crop{0, 0, 0, tw_r, th_r};
             insert_tile(img.comp(comp), extract_tile(full, crop), rr);

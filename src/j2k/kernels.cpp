@@ -5,6 +5,8 @@
 
 #include "kernels.hpp"
 
+#include <algorithm>
+
 namespace j2k::kernel {
 
 void lift53_sub_avg(std::int32_t* d, const std::int32_t* a, const std::int32_t* b,
@@ -39,6 +41,32 @@ void lift97(double* d, const double* a, const double* b, double k, int n)
 void scale97(double* d, double k, int n)
 {
     for (int i = 0; i < n; ++i) d[i] *= k;
+}
+
+void round_to_int(const double* v, std::int32_t* out, std::size_t n)
+{
+    // Two loops over a chunk: GCC does not vectorise the clamp and the
+    // conversions in one loop body.  The clamp's comparisons send a NaN to
+    // the low bound.  c − t is exact in binary floating point, so comparing
+    // it with ±0.5 rounds half away from zero exactly, which is lround
+    // without the libm call.  t ± 1 cannot overflow: c truncates to INT32_MAX
+    // or INT32_MIN only when it has no fraction.
+    constexpr std::size_t chunk = 64;
+    double c[chunk];
+    for (std::size_t i0 = 0; i0 < n; i0 += chunk) {
+        const std::size_t m = std::min(chunk, n - i0);
+        for (std::size_t i = 0; i < m; ++i) {
+            const double x = v[i0 + i];
+            const double lo = x >= -2147483648.0 ? x : -2147483648.0;
+            c[i] = lo <= 2147483647.0 ? lo : 2147483647.0;
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+            const auto t = static_cast<std::int32_t>(c[i]);
+            const double f = c[i] - t;
+            const std::int32_t up = f >= 0.5 ? t + 1 : t;
+            out[i0 + i] = f <= -0.5 ? up - 1 : up;
+        }
+    }
 }
 
 void ict_inverse(std::int32_t* y, std::int32_t* cb, std::int32_t* cr, std::size_t n)

@@ -1,12 +1,13 @@
 // j2k/kernels.hpp — the elementwise row kernels of the decode hot path.
 //
-// The inner loops of the IDWT lifting steps, the inverse colour transforms
-// and dequantisation.  Each is one plain loop with no branch in its body, so
-// the compiler vectorises it at the baseline ISA: kernels.cpp is built at -O3
-// (GCC's -O2 cost model refuses loops of unknown trip count), and CI counts a
-// "loop vectorized" report for each of the nine.  The j2k library is built
-// with -ffp-contract=off, so every double kernel rounds after each multiply
-// and each add, on any target: the same bits with or without FMA.
+// The inner loops of the IDWT lifting steps, the 9/7 output rounding, the
+// inverse colour transforms and dequantisation.  Each is a plain loop (the
+// rounding two) with no branch in its body, so the compiler vectorises it at
+// the baseline ISA: kernels.cpp is built at -O3 (GCC's -O2 cost model
+// refuses loops of unknown trip count), and CI counts a "loop vectorized"
+// report for each of the ten.  The j2k library is built with
+// -ffp-contract=off, so every double kernel rounds after each multiply and
+// each add, on any target: the same bits with or without FMA.
 //
 // tests/j2k/kernel_oracle.hpp keeps the reference loops these replaced;
 // tests/j2k/test_kernels.cpp holds each kernel to them bit for bit.
@@ -51,6 +52,11 @@ void scale97(double* d, double k, int n);  ///< d *= k
 void ict_inverse(std::int32_t* y, std::int32_t* cb, std::int32_t* cr, std::size_t n);
 /// Inverse RCT over n samples of three planes, in place.
 void rct_inverse(std::int32_t* y, std::int32_t* u, std::int32_t* v, std::size_t n);
+
+/// out[i] = std::lround(v[i]) — round half away from zero — saturated to
+/// the int32 range (a NaN gives INT32_MIN), so no input makes the
+/// conversion undefined.  The 9/7 synthesis output's conversion to samples.
+void round_to_int(const double* v, std::int32_t* out, std::size_t n);
 
 /// Midpoint-reconstruction dequantiser for a step > 0:
 /// out[i] = q[i] == 0 ? 0 : sign(q[i]) * (|q[i]| + 0.5) * step.

@@ -13,6 +13,16 @@
 // the LPS successor's MPS bit.  A decision is therefore one table load, and
 // the new state is `next[is_lps]` with no SWITCH branch.
 //
+// The decoder's DECODE has no data-dependent branch.  The spec branches
+// twice: on whether C lies in the LPS or the MPS sub-interval, and, for an
+// MPS, on whether A still has bit 15 set.  Refinement decisions and noisy
+// significance decisions go either way at random, so both branches
+// mispredicted often.  Here both outcomes are computed and selected with
+// masks: `lps` (C below Qe), `exchange` (the decision is the LPS, which is
+// when C lies in the smaller sub-interval), the new A and C, and the new
+// state, kept where an MPS leaves A ≥ 0x8000.  In that case RENORMD shifts
+// by 0.
+//
 // RENORMD shifts A left by its leading-zero count in one step and C by the
 // same amount, looping only where CT runs out of bits first (BYTEIN then
 // refills C, honouring the stuffing and the end of the segment).  Bit for
@@ -132,9 +142,8 @@ private:
 /// A small value type: the registers (A, C, CT and the byte pointer) are its
 /// whole state, and DECODE, RENORMD and BYTEIN are inline.  The tier-1 passes
 /// copy the decoder into a local for the length of a pass and store it back
-/// afterwards, so the registers stay in machine registers across every
-/// decision of the pass.  It keeps no decision count: tier-1 counts
-/// decisions only when asked for statistics.
+/// afterwards.  It keeps no decision count: tier-1 counts decisions only
+/// when asked for statistics.
 class mq_decoder {
 public:
     explicit mq_decoder(std::span<const std::uint8_t> data) noexcept { init(data); }
@@ -142,36 +151,38 @@ public:
     /// (Re)start decoding from `data` (INITDEC).
     void init(std::span<const std::uint8_t> data) noexcept;
 
-    /// Decode one binary decision in context `cx` (DECODE).
+    /// Decode one binary decision in context `cx` (DECODE), selecting
+    /// between the two sub-intervals instead of branching on C.
     [[nodiscard]] int decode(mq_context& cx) noexcept
     {
-        const mq_transition& t = detail::k_mq_transitions[cx.state];
+        const std::uint8_t state = cx.state;
+        const mq_transition& t = detail::k_mq_transitions[state];
         const std::uint32_t qe = t.qe;
-        const int mps = cx.state & 1;
-        a_ -= qe;
-        unsigned lps;
-        if ((c_ >> 16) < qe) {
-            // LPS_EXCHANGE: the LPS sub-interval is decoded, unless it is
-            // the larger one (A < Qe), in which case the senses swap.
-            lps = a_ >= qe ? 1u : 0u;
-            a_ = qe;
-        } else {
-            c_ -= qe << 16;
-            if (a_ & 0x8000) return mps;
-            // MPS_EXCHANGE
-            lps = a_ < qe ? 1u : 0u;
-        }
-        cx.state = t.next[lps];
+        const std::uint32_t rest = a_ - qe;  // the MPS sub-interval's size
+        // C lies in the LPS sub-interval: lps = 1, mask all ones.
+        const std::uint32_t lps = (c_ >> 16) < qe ? 1u : 0u;
+        const std::uint32_t mask = 0u - lps;
+        // The decision is the LPS when C lies in the smaller sub-interval
+        // (the conditional exchange); ties go to the LPS sub-interval.
+        const std::uint32_t exchange = lps ^ (rest < qe ? 1u : 0u);
+        // Only an MPS that leaves A ≥ 0x8000 keeps its state; exchange is
+        // then 0 and the shift in RENORMD is 0.  rest < 0x10000.
+        const std::uint32_t adapt = lps | ((rest >> 15) ^ 1u);
+        a_ = (qe & mask) | (rest & ~mask);
+        c_ -= (qe << 16) & ~mask;
+        cx.state = static_cast<std::uint8_t>(state ^ ((state ^ t.next[exchange]) & (0u - adapt)));
         renorm();
-        return mps ^ static_cast<int>(lps);
+        return static_cast<int>((state & 1u) ^ exchange);
     }
 
 private:
-    /// RENORMD: shift A (0 < A < 0x8000) left until bit 15 is set, and C with
-    /// it, BYTEIN-ing whenever CT runs out on the way.
+    /// RENORMD: shift A left until bit 15 is set, and C with it, BYTEIN-ing
+    /// whenever CT runs out on the way.  A shift of 0 when A ≥ 0x8000.
     void renorm() noexcept
     {
-        int n = std::countl_zero(a_) - 16;
+        // A ≥ 1, so the OR changes no leading zero; it only tells the
+        // compiler that the count needs no zero case.
+        int n = std::countl_zero(a_ | 1u) - 16;
         a_ <<= n;
         while (n > ct_) {
             c_ <<= ct_;

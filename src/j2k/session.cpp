@@ -15,6 +15,10 @@ void add_stats(decode_stats& into, const decode_stats& s)
     into.t1.mq_decisions += s.t1.mq_decisions;
     into.t1.passes += s.t1.passes;
     into.t1.samples += s.t1.samples;
+    for (std::size_t k = 0; k < into.t1.by_pass.size(); ++k) {
+        into.t1.by_pass[k].decisions += s.t1.by_pass[k].decisions;
+        into.t1.by_pass[k].ns += s.t1.by_pass[k].ns;
+    }
     into.iq_samples += s.iq_samples;
     into.idwt_samples += s.idwt_samples;
     into.ict_samples += s.ict_samples;

@@ -14,7 +14,10 @@
 // per-pass termination, no bypass).
 //
 // This stage is the "arithmetic decoder" of the paper's Figure 1 — the block
-// that consumes ~88.8% (lossless) / 78.6% (lossy) of software decode time.
+// that consumes ~88.8% (lossless) / 78.6% (lossy) of software decode time;
+// here ~97% / ~87% of native decode (bench_fig1_profile).  Of tier-1's own
+// time the significance pass takes ~43%, refinement ~34% lossless and ~22%
+// lossy, and cleanup the rest; bench_fig1_profile prints the split.
 //
 // Coder state is one 16-bit flag word per sample:
 //
@@ -53,8 +56,9 @@
 // a neighbour.
 //
 // One pass engine serves encoder and decoder.  The decoder instantiates it
-// with counting (decisions, samples visited, passes) when it is handed a
-// tier1_stats and without when not, so the service's decodes count nothing.
+// with counting (decisions, samples visited, passes, and per pass kind the
+// decisions and the wall time) when it is handed a tier1_stats and without
+// when not, so the service's decodes count and time nothing.
 //
 // The decoder accumulates magnitudes row-major and unpadded.  Every decoder
 // (tier1_decode, tier1_block_decoder::read) hands them out through one
@@ -65,6 +69,7 @@
 #include "dwt.hpp"
 #include "mq_coder.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -87,12 +92,23 @@ struct codeblock {
     }
 };
 
+/// The three coding passes of a bit plane, in coding order.
+enum class pass_kind { significance, refinement, cleanup };
+
 /// Statistics reported by the decoder (drives the paper's timing model).
 /// Counted only when a decoder is handed one.
 struct tier1_stats {
     std::uint64_t mq_decisions = 0;  ///< binary decisions decoded
     std::uint64_t passes = 0;        ///< coding passes executed
     std::uint64_t samples = 0;       ///< samples visited across all passes
+
+    /// Decisions decoded and wall time spent in one kind of pass.
+    struct pass_totals {
+        std::uint64_t decisions = 0;
+        std::uint64_t ns = 0;
+    };
+    /// Indexed by pass_kind; the decisions sum to mq_decisions.
+    std::array<pass_totals, 3> by_pass{};
 };
 
 /// Nominal code-block size used throughout this codec.

@@ -15,6 +15,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -52,9 +53,30 @@ void log_sockopt_failure(const char* what)
 poller::poller() : fd_{::epoll_create1(0)}
 {
     if (fd_ < 0) throw_errno("epoll_create1");
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+    try {
+        if (wake_fd_ < 0) throw_errno("eventfd");
+        control(EPOLL_CTL_ADD, wake_fd_, k_wake_id, false, "epoll_ctl(ADD)");
+    } catch (...) {
+        if (wake_fd_ >= 0) ::close(wake_fd_);
+        ::close(fd_);
+        throw;
+    }
 }
 
-poller::~poller() { ::close(fd_); }
+poller::~poller()
+{
+    ::close(wake_fd_);
+    ::close(fd_);
+}
+
+void poller::wake() noexcept
+{
+    const std::uint64_t one = 1;
+    // Only a counter at its maximum refuses the add (EAGAIN), and that
+    // counter is already a pending wake.
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+}
 
 void poller::control(int op, int fd, std::uint64_t id, bool want_write, const char* what)
 {
@@ -83,6 +105,11 @@ void poller::wait(std::vector<ready_event>& out, int timeout_ms)
     for (int i = 0; i < n; ++i) {
         ready_event e;
         e.id = evs[i].data.u64;
+        if (e.id == k_wake_id) {
+            // Reset the counter, so the level-triggered wake fires once.
+            std::uint64_t count = 0;
+            [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &count, sizeof count);
+        }
         e.readable = (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
         e.writable = (evs[i].events & EPOLLOUT) != 0;
         e.hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;

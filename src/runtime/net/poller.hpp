@@ -7,7 +7,9 @@
 //                re-fires.  Each registered fd carries a caller id that comes
 //                back in the ready_event — loops key their connection maps on
 //                it instead of the fd, which sidesteps fd-recycling races on
-//                close paths.
+//                close paths.  Its one wake (an eventfd) is how another
+//                thread interrupts the loop: a J2NE shard's workers post
+//                completions with it, and both loops' stop() uses it.
 //   listener     bind, listen, the bound port, and accept with shedding at fd
 //                exhaustion; every J2NE shard and the ops plane own one.
 //   connect_tcp  the blocking client side.
@@ -34,10 +36,13 @@ struct ready_event {
     bool hangup = false;
 };
 
-/// Level-triggered epoll instance.
+/// Level-triggered epoll instance with one wake.
 class poller {
 public:
-    poller();  ///< throws std::system_error
+    /// The id of the event a wake() produces; no registered fd may use it.
+    static constexpr std::uint64_t k_wake_id = ~std::uint64_t{0};
+
+    poller();  ///< throws std::system_error and leaves no fd open
     ~poller();
     poller(const poller&) = delete;
     poller& operator=(const poller&) = delete;
@@ -46,12 +51,17 @@ public:
     void update(int fd, std::uint64_t id, bool want_write);
     void remove(int fd);
     /// Append ready events to `out`; timeout_ms < 0 blocks indefinitely.
+    /// Pending wakes come back as one readable event with id k_wake_id.
     void wait(std::vector<ready_event>& out, int timeout_ms);
+    /// Make the wait() in progress, or the next one, return.  Safe from any
+    /// thread while the poller lives; never blocks; wakes coalesce.
+    void wake() noexcept;
 
 private:
     void control(int op, int fd, std::uint64_t id, bool want_write, const char* what);
 
     int fd_ = -1;
+    int wake_fd_ = -1;  ///< non-blocking eventfd, registered as k_wake_id
 };
 
 /// A bound, listening, non-blocking TCP socket, closed on destruction.

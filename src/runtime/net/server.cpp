@@ -27,8 +27,7 @@ namespace runtime::net {
 namespace {
 
 constexpr std::uint64_t k_listener_id = 0;
-constexpr std::uint64_t k_wake_id = 1;
-constexpr std::uint64_t k_first_conn_id = 2;
+constexpr std::uint64_t k_first_conn_id = 1;
 
 /// 0 = auto: one shard per hardware thread, clamped — beyond ~16 loops the
 /// listeners outnumber any plausible NIC queue count.
@@ -58,7 +57,7 @@ struct server::impl {
     // ---- one event-loop shard --------------------------------------------
     //
     // Everything a single-loop server owned is per-shard now: the listener,
-    // the poller, the wake pipe, the connection map, the completion queue,
+    // the poller and its wake, the connection map, the completion queue,
     // the batcher, the counters.  Shards share only the decode service (and
     // the immutable config) through `owner_` — no lock is ever taken across
     // shards on the hot path.
@@ -134,43 +133,25 @@ struct server::impl {
 
         // ---- lifecycle ---------------------------------------------------
 
-        /// Runs with no loop thread (never launched, or joined), so a failed
-        /// start() tears down by destroying the shards.
-        ~shard() { close_wake_pipe(); }
-
         /// Bind the listener (`port` 0 = ephemeral, then read
-        /// listener_->port()), and open the poller and the wake pipe.  No
-        /// thread yet: start() launches loops only once every shard opened.
+        /// listener_->port()) and open the poller.  No thread yet: start()
+        /// launches loops only once every shard opened, so a failed start()
+        /// tears down by destroying the shards.
         void open(std::uint16_t port, bool reuseport)
         {
             listener_ = std::make_unique<listener>(cfg().bind_address, port, reuseport);
             poller_ = std::make_unique<poller>();
-            int pipefd[2];
-            // Non-blocking: a full pipe must never block a worker.
-            if (::pipe2(pipefd, O_NONBLOCK) < 0) throw_errno("pipe");
-            wake_rd_ = pipefd[0];
-            wake_wr_ = pipefd[1];
             poller_->add(listener_->fd(), k_listener_id, false);
-            poller_->add(wake_rd_, k_wake_id, false);
         }
 
         void launch() { loop_thread_ = std::thread{[this] { run_loop(); }}; }
 
-        void close_wake_pipe()
-        {
-            if (wake_rd_ >= 0) ::close(wake_rd_);
-            if (wake_wr_ >= 0) ::close(wake_wr_);
-            wake_rd_ = wake_wr_ = -1;
-        }
-
-        /// After the loop thread exits: close the wake pipe.  Every writer —
-        /// stop()'s wakes and worker completions (all finished before the
-        /// service drain returned) — happens-before this, so no write() can
-        /// race it or hit a recycled fd.
-        void join_and_teardown()
+        /// The poller, and with it the wake, lives as long as the shard:
+        /// every wake() — stop()'s and worker completions' (all finished
+        /// before the service drain returned) — lands on an open eventfd.
+        void join()
         {
             if (loop_thread_.joinable()) loop_thread_.join();
-            close_wake_pipe();
         }
 
         // ---- event loop --------------------------------------------------
@@ -191,8 +172,7 @@ struct server::impl {
                 for (const ready_event& ev : events) {
                     if (ev.id == k_listener_id) {
                         accept_ready();
-                    } else if (ev.id == k_wake_id) {
-                        drain_wake_pipe();
+                    } else if (ev.id == poller::k_wake_id) {
                         deliver_completions();
                     } else {
                         auto it = conns_.find(ev.id);
@@ -228,9 +208,6 @@ struct server::impl {
             }
             conns_.clear();
             connections_open_.store(0, std::memory_order_relaxed);
-            // The wake pipe stays open: stop() closes it after joining this
-            // thread, so a concurrent completion's wake() never writes to a
-            // dead fd.
         }
 
         void close_listener()
@@ -403,7 +380,7 @@ struct server::impl {
 
         /// Build the completion that runs on the decoding worker: serialise the
         /// result (or map the error to a status), frame it, and hand it to the
-        /// owning shard via its completion queue + wake pipe.
+        /// owning shard via its completion queue and its poller's wake.
         decode_service::completion make_completion(std::uint64_t conn_id,
                                                    std::uint32_t request_id,
                                                    std::uint8_t codec,
@@ -487,7 +464,7 @@ struct server::impl {
                 std::lock_guard lk{completions_m_};
                 completions_.push_back({conn_id, std::move(frame), trace_id, end_span});
             }
-            wake();
+            poller_->wake();
         }
 
         /// Per-layer completion for progressive requests: each refinement becomes
@@ -653,20 +630,6 @@ struct server::impl {
             OBS_TRACE_COUNTER("net", track_connections_, conns_.size());
         }
 
-        void wake()
-        {
-            const std::uint8_t b = 1;
-            // Non-blocking: a full pipe already guarantees a pending wakeup.
-            [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &b, 1);
-        }
-
-        void drain_wake_pipe()
-        {
-            std::uint8_t buf[256];
-            while (::read(wake_rd_, buf, sizeof buf) > 0) {
-            }
-        }
-
         // ---- state -------------------------------------------------------
 
         impl& owner_;
@@ -674,8 +637,6 @@ struct server::impl {
         const std::size_t stride_;  ///< conn-id stride = shard count
 
         std::unique_ptr<listener> listener_;  ///< null once drained or closed
-        int wake_rd_ = -1;
-        int wake_wr_ = -1;
         std::unique_ptr<poller> poller_;
         std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns_;
         std::uint64_t next_conn_id_;
@@ -769,7 +730,7 @@ struct server::impl {
         // connections while any other is still draining.
         for (auto& s : shards_) {
             s->drain_requested_.store(true, std::memory_order_release);
-            s->wake();
+            s->poller_->wake();
         }
         for (auto& s : shards_)
             while (!s->listener_closed_.load(std::memory_order_acquire))
@@ -782,9 +743,9 @@ struct server::impl {
         // the loops run their final delivery + blocking flush and exit.
         for (auto& s : shards_) {
             s->stop_requested_.store(true, std::memory_order_release);
-            s->wake();
+            s->poller_->wake();
         }
-        for (auto& s : shards_) s->join_and_teardown();
+        for (auto& s : shards_) s->join();
         running_ = false;
     }
 

@@ -4,12 +4,13 @@
 // The front-end runs `shards` independent event-loop shards.  Each shard owns
 // its own `SO_REUSEPORT` listener on the same port and its own epoll poller
 // (both from net/poller.hpp, the socket layer the ops plane shares), plus a
-// wake pipe, completion queue, small-job batcher and stats block; the kernel
-// hashes incoming connections across the listeners, so there is no shared
-// accept lock and no cross-shard handoff — a connection lives its whole life
-// on the shard that accepted it.  All shards feed the one shared
-// `decode_service` pool; completions wake only the owning shard's self-pipe.  `shards = 1` (the default) is byte-for-byte the classic
-// single-loop server; `shards = 0` sizes from hardware concurrency.
+// completion queue, small-job batcher and stats block; the kernel hashes
+// incoming connections across the listeners, so there is no shared accept
+// lock and no cross-shard handoff — a connection lives its whole life on the
+// shard that accepted it.  All shards feed the one shared `decode_service`
+// pool; completions wake only the owning shard's poller.  `shards = 1` (the
+// default) is byte-for-byte the classic single-loop server; `shards = 0`
+// sizes from hardware concurrency.
 //
 //   socket ──► [shard 0: listener+poller+batcher] ──┐
 //   socket ──► [shard 1: listener+poller+batcher] ──┼─► decode_service (pool)

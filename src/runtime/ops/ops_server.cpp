@@ -88,9 +88,10 @@ struct ops_server::impl {
     void stop()
     {
         if (!running_) return;
-        // The loop polls with a bounded timeout (the aggregation cadence), so
-        // a flag is enough — no wake pipe needed for a sub-interval exit.
+        // The wake ends the loop's wait at once, not at the next
+        // aggregation tick.
         stop_requested_.store(true, std::memory_order_release);
+        poller_->wake();
         loop_thread_.join();
         running_ = false;
     }
@@ -123,6 +124,8 @@ struct ops_server::impl {
                     accept_ready();
                     continue;
                 }
+                // A wake (poller::k_wake_id) maps to no connection; the loop
+                // condition reads what it announced.
                 auto it = conns_.find(ev.id);
                 if (it == conns_.end()) continue;
                 connection& c = *it->second;

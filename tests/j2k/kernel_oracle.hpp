@@ -3,11 +3,12 @@
 //
 // These are the scalar loops the decoder ran when a CPUID-dispatched table
 // chose between them and an AVX2 copy: rounding in the floor form with a
-// branch on the sign, and a dequantiser that branches around every zero.
-// GCC vectorises neither of those two.  The library's kernels
-// (src/j2k/kernels.cpp) must give the same bits for every input.  Test code
-// only; test_j2k is built with -ffp-contract=off, as the library is, so these
-// doubles round the same way too.
+// branch on the sign, and a dequantiser that branches around every zero; and
+// the 9/7 output conversion through libm's std::lround.  GCC vectorises none
+// of those three.  The library's kernels (src/j2k/kernels.cpp) must give the
+// same bits for every input.  Test code only; test_j2k is built with
+// -ffp-contract=off, as the library is, so these doubles round the same way
+// too.
 #pragma once
 
 #include <cmath>
@@ -57,6 +58,20 @@ inline void s_lift97(double* d, const double* a, const double* b, double k, int 
 inline void s_scale97(double* d, double k, int n)
 {
     for (int i = 0; i < n; ++i) d[i] *= k;
+}
+
+/// libm's std::lround, clamped to int32.  Inputs beyond ±2^40 are clamped
+/// to it first: lround's own result is unspecified past the range of long,
+/// and the saturated result is the same.  Not for NaN.
+inline void s_round_to_int(const double* v, std::int32_t* out, std::size_t n)
+{
+    constexpr double big = 1099511627776.0;  // 2^40
+    constexpr long lo = INT32_MIN;
+    constexpr long hi = INT32_MAX;
+    for (std::size_t i = 0; i < n; ++i) {
+        const long r = std::lround(v[i] < -big ? -big : v[i] > big ? big : v[i]);
+        out[i] = static_cast<std::int32_t>(r < lo ? lo : r > hi ? hi : r);
+    }
 }
 
 inline void s_ict_inverse(std::int32_t* y, std::int32_t* cb, std::int32_t* cr,

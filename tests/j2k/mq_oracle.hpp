@@ -1,12 +1,14 @@
 // tests/j2k/mq_oracle.hpp — the reference MQ decoder the fast one is checked
 // against.
 //
-// This is the decoder tier-1 ran before contexts became one state byte and
-// RENORMD a single shift: a literal transcription of the ISO/IEC 15444-1
-// Annex C flow charts (DECODE with MPS_EXCHANGE / LPS_EXCHANGE and the
-// SWITCH branch, RENORMD one bit per iteration, BYTEIN with 0xFF stuffing),
-// over contexts that carry (index, MPS) as two fields and Table C.2 as
-// j2k::mq_table gives it.  Test code only.
+// This is the decoder tier-1 ran before contexts became one state byte,
+// RENORMD a single shift and DECODE a select instead of its two branches: a
+// literal transcription of the ISO/IEC 15444-1 Annex C flow charts (DECODE
+// with its LPS/MPS branch, MPS_EXCHANGE / LPS_EXCHANGE and the SWITCH
+// branch, RENORMD one bit per iteration, BYTEIN with 0xFF stuffing), over
+// contexts that carry (index, MPS) as two fields and Table C.2 as
+// j2k::mq_table gives it.  Test code only: the one decoder the fast one is
+// held to, decision by decision.
 #pragma once
 
 #include <j2k/mq_coder.hpp>

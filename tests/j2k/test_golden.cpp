@@ -130,15 +130,17 @@ TEST(GoldenCorpus, Seeded97EncodesAndDecodesMatchPinnedDigests)
 struct t1_counters {
     const char* file;
     std::uint64_t mq_decisions, passes, samples;
+    /// Decisions of the significance, refinement and cleanup passes.
+    std::uint64_t by_pass[3];
 };
 
 // tier1_stats of a full decode of each corpus stream.
 constexpr t1_counters k_t1_counters[] = {
-    {"gray_53.ojk", 24278, 688, 19991},
-    {"rgb_97.ojk", 32064, 177, 26027},
-    {"layered_53.ojk", 74272, 2124, 61522},
-    {"odd_65x33.ojk", 12742, 546, 10517},
-    {"gray16_53.ojk", 30246, 1630, 27715},
+    {"gray_53.ojk", 24278, 688, 19991, {9664, 9001, 5613}},
+    {"rgb_97.ojk", 32064, 177, 26027, {11093, 3299, 17672}},
+    {"layered_53.ojk", 74272, 2124, 61522, {27642, 27947, 18683}},
+    {"odd_65x33.ojk", 12742, 546, 10517, {4948, 4752, 3042}},
+    {"gray16_53.ojk", 30246, 1630, 27715, {6130, 20239, 3877}},
 };
 
 TEST(GoldenCorpus, Tier1CountersMatchCommittedValues)
@@ -149,6 +151,12 @@ TEST(GoldenCorpus, Tier1CountersMatchCommittedValues)
         EXPECT_EQ(st.t1.mq_decisions, g.mq_decisions) << g.file;
         EXPECT_EQ(st.t1.passes, g.passes) << g.file;
         EXPECT_EQ(st.t1.samples, g.samples) << g.file;
+        std::uint64_t sum = 0;
+        for (std::size_t k = 0; k < 3; ++k) {
+            EXPECT_EQ(st.t1.by_pass[k].decisions, g.by_pass[k]) << g.file << " pass kind " << k;
+            sum += st.t1.by_pass[k].decisions;
+        }
+        EXPECT_EQ(sum, st.t1.mq_decisions) << g.file;
     }
 }
 

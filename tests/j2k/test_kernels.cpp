@@ -202,6 +202,56 @@ TEST(KernelOracle, DequantMatchesReferenceIncludingZerosAndExtremes)
     }
 }
 
+TEST(KernelOracle, RoundToIntMatchesLroundAndSaturates)
+{
+    constexpr double k_max = 2147483647.0;
+    std::vector<double> values = {0.5, -0.5, std::nextafter(0.5, 0.0),
+                                  -std::nextafter(0.5, 0.0), 0.0, -0.0,
+                                  k_max - 0.5, k_max + 0.5, -k_max - 0.5, -k_max + 0.5,
+                                  k_max, -k_max, -k_max - 1.0,
+                                  // Outside int32: saturated.
+                                  k_max + 1.0, -k_max - 2.0, 1e300, -1e300,
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+    for (int k = 0; k <= 1024; ++k) {
+        values.push_back(k + 0.5);
+        values.push_back(-(k + 0.5));
+        values.push_back(std::nextafter(k + 0.5, 0.0));
+        values.push_back(-std::nextafter(k + 0.5, 0.0));
+    }
+    std::mt19937 rng{0x1A0Du};
+    std::uniform_real_distribution<double> d{-2.2e9, 2.2e9};
+    for (int i = 0; i < 4096; ++i) values.push_back(d(rng));
+    const std::vector<double> small = doubles(rng, 4096);
+    values.insert(values.end(), small.begin(), small.end());
+
+    std::vector<std::int32_t> got(values.size());
+    std::vector<std::int32_t> want(values.size());
+    kernel::round_to_int(values.data(), got.data(), values.size());
+    oracle::s_round_to_int(values.data(), want.data(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << values[i];
+
+    // Every length and offset, with the samples past n untouched.
+    for (int off = 0; off < k_offsets; ++off) {
+        for (int n = 0; n <= k_max_len; ++n) {
+            const auto size = static_cast<std::size_t>(off + n + k_guard);
+            const std::vector<double> v = doubles(rng, size);
+            auto g = ints(rng, size, -9, 9);
+            auto w = g;
+            kernel::round_to_int(v.data() + off, g.data() + off, static_cast<std::size_t>(n));
+            oracle::s_round_to_int(v.data() + off, w.data() + off, static_cast<std::size_t>(n));
+            ASSERT_EQ(g, w) << "n=" << n << " off=" << off;
+        }
+    }
+
+    // A NaN, which lround leaves unspecified, gets a defined result.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::int32_t out = 0;
+    kernel::round_to_int(&nan, &out, 1);
+    EXPECT_EQ(out, std::numeric_limits<std::int32_t>::min());
+}
+
 TEST(KernelOracle, RoundAwayMatchesFloorFormOnTiesAndZeros)
 {
     std::vector<double> values = {0.0, -0.0, std::nextafter(0.5, 0.0),

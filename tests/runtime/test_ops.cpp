@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -1209,6 +1210,20 @@ TEST(OpsServer, FailedStartThrowsSystemErrorAndLeavesNoFdOpen)
         ops.start();
         EXPECT_EQ(runtime::ops::http_get("127.0.0.1", ops.port(), "/healthz").status, 200);
     }
+}
+
+TEST(OpsServer, StopWakesTheLoopInsteadOfWaitingForTheTick)
+{
+    runtime::ops::ops_config oc;
+    oc.aggregate_interval_ms = 10000;
+    ops_fixture f{ops_fixture::make_cfg(), oc};
+    // A served request puts the loop back in its wait, 10 s from a tick.
+    ASSERT_EQ(f.get("/healthz").status, 200);
+    const auto t0 = std::chrono::steady_clock::now();
+    f.ops.stop();
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - t0);
+    EXPECT_LT(ms.count(), 100);
 }
 
 TEST(HttpClient, ConnectFailuresAreTyped)
