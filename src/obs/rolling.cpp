@@ -53,9 +53,11 @@ void rolling_stats::consume(const std::vector<trace_event>& evs)
         newest_ts_ = std::max(newest_ts_, ev.ts_ns);
         switch (ev.type) {
         case event_type::begin:
+            if (ev.tid >= sync_open_.size()) sync_open_.resize(ev.tid + 1);
             sync_open_[ev.tid].push_back({ev.name, ev.ts_ns});
             break;
         case event_type::end: {
+            if (ev.tid >= sync_open_.size()) sync_open_.resize(ev.tid + 1);
             auto& stack = sync_open_[ev.tid];
             if (stack.empty()) {
                 // The matching B fell off the ring before a drain saw it, or
@@ -73,13 +75,10 @@ void rolling_stats::consume(const std::vector<trace_event>& evs)
             break;
         }
         case event_type::async_begin:
-            async_open_[{std::string{ev.name}, static_cast<std::uint64_t>(ev.value)}] =
-                ev.ts_ns;
+            async_open_[{ev.name, static_cast<std::uint64_t>(ev.value)}] = ev.ts_ns;
             break;
         case event_type::async_end: {
-            const auto key = std::make_pair(std::string{ev.name},
-                                            static_cast<std::uint64_t>(ev.value));
-            auto it = async_open_.find(key);
+            auto it = async_open_.find({ev.name, static_cast<std::uint64_t>(ev.value)});
             if (it == async_open_.end()) {
                 ++totals_.unmatched_ends;
                 break;
@@ -147,7 +146,7 @@ rolling_stats::totals rolling_stats::get_totals() const
 {
     std::lock_guard lk{m_};
     totals t = totals_;
-    for (const auto& [tid, stack] : sync_open_) t.open_spans += stack.size();
+    for (const auto& stack : sync_open_) t.open_spans += stack.size();
     t.open_spans += async_open_.size();
     return t;
 }

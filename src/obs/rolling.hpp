@@ -13,7 +13,12 @@
 // Pairing state (open spans) survives across consume() calls, so a span
 // whose B and E arrive in different drain batches still completes.  Sync
 // spans pair per-thread innermost-first (Chrome "E closes the innermost B"
-// semantics); async spans pair by (name, id) across threads.
+// semantics), on a stack per tracer thread index; async spans pair by (name,
+// id) across threads, in a hash map keyed by the name's characters, not its
+// address (names have static storage by the tracer's contract, so the keys
+// can view them).  A span whose begin preceded the first batch fed — for the
+// ops plane, one still open when the plane was built — counts as an
+// unmatched end.
 //
 // Everything is mutex-guarded: consume() runs on the ops-plane drain thread
 // while /metrics handlers (or tests) query concurrently.
@@ -23,10 +28,12 @@
 #include "trace.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace obs {
@@ -90,6 +97,18 @@ private:
         const char* name = nullptr;
         std::uint64_t ts_ns = 0;
     };
+    struct async_key {
+        std::string_view name;
+        std::uint64_t id = 0;
+        bool operator==(const async_key&) const = default;
+    };
+    struct async_key_hash {
+        std::size_t operator()(const async_key& k) const noexcept
+        {
+            return std::hash<std::string_view>{}(k.name) ^
+                   std::hash<std::uint64_t>{}(k.id) * 0x9E3779B97F4A7C15ull;
+        }
+    };
 
     stage_ring* ring_for(std::string_view name);  // may return null (cap)
     void observe(stage_ring& r, std::uint64_t end_ts_ns, std::uint64_t dur_ns);
@@ -97,8 +116,9 @@ private:
     const std::size_t max_stages_;
     mutable std::mutex m_;
     std::map<std::string, stage_ring, std::less<>> stages_;
-    std::map<std::uint32_t, std::vector<open_sync>> sync_open_;  ///< per tid
-    std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> async_open_;
+    std::vector<std::vector<open_sync>> sync_open_;  ///< indexed by tid
+    /// Begin timestamps of open async spans.
+    std::unordered_map<async_key, std::uint64_t, async_key_hash> async_open_;
     std::uint64_t newest_ts_ = 0;
     totals totals_;
 };

@@ -106,7 +106,7 @@ struct metrics_snapshot {
     double idwt_ms = 0.0;
     double finish_ms = 0.0;
 
-    // End-to-end job latency (submit → future ready), queue wait included.
+    // End-to-end job latency (submit → result ready), queue wait included.
     std::uint64_t latency_count = 0;
     double latency_mean_us = 0.0;
     std::uint64_t latency_max_us = 0;

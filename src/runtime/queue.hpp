@@ -104,7 +104,7 @@ public:
     /// Enqueue `v` at level `p` according to the backpressure policy.  `v` is
     /// consumed only when the item is actually enqueued (`ok`): on
     /// `rejected`/`closed` the caller keeps it — important when the item
-    /// carries a promise that must be failed.
+    /// carries a completion that must be told of the failure.
     push_result push(T&& v, priority p)
     {
         std::unique_lock lk{m_};

@@ -1,6 +1,7 @@
 // obs::rolling_stats: pairing drained trace events into per-stage windowed
-// distributions — sync innermost-first pairing, async pairing by (name, id),
-// pairing state across batch boundaries, window expiry, and the stage cap.
+// distributions — sync innermost-first pairing, async pairing by (name, id)
+// with names compared by content, pairing state across batch boundaries,
+// window expiry, and the stage cap.
 #include <obs/rolling.hpp>
 
 #include <gtest/gtest.h>
@@ -109,6 +110,24 @@ TEST(RollingStats, AsyncSpansPairByNameAndIdAcrossThreads)
     // An async end with an unknown id is an unmatched end.
     rs.consume({ev(t0 + 500, "job", obs::event_type::async_end, 2, 999)});
     EXPECT_EQ(rs.get_totals().unmatched_ends, 1u);
+}
+
+TEST(RollingStats, AsyncSpansPairByNameContentNotAddress)
+{
+    // The begin names an interned copy, the end a literal: equal strings at
+    // different addresses still pair.
+    obs::rolling_stats rs;
+    const char* interned = obs::tracer::instance().intern("pair_by_content");
+    const char* literal = "pair_by_content";
+    ASSERT_NE(static_cast<const void*>(interned), static_cast<const void*>(literal));
+    const std::uint64_t t0 = 13 * k_s;
+    rs.consume({ev(t0, interned, obs::event_type::async_begin, 1, 5),
+                ev(t0 + 250, literal, obs::event_type::async_end, 2, 5)});
+    EXPECT_EQ(rs.get_totals().unmatched_ends, 0u);
+    EXPECT_EQ(rs.get_totals().open_spans, 0u);
+    const auto w = rs.window("pair_by_content", 1, t0 + 250);
+    EXPECT_EQ(w.count, 1u);
+    EXPECT_EQ(w.max_ns, 250u);
 }
 
 TEST(RollingStats, WindowsForgetOldTraffic)

@@ -1,13 +1,15 @@
 // decoded_cache — shared FNV-1a vectors, LRU eviction and byte accounting,
 // pin semantics, single-flight collapsing (API-level and through the
 // service), byte-checked entries under equal keys, packed results shared with
-// completions and unpacked into futures, layer-capped and full-depth misses
+// completions and unpacked where planes are compared, layer-capped and full-depth misses
 // bit-exact against the golden corpus, progressive jobs that leave the cache
 // alone, and a stream with a bad tile directory that fails typed, uncached.
 #include <runtime/cache/decoded_cache.hpp>
 
 #include <runtime/hash.hpp>
 #include <runtime/service.hpp>
+
+#include "submit_future.hpp"
 
 #include <ccsds/ccsds123.hpp>
 #include <j2k/j2k.hpp>
@@ -28,6 +30,8 @@ namespace {
 using runtime::cache_key;
 using runtime::cache_policy;
 using runtime::decode_options;
+using test_support::packed_result;
+using test_support::submit;
 using runtime::decode_service;
 using runtime::decoded_cache;
 using runtime::fnv1a_bytes;
@@ -361,8 +365,8 @@ TEST(DecodeService, HitsHandTheCompletionTheCachedImageItself)
 
 TEST(DecodeService, FuturesFromPackedEntriesEqualAFreshDecode)
 {
-    // A future owns an int32 image: the leader's and each hit's are unpacked
-    // from the cached raw bytes, so they must equal a direct decode exactly,
+    // The leader's and each hit's completion receive the cached raw bytes;
+    // unpacked, they must equal a direct decode exactly,
     // at 1 and 2 bytes per sample, on the heap and in mapped pages (a result
     // of k_raw_mapped_bytes or more), and under every reduction a key can
     // carry.
@@ -404,7 +408,7 @@ TEST(DecodeService, FuturesFromPackedEntriesEqualAFreshDecode)
     std::uint64_t hits = 0;
     for (const request_case& c : cases) {
         for (int round = 0; round < 3; ++round)  // the leader, then two hits
-            EXPECT_EQ(svc.submit(c.cs, c.opt).get(), c.direct)
+            EXPECT_EQ(submit(svc, c.cs, c.opt).get()->unpack(), c.direct)
                 << c.what << ", round " << round;
         hits += 2;
         EXPECT_EQ(svc.metrics().cache_hits, hits) << c.what;
@@ -447,9 +451,9 @@ TEST(DecodeService, ConcurrentIdenticalSubmitsDecodeExactlyOnce)
 
     decode_service svc{{.workers = 4, .cache_bytes = 16u << 20}};
     constexpr int n = 16;
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < n; ++i) futs.push_back(svc.submit(cs));
-    for (auto& f : futs) EXPECT_EQ(f.get(), serial);
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < n; ++i) futs.push_back(submit(svc, cs));
+    for (auto& f : futs) EXPECT_EQ(f.get()->unpack(), serial);
 
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
@@ -468,10 +472,10 @@ TEST(DecodeService, PumpsNeverNestInsideAFlightLeader)
     for (int round = 0; round < 6; ++round) {
         const auto cs = make_stream(64 + 8 * round, 64, 1, 16);  // >= 16 tiles
         const j2k::image serial = j2k::decoder{cs}.decode_all();
-        std::vector<std::future<j2k::image>> futs;
+        std::vector<std::future<packed_result>> futs;
         futs.reserve(12);
-        for (int i = 0; i < 12; ++i) futs.push_back(svc.submit(cs));
-        for (auto& f : futs) EXPECT_EQ(f.get(), serial);
+        for (int i = 0; i < 12; ++i) futs.push_back(submit(svc, cs));
+        for (auto& f : futs) EXPECT_EQ(f.get()->unpack(), serial);
     }
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 6u);  // one leader per round, no duplicate decodes
@@ -486,13 +490,13 @@ TEST(DecodeService, BypassPolicyNeitherReadsNorPopulatesTheCache)
 
     decode_options bypass;
     bypass.cache = cache_policy::bypass;
-    (void)svc.submit(cs, bypass).get();
+    (void)submit(svc, cs, bypass).get();
     auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 0u);
     EXPECT_EQ(m.cache_entries, 0u);
 
-    (void)svc.submit(cs).get();  // default policy populates
-    (void)svc.submit(cs).get();  // ... and the repeat hits
+    (void)submit(svc, cs).get();  // default policy populates
+    (void)submit(svc, cs).get();  // ... and the repeat hits
     m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
     EXPECT_EQ(m.cache_hits, 1u);
@@ -504,7 +508,7 @@ TEST(DecodeService, PinPolicyPinsTheInsertedEntry)
     decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
     decode_options pin;
     pin.cache = cache_policy::pin;
-    (void)svc.submit(cs, pin).get();
+    (void)submit(svc, cs, pin).get();
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_entries, 1u);
     EXPECT_GT(m.cache_pinned_bytes, 0u);
@@ -516,13 +520,13 @@ TEST(DecodeService, DistinctOptionsGetDistinctEntriesButNormalisedDepthShares)
     const auto cs = make_stream(64, 64, 1, 32, /*layers=*/3);
     decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
 
-    (void)svc.submit(cs).get();  // layers = 0 → normalised to 3
+    (void)submit(svc, cs).get();  // layers = 0 → normalised to 3
     decode_options full;
     full.max_quality_layers = 3;  // explicit full depth: same entry
-    (void)svc.submit(cs, full).get();
+    (void)submit(svc, cs, full).get();
     decode_options one;
     one.max_quality_layers = 1;  // different reconstruction: own entry
-    (void)svc.submit(cs, one).get();
+    (void)submit(svc, cs, one).get();
 
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 2u);
@@ -545,9 +549,9 @@ TEST(DecodeService, PrefixResumeIsBitExactAgainstGoldenCorpus)
     one.max_quality_layers = 1;
     j2k::decoder ref1{cs};
     ref1.set_max_quality_layers(1);
-    EXPECT_EQ(svc.submit(cs, one).get(), ref1.decode_all());
+    EXPECT_EQ(submit(svc, cs, one).get()->unpack(), ref1.decode_all());
 
-    const j2k::image full = svc.submit(cs).get();
+    const j2k::image full = submit(svc, cs).get()->unpack();
     EXPECT_EQ(full, j2k::decoder{cs}.decode_all());
     EXPECT_EQ(fnv1a_image(full), 0xAA4C7851D4825229ull);
     EXPECT_EQ(svc.metrics().cache_misses, 2u);
@@ -575,7 +579,7 @@ TEST(DecodeService, FullDepthSubmitAfterAProgressiveStreamIsOnePlainMiss)
     wait_idle(svc);
     EXPECT_EQ(svc.cache()->stats().bytes, 0u);
 
-    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(submit(svc, cs).get()->unpack(), j2k::decoder{cs}.decode_all());
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
     EXPECT_EQ(m.cache_hits, 0u);
@@ -641,8 +645,8 @@ TEST(DecodeService, CcsdsDecodesAreCachedInTheirOwnNamespace)
     decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
     decode_options opt;
     opt.codec = ccsds::k_codec_wire_id;
-    EXPECT_EQ(svc.submit(cs, opt).get(), cube);
-    EXPECT_EQ(svc.submit(cs, opt).get(), cube);
+    EXPECT_EQ(submit(svc, cs, opt).get()->unpack(), cube);
+    EXPECT_EQ(submit(svc, cs, opt).get()->unpack(), cube);
 
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
@@ -671,9 +675,9 @@ TEST(DecodeService, ConcurrentIdenticalCcsdsSubmitsCollapseToOneDecode)
     decode_options opt;
     opt.codec = ccsds::k_codec_wire_id;
     constexpr int n = 16;
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < n; ++i) futs.push_back(svc.submit(cs, opt));
-    for (auto& f : futs) EXPECT_EQ(f.get(), cube);
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < n; ++i) futs.push_back(submit(svc, cs, opt));
+    for (auto& f : futs) EXPECT_EQ(f.get()->unpack(), cube);
 
     const auto m = svc.metrics();
     EXPECT_EQ(m.cache_misses, 1u);
@@ -686,9 +690,9 @@ TEST(DecodeService, UnknownCodecIdFailsTypedWithoutTouchingTheCache)
     decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
     decode_options opt;
     opt.codec = 200;  // nothing registered there
-    auto fut = svc.submit(cs, opt);
-    // The worker's teardown of the job drops the promise's reference to the
-    // exception through a refcount TSan does not see.  Holding a reference
+    auto fut = submit(svc, cs, opt);
+    // The worker's teardown of the job drops the helper's promise, and with
+    // it a reference to the exception, through a refcount TSan does not see.  Holding a reference
     // here until no job is left makes the test thread's release the last
     // one, so the exception is freed on the thread that read it.
     std::exception_ptr held;
@@ -724,7 +728,7 @@ TEST(DecodeService, StreamWithABadTileDirectoryFailsTypedAndIsNeverCached)
     std::exception_ptr held[2];  // released after the workers are done
     for (auto& h : held) {
         try {
-            (void)svc.submit(cs).get();
+            (void)submit(svc, cs).get();
             ADD_FAILURE() << "a stream with a bad tile directory decoded";
         } catch (const j2k::codestream_error&) {
             h = std::current_exception();

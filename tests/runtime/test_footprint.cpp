@@ -10,6 +10,8 @@
 #include <runtime/cache/decoded_cache.hpp>
 #include <runtime/service.hpp>
 
+#include "submit_future.hpp"
+
 #include <ccsds/ccsds123.hpp>
 #include <codec/backend.hpp>
 #include <codec/error.hpp>
@@ -188,7 +190,8 @@ TEST(Footprint, CachedGreyEntriesHoldTheirRawBytesAndInputAndLittleElse)
     decode_service svc{{.workers = 2, .cache_bytes = 64u << 20}};
     // Warm every worker's lazily built state with uncached decodes first.
     for (int i = 0; i < 4; ++i)
-        (void)svc.submit(streams[0], {.cache = runtime::cache_policy::bypass}).get();
+        (void)test_support::submit(svc, streams[0], {.cache = runtime::cache_policy::bypass})
+            .get();
     wait_idle(svc);
 
     const std::int64_t before = live();

@@ -7,6 +7,7 @@
 #include <runtime/ops/ops_server.hpp>
 
 #include "socket_probe.hpp"
+#include "submit_future.hpp"
 
 #include <ccsds/ccsds123.hpp>
 
@@ -41,6 +42,7 @@ namespace {
 
 using runtime::ops::http_parser;
 using runtime::ops::http_request;
+using test_support::submit;
 
 // ---------------------------------------------------------------------------
 // Parser unit tests (no sockets).
@@ -434,15 +436,15 @@ TEST(OpsServer, ExpositionIsPinned)
             {"net_frames_in_total", 7, obs::metric_type::counter, {{"shard", "0"}}}};
     });
     const auto cs = test_stream();
-    (void)svc.submit(cs).get();  // j2k, a cache miss
-    (void)svc.submit(cs).get();  // the same stream again: a hit
+    (void)submit(svc, cs).get();  // j2k, a cache miss
+    (void)submit(svc, cs).get();  // the same stream again: a hit
     const codec::image cube = codec::make_test_image(16, 12, 3, 16, 5);
     const auto ccs = ccsds::encode(cube);
     runtime::decode_options opt;
     opt.codec = ccsds::k_codec_wire_id;
-    EXPECT_EQ(svc.submit(ccs, opt).get(), cube);
+    EXPECT_EQ(submit(svc, ccs, opt).get()->unpack(), cube);
     opt.codec = 99;
-    EXPECT_THROW((void)svc.submit(ccs, opt).get(), runtime::unsupported_codec);
+    EXPECT_THROW((void)submit(svc, ccs, opt).get(), runtime::unsupported_codec);
 
     const std::string text = ops.metrics_text();
     std::vector<std::string> want{std::begin(k_pinned_samples),
@@ -801,7 +803,7 @@ TEST(OpsServer, MetricsExposesPrometheusTextAndJson)
     ops_fixture f;
     // Run a little work through the service so counters move.
     const auto cs = test_stream();
-    for (int i = 0; i < 3; ++i) (void)f.svc.submit(cs).get();
+    for (int i = 0; i < 3; ++i) (void)submit(f.svc, cs).get();
 
     const auto text = f.get("/metrics");
     EXPECT_EQ(text.status, 200);
@@ -851,14 +853,14 @@ TEST(OpsServer, PerCodecFamiliesCarryTheCodecLabel)
     // One job per codec, plus one aimed at an id nothing registered — the
     // split must expose completed work under each backend's name and the
     // unknown id under its decimal spelling.
-    (void)f.svc.submit(test_stream()).get();
+    (void)submit(f.svc, test_stream()).get();
     const codec::image cube = codec::make_test_image(16, 12, 3, 16, 5);
     const auto ccs = ccsds::encode(cube);
     runtime::decode_options opt;
     opt.codec = ccsds::k_codec_wire_id;
-    EXPECT_EQ(f.svc.submit(ccs, opt).get(), cube);
+    EXPECT_EQ(submit(f.svc, ccs, opt).get()->unpack(), cube);
     opt.codec = 99;
-    EXPECT_THROW((void)f.svc.submit(ccs, opt).get(), runtime::unsupported_codec);
+    EXPECT_THROW((void)submit(f.svc, ccs, opt).get(), runtime::unsupported_codec);
 
     const std::string text = f.get("/metrics").body;
     EXPECT_NE(text.find("j2k_codec_jobs_completed_total{codec=\"j2k\"} 1"),
@@ -889,7 +891,7 @@ TEST(OpsServer, RollingStageWindowsGoLiveUnderTracedLoad)
     oc.aggregate_interval_ms = 20;
     ops_fixture f{ops_fixture::make_cfg(), oc};
     const auto cs = test_stream(128, 128);
-    for (int i = 0; i < 4; ++i) (void)f.svc.submit(cs).get();
+    for (int i = 0; i < 4; ++i) (void)submit(f.svc, cs).get();
     obs::tracer::instance().set_enabled(false);
 
     const auto text = f.get("/metrics");
@@ -915,7 +917,7 @@ TEST(OpsServer, ConcurrentScrapesUnderLoadAreClean)
     const auto cs = test_stream();
     std::atomic<bool> stop{false};
     std::thread load{[&] {
-        while (!stop.load(std::memory_order_acquire)) (void)f.svc.submit(cs).get();
+        while (!stop.load(std::memory_order_acquire)) (void)submit(f.svc, cs).get();
     }};
     std::vector<std::thread> scrapers;
     for (int t = 0; t < 3; ++t)
@@ -1013,7 +1015,7 @@ TEST(OpsServer, TraceTailReturnsDisjointConcatenableBatches)
     auto& tr = obs::tracer::instance();
     tr.set_enabled(true);
     const auto cs = test_stream();
-    (void)f.svc.submit(cs).get();
+    (void)submit(f.svc, cs).get();
 
     const auto c1 = f.get("/trace?since_ns=0");
     ASSERT_EQ(c1.status, 200);
@@ -1023,7 +1025,7 @@ TEST(OpsServer, TraceTailReturnsDisjointConcatenableBatches)
     EXPECT_EQ(c1.body.substr(0, 2), "[\n");  // first chunk opens the array
 
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    (void)f.svc.submit(cs).get();
+    (void)submit(f.svc, cs).get();
     const auto c2 = f.get("/trace?since_ns=" + cursor);
     tr.set_enabled(false);
     ASSERT_EQ(c2.status, 200);
@@ -1210,6 +1212,30 @@ TEST(OpsServer, FailedStartThrowsSystemErrorAndLeavesNoFdOpen)
         ops.start();
         EXPECT_EQ(runtime::ops::http_get("127.0.0.1", ops.port(), "/healthz").status, 200);
     }
+}
+
+TEST(OpsServer, RollingWindowsStartWhenThePlaneIsBuilt)
+{
+    // The plane's cursor starts at construction: a span that ended before
+    // it is absent from the windows, one that ends after it is present, and
+    // one still open when the plane was built ends unmatched.
+    auto& tr = obs::tracer::instance();
+    runtime::decode_service svc{ops_fixture::make_cfg()};
+    tr.begin("test", "ended_before_plane");
+    tr.end("test", "ended_before_plane");
+    tr.begin("test", "open_across_plane");
+    runtime::ops::ops_server ops{svc};
+    tr.end("test", "open_across_plane");
+    tr.begin("test", "ended_after_plane");
+    tr.end("test", "ended_after_plane");
+    (void)ops.metrics_text();  // drains, like a scrape
+
+    const auto stages = ops.stages().stages();
+    EXPECT_EQ(std::count(stages.begin(), stages.end(), "ended_before_plane"), 0);
+    EXPECT_EQ(std::count(stages.begin(), stages.end(), "open_across_plane"), 0);
+    const auto w = ops.stages().window("ended_after_plane", 1);
+    EXPECT_EQ(w.count, 1u);
+    EXPECT_EQ(ops.stages().get_totals().unmatched_ends, 1u);
 }
 
 TEST(OpsServer, StopWakesTheLoopInsteadOfWaitingForTheTick)

@@ -3,6 +3,8 @@
 #include <runtime/service.hpp>
 #include <runtime/thread_pool.hpp>
 
+#include "submit_future.hpp"
+
 #include <j2k/j2k.hpp>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@ using runtime::decode_service;
 using runtime::priority;
 using runtime::raw_image;
 using runtime::service_config;
+using test_support::packed_result;
+using test_support::submit;
 
 std::vector<std::uint8_t> make_stream(int w, int h, int comps, int tile,
                                       j2k::wavelet mode = j2k::wavelet::w5_3,
@@ -50,8 +54,8 @@ TEST(DecodeService, MatchesSerialDecodeAcrossGridsAndWorkerCounts)
         const j2k::image serial = j2k::decoder{cs}.decode_all();
         for (int workers : {1, 2, 8}) {
             decode_service svc{{.workers = workers}};
-            auto fut = svc.submit(cs);
-            EXPECT_EQ(fut.get(), serial)
+            auto fut = submit(svc, cs);
+            EXPECT_EQ(fut.get()->unpack(), serial)
                 << g.w << "x" << g.h << " tile=" << g.tile << " workers=" << workers;
         }
     }
@@ -77,9 +81,9 @@ TEST(DecodeService, ManyConcurrentJobsAllCorrect)
     const auto cs = make_stream(128, 128, 3, 32);  // 16 tiles
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{{.workers = 4, .queue_capacity = 8}};
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < 24; ++i) futs.push_back(svc.submit(cs));
-    for (auto& f : futs) EXPECT_EQ(f.get(), serial);
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < 24; ++i) futs.push_back(submit(svc, cs));
+    for (auto& f : futs) EXPECT_EQ(f.get()->unpack(), serial);
     const auto m = svc.metrics();
     EXPECT_EQ(m.jobs_submitted, 24u);
     EXPECT_EQ(m.jobs_completed, 24u);
@@ -92,11 +96,10 @@ TEST(DecodeService, ManyConcurrentJobsAllCorrect)
 TEST(DecodeService, LossyAndLayeredStreamsMatchSerial)
 {
     const auto lossy = make_stream(128, 128, 3, 64, j2k::wavelet::w9_7);
-    EXPECT_EQ(decode_service{{.workers = 4}}.submit(lossy).get(),
-              j2k::decoder{lossy}.decode_all());
+    decode_service svc{{.workers = 4}};
+    EXPECT_EQ(submit(svc, lossy).get()->unpack(), j2k::decoder{lossy}.decode_all());
     const auto layered = make_stream(128, 128, 3, 64, j2k::wavelet::w5_3, 3);
-    EXPECT_EQ(decode_service{{.workers = 4}}.submit(layered).get(),
-              j2k::decoder{layered}.decode_all());
+    EXPECT_EQ(submit(svc, layered).get()->unpack(), j2k::decoder{layered}.decode_all());
 }
 
 TEST(DecodeService, OptionsMatchTheEquivalentDecoderKnobs)
@@ -105,18 +108,18 @@ TEST(DecodeService, OptionsMatchTheEquivalentDecoderKnobs)
     decode_service svc{{.workers = 2}};
 
     j2k::decoder reduced{cs};
-    EXPECT_EQ(svc.submit(cs, decode_options{.discard_levels = 2}).get(),
+    EXPECT_EQ(submit(svc, cs, {.discard_levels = 2}).get()->unpack(),
               reduced.decode_reduced(2));
 
     j2k::decoder capped{cs};
     capped.set_max_quality_layers(2);
-    EXPECT_EQ(svc.submit(cs, decode_options{.max_quality_layers = 2}).get(),
+    EXPECT_EQ(submit(svc, cs, {.max_quality_layers = 2}).get()->unpack(),
               capped.decode_all());
 
     const auto plain = make_stream(128, 128, 3, 64);
     j2k::decoder truncated{plain};
     truncated.set_max_passes(3);
-    EXPECT_EQ(svc.submit(plain, decode_options{.max_passes = 3}).get(),
+    EXPECT_EQ(submit(svc, plain, {.max_passes = 3}).get()->unpack(),
               truncated.decode_all());
 }
 
@@ -124,11 +127,10 @@ TEST(DecodeService, MalformedStreamFailsTheFutureNotTheService)
 {
     const auto cs = make_stream(64, 64, 1, 64);
     decode_service svc{{.workers = 2}};
-    std::vector<std::uint8_t> bogus(64, 0);
-    auto bad = svc.submit(bogus);
+    auto bad = submit(svc, std::vector<std::uint8_t>(64, 0));
     EXPECT_THROW((void)bad.get(), j2k::codestream_error);
     // The service survives and keeps decoding.
-    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(submit(svc, cs).get()->unpack(), j2k::decoder{cs}.decode_all());
     const auto m = svc.metrics();
     EXPECT_EQ(m.jobs_failed, 1u);
     EXPECT_EQ(m.jobs_completed, 1u);
@@ -140,8 +142,8 @@ TEST(DecodeService, RejectPolicyAccountsForEveryJob)
     decode_service svc{
         {.workers = 1, .queue_capacity = 1, .policy = backpressure::reject}};
     constexpr int jobs = 16;
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < jobs; ++i) futs.push_back(svc.submit(cs));
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < jobs; ++i) futs.push_back(submit(svc, cs));
     int completed = 0, rejected = 0;
     for (auto& f : futs) {
         try {
@@ -165,9 +167,9 @@ TEST(DecodeService, BlockPolicyCompletesEverythingUnderOverload)
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{
         {.workers = 2, .queue_capacity = 2, .policy = backpressure::block}};
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < 12; ++i) futs.push_back(svc.submit(cs));  // blocks as needed
-    for (auto& f : futs) EXPECT_EQ(f.get(), serial);
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < 12; ++i) futs.push_back(submit(svc, cs));  // blocks as needed
+    for (auto& f : futs) EXPECT_EQ(f.get()->unpack(), serial);
     EXPECT_EQ(svc.metrics().jobs_completed, 12u);
 }
 
@@ -176,35 +178,28 @@ TEST(DecodeService, ShutdownDrainsQueuedAndRunningJobs)
     const auto cs = make_stream(128, 128, 3, 32);
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{{.workers = 2, .queue_capacity = 32}};
-    std::vector<std::future<j2k::image>> futs;
-    for (int i = 0; i < 10; ++i) futs.push_back(svc.submit(cs));
+    std::vector<std::future<packed_result>> futs;
+    for (int i = 0; i < 10; ++i) futs.push_back(submit(svc, cs));
     svc.shutdown();
-    // After shutdown every admitted future is ready and correct.
+    // After shutdown every admitted job has settled, correctly.
     for (auto& f : futs) {
         EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-        EXPECT_EQ(f.get(), serial);
+        EXPECT_EQ(f.get()->unpack(), serial);
     }
     // New submissions fail fast; shutdown is idempotent.
-    EXPECT_THROW((void)svc.submit(cs).get(), runtime::service_stopped);
+    EXPECT_THROW((void)submit(svc, cs).get(), runtime::service_stopped);
     svc.shutdown();
 }
 
 TEST(DecodeService, DestructorImpliesShutdown)
 {
     const auto cs = make_stream(64, 64, 3, 32);
-    std::future<j2k::image> fut;
+    std::future<packed_result> fut;
     {
         decode_service svc{{.workers = 1}};
-        fut = svc.submit(cs);
+        fut = submit(svc, cs);
     }
-    EXPECT_EQ(fut.get(), j2k::decoder{cs}.decode_all());
-}
-
-TEST(DecodeService, ZeroCopySubmitWorksWhenBytesOutliveFuture)
-{
-    const auto cs = make_stream(128, 128, 1, 64);
-    decode_service svc{{.workers = 2, .copy_input = false}};
-    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(fut.get()->unpack(), j2k::decoder{cs}.decode_all());
 }
 
 TEST(DecodeService, InteractiveJobsSeeLowerLatencyThanBatchBacklog)
@@ -215,12 +210,12 @@ TEST(DecodeService, InteractiveJobsSeeLowerLatencyThanBatchBacklog)
     const auto cs = make_stream(128, 128, 3, 32);  // 16 tiles
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     decode_service svc{{.workers = 1, .queue_capacity = 64}};
-    std::vector<std::future<j2k::image>> batch, interactive;
-    for (int i = 0; i < 12; ++i) batch.push_back(svc.submit(cs, priority::batch));
+    std::vector<std::future<packed_result>> batch, interactive;
+    for (int i = 0; i < 12; ++i) batch.push_back(submit(svc, cs, {.prio = priority::batch}));
     for (int i = 0; i < 3; ++i)
-        interactive.push_back(svc.submit(cs, priority::interactive));
-    for (auto& f : interactive) EXPECT_EQ(f.get(), serial);
-    for (auto& f : batch) EXPECT_EQ(f.get(), serial);
+        interactive.push_back(submit(svc, cs, {.prio = priority::interactive}));
+    for (auto& f : interactive) EXPECT_EQ(f.get()->unpack(), serial);
+    for (auto& f : batch) EXPECT_EQ(f.get()->unpack(), serial);
     const auto m = svc.metrics();
     EXPECT_EQ(m.latency_by_priority[0].count, 3u);
     EXPECT_EQ(m.latency_by_priority[1].count, 12u);
@@ -235,10 +230,11 @@ TEST(DecodeService, PromotionValveKeepsBatchFlowingUnderInteractiveLoad)
     // interactive backlog is exhausted, and everything still completes.
     const auto cs = make_stream(128, 128, 3, 32);
     decode_service svc{{.workers = 1, .queue_capacity = 64, .promote_after = 2}};
-    std::vector<std::future<j2k::image>> futs;
-    futs.push_back(svc.submit(cs, priority::batch));  // occupies the worker
-    for (int i = 0; i < 4; ++i) futs.push_back(svc.submit(cs, priority::batch));
-    for (int i = 0; i < 10; ++i) futs.push_back(svc.submit(cs, priority::interactive));
+    std::vector<std::future<packed_result>> futs;
+    futs.push_back(submit(svc, cs, {.prio = priority::batch}));  // occupies the worker
+    for (int i = 0; i < 4; ++i) futs.push_back(submit(svc, cs, {.prio = priority::batch}));
+    for (int i = 0; i < 10; ++i)
+        futs.push_back(submit(svc, cs, {.prio = priority::interactive}));
     for (auto& f : futs) EXPECT_NO_THROW((void)f.get());
     const auto m = svc.metrics();
     EXPECT_EQ(m.jobs_completed, 15u);
@@ -248,15 +244,16 @@ TEST(DecodeService, PromotionValveKeepsBatchFlowingUnderInteractiveLoad)
 TEST(DecodeService, CloseWhileSubmittingSettlesEveryFutureExactlyOnce)
 {
     // Regression for the close/submit race: a job admitted concurrently with
-    // shutdown must be settled exactly once — a double set_value/set_exception
-    // raises std::future_error, an unsettled promise raises broken_promise on
-    // get().  Hammer the window from several submitter threads.
+    // shutdown must be settled exactly once — the helper's second set_value
+    // or set_exception would raise std::future_error, and a completion that
+    // never ran breaks its promise (std::future_error on get()).  Hammer the
+    // window from several submitter threads.
     const auto cs = make_stream(64, 64, 1, 32);
     for (int round = 0; round < 4; ++round) {
         auto svc = std::make_unique<decode_service>(
             service_config{.workers = 2, .queue_capacity = 4});
         constexpr int submitters = 4;
-        std::vector<std::vector<std::future<j2k::image>>> futs(submitters);
+        std::vector<std::vector<std::future<packed_result>>> futs(submitters);
         std::atomic<bool> stop{false};
         // Every submitter is in its loop before shutdown: on a loaded host a
         // sleep alone can end before any of them has run.
@@ -267,7 +264,8 @@ TEST(DecodeService, CloseWhileSubmittingSettlesEveryFutureExactlyOnce)
                 bool first = true;
                 while (!stop.load(std::memory_order_acquire)) {
                     const auto p = (t % 2 == 0) ? priority::interactive : priority::batch;
-                    futs[static_cast<std::size_t>(t)].push_back(svc->submit(cs, p));
+                    futs[static_cast<std::size_t>(t)].push_back(
+                        submit(*svc, cs, {.prio = p}));
                     if (std::exchange(first, false)) submitting.count_down();
                 }
             });
@@ -300,7 +298,7 @@ TEST(DecodeService, MetricsReportStealsForMultiTileJobs)
     // because idle workers steal tile subtasks, and the snapshot surfaces it.
     const auto cs = make_stream(128, 128, 3, 32);
     decode_service svc{{.workers = 4}};
-    for (int i = 0; i < 4; ++i) (void)svc.submit(cs).get();
+    for (int i = 0; i < 4; ++i) (void)submit(svc, cs).get();
     const auto m = svc.metrics();
     EXPECT_EQ(m.tiles_decoded, 64u);
     if (std::thread::hardware_concurrency() > 1) {
@@ -316,7 +314,7 @@ TEST(DecodeService, LayeredCacheMissFansOutOnTheServicePoolNotTheSharedOne)
     const auto cs = make_stream(128, 128, 3, 32, j2k::wavelet::w5_3, 3);  // 16 tiles
     const std::uint64_t before = runtime::thread_pool::shared().tasks_executed();
     decode_service svc{{.workers = 4, .cache_bytes = 16u << 20}};
-    EXPECT_EQ(svc.submit(cs).get(), j2k::decoder{cs}.decode_all());
+    EXPECT_EQ(submit(svc, cs).get()->unpack(), j2k::decoder{cs}.decode_all());
     EXPECT_EQ(svc.metrics().cache_misses, 1u);
     EXPECT_EQ(runtime::thread_pool::shared().tasks_executed(), before);
 }
@@ -337,12 +335,12 @@ TEST(DecodeService, StageAndTileCountersSeeEveryJ2kPath)
     };
     {
         decode_service svc{{.workers = 2, .cache_bytes = 16u << 20}};
-        (void)svc.submit(cs).get();
+        (void)submit(svc, cs).get();
         expect_counted(svc.metrics(), 4, "layered cache miss");
     }
     {
         decode_service svc{{.workers = 2}};
-        (void)svc.submit(cs, decode_options{.discard_levels = 1}).get();
+        (void)submit(svc, cs, {.discard_levels = 1}).get();
         expect_counted(svc.metrics(), 4, "discard_levels = 1");
     }
     {
@@ -362,7 +360,7 @@ TEST(DecodeService, MetricsDumpAndJsonContainCounters)
 {
     const auto cs = make_stream(64, 64, 1, 32);
     decode_service svc{{.workers = 2}};
-    (void)svc.submit(cs).get();
+    (void)submit(svc, cs).get();
     const auto m = svc.metrics();
     EXPECT_NE(m.dump().find("submitted=1"), std::string::npos);
     EXPECT_NE(m.to_json().find("\"jobs_completed\":1"), std::string::npos);
@@ -374,8 +372,8 @@ TEST(DecodeService, MoveSubmitTransfersOwnershipWithoutCopy)
     const j2k::image serial = j2k::decoder{cs}.decode_all();
     const std::uint8_t* data = cs.data();
     decode_service svc{{.workers = 2}};
-    auto fut = svc.submit(std::move(cs));
-    EXPECT_EQ(fut.get(), serial);
+    auto fut = submit(svc, std::move(cs));
+    EXPECT_EQ(fut.get()->unpack(), serial);
     // The vector was moved, not copied: the caller's buffer is gone and the
     // job decoded from the very same allocation.
     EXPECT_TRUE(cs.empty());
@@ -457,10 +455,10 @@ TEST(DecodeService, PerPriorityCapacitiesShedIndependentlyAndAreAccounted)
                         .queue_capacity = 32,
                         .batch_capacity = 1,
                         .policy = backpressure::reject}};
-    std::vector<std::future<j2k::image>> batch, interactive;
-    for (int i = 0; i < 6; ++i) batch.push_back(svc.submit(cs, priority::batch));
+    std::vector<std::future<packed_result>> batch, interactive;
+    for (int i = 0; i < 6; ++i) batch.push_back(submit(svc, cs, {.prio = priority::batch}));
     for (int i = 0; i < 3; ++i)
-        interactive.push_back(svc.submit(cs, priority::interactive));
+        interactive.push_back(submit(svc, cs, {.prio = priority::interactive}));
     for (auto& f : interactive) EXPECT_NO_THROW((void)f.get());
     int rejected = 0;
     for (auto& f : batch) {
